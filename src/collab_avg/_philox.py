@@ -35,22 +35,42 @@ _SHIFT11 = np.uint64(11)
 _UNIT = 2.0**-53
 
 
-def _mul_hi_lo(a: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+def _mul_hi_lo(
+    a: np.ndarray,
+    m: int,
+    hi: np.ndarray,
+    lo: np.ndarray,
+    t0: np.ndarray,
+    t1: np.ndarray,
+    t2: np.ndarray,
+) -> None:
     """Full 64x64 -> 128 bit product of ``a`` with the constant ``m``.
 
-    uint64 array arithmetic wraps modulo 2**64, which gives the low word
-    directly; the high word is assembled from 32-bit limbs.
+    Writes the high word to ``hi`` and the low word to ``lo``; ``t0..t2``
+    are scratch of ``a``'s shape. uint64 array arithmetic wraps modulo
+    2**64, which gives the low word directly; the high word is assembled
+    from 32-bit limbs.
     """
-    mu = np.uint64(m)
-    lo = a * mu
-    a_lo = a & _LOW32
-    a_hi = a >> _SHIFT32
     m_lo = np.uint64(m & 0xFFFFFFFF)
     m_hi = np.uint64(m >> 32)
-    carry = a_hi * m_lo + ((a_lo * m_lo) >> _SHIFT32)
-    mid = a_lo * m_hi + (carry & _LOW32)
-    hi = a_hi * m_hi + (carry >> _SHIFT32) + (mid >> _SHIFT32)
-    return hi, lo
+    np.multiply(a, np.uint64(m), out=lo)
+    np.bitwise_and(a, _LOW32, out=t0)  # a_lo
+    np.right_shift(a, _SHIFT32, out=t1)  # a_hi
+    # carry = a_hi * m_lo + ((a_lo * m_lo) >> 32)
+    np.multiply(t0, m_lo, out=hi)
+    np.right_shift(hi, _SHIFT32, out=hi)
+    np.multiply(t1, m_lo, out=t2)
+    np.add(t2, hi, out=t2)
+    # mid = a_lo * m_hi + (carry & 0xFFFFFFFF)
+    np.multiply(t0, m_hi, out=t0)
+    np.bitwise_and(t2, _LOW32, out=hi)
+    np.add(t0, hi, out=t0)
+    # hi = a_hi * m_hi + (carry >> 32) + (mid >> 32)
+    np.multiply(t1, m_hi, out=hi)
+    np.right_shift(t2, _SHIFT32, out=t2)
+    np.add(hi, t2, out=hi)
+    np.right_shift(t0, _SHIFT32, out=t0)
+    np.add(hi, t0, out=hi)
 
 
 def philox_blocks(
@@ -63,64 +83,64 @@ def philox_blocks(
     ``key_hi`` may be an array (one stream id per row); it broadcasts
     against ``block_index``. Returns the four output lanes.
     """
-    # All counter words are kept as arrays: numpy wraps array uint64
-    # arithmetic silently but warns on scalar wrap-around, which is the
-    # intended behaviour here. The key schedule stays in Python ints.
-    if isinstance(key_hi, np.ndarray):
-        shape = np.broadcast_shapes(block_index.shape, key_hi.shape)
-        k1_base = np.broadcast_to(key_hi, shape)
-    else:
-        shape = block_index.shape
-        k1_base = np.broadcast_to(np.uint64(key_hi & _MASK64), shape)
-    c0 = np.broadcast_to(block_index, shape)
-    c1 = np.zeros(shape, dtype=np.uint64)
-    c2 = np.zeros(shape, dtype=np.uint64)
-    c3 = np.zeros(shape, dtype=np.uint64)
+    # numpy wraps array uint64 arithmetic silently but warns on scalar
+    # wrap-around, so key word 1 is kept as an array (0-d for one stream)
+    # and key word 0's schedule is computed in Python ints.
+    if not isinstance(key_hi, np.ndarray):
+        key_hi = np.asarray(key_hi & _MASK64, dtype=np.uint64)
+    shape = np.broadcast_shapes(block_index.shape, key_hi.shape)
+    # The rounds run in a fixed set of work arrays: four counter words, the
+    # two products' high and low words, and three limbs of scratch.
+    c0, c1, c2, c3, hi0, lo0, hi1, lo1, t0, t1, t2 = (
+        np.empty(shape, dtype=np.uint64) for _ in range(11)
+    )
+    c0[...] = block_index
+    for word in (c1, c2, c3):
+        word.fill(0)
     for r in range(10):
         k0 = np.uint64((key_lo + r * _W0) & _MASK64)
-        k1_off = np.uint64((r * _W1) & _MASK64)
-        hi0, lo0 = _mul_hi_lo(c0, _M0)
-        hi1, lo1 = _mul_hi_lo(c2, _M1)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ (k1_base + k1_off), lo0
+        k1 = key_hi + np.uint64((r * _W1) & _MASK64)
+        _mul_hi_lo(c0, _M0, hi0, lo0, t0, t1, t2)
+        _mul_hi_lo(c2, _M1, hi1, lo1, t0, t1, t2)
+        np.bitwise_xor(hi1, c1, out=hi1)
+        np.bitwise_xor(hi1, k0, out=hi1)
+        np.bitwise_xor(hi0, c3, out=hi0)
+        np.bitwise_xor(hi0, k1, out=hi0)
+        # New counter: (hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0). The old
+        # counter words become the next round's product buffers.
+        c0, c1, c2, c3, hi1, lo1, hi0, lo0 = hi1, lo1, hi0, lo0, c0, c1, c2, c3
     return c0, c1, c2, c3
-
-
-def _to_unit_interval(raw: np.ndarray) -> np.ndarray:
-    return ((raw >> _SHIFT11).astype(np.float64) + 0.5) * _UNIT
 
 
 def uniforms(master_seed: int, stream_id: int, count: int, start: int = 0) -> np.ndarray:
     """Draws ``start .. start+count-1`` of one stream, as floats in (0, 1)."""
-    if count < 0 or start < 0:
-        raise ValueError("count and start must be non-negative")
-    if count == 0:
-        return np.empty(0, dtype=np.float64)
-    first_block = start // 4
-    last_block = (start + count - 1) // 4
-    blocks = np.arange(first_block, last_block + 1, dtype=np.uint64)
-    lanes = philox_blocks(blocks, master_seed & _MASK64, stream_id & _MASK64)
-    raw = np.stack(lanes, axis=-1).reshape(-1)
-    offset = start - 4 * first_block
-    return _to_unit_interval(raw[offset : offset + count])
+    return uniform_matrix(master_seed, stream_id, 1, count, start)[0]
 
 
 def uniform_matrix(
-    master_seed: int, first_stream: int, n_streams: int, count: int
+    master_seed: int, first_stream: int, n_streams: int, count: int, start: int = 0
 ) -> np.ndarray:
-    """Draws ``0 .. count-1`` for ``n_streams`` consecutive streams.
+    """Draws ``start .. start+count-1`` for ``n_streams`` consecutive streams.
 
-    Row ``t`` is identical to ``uniforms(master_seed, first_stream + t, count)``;
-    stream ids wrap modulo 2**64.
+    Row ``t`` is identical to ``uniforms(master_seed, first_stream + t,
+    count, start)``; stream ids wrap modulo 2**64.
     """
-    if n_streams < 0 or count < 0:
-        raise ValueError("n_streams and count must be non-negative")
+    if n_streams < 0 or count < 0 or start < 0:
+        raise ValueError("n_streams, count and start must be non-negative")
     if n_streams == 0 or count == 0:
         return np.empty((n_streams, count), dtype=np.float64)
-    n_blocks = (count + 3) // 4
-    blocks = np.arange(n_blocks, dtype=np.uint64)[np.newaxis, :]
+    first_block = start // 4
+    n_blocks = (start + count - 1) // 4 + 1 - first_block
+    blocks = np.arange(first_block, first_block + n_blocks, dtype=np.uint64)[np.newaxis, :]
     stream_ids = (
         (np.uint64(first_stream & _MASK64) + np.arange(n_streams, dtype=np.uint64))
     )[:, np.newaxis]
     lanes = philox_blocks(blocks, master_seed & _MASK64, stream_ids)
-    raw = np.stack(lanes, axis=-1).reshape(n_streams, 4 * n_blocks)
-    return _to_unit_interval(raw[:, :count])
+    # Draw i is lane i % 4 of block i // 4, mapped to ((w >> 11) + 0.5) * 2**-53.
+    out = np.empty((n_streams, n_blocks, 4), dtype=np.float64)
+    for lane, word in enumerate(lanes):
+        np.right_shift(word, _SHIFT11, out=word)
+        np.add(word, 0.5, out=out[:, :, lane])
+    out *= _UNIT
+    offset = start - 4 * first_block
+    return out.reshape(n_streams, 4 * n_blocks)[:, offset : offset + count]

@@ -30,7 +30,7 @@ import yaml
 
 from .distributions import Distribution, PointMass, make_distribution
 from .federation import Agent, FederationScenario
-from .montecarlo import SampledScenario
+from .montecarlo import _MIN_TRIALS, SampledScenario
 from .theory import ErrorProfile
 
 ENV_SEED = "COLLAB_AVG_SEED"
@@ -98,16 +98,24 @@ def _parse_count(node: Any, where: str, allow_infinite: bool = False) -> int | f
     return node
 
 
+def _parse_float(node: Any, where: str) -> float:
+    try:
+        return float(node)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where} must be a number, got {node!r}") from exc
+
+
 def _parse_distribution(node: Any, where: str) -> Distribution:
     node = _require_mapping(node, where)
     if "constant" in node:
-        return PointMass(float(node["constant"]))
+        return PointMass(_parse_float(node["constant"], f"{where}.constant"))
     if "family" not in node:
         raise ConfigError(f"{where} needs a 'family' (or 'constant'/'union') key")
     params = node.get("params", {})
     params = _require_mapping(params, f"{where}.params")
+    values = {str(k): _parse_float(v, f"{where}.params.{k}") for k, v in params.items()}
     try:
-        return make_distribution(str(node["family"]), **{str(k): float(v) for k, v in params.items()})
+        return make_distribution(str(node["family"]), **values)
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
@@ -127,11 +135,10 @@ def _parse_helpers(node: Any, where: str) -> tuple[Agent, ...]:
 
 def _parse_expected(node: Any, where: str) -> ErrorProfile:
     node = _require_mapping(node, where)
-    try:
-        e0 = float(node["e0"])
-        e1 = float(node["e1"])
-    except KeyError as exc:
-        raise ConfigError(f"{where} needs 'e0' and 'e1'") from exc
+    if "e0" not in node or "e1" not in node:
+        raise ConfigError(f"{where} needs 'e0' and 'e1'")
+    e0 = _parse_float(node["e0"], f"{where}.e0")
+    e1 = _parse_float(node["e1"], f"{where}.e1")
     if e0 == 0.0 and e1 == 0.0:
         return ErrorProfile(e0=0.0, e1=0.0, alpha_star=0.0, degenerate=True)
     return ErrorProfile(e0=e0, e1=e1, alpha_star=e0 / (e0 + e1))
@@ -225,17 +232,17 @@ def load_run_config(
         raise ConfigError("'alphas' must be a list of numbers in [0, 1]")
     alphas = []
     for value in alphas_node:
-        alpha = float(value)
+        alpha = _parse_float(value, "alpha")
         if not 0.0 <= alpha <= 1.0:
             raise ConfigError(f"alpha {alpha!r} outside [0, 1]")
         alphas.append(alpha)
 
     trials_value = trials if trials is not None else data.get("trials", DEFAULT_TRIALS)
-    if isinstance(trials_value, bool) or not isinstance(trials_value, int) or trials_value < 2:
-        raise ConfigError("trials must be an integer >= 2")
-    k_value = float(k if k is not None else data.get("k", DEFAULT_K))
-    if k_value <= 0:
-        raise ConfigError("k must be > 0")
+    if isinstance(trials_value, bool) or not isinstance(trials_value, int) or trials_value < _MIN_TRIALS:
+        raise ConfigError(f"trials must be an integer >= {_MIN_TRIALS}")
+    k_value = _parse_float(k if k is not None else data.get("k", DEFAULT_K), "k")
+    if not (math.isfinite(k_value) and k_value > 0):
+        raise ConfigError(f"k must be finite and > 0, got {k_value!r}")
 
     bounds = DEFAULT_CONTOUR_BOUNDS
     if "contour" in data:

@@ -267,6 +267,35 @@ class TestValidate:
         assert code == 2
         assert "overall: FAIL" in out
 
+    @pytest.mark.parametrize("k", ["inf", "-inf", "nan"])
+    def test_non_finite_k_is_invalid(self, tmp_path, capsys, k):
+        # The expected profile is deliberately wrong: an unbounded band
+        # would turn it into PASS, a NaN band into FAIL at every point.
+        path = tmp_path / "wrong.yaml"
+        path.write_text(
+            "x: {family: bernoulli, params: {p: 0.5}}\n"
+            "n_x: 20\n"
+            "y: {constant: 0.5}\n"
+            "trials: 1000\n"
+            "expected: {e0: 5.0, e1: 5.0}\n"
+        )
+        code, out, err = run_cli(capsys, "validate", "--scenario", str(path), f"--k={k}")
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1
+        assert "k must be finite" in err
+
+    def test_trials_below_oracle_minimum_rejected_by_config(self, tmp_path, capsys):
+        path = tmp_path / "scenario.yaml"
+        path.write_text(DEGENERATE_YAML)
+        code, out, err = run_cli(capsys, "validate", "--scenario", str(path), "--trials", "99")
+        assert code == 1
+        assert out == ""
+        assert err == "error: trials must be an integer >= 100\n"
+        code, out, _ = run_cli(capsys, "validate", "--scenario", str(path), "--trials", "100")
+        assert code == 0
+        assert "trials=100" in out
+
     def test_infinite_helper_is_invalid(self, tmp_path, capsys):
         path = tmp_path / "inf.yaml"
         path.write_text(
@@ -360,6 +389,27 @@ class TestCommonBehaviour:
         code, _, err = run_cli(capsys, "profile", "--scenario", "/nonexistent.yaml")
         assert code == 1
         assert "cannot read" in err
+
+    @pytest.mark.parametrize(
+        "text,field",
+        [
+            ("x: {family: normal, params: {mu: [1], sd: 1.0}}\n", "scenario file.x.params.mu"),
+            ("x: {constant: {value: 1}}\n", "scenario file.x.constant"),
+            ("x: {family: normal, params: {mu: 0.0, sd: abc}}\n", "scenario file.x.params.sd"),
+            ("x: {constant: 1.0}\nexpected: {e0: [1], e1: 0.5}\n", "scenario file.expected.e0"),
+            ("x: {constant: 1.0}\nalphas: [[0.5]]\n", "alpha"),
+            ("x: {constant: 1.0}\nk: [4]\n", "k"),
+        ],
+        ids=["param_list", "constant_mapping", "param_string", "expected_list", "alpha_list", "k_list"],
+    )
+    def test_non_numeric_value_exits_1(self, tmp_path, capsys, text, field):
+        path = tmp_path / "scenario.yaml"
+        path.write_text(text + "n_x: 5\ny: {constant: 0.0}\n")
+        code, out, err = run_cli(capsys, "profile", "--scenario", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {field} must be a number")
+        assert err.count("\n") == 1
 
     def test_bad_yaml_exits_1(self, tmp_path, capsys):
         path = tmp_path / "broken.yaml"

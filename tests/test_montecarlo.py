@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 import collab_avg.montecarlo as mc
+from collab_avg.cli import main
 from collab_avg.distributions import Bernoulli, Exponential, Normal, PointMass, SeedSpec, Uniform
 from collab_avg.montecarlo import (
     SampledScenario,
@@ -19,6 +22,7 @@ from collab_avg.montecarlo import (
 from collab_avg.theory import ErrorProfile, error_profile, ese_of_alpha
 
 from conftest import variance_std_error
+from test_acceptance import MC_BASE_SEED, MC_SUITE
 
 TRIALS = 10**5
 
@@ -56,12 +60,23 @@ class TestEstimateEse:
         args = (Uniform(0, 1), 7, Bernoulli(0.3), 9, 0.4, 500, SeedSpec(99, 5))
         assert estimate_ese(*args) == estimate_ese(*args)
 
-    def test_chunking_does_not_change_results(self, monkeypatch):
-        args = (Normal(0, 1), 11, Exponential(2.0), 13, 0.3, 1000, SeedSpec(7))
-        baseline = estimate_ese(*args)
-        monkeypatch.setattr(mc, "_CHUNK_DRAWS", 64)
+    @pytest.mark.parametrize("chunk_draws", [1, 64, 65_536])
+    @pytest.mark.parametrize(
+        "x,y",
+        [
+            (Normal(0, 1), Exponential(2.0)),
+            (PointMass(0.5), Exponential(2.0)),
+            (Normal(0, 1), PointMass(0.5)),
+        ],
+        ids=["both_random", "pointmass_x", "pointmass_y"],
+    )
+    def test_chunking_does_not_change_results(self, monkeypatch, chunk_draws, x, y):
+        args = (x, 11, y, 13, 0.3, 1000, SeedSpec(7))
+        monkeypatch.setattr(mc, "_CHUNK_DRAWS", 10**9)
+        whole = estimate_ese(*args)
+        monkeypatch.setattr(mc, "_CHUNK_DRAWS", chunk_draws)
         chunked = estimate_ese(*args)
-        assert baseline == chunked
+        assert whole == chunked
 
 
 class TestErrorCurve:
@@ -157,6 +172,12 @@ class TestValidateScenario:
         second = validate_scenario(scenario, 400, SeedSpec(41))
         assert first == second
 
+    @pytest.mark.parametrize("k", [math.inf, -math.inf, math.nan, 0.0, -1.0])
+    def test_band_must_be_finite_and_positive(self, k):
+        scenario = SampledScenario(Normal(0, 1), 5, Normal(0, 1), 5)
+        with pytest.raises(ValueError, match="k must be finite"):
+            validate_scenario(scenario, 200, SeedSpec(1), k=k)
+
     def test_infinite_helper_rejected(self):
         scenario = SampledScenario(Normal(0, 1), 5, Normal(0, 1), math.inf)
         with pytest.raises(ValueError):
@@ -168,3 +189,88 @@ class TestValidateScenario:
         profile = error_profile(scenario.to_scenario())
         for point in report.points:
             assert point.closed_form == ese_of_alpha(profile, point.alpha)
+
+
+# sha256 digests recorded from the original 4M-draw sampler. Seeded output is
+# part of the reproducibility contract: any change to chunking, to the draw
+# layout or to which columns are generated must leave every byte as it was.
+GOLDEN_TRIAL_MEANS = {
+    "normal_exponential_total2": (
+        (Normal(0.3, 1.2), 1, Exponential(1.5), 1, 20_000, SeedSpec(101)),
+        "ac909f2f15ad25f5218eda1617c0a0582c810f3d3e8e785c0e7a8f2a4a618f7b",
+    ),
+    "uniform_bernoulli_total7_wrapping_streams": (
+        (Uniform(-1.0, 2.0), 3, Bernoulli(0.35), 4, 20_000, SeedSpec(102, 2**64 - 5)),
+        "953be3e3f8af23713ba224cb44b31273491543b017fa819c5d623571c09bdb7c",
+    ),
+    "x_constant": (
+        (PointMass(2.0), 3, Normal(1.0, 1.0), 4, 20_000, SeedSpec(103)),
+        "66b5cdf9c14d54bae31114fbcee4bbd32ec54c3d7f24212a6cd253f42226422a",
+    ),
+    "y_constant": (
+        (Exponential(0.5), 5, PointMass(-1.5), 2, 20_000, SeedSpec(104)),
+        "f38b20c9fff305c6c4e687a9dd50ee01d5f281a969a4c284122b5b8c1b6dfb4e",
+    ),
+    "both_constant": (
+        (PointMass(1.0), 4, PointMass(2.0), 3, 1_000, SeedSpec(105)),
+        "ceed1a1c7dc57c1cdf9a42b9486de7d0ee7375e542d8363ffe1953a3f28fabb0",
+    ),
+    "stream_longer_than_chunk": (
+        (Normal(0.0, 1.0), 50_000, Uniform(0.0, 1.0), 30_001, 3, SeedSpec(106)),
+        "699515e3411c5d024ca3adbe66cc74351b137cb7ed72ccbe34a312ca195ea432",
+    ),
+}
+
+# The benchmark's validate workloads (perfbench/workloads.py) at seed 0; the
+# first is c06's suite.
+MC_LONG = (SampledScenario(Normal(0.0, 1.0), 1000, Exponential(1.0), 6000),)
+MC_MANY_TRIALS = (SampledScenario(Normal(0.0, 1.0), 2, Uniform(0.0, 1.0), 2),)
+GOLDEN_VALIDATE = {
+    "mc_suite": (
+        MC_SUITE, 100_000, 0,
+        "9dc418639181f9e79720b659e5abf5eef3b796e44e55b1981db74f80f2abac14",
+    ),
+    "mc_long": (
+        MC_LONG, 2_000, 0,
+        "ccc643044ece2e823ffd3aaa7fc554363fb71ab871b412ea319d12808d4ee93a",
+    ),
+    "mc_many_trials": (
+        MC_MANY_TRIALS, 2_000_000, 0,
+        "d1857c0c13253ce10cb12c50c1c75a8952c76e6b502567b1397a121b8fc95117",
+    ),
+    "c06_suite_at_base_seed": (
+        MC_SUITE, 10_000, MC_BASE_SEED,
+        "997ac5b44e42009540debeaf3efa4351457fb07fee0eaf4163477e0e397414d6",
+    ),
+}
+
+
+def _side_yaml(dist) -> str:
+    params = ", ".join(f"{key}: {value!r}" for key, value in dataclasses.asdict(dist).items())
+    return f"{{family: {type(dist).__name__.lower()}, params: {{{params}}}}}"
+
+
+def _suite_yaml(suite, trials: int, seed: int) -> str:
+    lines = [f"trials: {trials}", f"seed: {seed}", "scenarios:"]
+    for s in suite:
+        lines.append(
+            f"  - {{x: {_side_yaml(s.x)}, n_x: {s.n_x}, y: {_side_yaml(s.y)}, n_y: {s.n_y}}}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+class TestGoldenOutputs:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_TRIAL_MEANS))
+    def test_trial_means_bytes(self, name):
+        args, digest = GOLDEN_TRIAL_MEANS[name]
+        xbar, ybar = trial_means(*args)
+        assert hashlib.sha256(xbar.tobytes() + ybar.tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_VALIDATE))
+    def test_validate_out_bytes(self, name, tmp_path):
+        suite, trials, seed, digest = GOLDEN_VALIDATE[name]
+        scenario = tmp_path / "suite.yaml"
+        scenario.write_text(_suite_yaml(suite, trials, seed))
+        out = tmp_path / "out.txt"
+        main(["validate", "--scenario", str(scenario), "--out", str(out)])
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.random import Philox
 
@@ -79,6 +79,8 @@ def test_empty_and_invalid_requests():
         uniforms(1, 1, -1)
     with pytest.raises(ValueError):
         uniform_matrix(1, 0, -1, 5)
+    with pytest.raises(ValueError):
+        uniform_matrix(1, 0, 1, 5, start=-1)
 
 
 @settings(deadline=None, max_examples=25)
@@ -87,3 +89,22 @@ def test_slice_consistency_property(master, stream, start, count):
     long = uniforms(master, stream, start + count)
     window = uniforms(master, stream, count, start=start)
     assert np.array_equal(long[start:], window)
+
+
+@settings(deadline=None, max_examples=25)
+@given(
+    master=U64,
+    first=U64,
+    n_streams=st.integers(1, 6),
+    start=st.integers(0, 50),
+    count=st.integers(1, 40),
+)
+@example(master=5, first=2**64 - 3, n_streams=6, start=7, count=9)
+@example(master=0, first=2**64 - 1, n_streams=2, start=1, count=1)
+def test_uniform_matrix_start_property(master, first, n_streams, start, count):
+    """Row ``t`` of a window is the tail of stream ``first + t`` (mod 2**64)."""
+    window = uniform_matrix(master, first, n_streams, count, start)
+    assert window.shape == (n_streams, count)
+    for t in range(n_streams):
+        stream = (first + t) % 2**64
+        assert np.array_equal(window[t], uniforms(master, stream, start + count)[start:])
