@@ -23,6 +23,7 @@ import csv
 import io
 import math
 import sys
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
@@ -58,8 +59,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _fmt(value: float) -> str:
     """Shortest decimal string that round-trips to the same float."""
-    if math.isinf(value):
-        return "inf" if value > 0 else "-inf"
     return repr(float(value))
 
 
@@ -88,12 +87,13 @@ def _write_csv(header: list[str], rows: list[list[str]]) -> str:
     return buffer.getvalue()
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(chunks: Iterable[str], out: str | None) -> None:
+    """Write the chunks in order to ``out``, or to stdout; a generator streams."""
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(out, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
 
 
 def _profile_lines(scenario: Scenario, profile: ErrorProfile, alphas: tuple[float, ...]) -> list[str]:
@@ -129,8 +129,7 @@ def _profile_lines(scenario: Scenario, profile: ErrorProfile, alphas: tuple[floa
 def cmd_profile(config: RunConfig) -> int:
     scenario = config.scenarios[0].two_agent().to_scenario()
     profile = error_profile(scenario)
-    text = "\n".join(_profile_lines(scenario, profile, config.alphas)) + "\n"
-    _emit(text, config.out)
+    _emit(["\n".join(_profile_lines(scenario, profile, config.alphas)) + "\n"], config.out)
     return EXIT_OK
 
 
@@ -189,12 +188,9 @@ def cmd_table1(config: RunConfig) -> int:
         )
         report_lines.append(f"row {comparison.index}: {values}")
     report = "\n".join(report_lines) + "\n"
-    if config.out is None:
-        sys.stdout.write(csv_text)
-        sys.stderr.write(report)
-    else:
-        _emit(csv_text, config.out)
-        sys.stdout.write(report)
+    _emit([csv_text], config.out)
+    # The report goes wherever the CSV does not.
+    (sys.stderr if config.out is None else sys.stdout).write(report)
     return EXIT_OK
 
 
@@ -214,7 +210,8 @@ def cmd_curve(config: RunConfig) -> int:
         ratio = ese_of_alpha(profile, alpha) / profile.e0
         upper = _fmt(1.0 - alpha) if alpha <= profile.alpha_star else ""
         rows.append([_fmt(alpha), _fmt(ratio), _fmt(1.0 - 2.0 * alpha), upper])
-    _emit(_write_csv(["alpha", "ese_ratio", "lower_bound", "upper_bound_segment"], rows), config.out)
+    header = ["alpha", "ese_ratio", "lower_bound", "upper_bound_segment"]
+    _emit([_write_csv(header, rows)], config.out)
     return EXIT_OK
 
 
@@ -223,18 +220,25 @@ def cmd_contour(config: RunConfig) -> int:
     points = config.grid if config.grid is not None else _DEFAULT_CONTOUR_GRID
     u_grid = np.logspace(math.log10(u_min), math.log10(u_max), points)
     v_grid = np.logspace(math.log10(v_min), math.log10(v_max), points)
-    rows = []
-    for u in u_grid:
-        for v in v_grid:
-            # u = Var[xbar]/bias^2 and v = Var[xbar]/Var[ybar] determine
-            # the optimal weight: 1 / (1 + 1/u + 1/v).
-            alpha_star = 1.0 / (1.0 + 1.0 / float(u) + 1.0 / float(v))
-            rows.append([_fmt(float(u)), _fmt(float(v)), _fmt(alpha_star)])
-    _emit(
-        _write_csv(["varxbar_over_bias2", "varxbar_over_varybar", "alpha_star"], rows),
-        config.out,
-    )
+    _emit(_contour_rows(u_grid, v_grid), config.out)
     return EXIT_OK
+
+
+def _contour_rows(u_grid: np.ndarray, v_grid: np.ndarray) -> Iterator[str]:
+    """The contour CSV, one chunk per u, in O(len(v_grid)) memory."""
+    yield "varxbar_over_bias2,varxbar_over_varybar,alpha_star\n"
+    # u = Var[xbar]/bias^2 and v = Var[xbar]/Var[ybar] determine the optimal
+    # weight 1 / (1 + 1/u + 1/v), evaluated in that order so each cell is
+    # bit-identical to the scalar formula, which overflows to inf silently.
+    # Cells are _fmt's repr form.
+    with np.errstate(over="ignore"):
+        inv_v = 1.0 / v_grid
+    v_cells = [f",{v!r}," for v in v_grid.tolist()]
+    for u in u_grid.tolist():
+        with np.errstate(over="ignore"):
+            alphas = 1.0 / (1.0 + 1.0 / u + inv_v)
+        u_cell = repr(u)
+        yield "".join([f"{u_cell}{cell}{alpha!r}\n" for cell, alpha in zip(v_cells, alphas.tolist())])
 
 
 def cmd_validate(config: RunConfig) -> int:
@@ -257,7 +261,7 @@ def cmd_validate(config: RunConfig) -> int:
                 f"dev={_fmt(point.deviation)} {'ok' if point.passed else 'FAIL'}"
             )
     lines.append("overall: " + ("PASS" if all_passed else "FAIL"))
-    _emit("\n".join(lines) + "\n", config.out)
+    _emit(["\n".join(lines) + "\n"], config.out)
     return EXIT_OK if all_passed else EXIT_VALIDATION
 
 
@@ -277,7 +281,7 @@ def cmd_federate(config: RunConfig) -> int:
         f"ese_opt = {_fmt(profile.ese_opt)}",
         f"ese_ratio_opt = {_fmt(1.0 - profile.alpha_star)}",
     ]
-    _emit("\n".join(lines) + "\n", config.out)
+    _emit(["\n".join(lines) + "\n"], config.out)
     return EXIT_OK
 
 
@@ -318,8 +322,6 @@ def main(argv: list[str] | None = None) -> int:
             out=args.out,
             require_scenario=needs_scenario,
         )
-        if args.grid is not None and args.grid < 2:
-            raise ConfigError("--grid must be >= 2")
         return run(config)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 from dataclasses import dataclass
 from typing import Any
 
@@ -40,6 +41,19 @@ DEFAULT_K = 4.0
 DEFAULT_SEED = 0
 DEFAULT_ALPHAS = (0.2, 0.5)
 DEFAULT_CONTOUR_BOUNDS = (0.01, 100.0, 0.01, 100.0)
+GRID_RANGE = (2, 10_001)
+
+
+class _Loader(yaml.SafeLoader):
+    """YAML 1.1 reads ``1e6`` and ``1.0e6`` (no exponent sign) as strings;
+    resolve them as floats, as YAML 1.2 does, so numbers are never strings."""
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9][0-9_]*)[eE][-+]?[0-9]+$"),
+    list("-+.0123456789"),
+)
 
 
 class ConfigError(ValueError):
@@ -99,10 +113,13 @@ def _parse_count(node: Any, where: str, allow_infinite: bool = False) -> int | f
 
 
 def _parse_float(node: Any, where: str) -> float:
+    # bool is an int subclass and a quoted "0.5" is a string: neither is a number.
+    if isinstance(node, bool) or not isinstance(node, (int, float)):
+        raise ConfigError(f"{where} must be a number, got {node!r}")
     try:
         return float(node)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where} must be a number, got {node!r}") from exc
+    except OverflowError as exc:
+        raise ConfigError(f"{where} is too large for a float") from exc
 
 
 def _parse_distribution(node: Any, where: str) -> Distribution:
@@ -206,7 +223,7 @@ def load_run_config(
     if scenario_path is not None:
         try:
             with open(scenario_path, "r", encoding="utf-8") as handle:
-                loaded = yaml.safe_load(handle)
+                loaded = yaml.load(handle, Loader=_Loader)
         except OSError as exc:
             raise ConfigError(f"cannot read scenario file: {exc}") from exc
         except yaml.YAMLError as exc:
@@ -244,18 +261,16 @@ def load_run_config(
     if not (math.isfinite(k_value) and k_value > 0):
         raise ConfigError(f"k must be finite and > 0, got {k_value!r}")
 
+    if grid is not None and not GRID_RANGE[0] <= grid <= GRID_RANGE[1]:
+        raise ConfigError(f"--grid must be in {GRID_RANGE[0]}..{GRID_RANGE[1]}, got {grid}")
+
     bounds = DEFAULT_CONTOUR_BOUNDS
     if "contour" in data:
         node = _require_mapping(data["contour"], "contour")
-        try:
-            bounds = (
-                float(node.get("u_min", DEFAULT_CONTOUR_BOUNDS[0])),
-                float(node.get("u_max", DEFAULT_CONTOUR_BOUNDS[1])),
-                float(node.get("v_min", DEFAULT_CONTOUR_BOUNDS[2])),
-                float(node.get("v_max", DEFAULT_CONTOUR_BOUNDS[3])),
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"contour bounds must be numbers: {exc}") from exc
+        bounds = tuple(
+            _parse_float(node.get(name, default), f"contour.{name}")
+            for name, default in zip(("u_min", "u_max", "v_min", "v_max"), DEFAULT_CONTOUR_BOUNDS)
+        )
         if not all(b > 0 and math.isfinite(b) for b in bounds):
             raise ConfigError("contour bounds must be positive and finite")
         if bounds[0] >= bounds[1] or bounds[2] >= bounds[3]:

@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
+from collab_avg import cli
 from collab_avg.cli import main
 from collab_avg.theory import Scenario, error_profile, ese_of_alpha
 
@@ -173,6 +176,18 @@ class TestCurve:
         assert code == 1
         assert "alpha_star > 0" in err
 
+    def test_largest_grid_runs(self, tmp_path, capsys):
+        path = tmp_path / "scenario.yaml"
+        path.write_text(TWO_AGENT_YAML)
+        out_path = tmp_path / "curve.csv"
+        code, _, _ = run_cli(
+            capsys, "curve", "--scenario", str(path), "--out", str(out_path), "--grid", "10001"
+        )
+        assert code == 0
+        rows = list(csv.DictReader(out_path.open()))
+        assert len(rows) == 10001
+        assert rows[1]["alpha"] == "0.0001"
+
     def test_round_trip_at_emitted_precision(self, tmp_path, capsys):
         path = tmp_path / "scenario.yaml"
         path.write_text(TWO_AGENT_YAML)
@@ -190,7 +205,81 @@ class TestCurve:
         assert buffer.getvalue() == body
 
 
+BOUNDS_YAML = "contour: {u_min: 1.0, u_max: 1.0e4, v_min: 1.0e6, v_max: 1.0e8}\n"
+
+# sha256 of the contour CSV bytes, recorded from the scalar per-cell loop
+# that the streamed writer replaced.
+GOLDEN_CONTOUR = {
+    "default_stdout": "61e39923ab1caf00d3592073616245581dc10d6dbba1a1f74d3e390382f46929",
+    "grid_1001_out": "73620cdba2cd210c4abaf12ed08ad935fa52639f633a7e164e3be1e5e2ca38f7",
+    "bounds_grid_7_stdout": "582ec0c81366510d3f232eab142d06694b6e49e0c6f74d3a7569ab9aba3bafa6",
+}
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
 class TestContour:
+    def test_golden_default_stdout(self, capsys):
+        code, out, _ = run_cli(capsys, "contour")
+        assert code == 0
+        assert sha256(out.encode("utf-8")) == GOLDEN_CONTOUR["default_stdout"]
+
+    def test_golden_grid_1001_out(self, tmp_path, capsys):
+        out_path = tmp_path / "contour.csv"
+        code, out, _ = run_cli(capsys, "contour", "--grid", "1001", "--out", str(out_path))
+        assert code == 0
+        assert out == ""
+        assert sha256(out_path.read_bytes()) == GOLDEN_CONTOUR["grid_1001_out"]
+
+    def test_golden_bounds_from_file_stdout(self, tmp_path, capsys):
+        path = tmp_path / "contour.yaml"
+        path.write_text(BOUNDS_YAML)
+        code, out, _ = run_cli(capsys, "contour", "--grid", "7", "--scenario", str(path))
+        assert code == 0
+        assert sha256(out.encode("utf-8")) == GOLDEN_CONTOUR["bounds_grid_7_stdout"]
+
+    def test_stdout_bytes_equal_out_bytes(self, tmp_path, capsys):
+        out_path = tmp_path / "contour.csv"
+        code, out, _ = run_cli(capsys, "contour", "--grid", "13")
+        assert code == 0
+        code, _, _ = run_cli(capsys, "contour", "--grid", "13", "--out", str(out_path))
+        assert code == 0
+        assert out.encode("utf-8") == out_path.read_bytes()
+
+    def test_memory_is_linear_in_grid(self, tmp_path, capsys):
+        # A 401 x 401 grid is 160k rows (~9 MB of CSV); streaming one u-row
+        # at a time keeps the traced peak to a few rows' worth.
+        out_path = tmp_path / "contour.csv"
+        tracemalloc.start()
+        try:
+            code = main(["contour", "--grid", "401", "--out", str(out_path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert out_path.read_bytes().count(b"\n") == 401**2 + 1
+        assert peak < 4 * 2**20
+
+    def test_unsigned_exponent_bounds_are_numbers(self, tmp_path, capsys):
+        path = tmp_path / "contour.yaml"
+        path.write_text("contour: {u_min: 1e-2, u_max: 1e2, v_min: 1.0e-2, v_max: 1.0E+2}\n")
+        code, out, _ = run_cli(capsys, "contour", "--scenario", str(path))
+        assert code == 0
+        assert sha256(out.encode("utf-8")) == GOLDEN_CONTOUR["default_stdout"]
+
+    @pytest.mark.parametrize("grid", ["1", "10002"])
+    def test_grid_out_of_range_rejected_before_running(self, capsys, monkeypatch, grid):
+        def never(config):
+            raise AssertionError("the command ran")
+
+        monkeypatch.setitem(cli._COMMANDS, "contour", (never, False))
+        code, out, err = run_cli(capsys, "contour", "--grid", grid)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: --grid must be in 2..10001, got {grid}\n"
+
     def test_formula_on_grid(self, tmp_path, capsys):
         out_path = tmp_path / "contour.csv"
         code, _, _ = run_cli(capsys, "contour", "--out", str(out_path), "--grid", "5")
@@ -204,7 +293,7 @@ class TestContour:
 
     def test_bounds_from_file(self, tmp_path, capsys):
         path = tmp_path / "contour.yaml"
-        path.write_text("contour: {u_min: 1.0, u_max: 1.0e4, v_min: 1.0e6, v_max: 1.0e8}\n")
+        path.write_text(BOUNDS_YAML)
         out_path = tmp_path / "contour.csv"
         code, _, _ = run_cli(
             capsys, "contour", "--scenario", str(path), "--out", str(out_path), "--grid", "3"
@@ -399,8 +488,25 @@ class TestCommonBehaviour:
             ("x: {constant: 1.0}\nexpected: {e0: [1], e1: 0.5}\n", "scenario file.expected.e0"),
             ("x: {constant: 1.0}\nalphas: [[0.5]]\n", "alpha"),
             ("x: {constant: 1.0}\nk: [4]\n", "k"),
+            ("x: {constant: true}\n", "scenario file.x.constant"),
+            ('x: {family: normal, params: {mu: "0.5", sd: 1.0}}\n', "scenario file.x.params.mu"),
+            ("x: {constant: 1.0}\nalphas: [yes]\n", "alpha"),
+            ("x: {constant: 1.0}\ncontour: {u_min: true}\n", "contour.u_min"),
+            ('x: {constant: 1.0}\ncontour: {u_min: "0.5"}\n', "contour.u_min"),
         ],
-        ids=["param_list", "constant_mapping", "param_string", "expected_list", "alpha_list", "k_list"],
+        ids=[
+            "param_list",
+            "constant_mapping",
+            "param_string",
+            "expected_list",
+            "alpha_list",
+            "k_list",
+            "constant_bool",
+            "param_quoted",
+            "alpha_bool",
+            "contour_bool",
+            "contour_quoted",
+        ],
     )
     def test_non_numeric_value_exits_1(self, tmp_path, capsys, text, field):
         path = tmp_path / "scenario.yaml"
@@ -410,6 +516,14 @@ class TestCommonBehaviour:
         assert out == ""
         assert err.startswith(f"error: {field} must be a number")
         assert err.count("\n") == 1
+
+    def test_integer_too_large_for_float_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "scenario.yaml"
+        path.write_text("x: {constant: 1" + "0" * 400 + "}\nn_x: 5\ny: {constant: 0.0}\n")
+        code, out, err = run_cli(capsys, "profile", "--scenario", str(path))
+        assert code == 1
+        assert out == ""
+        assert err == "error: scenario file.x.constant is too large for a float\n"
 
     def test_bad_yaml_exits_1(self, tmp_path, capsys):
         path = tmp_path / "broken.yaml"
