@@ -15,6 +15,13 @@ Layout
 
 The round function is the standard Philox4x64 with 10 rounds; tests verify
 bit-exact agreement with ``numpy.random.Philox`` raw output.
+
+Two generation paths give the same bits. Streams of at least
+``_C_MIN_DRAWS`` draws come from numpy's C Philox, moved from stream to
+stream by setting its key and counter; shorter streams run the rounds below
+in numpy array arithmetic, vectorized over all streams at once, because
+numpy's Philox takes one key per object and its per-stream set-up would
+dominate.
 """
 
 from __future__ import annotations
@@ -33,6 +40,12 @@ _SHIFT32 = np.uint64(32)
 _LOW32 = np.uint64(0xFFFFFFFF)
 _SHIFT11 = np.uint64(11)
 _UNIT = 2.0**-53
+
+#: Streams at least this long are drawn by numpy's C Philox. Measured on a
+#: 2-core Xeon (numpy 2.4.6): the vectorized rounds cost 42-52 ns per draw at
+#: any stream length, the C path 110 ns at 64 draws, 40 at 256, 25 at 512
+#: and 10 at 7000.
+_C_MIN_DRAWS = 256
 
 
 def _mul_hi_lo(
@@ -129,6 +142,8 @@ def uniform_matrix(
         raise ValueError("n_streams, count and start must be non-negative")
     if n_streams == 0 or count == 0:
         return np.empty((n_streams, count), dtype=np.float64)
+    if count >= _C_MIN_DRAWS:
+        return _c_uniform_matrix(master_seed, first_stream, n_streams, count, start)
     first_block = start // 4
     n_blocks = (start + count - 1) // 4 + 1 - first_block
     blocks = np.arange(first_block, first_block + n_blocks, dtype=np.uint64)[np.newaxis, :]
@@ -144,3 +159,33 @@ def uniform_matrix(
     out *= _UNIT
     offset = start - 4 * first_block
     return out.reshape(n_streams, 4 * n_blocks)[:, offset : offset + count]
+
+
+def _c_uniform_matrix(
+    master_seed: int, first_stream: int, n_streams: int, count: int, start: int
+) -> np.ndarray:
+    """:func:`uniform_matrix` drawn one stream at a time by numpy's Philox.
+
+    numpy increments its 256-bit counter before producing each block, so
+    the counter is set one below the first block (all ones for block 0) and
+    its buffer is marked empty.
+    """
+    first_block = start // 4
+    offset = start - 4 * first_block
+    out = np.empty((n_streams, count), dtype=np.float64)
+    bit_gen = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
+    state = bit_gen.state
+    # Python ints masked to 64 bits, stored into the state's uint64 arrays:
+    # no numpy scalar arithmetic, so nothing can wrap with a warning.
+    key = state["state"]["key"]
+    key[0] = master_seed & _MASK64
+    state["state"]["counter"][:] = (first_block - 1, 0, 0, 0) if first_block else _MASK64
+    state["buffer_pos"] = 4
+    for t in range(n_streams):
+        key[1] = (first_stream + t) & _MASK64
+        bit_gen.state = state
+        words = bit_gen.random_raw(offset + count)[offset:]
+        np.right_shift(words, _SHIFT11, out=words)
+        np.add(words, 0.5, out=out[t])
+    out *= _UNIT
+    return out

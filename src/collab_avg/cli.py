@@ -323,10 +323,7 @@ def main(argv: list[str] | None = None) -> int:
             require_scenario=needs_scenario,
         )
         return run(config)
-    except (ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except OSError as exc:
+    except (ConfigError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

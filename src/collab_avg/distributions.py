@@ -41,10 +41,6 @@ class SeedSpec:
             if not 0 <= value <= _U64_MAX:
                 raise ValueError(f"{name} must fit in an unsigned 64-bit integer")
 
-    def substream(self, offset: int) -> "SeedSpec":
-        """The stream ``offset`` positions after this one (wraps mod 2**64)."""
-        return SeedSpec(self.master_seed, (self.stream_id + offset) & _U64_MAX)
-
 
 def _require(condition: bool, message: str) -> None:
     if not condition:

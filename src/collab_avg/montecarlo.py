@@ -152,23 +152,43 @@ def trial_means(
     return xbar, ybar
 
 
-def _estimate_from_means(
+def _estimates_from_means(
     xbar: np.ndarray,
     ybar: np.ndarray,
-    alpha: float,
+    alphas: list[float],
     mu_x: float,
     seed: SeedSpec,
-) -> MonteCarloEstimate:
-    estimate = (1.0 - alpha) * xbar + alpha * ybar
-    sq = (estimate - mu_x) ** 2
-    trials = sq.size
-    std_error = float(sq.std(ddof=1)) / math.sqrt(trials)
-    return MonteCarloEstimate(
-        mean_sq_error=float(sq.mean()),
-        std_error=std_error,
-        trials=trials,
-        seed=seed,
-    )
+) -> list[MonteCarloEstimate]:
+    """Mean squared error and its standard error at each weight.
+
+    Two trial-length buffers are reused across weights. The sums follow
+    numpy's ``mean`` and ``std(ddof=1)`` operation for operation, so the
+    results are bitwise those of ``sq.mean()`` and ``sq.std(ddof=1)``.
+    """
+    trials = xbar.size
+    err = np.empty(trials, dtype=np.float64)
+    sq = np.empty(trials, dtype=np.float64)
+    estimates = []
+    for alpha in alphas:
+        # err = (1 - alpha) * xbar + alpha * ybar - mu_x; sq = err**2
+        np.multiply(xbar, 1.0 - alpha, out=err)
+        np.multiply(ybar, alpha, out=sq)
+        np.add(err, sq, out=err)
+        np.subtract(err, mu_x, out=err)
+        np.square(err, out=sq)
+        mean = np.add.reduce(sq) / trials
+        np.subtract(sq, mean, out=err)
+        np.square(err, out=err)
+        std = math.sqrt(np.add.reduce(err) / (trials - 1))
+        estimates.append(
+            MonteCarloEstimate(
+                mean_sq_error=float(mean),
+                std_error=std / math.sqrt(trials),
+                trials=trials,
+                seed=seed,
+            )
+        )
+    return estimates
 
 
 def estimate_ese(
@@ -191,7 +211,7 @@ def estimate_ese(
     _check_trials(trials)
     seed = _as_seed(seed)
     xbar, ybar = trial_means(x, n_x, y, n_y, trials, seed)
-    return _estimate_from_means(xbar, ybar, alpha, x.mean(), seed)
+    return _estimates_from_means(xbar, ybar, [alpha], x.mean(), seed)[0]
 
 
 def estimate_error_curve(
@@ -216,8 +236,7 @@ def estimate_error_curve(
     _check_trials(trials)
     seed = _as_seed(seed)
     xbar, ybar = trial_means(x, n_x, y, n_y, trials, seed)
-    mu_x = x.mean()
-    return [_estimate_from_means(xbar, ybar, alpha, mu_x, seed) for alpha in alphas]
+    return _estimates_from_means(xbar, ybar, alphas, x.mean(), seed)
 
 
 def _check_trials(trials: int) -> None:

@@ -108,7 +108,7 @@ class TestTable1:
         out_path = tmp_path / "table.csv"
         code, out, _ = run_cli(capsys, "table1", "--out", str(out_path))
         assert code == 0
-        rows = list(csv.DictReader(out_path.open()))
+        rows = list(csv.DictReader(out_path.read_text().splitlines()))
         assert len(rows) == 17
         by_index = {int(row["row"]): row for row in rows}
         assert by_index[3]["alpha_star"] == "0.86"
@@ -124,7 +124,7 @@ class TestTable1:
     def test_star_and_inf_cells_round_trip(self, tmp_path, capsys):
         out_path = tmp_path / "table.csv"
         run_cli(capsys, "table1", "--out", str(out_path))
-        rows = list(csv.DictReader(out_path.open()))
+        rows = list(csv.DictReader(out_path.read_text().splitlines()))
         first = rows[0]
         assert first["n_x"] == "*"
         last = rows[-1]
@@ -140,7 +140,7 @@ class TestCurve:
             capsys, "curve", "--scenario", str(path), "--out", str(out_path)
         )
         assert code == 0
-        rows = list(csv.DictReader(out_path.open()))
+        rows = list(csv.DictReader(out_path.read_text().splitlines()))
         assert len(rows) == 1001
         by_alpha = {row["alpha"]: row for row in rows}
         assert float(by_alpha["0.0"]["ese_ratio"]) == 1.0
@@ -165,7 +165,7 @@ class TestCurve:
         out_path = tmp_path / "curve.csv"
         code, _, _ = run_cli(capsys, "curve", "--scenario", str(path), "--out", str(out_path))
         assert code == 0
-        rows = {row["alpha"]: row for row in csv.DictReader(out_path.open())}
+        rows = {row["alpha"]: row for row in csv.DictReader(out_path.read_text().splitlines())}
         assert float(rows["0.25"]["ese_ratio"]) == pytest.approx(0.75, rel=1e-12)
         assert float(rows["0.5"]["ese_ratio"]) == pytest.approx(1.0, rel=1e-12)
 
@@ -184,7 +184,7 @@ class TestCurve:
             capsys, "curve", "--scenario", str(path), "--out", str(out_path), "--grid", "10001"
         )
         assert code == 0
-        rows = list(csv.DictReader(out_path.open()))
+        rows = list(csv.DictReader(out_path.read_text().splitlines()))
         assert len(rows) == 10001
         assert rows[1]["alpha"] == "0.0001"
 
@@ -284,7 +284,7 @@ class TestContour:
         out_path = tmp_path / "contour.csv"
         code, _, _ = run_cli(capsys, "contour", "--out", str(out_path), "--grid", "5")
         assert code == 0
-        rows = list(csv.DictReader(out_path.open()))
+        rows = list(csv.DictReader(out_path.read_text().splitlines()))
         assert len(rows) == 25
         for row in rows:
             u = float(row["varxbar_over_bias2"])
@@ -299,7 +299,7 @@ class TestContour:
             capsys, "contour", "--scenario", str(path), "--out", str(out_path), "--grid", "3"
         )
         assert code == 0
-        rows = list(csv.DictReader(out_path.open()))
+        rows = list(csv.DictReader(out_path.read_text().splitlines()))
         # u = 1 with negligible helper variance sits on the 0.5 contour.
         assert float(rows[2]["varxbar_over_bias2"]) == 1.0
         assert float(rows[2]["alpha_star"]) == pytest.approx(0.5, rel=1e-6)
@@ -313,7 +313,7 @@ class TestContour:
             capsys, "contour", "--scenario", str(path), "--out", str(out_path), "--grid", "2"
         )
         assert code == 0
-        rows = list(csv.DictReader(out_path.open()))
+        rows = list(csv.DictReader(out_path.read_text().splitlines()))
         # Strong bias dominance pins alpha* to the 0.01 contour; with both
         # ratios huge, alpha* approaches 1.
         assert float(rows[0]["alpha_star"]) == pytest.approx(0.0099, abs=2e-4)
@@ -524,6 +524,25 @@ class TestCommonBehaviour:
         assert code == 1
         assert out == ""
         assert err == "error: scenario file.x.constant is too large for a float\n"
+
+    # 2**58 float64 values are 2 EiB, beyond any virtual address space, so
+    # the first allocation fails at once and nothing is ever allocated or run.
+    @pytest.mark.parametrize(
+        "n_x,flags",
+        [(5, ["--trials", str(2**58)]), (2**58, [])],
+        ids=["trials", "sample_size"],
+    )
+    def test_too_large_to_allocate_exits_1(self, tmp_path, capsys, n_x, flags):
+        path = tmp_path / "scenario.yaml"
+        path.write_text(
+            f"x: {{family: normal, params: {{mu: 0.0, sd: 1.0}}}}\nn_x: {n_x}\n"
+            "y: {constant: 0.0}\ntrials: 100\n"
+        )
+        code, out, err = run_cli(capsys, "validate", "--scenario", str(path), *flags)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: Unable to allocate")
+        assert err.count("\n") == 1
 
     def test_bad_yaml_exits_1(self, tmp_path, capsys):
         path = tmp_path / "broken.yaml"

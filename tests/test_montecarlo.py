@@ -92,6 +92,18 @@ class TestErrorCurve:
             standalone = estimate_ese(Normal(0, 1), 5, Normal(1, 1), 5, alpha, 300, SeedSpec(3))
             assert point == standalone
 
+    @pytest.mark.parametrize("trials", [100, 1001, 40_000])
+    def test_statistics_bitwise_equal_numpy_mean_and_std(self, trials):
+        """The reused-buffer sums reproduce ``mean`` and ``std(ddof=1)`` bit for bit."""
+        x, y, seed = Exponential(0.7), Normal(1.5, 2.0), SeedSpec(8, 123)
+        alphas = [0.0, 0.1, 1 / 3, 0.9, 1.0]
+        xbar, ybar = trial_means(x, 3, y, 2, trials, seed)
+        curve = estimate_error_curve(x, 3, y, 2, alphas, trials, seed)
+        for alpha, point in zip(alphas, curve):
+            sq = ((1.0 - alpha) * xbar + alpha * ybar - x.mean()) ** 2
+            assert point.mean_sq_error == float(sq.mean())
+            assert point.std_error == float(sq.std(ddof=1)) / math.sqrt(trials)
+
     def test_point_mass_endpoints_exact(self):
         curve = estimate_error_curve(
             PointMass(2.0), 4, PointMass(2.5), 4, [0.0, 1.0], 200, SeedSpec(5)

@@ -8,7 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.random import Philox
 
-from collab_avg._philox import philox_blocks, uniform_matrix, uniforms
+from collab_avg import _philox
+from collab_avg._philox import _C_MIN_DRAWS, philox_blocks, uniform_matrix, uniforms
 
 U64 = st.integers(min_value=0, max_value=2**64 - 1)
 
@@ -108,3 +109,35 @@ def test_uniform_matrix_start_property(master, first, n_streams, start, count):
     for t in range(n_streams):
         stream = (first + t) % 2**64
         assert np.array_equal(window[t], uniforms(master, stream, start + count)[start:])
+
+
+def _on_each_path(master, first, n_streams, count, start):
+    """``uniform_matrix`` forced onto numpy's C Philox, then onto the vectorized rounds."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_philox, "_C_MIN_DRAWS", 1)
+        c_path = uniform_matrix(master, first, n_streams, count, start)
+        patch.setattr(_philox, "_C_MIN_DRAWS", count + 1)
+        vectorized = uniform_matrix(master, first, n_streams, count, start)
+    return c_path, vectorized
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    master=U64,
+    first=U64,
+    n_streams=st.integers(1, 4),
+    start=st.integers(0, 600),
+    count=st.integers(1, 2 * _C_MIN_DRAWS + 8),
+)
+@example(master=1, first=2, n_streams=2, start=0, count=_C_MIN_DRAWS - 1)
+@example(master=1, first=2, n_streams=2, start=0, count=_C_MIN_DRAWS)
+@example(master=3, first=4, n_streams=3, start=7, count=_C_MIN_DRAWS + 1)
+@example(master=3, first=4, n_streams=1, start=4 * 97 + 2, count=_C_MIN_DRAWS + 5)
+@example(master=5, first=2**64 - 2, n_streams=4, start=3, count=_C_MIN_DRAWS)
+@example(master=2**64 - 1, first=2**64 - 1, n_streams=2, start=1, count=_C_MIN_DRAWS + 3)
+def test_c_and_vectorized_paths_agree(master, first, n_streams, start, count):
+    """Both generation paths, and the default choice between them, give the same bits."""
+    c_path, vectorized = _on_each_path(master, first, n_streams, count, start)
+    assert c_path.shape == (n_streams, count)
+    assert np.array_equal(c_path, vectorized)
+    assert np.array_equal(uniform_matrix(master, first, n_streams, count, start), vectorized)
