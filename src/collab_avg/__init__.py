@@ -17,7 +17,6 @@ from .distributions import (
     moments,
     sample,
 )
-from .estimation import SampleSet, empirical_mean, shrink, squared_error, weighted_average
 from .federation import Agent, FederationScenario, personalized_weight, reduce_to_two_agent
 from .montecarlo import (
     MonteCarloEstimate,
@@ -55,7 +54,6 @@ __all__ = [
     "MonteCarloEstimate",
     "Normal",
     "PointMass",
-    "SampleSet",
     "SampledScenario",
     "Scenario",
     "SeedSpec",
@@ -64,7 +62,6 @@ __all__ = [
     "ValidationReport",
     "alpha_star_upper_bounds",
     "donahue_mse",
-    "empirical_mean",
     "error_profile",
     "ese0",
     "ese1",
@@ -78,8 +75,5 @@ __all__ = [
     "personalized_weight",
     "reduce_to_two_agent",
     "sample",
-    "shrink",
-    "squared_error",
     "validate_scenario",
-    "weighted_average",
 ]

@@ -7,7 +7,7 @@ union of helper agents (a federation):
     x: {family: normal, params: {mu: 0.0, sd: 1.0}}
     n_x: 10
     y: {family: normal, params: {mu: 0.5, sd: 1.0}}   # or {constant: 0.5}
-    n_y: 10                                            # "inf" accepted
+    n_y: 10                                            # "inf" accepted, -inf rejected
     alphas: [0.0, 0.2, 0.5]
     trials: 100000
     seed: 42
@@ -31,8 +31,8 @@ import yaml
 
 from .distributions import Distribution, PointMass, make_distribution
 from .federation import Agent, FederationScenario
-from .montecarlo import _MIN_TRIALS, SampledScenario
-from .theory import ErrorProfile
+from .montecarlo import SampledScenario, _check_trials
+from .theory import ErrorProfile, _check_count
 
 ENV_SEED = "COLLAB_AVG_SEED"
 
@@ -103,12 +103,12 @@ def _require_mapping(node: Any, where: str) -> dict:
 
 
 def _parse_count(node: Any, where: str, allow_infinite: bool = False) -> int | float:
-    if allow_infinite and (node in ("inf", "+inf") or (isinstance(node, float) and math.isinf(node))):
+    if allow_infinite and node in ("inf", "+inf"):
         return math.inf
-    if isinstance(node, bool) or not isinstance(node, int):
-        raise ConfigError(f"{where} must be a positive integer" + (" or 'inf'" if allow_infinite else ""))
-    if node < 1:
-        raise ConfigError(f"{where} must be >= 1")
+    try:
+        _check_count(where, node, allow_infinite)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     return node
 
 
@@ -146,7 +146,7 @@ def _parse_helpers(node: Any, where: str) -> tuple[Agent, ...]:
         if "n" not in entry:
             raise ConfigError(f"{where}[{i}] needs an 'n' sample count")
         spec = _parse_distribution({k: v for k, v in entry.items() if k != "n"}, f"{where}[{i}]")
-        helpers.append(Agent(spec=spec, n=int(_parse_count(entry["n"], f"{where}[{i}].n"))))
+        helpers.append(Agent(spec=spec, n=_parse_count(entry["n"], f"{where}[{i}].n")))
     return tuple(helpers)
 
 
@@ -156,9 +156,10 @@ def _parse_expected(node: Any, where: str) -> ErrorProfile:
         raise ConfigError(f"{where} needs 'e0' and 'e1'")
     e0 = _parse_float(node["e0"], f"{where}.e0")
     e1 = _parse_float(node["e1"], f"{where}.e1")
-    if e0 == 0.0 and e1 == 0.0:
-        return ErrorProfile(e0=0.0, e1=0.0, alpha_star=0.0, degenerate=True)
-    return ErrorProfile(e0=e0, e1=e1, alpha_star=e0 / (e0 + e1))
+    try:
+        return ErrorProfile(e0, e1)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _parse_scenario(node: Any, where: str) -> ParsedScenario:
@@ -168,7 +169,7 @@ def _parse_scenario(node: Any, where: str) -> ParsedScenario:
     x = _parse_distribution(node["x"], f"{where}.x")
     if "n_x" not in node:
         raise ConfigError(f"{where} needs 'n_x'")
-    n_x = int(_parse_count(node["n_x"], f"{where}.n_x"))
+    n_x = _parse_count(node["n_x"], f"{where}.n_x")
     if "y" not in node:
         raise ConfigError(f"{where} needs a 'y' side")
     y_node = _require_mapping(node["y"], f"{where}.y")
@@ -255,8 +256,10 @@ def load_run_config(
         alphas.append(alpha)
 
     trials_value = trials if trials is not None else data.get("trials", DEFAULT_TRIALS)
-    if isinstance(trials_value, bool) or not isinstance(trials_value, int) or trials_value < _MIN_TRIALS:
-        raise ConfigError(f"trials must be an integer >= {_MIN_TRIALS}")
+    try:
+        _check_trials(trials_value)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     k_value = _parse_float(k if k is not None else data.get("k", DEFAULT_K), "k")
     if not (math.isfinite(k_value) and k_value > 0):
         raise ConfigError(f"k must be finite and > 0, got {k_value!r}")

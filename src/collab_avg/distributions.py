@@ -18,6 +18,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from ._philox import uniforms
+from .theory import _check_count
 
 _U64_MAX = (1 << 64) - 1
 
@@ -197,8 +198,7 @@ def sample(spec: Distribution, n: int, seed: SeedSpec | int) -> np.ndarray:
     Draw ``i`` occupies index ``i`` of the seed's stream; a point mass
     consumes no randomness but the result is the same either way.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n!r}")
+    _check_count("n", n)
     if isinstance(seed, int):
         seed = SeedSpec(seed)
     if isinstance(spec, PointMass):

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 from .distributions import Distribution
-from .theory import ErrorProfile, Scenario, error_profile
+from .theory import ErrorProfile, Scenario, _check_count, error_profile
 
 
 @dataclass(frozen=True)
@@ -31,8 +31,7 @@ class Agent:
     def __post_init__(self) -> None:
         if not isinstance(self.spec, Distribution):
             raise ValueError("spec must be a Distribution instance")
-        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
-            raise ValueError("n must be a positive integer")
+        _check_count("n", self.n)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ import numpy as np
 
 from ._philox import uniform_matrix
 from .distributions import Distribution, PointMass, SeedSpec
-from .theory import ErrorProfile, Scenario, error_profile, ese_of_alpha
+from .theory import ErrorProfile, Scenario, _check_count, error_profile, ese_of_alpha
 
 #: Target number of scalar draws generated per chunk. Sized so that the
 #: sampler's work arrays stay in a per-core L2 cache; output does not depend
@@ -43,8 +43,7 @@ class SampledScenario:
     def __post_init__(self) -> None:
         if not isinstance(self.x, Distribution) or not isinstance(self.y, Distribution):
             raise ValueError("x and y must be Distribution instances")
-        _check_count("n_x", self.n_x, allow_infinite=False)
-        _check_count("n_y", self.n_y, allow_infinite=True)
+        self.to_scenario()  # Scenario validates the counts and moments
 
     def to_scenario(self) -> Scenario:
         """The moment-level scenario induced by the exact moments."""
@@ -95,15 +94,6 @@ class ValidationReport:
         return all(point.passed for point in self.points)
 
 
-def _check_count(name: str, n: int | float, allow_infinite: bool) -> None:
-    if isinstance(n, int) and not isinstance(n, bool) and n >= 1:
-        return
-    if allow_infinite and isinstance(n, float) and math.isinf(n) and n > 0:
-        return
-    kind = "a positive integer or math.inf" if allow_infinite else "a positive integer"
-    raise ValueError(f"{name} must be {kind}, got {n!r}")
-
-
 def _as_seed(seed: SeedSpec | int) -> SeedSpec:
     return seed if isinstance(seed, SeedSpec) else SeedSpec(seed)
 
@@ -118,10 +108,10 @@ def trial_means(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-trial empirical means (xbar_t, ybar_t) for t = 0 .. trials-1."""
     seed = _as_seed(seed)
-    _check_count("n_x", n_x, allow_infinite=False)
+    _check_count("n_x", n_x)
     if isinstance(n_y, float) and math.isinf(n_y):
         raise ValueError("infinite n_y cannot be simulated; use the closed form")
-    _check_count("n_y", n_y, allow_infinite=False)
+    _check_count("n_y", n_y)
     xbar = np.empty(trials, dtype=np.float64)
     ybar = np.empty(trials, dtype=np.float64)
     # A point mass consumes no randomness: only the random side's index

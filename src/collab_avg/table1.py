@@ -23,6 +23,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+from .theory import ErrorProfile, ese_of_alpha
+
 #: Default per-cell comparison tolerance after rounding to the printed
 #: number of decimals.
 CELL_TOLERANCE = 0.005
@@ -161,15 +163,13 @@ def compute_row_outputs(
     if math.isinf(n_x) and vary != 0.0 and not math.isinf(ny_ratio):
         var_term = math.inf
 
-    if math.isinf(bias_term) or math.isinf(var_term):
-        return 0.0, 1.0, math.inf, math.inf
     relative_helper_error = bias_term + var_term
-    alpha_star = 1.0 / (1.0 + relative_helper_error)
-
-    def ratio(alpha: float) -> float:
-        return (1.0 - alpha) ** 2 + alpha**2 * relative_helper_error
-
-    return alpha_star, 1.0 - alpha_star, ratio(0.2), ratio(0.5)
+    if math.isinf(relative_helper_error):
+        return 0.0, 1.0, math.inf, math.inf
+    # In units of the local mean's variance: e0 = 1 and e1 = B + V.
+    profile = ErrorProfile(1.0, relative_helper_error)
+    fifth, half = ese_of_alpha(profile, 0.2), ese_of_alpha(profile, 0.5)
+    return profile.alpha_star, profile.ese_opt, fifth, half
 
 
 def _printed_decimals(printed: str) -> int:

@@ -34,12 +34,14 @@ from dataclasses import dataclass
 INFINITE = math.inf
 
 
-def _is_count(n: object) -> bool:
-    return isinstance(n, int) and not isinstance(n, bool) and n >= 1
-
-
-def _is_infinite_count(n: object) -> bool:
-    return isinstance(n, float) and math.isinf(n) and n > 0
+def _check_count(name: str, n: object, allow_infinite: bool = False) -> None:
+    """Raise ValueError unless ``n`` is a positive int (or, if allowed, +inf)."""
+    if isinstance(n, int) and not isinstance(n, bool) and n >= 1:
+        return
+    if allow_infinite and isinstance(n, float) and n == INFINITE:
+        return
+    kind = "a positive integer or math.inf" if allow_infinite else "a positive integer"
+    raise ValueError(f"{name} must be {kind}, got {n!r}")
 
 
 @dataclass(frozen=True)
@@ -61,14 +63,12 @@ class Scenario:
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be finite and >= 0")
-        if not _is_count(self.n_x):
-            raise ValueError("n_x must be a positive integer")
-        if not (_is_count(self.n_y) or _is_infinite_count(self.n_y)):
-            raise ValueError("n_y must be a positive integer or math.inf")
+        _check_count("n_x", self.n_x)
+        _check_count("n_y", self.n_y, allow_infinite=True)
 
     @property
     def infinite_helper(self) -> bool:
-        return _is_infinite_count(self.n_y)
+        return self.n_y == INFINITE
 
     @property
     def var_local_mean(self) -> float:
@@ -90,27 +90,41 @@ class Scenario:
 
 @dataclass(frozen=True)
 class ErrorProfile:
-    """The closed-form error triple of a scenario.
+    """The two closed-form errors of a scenario and the optimum they imply.
 
-    ``degenerate`` marks the case e0 = e1 = 0, where every weight is
-    optimal; by convention ``alpha_star`` is then reported as 0 so the
-    local model is preserved and downstream formulas stay well-defined.
+    ``e0`` and ``e1`` are the only state; every other quantity is derived
+    from them here, so a profile cannot disagree with its own errors.
     """
 
     e0: float
     e1: float
-    alpha_star: float
-    degenerate: bool = False
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.e0) and self.e0 >= 0):
             raise ValueError("e0 must be finite and >= 0")
         if not (math.isfinite(self.e1) and self.e1 >= 0):
             raise ValueError("e1 must be finite and >= 0")
-        if not 0.0 <= self.alpha_star <= 1.0:
-            raise ValueError("alpha_star must be in [0, 1]")
-        if self.degenerate and self.alpha_star != 0.0:
-            raise ValueError("degenerate profiles must report alpha_star = 0")
+
+    @property
+    def degenerate(self) -> bool:
+        """e0 = e1 = 0: every weight is optimal."""
+        return self.e0 == 0.0 and self.e1 == 0.0
+
+    @property
+    def alpha_star(self) -> float:
+        """The optimal weight ``e0 / (e0 + e1)``.
+
+        A degenerate profile reports 0, so the local model is preserved and
+        downstream formulas stay well-defined.
+        """
+        if self.degenerate:
+            return 0.0
+        total = self.e0 + self.e1
+        if math.isinf(total):
+            # Both errors are finite but their sum overflows; halving both
+            # keeps the ratio and brings the sum back into range.
+            return (self.e0 / 2.0) / (self.e0 / 2.0 + self.e1 / 2.0)
+        return self.e0 / total
 
     @property
     def ese_opt(self) -> float:
@@ -134,16 +148,8 @@ def ese1(scenario: Scenario) -> float:
 
 
 def error_profile(scenario: Scenario) -> ErrorProfile:
-    """Compute (e0, e1, alpha_star) for a scenario.
-
-    ``alpha_star = e0 / (e0 + e1)`` whenever e0 + e1 > 0; if both errors
-    vanish the profile is flagged degenerate with alpha_star = 0.
-    """
-    e0 = ese0(scenario)
-    e1 = ese1(scenario)
-    if e0 == 0.0 and e1 == 0.0:
-        return ErrorProfile(e0=0.0, e1=0.0, alpha_star=0.0, degenerate=True)
-    return ErrorProfile(e0=e0, e1=e1, alpha_star=e0 / (e0 + e1))
+    """The error profile (e0, e1) of a scenario; see :class:`ErrorProfile`."""
+    return ErrorProfile(ese0(scenario), ese1(scenario))
 
 
 def ese_of_alpha(profile: ErrorProfile, alpha: float) -> float:
@@ -206,8 +212,8 @@ def donahue_mse(n_x: int, n_y: int, sigma2: float, mu_e: float) -> float:
     This equals the optimally weighted ESE of the scenario obtained by
     substituting bias_sq = 2 * sigma2 and var_x = var_y = mu_e.
     """
-    if not (_is_count(n_x) and _is_count(n_y)):
-        raise ValueError("n_x and n_y must be positive integers")
+    _check_count("n_x", n_x)
+    _check_count("n_y", n_y)
     if not (math.isfinite(sigma2) and sigma2 >= 0):
         raise ValueError("sigma2 must be finite and >= 0")
     if not (math.isfinite(mu_e) and mu_e > 0):

@@ -45,6 +45,50 @@ y:
 """
 
 
+# Inputs of the closed-form golden pins below: a biased helper with odd
+# moments, so any change in the arithmetic's order shows in the last bit.
+GOLDEN_PROFILE_YAML = """\
+x: {family: normal, params: {mu: 0.3, sd: 1.7}}
+n_x: 13
+y: {family: uniform, params: {lo: -0.4, hi: 2.2}}
+n_y: 29
+alphas: [0.1, 0.25, 0.5, 0.9]
+"""
+
+GOLDEN_PROFILE_INF_YAML = """\
+x: {family: exponential, params: {rate: 0.7}}
+n_x: 9
+y: {constant: 1.9}
+n_y: inf
+alphas: [0.05, 0.3]
+"""
+
+GOLDEN_FEDERATION_YAML = """\
+x: {family: normal, params: {mu: 0.4, sd: 1.3}}
+n_x: 11
+y:
+  union:
+    - {family: normal, params: {mu: 0.1, sd: 0.9}, n: 7}
+    - {family: uniform, params: {lo: -1.0, hi: 2.5}, n: 23}
+    - {family: bernoulli, params: {p: 0.35}, n: 41}
+"""
+
+# sha256 of the closed-form commands' output bytes, recorded before
+# ErrorProfile derived alpha* from (e0, e1) itself.
+GOLDEN_CLOSED_FORM = {
+    "profile_finite": "a65606a5757247f483fbb303aee618d24ac325c11032f57eb4f9e8b55c9a2e71",
+    "profile_inf": "eaea0edfb291e450bbb1c37651c1cfa8b64047128aa832d01554b16a7e35e0dd",
+    "curve_default": "4b580facf9d6472145cc5284f1dafc97f46feebabbab3440a3c18d4452299d8d",
+    "federate_three": "8fd4ff7ac2a1f05dc06635021e50a77c546ce9fbe647e3b10f0cad0b5d92acf0",
+    "table1_csv": "70a4cc1768075608c547f106f3b0677c03c10c65a13ad85bb5d8162f0cc416f0",
+    "table1_report": "118b6f813fdcef55c5653f2acf51c3465d4eb445576bf3cd6d22a4ebcb396787",
+}
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -97,6 +141,34 @@ class TestProfile:
         ratios = [round(ese_of_alpha(profile, a) / profile.e0, 2) for a in (0.2, 0.5)]
         assert ratios == [1.64, 6.50]
 
+    @pytest.mark.parametrize(
+        "text,key",
+        [(GOLDEN_PROFILE_YAML, "profile_finite"), (GOLDEN_PROFILE_INF_YAML, "profile_inf")],
+        ids=["finite_ny", "infinite_ny"],
+    )
+    def test_golden_output(self, tmp_path, capsys, text, key):
+        path = tmp_path / "scenario.yaml"
+        path.write_text(text)
+        code, out, _ = run_cli(capsys, "profile", "--scenario", str(path))
+        assert code == 0
+        assert sha256(out.encode("utf-8")) == GOLDEN_CLOSED_FORM[key]
+
+    def test_overflowing_error_sum_keeps_the_optimum(self, tmp_path, capsys):
+        # e0 = e1 = 1e308, whose sum overflows: alpha* is still exactly 1/2.
+        path = tmp_path / "huge.yaml"
+        path.write_text(
+            "x: {family: normal, params: {mu: 0, sd: 1.0e154}}\n"
+            "n_x: 1\n"
+            "y: {constant: 1.0e154}\n"
+            "alphas: [0.5]\n"
+        )
+        code, out, _ = run_cli(capsys, "profile", "--scenario", str(path))
+        assert code == 0
+        report = parse_report(out)
+        assert report["alpha_star"] == "0.5"
+        assert report["break_even"] == "1.0"
+        assert report["ese(0.5)"] == "5e+307 (ratio 0.5)"
+
     def test_missing_scenario_is_invalid(self, capsys):
         code, _, err = run_cli(capsys, "profile")
         assert code == 1
@@ -120,6 +192,13 @@ class TestTable1:
         assert by_index[16]["e_ratio_fifth"] == "inf"
         assert "mismatch: 2" in out
         assert "row 7" in out and "row 8" in out
+
+    def test_golden_csv_and_report(self, tmp_path, capsys):
+        out_path = tmp_path / "table.csv"
+        code, out, _ = run_cli(capsys, "table1", "--out", str(out_path))
+        assert code == 0
+        assert sha256(out_path.read_bytes()) == GOLDEN_CLOSED_FORM["table1_csv"]
+        assert sha256(out.encode("utf-8")) == GOLDEN_CLOSED_FORM["table1_report"]
 
     def test_star_and_inf_cells_round_trip(self, tmp_path, capsys):
         out_path = tmp_path / "table.csv"
@@ -152,6 +231,14 @@ class TestCurve:
         for alpha_text in ("0.2", "0.5", "0.857"):
             expected = ese_of_alpha(profile, float(alpha_text)) / profile.e0
             assert float(by_alpha[alpha_text]["ese_ratio"]) == expected
+
+    def test_golden_default_grid(self, tmp_path, capsys):
+        path = tmp_path / "scenario.yaml"
+        path.write_text(GOLDEN_PROFILE_YAML)
+        out_path = tmp_path / "curve.csv"
+        code, _, _ = run_cli(capsys, "curve", "--scenario", str(path), "--out", str(out_path))
+        assert code == 0
+        assert sha256(out_path.read_bytes()) == GOLDEN_CLOSED_FORM["curve_default"]
 
     def test_break_even_row_when_on_grid(self, tmp_path, capsys):
         path = tmp_path / "quarter.yaml"
@@ -214,10 +301,6 @@ GOLDEN_CONTOUR = {
     "grid_1001_out": "73620cdba2cd210c4abaf12ed08ad935fa52639f633a7e164e3be1e5e2ca38f7",
     "bounds_grid_7_stdout": "582ec0c81366510d3f232eab142d06694b6e49e0c6f74d3a7569ab9aba3bafa6",
 }
-
-
-def sha256(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
 
 
 class TestContour:
@@ -380,7 +463,7 @@ class TestValidate:
         code, out, err = run_cli(capsys, "validate", "--scenario", str(path), "--trials", "99")
         assert code == 1
         assert out == ""
-        assert err == "error: trials must be an integer >= 100\n"
+        assert err == "error: trials must be an integer >= 100, got 99\n"
         code, out, _ = run_cli(capsys, "validate", "--scenario", str(path), "--trials", "100")
         assert code == 0
         assert "trials=100" in out
@@ -440,6 +523,13 @@ class TestFederate:
         assert float(report["alpha_star"]) == 0.5
         assert float(report["ese_ratio_opt"]) == 0.5
         assert report["pooled_n"] == "32"
+
+    def test_golden_three_helpers(self, tmp_path, capsys):
+        path = tmp_path / "federation.yaml"
+        path.write_text(GOLDEN_FEDERATION_YAML)
+        code, out, _ = run_cli(capsys, "federate", "--scenario", str(path))
+        assert code == 0
+        assert sha256(out.encode("utf-8")) == GOLDEN_CLOSED_FORM["federate_three"]
 
     def test_two_agent_file_is_invalid_here(self, tmp_path, capsys):
         path = tmp_path / "scenario.yaml"
@@ -543,6 +633,28 @@ class TestCommonBehaviour:
         assert out == ""
         assert err.startswith("error: Unable to allocate")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "n_y_lines,message",
+        [
+            (
+                "n_y: -.inf",
+                "scenario file.n_y must be a positive integer or math.inf, got -inf",
+            ),
+            (
+                "n_y: 60\nexpected: {e0: -1.0, e1: 0.5}",
+                "scenario file.expected: e0 must be finite and >= 0",
+            ),
+        ],
+        ids=["negative_infinite_n_y", "negative_expected_e0"],
+    )
+    def test_invalid_value_exits_1_naming_its_field(self, tmp_path, capsys, n_y_lines, message):
+        path = tmp_path / "scenario.yaml"
+        path.write_text(TWO_AGENT_YAML.replace("n_y: 60", n_y_lines))
+        code, out, err = run_cli(capsys, "profile", "--scenario", str(path))
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {message}\n"
 
     def test_bad_yaml_exits_1(self, tmp_path, capsys):
         path = tmp_path / "broken.yaml"

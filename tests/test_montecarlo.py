@@ -172,9 +172,7 @@ class TestValidateScenario:
     def test_corrupted_reference_fails(self):
         scenario = SampledScenario(Bernoulli(0.5), 20, PointMass(0.5), 1)
         honest = error_profile(scenario.to_scenario())
-        corrupted = ErrorProfile(
-            e0=2 * honest.e0, e1=honest.e1, alpha_star=honest.alpha_star
-        )
+        corrupted = ErrorProfile(e0=2 * honest.e0, e1=honest.e1)
         report = validate_scenario(scenario, TRIALS, SeedSpec(37), k=4.0, expected=corrupted)
         assert not report.passed
 

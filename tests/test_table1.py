@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import pytest
@@ -14,6 +15,9 @@ from collab_avg.table1 import (
     reference_rows,
     reproduce_table,
 )
+
+# sha256 of the 17 compute_row_outputs tuples' reprs, one per line.
+GOLDEN_ROW_OUTPUTS = "fef64694e741b513bf6f4830a37f4e1b4232e6bf7de09a09aebb86cee461b3d8"
 
 
 class TestReferenceData:
@@ -61,6 +65,17 @@ class TestComputation:
     def test_limit_rows(self):
         assert compute_row_outputs(None, math.inf, None, None) == (0.0, 1.0, math.inf, math.inf)
         assert compute_row_outputs(math.inf, None, None, None) == (0.0, 1.0, math.inf, math.inf)
+
+    def test_golden_row_outputs_repr(self):
+        # The CSV shows two decimals; the full reprs pin every bit of all
+        # 17 rows, recorded before alpha* came from ErrorProfile.
+        rows = [comparison.row for comparison in reproduce_table()]
+        text = "\n".join(
+            repr(compute_row_outputs(r.bias2_over_varx, r.n_x, r.vary_over_varx, r.ny_over_nx))
+            for r in rows
+        )
+        assert len(rows) == 17
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN_ROW_OUTPUTS
 
 
 class TestMatching:

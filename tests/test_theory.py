@@ -9,9 +9,12 @@ the larger of the two endpoint errors.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from collab_avg.distributions import Normal, SeedSpec, sample
 from collab_avg.theory import (
@@ -32,6 +35,7 @@ from conftest import random_scenarios
 
 IDENTITY_RTOL = 1e-12
 GRID = np.linspace(0.0, 1.0, 1001)
+ERRORS = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
 
 
 def _scale(profile: ErrorProfile) -> float:
@@ -114,6 +118,14 @@ class TestErrorProfile:
         assert profile.alpha_star == 0.0
         assert profile.ese_opt == 0.0
 
+    def test_overflowing_error_sum(self):
+        # var_x = bias^2 = 1e308: e0 + e1 overflows, yet alpha* = 1/2.
+        profile = error_profile(Scenario(0.0, 1e308, 1, 1e154, 0.0, 1))
+        assert (profile.e0, profile.e1) == (1e308, 1e308)
+        assert profile.alpha_star == 0.5
+        assert profile.break_even == 1.0
+        assert profile.ese_opt == 5e307
+
     def test_zero_weight_iff_zero_local_error(self, scenario_batch):
         for scenario in scenario_batch(200, seed=91):
             profile = error_profile(scenario)
@@ -122,21 +134,32 @@ class TestErrorProfile:
 
     def test_profile_validation(self):
         with pytest.raises(ValueError):
-            ErrorProfile(e0=-1.0, e1=0.0, alpha_star=0.0)
+            ErrorProfile(e0=-1.0, e1=0.0)
         with pytest.raises(ValueError):
-            ErrorProfile(e0=1.0, e1=1.0, alpha_star=1.5)
-        with pytest.raises(ValueError):
-            ErrorProfile(e0=0.0, e1=0.0, alpha_star=0.5, degenerate=True)
+            ErrorProfile(e0=1.0, e1=math.inf)
+
+    @settings(deadline=None, max_examples=200)
+    @given(e0=ERRORS, e1=ERRORS)
+    @example(e0=0.0, e1=0.0)
+    @example(e0=sys.float_info.max, e1=sys.float_info.max)
+    @example(e0=5e-324, e1=0.0)
+    def test_derived_fields_are_consistent(self, e0, e1):
+        profile = ErrorProfile(e0, e1)
+        assert 0.0 <= profile.alpha_star <= 1.0
+        assert profile.degenerate == (e0 == 0.0 and e1 == 0.0)
+        if profile.degenerate:
+            assert profile.alpha_star == 0.0
+        assert profile.break_even == 2.0 * profile.alpha_star
 
 
 class TestEseOfAlpha:
     def test_endpoints(self):
-        profile = ErrorProfile(e0=0.3, e1=0.8, alpha_star=0.3 / 1.1)
+        profile = ErrorProfile(e0=0.3, e1=0.8)
         assert ese_of_alpha(profile, 0.0) == profile.e0
         assert ese_of_alpha(profile, 1.0) == profile.e1
 
     def test_domain_error(self):
-        profile = ErrorProfile(e0=1.0, e1=1.0, alpha_star=0.5)
+        profile = ErrorProfile(e0=1.0, e1=1.0)
         for alpha in (-0.01, 1.01, math.nan):
             with pytest.raises(ValueError):
                 ese_of_alpha(profile, alpha)
@@ -271,15 +294,15 @@ class TestUpperBounds:
 
 class TestMaxEse:
     def test_balanced_boundary(self):
-        assert max_ese(ErrorProfile(e0=1.0, e1=1.0, alpha_star=0.5)) == 1.0
+        assert max_ese(ErrorProfile(e0=1.0, e1=1.0)) == 1.0
 
     def test_small_optimum_picks_helper_error(self):
         # e1 = (1/alpha* - 1) e0 = 4 when alpha* = 0.2 and e0 = 1.
-        profile = ErrorProfile(e0=1.0, e1=4.0, alpha_star=0.2)
+        profile = ErrorProfile(e0=1.0, e1=4.0)
         assert max_ese(profile) == 4.0
 
     def test_deterministic_local(self):
-        profile = ErrorProfile(e0=0.0, e1=2.0, alpha_star=0.0)
+        profile = ErrorProfile(e0=0.0, e1=2.0)
         assert max_ese(profile) == 2.0
 
     def test_matches_grid_maximum(self, scenario_batch):
