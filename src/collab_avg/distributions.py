@@ -70,9 +70,6 @@ class Distribution(ABC):
     def moments(self) -> tuple[float, float]:
         return self.mean(), self.variance()
 
-    def sample(self, n: int, seed: SeedSpec | int) -> np.ndarray:
-        return sample(self, n, seed)
-
 
 @dataclass(frozen=True)
 class Normal(Distribution):

@@ -64,7 +64,6 @@ _RAW_ROWS = (
 class RowStatus(Enum):
     MATCH = "Match"
     MISMATCH = "Mismatch"
-    NOT_COMPARABLE = "NotComparable"
 
 
 @dataclass(frozen=True)

@@ -35,8 +35,15 @@ INFINITE = math.inf
 
 
 def _check_count(name: str, n: object, allow_infinite: bool = False) -> None:
-    """Raise ValueError unless ``n`` is a positive int (or, if allowed, +inf)."""
+    """Raise ValueError unless ``n`` is a positive int (or, if allowed, +inf).
+
+    The int must also convert to a float, since every error divides by it.
+    """
     if isinstance(n, int) and not isinstance(n, bool) and n >= 1:
+        try:
+            float(n)
+        except OverflowError:
+            raise ValueError(f"{name} is too large for a float") from None
         return
     if allow_infinite and isinstance(n, float) and n == INFINITE:
         return

@@ -615,6 +615,16 @@ class TestCommonBehaviour:
         assert out == ""
         assert err == "error: scenario file.x.constant is too large for a float\n"
 
+    @pytest.mark.parametrize("field", ["n_x", "n_y"])
+    def test_count_too_large_for_float_exits_1(self, tmp_path, capsys, field):
+        path = tmp_path / "scenario.yaml"
+        huge = "1" + "0" * 400
+        path.write_text(TWO_AGENT_YAML.replace(f"{field}: ", f"{field}: {huge} # ", 1))
+        code, out, err = run_cli(capsys, "profile", "--scenario", str(path))
+        assert code == 1
+        assert out == ""
+        assert err == f"error: scenario file.{field} is too large for a float\n"
+
     # 2**58 float64 values are 2 EiB, beyond any virtual address space, so
     # the first allocation fails at once and nothing is ever allocated or run.
     @pytest.mark.parametrize(

@@ -5,6 +5,8 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import math
+import os
+import time
 
 import numpy as np
 import pytest
@@ -152,6 +154,125 @@ class TestTrialMeans:
         _, ybar_with_const = trial_means(PointMass(0.0), 3, Normal(0, 1), 5, 50, SeedSpec(29))
         _, ybar_with_noise = trial_means(Normal(9.0, 1.0), 3, Normal(0, 1), 5, 50, SeedSpec(29))
         assert np.array_equal(ybar_with_const, ybar_with_noise)
+
+
+def _cpus(monkeypatch, n: int) -> list[int]:
+    """Give the process ``n`` CPUs; the returned list grows by one per fork."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return forks
+
+
+def _no_child_left() -> bool:
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+def _means_bytes(means) -> bytes:
+    xbar, ybar = means
+    return xbar.tobytes() + ybar.tobytes()
+
+
+class TestWorkers:
+    """Trial means do not depend on how many forked workers compute them."""
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "args,chunks",
+        [
+            # 24 draws per trial: chunks of 2,730 trials, the last one short.
+            ((Normal(0, 1), 11, Exponential(2.0), 13, 10_001, SeedSpec(7)), 4),
+            ((PointMass(0.5), 11, Exponential(2.0), 13, 10_001, SeedSpec(7)), 2),
+            ((Normal(0, 1), 11, PointMass(0.5), 13, 10_001, SeedSpec(7)), 2),
+            # 300-draw streams go through numpy's C Philox.
+            ((Normal(0, 1), 200, Uniform(0, 1), 100, 1_000, SeedSpec(8, 2**64 - 3)), 5),
+        ],
+        ids=["both_random", "pointmass_x", "pointmass_y", "c_philox_stream"],
+    )
+    def test_any_worker_count_gives_serial_bytes(self, monkeypatch, cpus, args, chunks):
+        monkeypatch.setattr(mc, "_PARALLEL_MIN_DRAWS", 10**18)
+        # Kept alive, so the next result cannot reuse (and so inherit) its memory.
+        serial = trial_means(*args)
+        monkeypatch.setattr(mc, "_PARALLEL_MIN_DRAWS", 0)
+        forks = _cpus(monkeypatch, cpus)
+        assert _means_bytes(trial_means(*args)) == _means_bytes(serial)
+        assert len(forks) == min(cpus, chunks) - 1
+        assert _no_child_left()
+
+    @pytest.mark.parametrize("reached", [False, True], ids=["below", "at"])
+    def test_draws_threshold(self, monkeypatch, reached):
+        per_trial = 11 + 13
+        trials = -(-mc._PARALLEL_MIN_DRAWS // per_trial) - (0 if reached else 1)
+        args = (Normal(0, 1), 11, Bernoulli(0.3), 13, trials, SeedSpec(9))
+        _cpus(monkeypatch, 1)
+        serial = trial_means(*args)
+        forks = _cpus(monkeypatch, 2)
+        assert _means_bytes(trial_means(*args)) == _means_bytes(serial)
+        assert len(forks) == (1 if reached else 0)
+
+    def test_failed_worker_range_is_recomputed(self, monkeypatch):
+        args = (Normal(0, 1), 11, Exponential(2.0), 13, 10_001, SeedSpec(7))
+        serial = trial_means(*args)
+        parent = os.getpid()
+        transform = Exponential._from_uniforms
+
+        def fails_in_child(self, u):
+            if os.getpid() != parent:
+                raise RuntimeError("worker failure")
+            return transform(self, u)
+
+        monkeypatch.setattr(Exponential, "_from_uniforms", fails_in_child)
+        monkeypatch.setattr(mc, "_PARALLEL_MIN_DRAWS", 0)
+        forks = _cpus(monkeypatch, 2)
+        assert _means_bytes(trial_means(*args)) == _means_bytes(serial)
+        assert len(forks) == 1
+        assert _no_child_left()
+
+    def test_range_that_cannot_be_forked_is_computed_here(self, monkeypatch):
+        args = (Normal(0, 1), 11, Exponential(2.0), 13, 10_001, SeedSpec(7))
+        serial = trial_means(*args)
+
+        def no_fork():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(mc, "_PARALLEL_MIN_DRAWS", 0)
+        _cpus(monkeypatch, 3)
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert _means_bytes(trial_means(*args)) == _means_bytes(serial)
+
+    def test_failing_parent_range_leaves_no_worker(self, monkeypatch):
+        parent = os.getpid()
+
+        def fails_in_parent(self, u):
+            if os.getpid() == parent:
+                raise RuntimeError("parent failure")
+            time.sleep(60)  # a child still running when the parent fails
+
+        monkeypatch.setattr(Exponential, "_from_uniforms", fails_in_parent)
+        monkeypatch.setattr(mc, "_PARALLEL_MIN_DRAWS", 0)
+        forks = _cpus(monkeypatch, 3)
+        began = time.monotonic()
+        with pytest.raises(RuntimeError, match="parent failure"):
+            trial_means(Normal(0, 1), 11, Exponential(2.0), 13, 10_001, SeedSpec(7))
+        assert time.monotonic() - began < 30
+        assert len(forks) == 2
+        assert _no_child_left()
+
+    def test_unallocatable_shared_buffer_reports_numpy_error(self, monkeypatch):
+        forks = _cpus(monkeypatch, 2)
+        with pytest.raises(MemoryError, match="^Unable to allocate"):
+            trial_means(Normal(0, 1), 5, PointMass(0.0), 1, 2**58, SeedSpec(1))
+        assert forks == []
 
 
 class TestValidateScenario:
