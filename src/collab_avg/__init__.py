@@ -14,7 +14,6 @@ from .distributions import (
     SeedSpec,
     Uniform,
     make_distribution,
-    moments,
     sample,
 )
 from .federation import Agent, FederationScenario, personalized_weight, reduce_to_two_agent
@@ -71,7 +70,6 @@ __all__ = [
     "estimate_ese",
     "make_distribution",
     "max_ese",
-    "moments",
     "personalized_weight",
     "reduce_to_two_agent",
     "sample",

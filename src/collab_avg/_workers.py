@@ -1,0 +1,135 @@
+"""Forked workers: how the package spreads work over the CPUs it may use.
+
+Two shapes of work fan out. ``_fill_in_workers`` splits an index range over
+processes that write into one shared buffer, for results whose size is
+known up front (Monte Carlo trial means). ``ordered_map`` deals items out
+round-robin and streams each back through its worker's pipe, in order, for
+results whose size is known only once made (contour rows). In both the
+calling process takes a share itself, a worker that fails or cannot be
+forked has its work redone here, and no worker outlives the call.
+Platforms without ``os.sched_getaffinity`` (macOS, Windows) stay serial,
+and under ``taskset -c 0`` all work stays in the calling process.
+"""
+
+from __future__ import annotations
+
+import os
+import signal
+from collections.abc import Callable, Iterator
+from typing import BinaryIO
+
+
+def cpu_count() -> int:
+    """CPUs this process may run on; 1 where the platform cannot tell."""
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _fill_in_workers(fill: Callable[[int, int], None], bounds: list[int]) -> None:
+    """Run ``fill`` over each range ``bounds[w] .. bounds[w+1]``.
+
+    This process fills the first range; each other range goes to a forked
+    child that writes into the same shared memory. A child that fails, or
+    cannot be forked, has its range filled again here, so a real error is
+    raised in this process with its own message. Should this process's
+    range raise, every child is killed and reaped first: no worker
+    outlives the call.
+    """
+    children: dict[int, tuple[int, int]] = {}
+    redo = []
+    try:
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            try:
+                pid = os.fork()
+            except OSError:
+                redo.append((lo, hi))
+                continue
+            if pid == 0:
+                code = 1
+                try:
+                    fill(lo, hi)
+                    code = 0
+                finally:
+                    os._exit(code)
+            children[pid] = (lo, hi)
+        fill(bounds[0], bounds[1])
+        for pid in list(children):
+            if os.waitpid(pid, 0)[1] != 0:
+                redo.append(children[pid])
+            del children[pid]
+    finally:
+        for pid in children:
+            os.kill(pid, signal.SIGKILL)
+        for pid in children:
+            os.waitpid(pid, 0)
+    for lo, hi in redo:
+        fill(lo, hi)
+
+
+def ordered_map(make: Callable[[int], str], n: int, workers: int) -> Iterator[str]:
+    """Yield ``make(i)`` for ``i = 0 .. n-1`` in order, made by ``workers`` processes.
+
+    Item ``i`` belongs to worker ``i % workers``. This process is worker 0;
+    each other worker is a forked child that makes its items in turn and
+    writes each to its own pipe as an 8-byte length and the UTF-8 text, so
+    it runs at most a pipe's capacity ahead of the reader. A worker that
+    cannot be forked, or whose pipe ends before all its items arrived, has
+    its remaining items made here, so a real error is raised in this
+    process with its own message. However the generator ends (exhausted,
+    closed, an error or an interrupt), every child is killed and reaped;
+    close it explicitly rather than leave that to garbage collection.
+    """
+    pipes: list[BinaryIO | None] = [None] * workers
+    children = []
+    try:
+        for worker in range(1, workers):
+            read_end, write_end = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_end)
+                os.close(write_end)
+                continue
+            if pid == 0:
+                code = 1
+                try:
+                    os.close(read_end)
+                    # Only the parent may hold a read end, so a writer whose
+                    # parent died gets EPIPE instead of blocking forever.
+                    for pipe in pipes:
+                        if pipe is not None:
+                            pipe.close()
+                    with open(write_end, "wb") as out:
+                        for i in range(worker, n, workers):
+                            data = make(i).encode()
+                            out.write(len(data).to_bytes(8, "little"))
+                            out.write(data)
+                            out.flush()
+                    code = 0
+                finally:
+                    os._exit(code)
+            children.append(pid)
+            os.close(write_end)
+            pipes[worker] = open(read_end, "rb")
+        for i in range(n):
+            pipe = pipes[i % workers]
+            if pipe is not None:
+                head = pipe.read(8)
+                if len(head) == 8:
+                    size = int.from_bytes(head, "little")
+                    data = pipe.read(size)
+                    if len(data) == size:
+                        yield data.decode()
+                        continue
+                pipe.close()  # the worker died: its items are made here from now on
+                pipes[i % workers] = None
+            yield make(i)
+    finally:
+        for pid in children:
+            os.kill(pid, signal.SIGKILL)
+        for pid in children:
+            os.waitpid(pid, 0)
+        for pipe in pipes:
+            if pipe is not None:
+                pipe.close()

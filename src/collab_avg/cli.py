@@ -9,11 +9,11 @@ Subcommands::
     validate   Monte Carlo agreement with the closed form
     federate   reduce a multi-helper federation and report its weight
 
-Exit codes: 0 success, 1 invalid input, 2 validation failure. All CSV output
-is UTF-8 with LF line endings and a header row; numbers use the shortest
-round-trip decimal form except the reference-table comparison columns,
-which are fixed to two decimals (half-even). Identical configuration and
-seed produce byte-identical output.
+Exit codes: 0 success, 1 invalid input, 2 validation failure, 130
+interrupted (Ctrl-C). All CSV output is UTF-8 with LF line endings and a
+header row; numbers use the shortest round-trip decimal form except the
+reference-table comparison columns, which are fixed to two decimals
+(half-even). Identical configuration and seed produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -24,9 +24,11 @@ import io
 import math
 import sys
 from collections.abc import Iterable, Iterator
+from contextlib import closing
 
 import numpy as np
 
+from ._workers import cpu_count, ordered_map
 from .config import ConfigError, RunConfig, load_run_config
 from .federation import reduce_to_two_agent
 from .montecarlo import validate_scenario
@@ -43,9 +45,17 @@ from .theory import (
 EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_VALIDATION = 2
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports it
 
 _DEFAULT_CURVE_GRID = 1001
 _DEFAULT_CONTOUR_GRID = 101
+
+#: ``contour`` forks row workers only from this many grid cells on.
+#: Measured on a 2-core Xeon (numpy 2.4.6, rows written to a file): a fork,
+#: pipe and reap cost 3-6 ms; two workers took 0.59-0.74x the serial time
+#: from 36,100 cells on, while from 10,201 to 19,881 cells they lost when
+#: the machine was loaded (1.26-1.44x) and won 0.79-0.87x when it was idle.
+_PARALLEL_MIN_CELLS = 40_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -220,12 +230,19 @@ def cmd_contour(config: RunConfig) -> int:
     points = config.grid if config.grid is not None else _DEFAULT_CONTOUR_GRID
     u_grid = np.logspace(math.log10(u_min), math.log10(u_max), points)
     v_grid = np.logspace(math.log10(v_min), math.log10(v_max), points)
-    _emit(_contour_rows(u_grid, v_grid), config.out)
+    with closing(_contour_rows(u_grid, v_grid)) as rows:
+        _emit(rows, config.out)
     return EXIT_OK
 
 
 def _contour_rows(u_grid: np.ndarray, v_grid: np.ndarray) -> Iterator[str]:
-    """The contour CSV, one chunk per u, in O(len(v_grid)) memory."""
+    """The contour CSV, one chunk per u, in O(len(v_grid)) memory.
+
+    From ``_PARALLEL_MIN_CELLS`` cells on, the u-rows are made round-robin
+    by one forked worker per CPU and streamed back in order; each row is
+    built by the same code either way, so the bytes do not depend on it.
+    Close the generator when done with it: that reaps the workers.
+    """
     yield "varxbar_over_bias2,varxbar_over_varybar,alpha_star\n"
     # u = Var[xbar]/bias^2 and v = Var[xbar]/Var[ybar] give the optimal weight
     # 1 / (1 + 1/u + 1/v): ErrorProfile's alpha_star at e0 = 1, summed in this
@@ -235,11 +252,19 @@ def _contour_rows(u_grid: np.ndarray, v_grid: np.ndarray) -> Iterator[str]:
     with np.errstate(over="ignore"):
         inv_v = 1.0 / v_grid
     v_cells = [f",{v!r}," for v in v_grid.tolist()]
-    for u in u_grid.tolist():
+    u_values = u_grid.tolist()
+
+    def row(i: int) -> str:
+        u = u_values[i]
         with np.errstate(over="ignore"):
             alphas = 1.0 / (1.0 + 1.0 / u + inv_v)
         u_cell = repr(u)
-        yield "".join([f"{u_cell}{cell}{alpha!r}\n" for cell, alpha in zip(v_cells, alphas.tolist())])
+        return "".join([f"{u_cell}{cell}{alpha!r}\n" for cell, alpha in zip(v_cells, alphas.tolist())])
+
+    workers = 1
+    if len(u_values) * len(v_cells) >= _PARALLEL_MIN_CELLS:
+        workers = min(cpu_count(), len(u_values))
+    yield from ordered_map(row, len(u_values), workers)
 
 
 def cmd_validate(config: RunConfig) -> int:
@@ -327,6 +352,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

@@ -184,11 +184,6 @@ def make_distribution(family: str, **params: float) -> Distribution:
         raise ValueError(f"bad parameters for family {family!r}: {exc}") from exc
 
 
-def moments(spec: Distribution) -> tuple[float, float]:
-    """Exact (mean, variance) of a distribution spec."""
-    return spec.moments()
-
-
 def sample(spec: Distribution, n: int, seed: SeedSpec | int) -> np.ndarray:
     """``n`` i.i.d. draws from ``spec``, fully determined by ``seed``.
 

@@ -16,14 +16,12 @@ from __future__ import annotations
 
 import math
 import mmap
-import os
-import signal
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._philox import uniform_matrix
+from ._workers import _fill_in_workers, cpu_count
 from .distributions import Distribution, PointMass, SeedSpec
 from .theory import ErrorProfile, Scenario, _check_count, error_profile, ese_of_alpha
 
@@ -141,9 +139,8 @@ def trial_means(
     chunk = max(1, _CHUNK_DRAWS // count)
     n_chunks = -(-trials // chunk)
     workers = 1
-    # Platforms without sched_getaffinity (macOS, Windows) stay serial.
-    if trials * count >= _PARALLEL_MIN_DRAWS and hasattr(os, "sched_getaffinity"):
-        workers = min(len(os.sched_getaffinity(0)), n_chunks)
+    if trials * count >= _PARALLEL_MIN_DRAWS:
+        workers = min(cpu_count(), n_chunks)
     if workers > 1:
         try:
             means = np.frombuffer(mmap.mmap(-1, 16 * trials), np.float64).reshape(2, trials)
@@ -172,47 +169,6 @@ def trial_means(
     bounds = [n_chunks * w // workers * chunk for w in range(workers)] + [trials]
     _fill_in_workers(fill, bounds)
     return xbar, ybar
-
-
-def _fill_in_workers(fill: Callable[[int, int], None], bounds: list[int]) -> None:
-    """Run ``fill`` over each range ``bounds[w] .. bounds[w+1]``.
-
-    This process fills the first range; each other range goes to a forked
-    child that writes into the same shared memory. A child that fails, or
-    cannot be forked, has its range filled again here, so a real error is
-    raised in this process with its own message. Should this process's
-    range raise, every child is killed and reaped first: no worker
-    outlives the call.
-    """
-    children: dict[int, tuple[int, int]] = {}
-    redo = []
-    try:
-        for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            try:
-                pid = os.fork()
-            except OSError:
-                redo.append((lo, hi))
-                continue
-            if pid == 0:
-                code = 1
-                try:
-                    fill(lo, hi)
-                    code = 0
-                finally:
-                    os._exit(code)
-            children[pid] = (lo, hi)
-        fill(bounds[0], bounds[1])
-        for pid in list(children):
-            if os.waitpid(pid, 0)[1] != 0:
-                redo.append(children[pid])
-            del children[pid]
-    finally:
-        for pid in children:
-            os.kill(pid, signal.SIGKILL)
-        for pid in children:
-            os.waitpid(pid, 0)
-    for lo, hi in redo:
-        fill(lo, hi)
 
 
 def _estimates_from_means(

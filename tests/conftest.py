@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -54,3 +55,25 @@ def variance_std_error(values: np.ndarray) -> float:
     s2 = float(values.var(ddof=1))
     var_of_var = (m4 - s2**2 * (n - 3) / (n - 1)) / n
     return math.sqrt(max(var_of_var, 0.0))
+
+
+def force_cpus(monkeypatch, n: int) -> list[int]:
+    """Give the process ``n`` CPUs; the returned list grows by one per fork."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return forks
+
+
+def no_child_left() -> bool:
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False

@@ -6,6 +6,8 @@ import csv
 import hashlib
 import io
 import math
+import os
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -15,6 +17,7 @@ import pytest
 from collab_avg import cli
 from collab_avg.cli import main
 from collab_avg.theory import Scenario, error_profile, ese_of_alpha
+from conftest import force_cpus, no_child_left
 
 TWO_AGENT_YAML = """\
 x: {family: normal, params: {mu: 0.0, sd: 1.0}}
@@ -331,19 +334,23 @@ class TestContour:
         assert code == 0
         assert out.encode("utf-8") == out_path.read_bytes()
 
-    def test_memory_is_linear_in_grid(self, tmp_path, capsys):
+    def test_memory_is_linear_in_grid(self, tmp_path, capsys, monkeypatch):
         # A 401 x 401 grid is 160k rows (~9 MB of CSV); streaming one u-row
-        # at a time keeps the traced peak to a few rows' worth.
+        # at a time keeps the traced peak to a few rows' worth, whether the
+        # rows are made here or arrive from a worker's pipe.
         out_path = tmp_path / "contour.csv"
-        tracemalloc.start()
-        try:
-            code = main(["contour", "--grid", "401", "--out", str(out_path)])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert code == 0
-        assert out_path.read_bytes().count(b"\n") == 401**2 + 1
-        assert peak < 4 * 2**20
+        for cpus in (1, 2):
+            forks = force_cpus(monkeypatch, cpus)
+            tracemalloc.start()
+            try:
+                code = main(["contour", "--grid", "401", "--out", str(out_path)])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+            assert len(forks) == cpus - 1
+            assert out_path.read_bytes().count(b"\n") == 401**2 + 1
+            assert peak < 4 * 2**20
 
     def test_unsigned_exponent_bounds_are_numbers(self, tmp_path, capsys):
         path = tmp_path / "contour.yaml"
@@ -408,6 +415,95 @@ class TestContour:
         code, _, err = run_cli(capsys, "contour", "--scenario", str(path))
         assert code == 1
         assert "contour bounds" in err
+
+    # Contour bytes do not depend on how many forked workers make the rows.
+    def _pinned(self, capsys, tmp_path, name: str) -> tuple[bytes, int]:
+        """Output bytes of the command behind ``GOLDEN_CONTOUR[name]``, and its u-rows."""
+        scenario = tmp_path / "contour.yaml"
+        scenario.write_text(BOUNDS_YAML)
+        out_path = tmp_path / "contour.csv"
+        argv, rows = {
+            "default_stdout": ([], 101),
+            "grid_1001_out": (["--grid", "1001", "--out", str(out_path)], 1001),
+            "bounds_grid_7_stdout": (["--grid", "7", "--scenario", str(scenario)], 7),
+        }[name]
+        code, out, _ = run_cli(capsys, "contour", *argv)
+        assert code == 0
+        return (out_path.read_bytes() if out_path.exists() else out.encode("utf-8")), rows
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("name", sorted(GOLDEN_CONTOUR))
+    def test_any_worker_count_gives_golden_bytes(self, monkeypatch, tmp_path, capsys, cpus, name):
+        monkeypatch.setattr(cli, "_PARALLEL_MIN_CELLS", 0)
+        forks = force_cpus(monkeypatch, cpus)
+        data, rows = self._pinned(capsys, tmp_path, name)
+        assert sha256(data) == GOLDEN_CONTOUR[name]
+        assert len(forks) == min(cpus, rows) - 1
+        assert no_child_left()
+
+    @pytest.mark.parametrize("reached", [False, True], ids=["below", "at"])
+    def test_cells_threshold(self, monkeypatch, capsys, reached):
+        # The largest grid below the threshold, and the smallest at it.
+        grid = str(math.isqrt(cli._PARALLEL_MIN_CELLS - 1) + (1 if reached else 0))
+        force_cpus(monkeypatch, 1)
+        _, serial, _ = run_cli(capsys, "contour", "--grid", grid)
+        forks = force_cpus(monkeypatch, 2)
+        code, out, _ = run_cli(capsys, "contour", "--grid", grid)
+        assert code == 0
+        assert out == serial
+        assert len(forks) == (1 if reached else 0)
+
+    def test_failed_worker_rows_are_made_here(self, monkeypatch, capsys):
+        _, serial, _ = run_cli(capsys, "contour", "--grid", "13")
+        parent = os.getpid()
+        ordered_map = cli.ordered_map
+
+        def failing_map(make, n, workers):
+            def make_or_fail(i):
+                # Each worker sends its first row, then dies.
+                if os.getpid() != parent and i >= workers:
+                    raise RuntimeError("worker failure")
+                return make(i)
+
+            return ordered_map(make_or_fail, n, workers)
+
+        monkeypatch.setattr(cli, "ordered_map", failing_map)
+        monkeypatch.setattr(cli, "_PARALLEL_MIN_CELLS", 0)
+        forks = force_cpus(monkeypatch, 3)
+        code, out, err = run_cli(capsys, "contour", "--grid", "13")
+        assert (code, err) == (0, "")
+        assert out == serial
+        assert len(forks) == 2
+        assert no_child_left()
+
+    def test_rows_that_cannot_be_forked_are_made_here(self, monkeypatch, capsys):
+        _, serial, _ = run_cli(capsys, "contour", "--grid", "13")
+
+        def no_fork():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(cli, "_PARALLEL_MIN_CELLS", 0)
+        force_cpus(monkeypatch, 3)
+        monkeypatch.setattr(os, "fork", no_fork)
+        code, out, _ = run_cli(capsys, "contour", "--grid", "13")
+        assert code == 0
+        assert out == serial
+
+    def test_broken_stdout_exits_1_leaving_no_worker(self, monkeypatch, capsys):
+        class ClosedAfterFirstChunk:
+            def writelines(self, chunks):
+                for index, _ in enumerate(chunks):
+                    if index:
+                        raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(cli, "_PARALLEL_MIN_CELLS", 0)
+        forks = force_cpus(monkeypatch, 3)
+        monkeypatch.setattr(sys, "stdout", ClosedAfterFirstChunk())
+        code, _, err = run_cli(capsys, "contour", "--grid", "13")
+        assert code == 1
+        assert err == "error: [Errno 32] Broken pipe\n"
+        assert len(forks) == 2
+        assert no_child_left()
 
 
 class TestValidate:
@@ -563,6 +659,41 @@ class TestCommonBehaviour:
         with pytest.raises(SystemExit) as excinfo:
             main(["frobnicate"])
         assert excinfo.value.code == 1
+
+    def test_interrupt_exits_130_with_one_line(self, monkeypatch, capsys):
+        def interrupted(config):
+            raise KeyboardInterrupt
+
+        monkeypatch.setitem(cli._COMMANDS, "table1", (interrupted, False))
+        code, out, err = run_cli(capsys, "table1")
+        assert (code, out, err) == (130, "", "error: interrupted\n")
+
+    def test_sigint_to_contour_exits_130_leaving_no_process(self):
+        process = subprocess.Popen(
+            [sys.executable, "-m", "collab_avg", "contour", "--grid", "2001"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            start_new_session=True,
+            # Python leaves SIGINT alone if it starts ignored, as under `cmd &`.
+            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
+        )
+        try:
+            # Wait for the second u-row, the first a worker makes: a signal
+            # that lands inside os.fork is swallowed by its at-fork hooks.
+            assert process.stdout.readline().startswith(b"varxbar_over_bias2,")
+            first_u = process.stdout.readline().split(b",")[0]
+            while process.stdout.readline().split(b",")[0] == first_u:
+                pass
+            os.killpg(process.pid, signal.SIGINT)
+            _, err = process.communicate(timeout=60)
+        finally:
+            if process.poll() is None:
+                os.killpg(process.pid, signal.SIGKILL)
+                process.communicate()
+        assert process.returncode == 130
+        assert err == b"error: interrupted\n"
+        with pytest.raises(ProcessLookupError):
+            os.killpg(process.pid, 0)
 
     def test_missing_file_exits_1(self, capsys):
         code, _, err = run_cli(capsys, "profile", "--scenario", "/nonexistent.yaml")

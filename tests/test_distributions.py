@@ -19,7 +19,6 @@ from collab_avg.distributions import (
     SeedSpec,
     Uniform,
     make_distribution,
-    moments,
     sample,
 )
 
@@ -41,18 +40,18 @@ ALL_FAMILIES = [
 
 class TestMoments:
     def test_normal_standard(self):
-        assert moments(Normal(0.0, 1.0)) == (0.0, 1.0)
+        assert Normal(0.0, 1.0).moments() == (0.0, 1.0)
 
     def test_point_mass(self):
-        assert moments(PointMass(3.0)) == (3.0, 0.0)
+        assert PointMass(3.0).moments() == (3.0, 0.0)
 
     def test_bernoulli_against_enumeration(self):
         # Brute-force expectation over the support {0, 1}.
         p = 0.5
         mean = sum(prob * x for x, prob in ((0.0, 1 - p), (1.0, p)))
         var = sum(prob * (x - mean) ** 2 for x, prob in ((0.0, 1 - p), (1.0, p)))
-        assert moments(Bernoulli(p)) == (mean, var)
-        assert moments(Bernoulli(0.5)) == (0.5, 0.25)
+        assert Bernoulli(p).moments() == (mean, var)
+        assert Bernoulli(0.5).moments() == (0.5, 0.25)
 
     @pytest.mark.parametrize(
         "spec,pdf,support",
@@ -64,7 +63,7 @@ class TestMoments:
     )
     def test_continuous_families_against_quadrature(self, spec, pdf, support):
         mean_quad, _ = scipy.integrate.quad(lambda x: x * pdf(x), *support)
-        mean, var = moments(spec)
+        mean, var = spec.moments()
         var_quad, _ = scipy.integrate.quad(lambda x: (x - mean_quad) ** 2 * pdf(x), *support)
         assert mean == pytest.approx(mean_quad, abs=1e-9)
         assert var == pytest.approx(var_quad, abs=1e-9)
@@ -140,7 +139,7 @@ class TestSampling:
         """Empirical mean within 5 sigma/sqrt(n); variance within 5 SEs."""
         n = 10**6
         draws = sample(spec, n, SeedSpec(2024))
-        mean, var = moments(spec)
+        mean, var = spec.moments()
         mean_band = 5.0 * math.sqrt(var / n) + 1e-12
         assert abs(draws.mean() - mean) <= mean_band
         var_band = 5.0 * variance_std_error(draws) + 1e-12

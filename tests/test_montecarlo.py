@@ -23,7 +23,7 @@ from collab_avg.montecarlo import (
 )
 from collab_avg.theory import ErrorProfile, error_profile, ese_of_alpha
 
-from conftest import variance_std_error
+from conftest import force_cpus, no_child_left, variance_std_error
 from test_acceptance import MC_BASE_SEED, MC_SUITE
 
 TRIALS = 10**5
@@ -156,28 +156,6 @@ class TestTrialMeans:
         assert np.array_equal(ybar_with_const, ybar_with_noise)
 
 
-def _cpus(monkeypatch, n: int) -> list[int]:
-    """Give the process ``n`` CPUs; the returned list grows by one per fork."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
-    forks = []
-    fork = os.fork
-
-    def counted_fork():
-        forks.append(1)
-        return fork()
-
-    monkeypatch.setattr(os, "fork", counted_fork)
-    return forks
-
-
-def _no_child_left() -> bool:
-    try:
-        os.waitpid(-1, os.WNOHANG)
-    except ChildProcessError:
-        return True
-    return False
-
-
 def _means_bytes(means) -> bytes:
     xbar, ybar = means
     return xbar.tobytes() + ybar.tobytes()
@@ -204,19 +182,19 @@ class TestWorkers:
         # Kept alive, so the next result cannot reuse (and so inherit) its memory.
         serial = trial_means(*args)
         monkeypatch.setattr(mc, "_PARALLEL_MIN_DRAWS", 0)
-        forks = _cpus(monkeypatch, cpus)
+        forks = force_cpus(monkeypatch, cpus)
         assert _means_bytes(trial_means(*args)) == _means_bytes(serial)
         assert len(forks) == min(cpus, chunks) - 1
-        assert _no_child_left()
+        assert no_child_left()
 
     @pytest.mark.parametrize("reached", [False, True], ids=["below", "at"])
     def test_draws_threshold(self, monkeypatch, reached):
         per_trial = 11 + 13
         trials = -(-mc._PARALLEL_MIN_DRAWS // per_trial) - (0 if reached else 1)
         args = (Normal(0, 1), 11, Bernoulli(0.3), 13, trials, SeedSpec(9))
-        _cpus(monkeypatch, 1)
+        force_cpus(monkeypatch, 1)
         serial = trial_means(*args)
-        forks = _cpus(monkeypatch, 2)
+        forks = force_cpus(monkeypatch, 2)
         assert _means_bytes(trial_means(*args)) == _means_bytes(serial)
         assert len(forks) == (1 if reached else 0)
 
@@ -233,10 +211,10 @@ class TestWorkers:
 
         monkeypatch.setattr(Exponential, "_from_uniforms", fails_in_child)
         monkeypatch.setattr(mc, "_PARALLEL_MIN_DRAWS", 0)
-        forks = _cpus(monkeypatch, 2)
+        forks = force_cpus(monkeypatch, 2)
         assert _means_bytes(trial_means(*args)) == _means_bytes(serial)
         assert len(forks) == 1
-        assert _no_child_left()
+        assert no_child_left()
 
     def test_range_that_cannot_be_forked_is_computed_here(self, monkeypatch):
         args = (Normal(0, 1), 11, Exponential(2.0), 13, 10_001, SeedSpec(7))
@@ -246,7 +224,7 @@ class TestWorkers:
             raise BlockingIOError(11, "Resource temporarily unavailable")
 
         monkeypatch.setattr(mc, "_PARALLEL_MIN_DRAWS", 0)
-        _cpus(monkeypatch, 3)
+        force_cpus(monkeypatch, 3)
         monkeypatch.setattr(os, "fork", no_fork)
         assert _means_bytes(trial_means(*args)) == _means_bytes(serial)
 
@@ -260,16 +238,16 @@ class TestWorkers:
 
         monkeypatch.setattr(Exponential, "_from_uniforms", fails_in_parent)
         monkeypatch.setattr(mc, "_PARALLEL_MIN_DRAWS", 0)
-        forks = _cpus(monkeypatch, 3)
+        forks = force_cpus(monkeypatch, 3)
         began = time.monotonic()
         with pytest.raises(RuntimeError, match="parent failure"):
             trial_means(Normal(0, 1), 11, Exponential(2.0), 13, 10_001, SeedSpec(7))
         assert time.monotonic() - began < 30
         assert len(forks) == 2
-        assert _no_child_left()
+        assert no_child_left()
 
     def test_unallocatable_shared_buffer_reports_numpy_error(self, monkeypatch):
-        forks = _cpus(monkeypatch, 2)
+        forks = force_cpus(monkeypatch, 2)
         with pytest.raises(MemoryError, match="^Unable to allocate"):
             trial_means(Normal(0, 1), 5, PointMass(0.0), 1, 2**58, SeedSpec(1))
         assert forks == []
