@@ -23,7 +23,6 @@ from .montecarlo import (
     ValidationPoint,
     ValidationReport,
     estimate_error_curve,
-    estimate_ese,
     validate_scenario,
 )
 from .theory import (
@@ -33,8 +32,6 @@ from .theory import (
     alpha_star_upper_bounds,
     donahue_mse,
     error_profile,
-    ese0,
-    ese1,
     ese_of_alpha,
     ese_of_alpha_reduced,
     max_ese,
@@ -62,12 +59,9 @@ __all__ = [
     "alpha_star_upper_bounds",
     "donahue_mse",
     "error_profile",
-    "ese0",
-    "ese1",
     "ese_of_alpha",
     "ese_of_alpha_reduced",
     "estimate_error_curve",
-    "estimate_ese",
     "make_distribution",
     "max_ese",
     "personalized_weight",

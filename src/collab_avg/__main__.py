@@ -7,4 +7,6 @@ if __name__ == "__main__":
     # collection, and the one at exit, from scanning it again, and keeps
     # forked workers from copying the pages such a scan would touch.
     gc.freeze()
-    raise SystemExit(main())
+    code = main()
+    gc.freeze()  # validate imports scipy after the first freeze
+    raise SystemExit(code)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import os
 import signal
 from collections.abc import Callable, Iterator
+from contextlib import contextmanager
 from typing import BinaryIO
 
 
@@ -24,6 +25,32 @@ def cpu_count() -> int:
     if not hasattr(os, "sched_getaffinity"):
         return 1
     return len(os.sched_getaffinity(0))
+
+
+@contextmanager
+def _fork(work: Callable[[], None]) -> Iterator[int]:
+    """Fork a child that runs ``work`` and exits, 0 if it returned, else 1; yield its pid.
+
+    SIGINT is held from before the fork to the end of the ``with`` block,
+    so a Ctrl-C during the at-fork hooks is not raised in a hook and lost.
+    The parent gets it once the block has recorded the pid; the child only
+    inside the ``try`` that ends in ``os._exit``.
+    """
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, ())
+    try:
+        signal.pthread_sigmask(signal.SIG_BLOCK, (signal.SIGINT,))
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+                work()
+                code = 0
+            finally:
+                os._exit(code)
+        yield pid
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
 
 
 def _fill_in_workers(fill: Callable[[int, int], None], bounds: list[int]) -> None:
@@ -41,18 +68,10 @@ def _fill_in_workers(fill: Callable[[int, int], None], bounds: list[int]) -> Non
     try:
         for lo, hi in zip(bounds[1:-1], bounds[2:]):
             try:
-                pid = os.fork()
+                with _fork(lambda: fill(lo, hi)) as pid:
+                    children[pid] = (lo, hi)
             except OSError:
                 redo.append((lo, hi))
-                continue
-            if pid == 0:
-                code = 1
-                try:
-                    fill(lo, hi)
-                    code = 0
-                finally:
-                    os._exit(code)
-            children[pid] = (lo, hi)
         fill(bounds[0], bounds[1])
         for pid in list(children):
             if os.waitpid(pid, 0)[1] != 0:
@@ -85,31 +104,28 @@ def ordered_map(make: Callable[[int], str], n: int, workers: int) -> Iterator[st
     try:
         for worker in range(1, workers):
             read_end, write_end = os.pipe()
+
+            def send() -> None:
+                os.close(read_end)
+                # Only the parent may hold a read end, so a writer whose
+                # parent died gets EPIPE instead of blocking forever.
+                for pipe in pipes:
+                    if pipe is not None:
+                        pipe.close()
+                with open(write_end, "wb") as out:
+                    for i in range(worker, n, workers):
+                        data = make(i).encode()
+                        out.write(len(data).to_bytes(8, "little"))
+                        out.write(data)
+                        out.flush()
+
             try:
-                pid = os.fork()
+                with _fork(send) as pid:
+                    children.append(pid)
             except OSError:
                 os.close(read_end)
                 os.close(write_end)
                 continue
-            if pid == 0:
-                code = 1
-                try:
-                    os.close(read_end)
-                    # Only the parent may hold a read end, so a writer whose
-                    # parent died gets EPIPE instead of blocking forever.
-                    for pipe in pipes:
-                        if pipe is not None:
-                            pipe.close()
-                    with open(write_end, "wb") as out:
-                        for i in range(worker, n, workers):
-                            data = make(i).encode()
-                            out.write(len(data).to_bytes(8, "little"))
-                            out.write(data)
-                            out.flush()
-                    code = 0
-                finally:
-                    os._exit(code)
-            children.append(pid)
             os.close(write_end)
             pipes[worker] = open(read_end, "rb")
         for i in range(n):

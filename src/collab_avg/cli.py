@@ -30,6 +30,7 @@ import numpy as np
 
 from ._workers import cpu_count, ordered_map
 from .config import ConfigError, RunConfig, load_run_config
+from .distributions import _load_ndtri
 from .federation import reduce_to_two_agent
 from .montecarlo import validate_scenario
 from .table1 import RowStatus, reproduce_table
@@ -339,6 +340,12 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     run, needs_scenario = _COMMANDS[args.command]
     try:
+        if args.command == "validate":
+            # The one command that samples loads scipy in set-up, before any fork.
+            try:
+                _load_ndtri()
+            except ImportError as exc:
+                raise ValueError(f"validate needs scipy to sample: {exc}") from None
         config = load_run_config(
             args.scenario,
             seed=args.seed,

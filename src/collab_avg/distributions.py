@@ -10,17 +10,25 @@ independent of chunking or thread count.
 
 from __future__ import annotations
 
+import functools
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from ._philox import uniforms
 from .theory import _check_count
 
 _U64_MAX = (1 << 64) - 1
+
+
+@functools.cache
+def _load_ndtri():
+    """scipy's Normal inverse CDF, imported on first use: only sampling needs scipy."""
+    from scipy.special import ndtri
+
+    return ndtri
 
 
 @dataclass(frozen=True)
@@ -89,7 +97,7 @@ class Normal(Distribution):
     def _from_uniforms(self, u: np.ndarray) -> np.ndarray:
         if self.sd == 0:
             return np.full_like(u, float(self.mu))
-        return self.mu + self.sd * ndtri(u)
+        return self.mu + self.sd * _load_ndtri()(u)
 
 
 @dataclass(frozen=True)

@@ -31,9 +31,10 @@ from .theory import ErrorProfile, Scenario, _check_count, error_profile, ese_of_
 _CHUNK_DRAWS = 65_536
 
 #: ``trial_means`` forks workers only from this many drawn uniforms on.
-#: Measured on a 2-core Xeon (numpy 2.4.6): a fork and wait cost 3.4 ms with
-#: scipy loaded; two workers lost to one at 100k draws and won by 1.2-1.6x
-#: from 400k draws on, at 4, 25 and 120 draws per trial.
+#: Measured on a 2-core Xeon (numpy 2.4.6): a fork and wait cost 3.4-4.0 ms
+#: with scipy loaded, as ``validate`` has it (2.8 ms without); two workers
+#: lost to one at 100k draws and won by 1.2-1.6x from 400k draws on, at 4,
+#: 25 and 120 draws per trial.
 _PARALLEL_MIN_DRAWS = 500_000
 
 _MIN_TRIALS = 100
@@ -210,29 +211,6 @@ def _estimates_from_means(
     return estimates
 
 
-def estimate_ese(
-    x: Distribution,
-    n_x: int,
-    y: Distribution,
-    n_y: int,
-    alpha: float,
-    trials: int,
-    seed: SeedSpec | int,
-) -> MonteCarloEstimate:
-    """Simulate the ESE of the weighted average at one weight.
-
-    Each trial draws fresh samples for both agents, combines their means
-    with weight ``alpha`` and records the squared error against the exact
-    local mean; reported is the average with its standard error.
-    """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must be in [0, 1], got {alpha!r}")
-    _check_trials(trials)
-    seed = _as_seed(seed)
-    xbar, ybar = trial_means(x, n_x, y, n_y, trials, seed)
-    return _estimates_from_means(xbar, ybar, [alpha], x.mean(), seed)[0]
-
-
 def estimate_error_curve(
     x: Distribution,
     n_x: int,
@@ -245,8 +223,7 @@ def estimate_error_curve(
     """Simulated ESE over a grid of weights with common random numbers.
 
     Every grid point reuses the same per-trial draws, so each entry is
-    bitwise identical to a standalone :func:`estimate_ese` call at that
-    weight and seed.
+    bitwise identical to a one-weight grid at that weight and seed.
     """
     alphas = [float(a) for a in alphas]
     for alpha in alphas:

@@ -144,19 +144,13 @@ class ErrorProfile:
         return 2.0 * self.alpha_star
 
 
-def ese0(scenario: Scenario) -> float:
-    """ESE of the pure local mean: var_x / n_x."""
-    return scenario.var_local_mean
-
-
-def ese1(scenario: Scenario) -> float:
-    """ESE of the pure helper mean: squared bias plus var_y / n_y."""
-    return scenario.bias_sq + scenario.var_helper_mean
-
-
 def error_profile(scenario: Scenario) -> ErrorProfile:
-    """The error profile (e0, e1) of a scenario; see :class:`ErrorProfile`."""
-    return ErrorProfile(ese0(scenario), ese1(scenario))
+    """The error profile of a scenario; see :class:`ErrorProfile`.
+
+    e0 = var_x / n_x is the ESE of the pure local mean, and
+    e1 = bias**2 + var_y / n_y that of the pure helper mean.
+    """
+    return ErrorProfile(scenario.var_local_mean, scenario.bias_sq + scenario.var_helper_mean)
 
 
 def ese_of_alpha(profile: ErrorProfile, alpha: float) -> float:

@@ -635,6 +635,126 @@ class TestFederate:
         assert "union" in err
 
 
+# The mc_long benchmark scenario: 7,000-draw streams over 2,000 trials fork
+# trial-mean workers wherever more than one CPU is available.
+MC_LONG_YAML = """\
+trials: 2000
+seed: 0
+scenarios:
+  - {x: {family: normal, params: {mu: 0.0, sd: 1.0}}, n_x: 1000, y: {family: exponential, params: {rate: 1.0}}, n_y: 6000}
+"""
+
+# Runs the CLI in a fresh interpreter with 2 CPUs and a fork hook that
+# raises SIGINT once, in the parent, while os.fork runs its hooks. The last
+# stderr line says whether any child process was left.
+SIGINT_AT_FORK = """\
+import os, signal, sys
+
+from collab_avg import cli
+
+os.sched_getaffinity = lambda pid: {0, 1}
+raised = []
+
+
+def interrupt_once():
+    if not raised:
+        raised.append(True)
+        signal.raise_signal(signal.SIGINT)
+
+
+os.register_at_fork(before=interrupt_once)
+code = cli.main(sys.argv[1:])
+try:
+    os.waitpid(-1, os.WNOHANG)
+    left = True
+except ChildProcessError:
+    left = False
+print(f"interrupts raised: {len(raised)}, child left: {left}", file=sys.stderr)
+sys.exit(code)
+"""
+
+# Runs the CLI in a fresh interpreter, with scipy hidden when the first
+# argument is "no-scipy". The last stderr line says whether scipy.special
+# was loaded when load_run_config was entered, and whether any scipy module
+# was loaded at the end.
+SCIPY_PROBE = """\
+import sys
+
+if sys.argv[1] == "no-scipy":
+    sys.modules["scipy"] = None  # as if scipy were not installed
+from collab_avg import cli
+
+at_setup = []
+load_run_config = cli.load_run_config
+
+
+def recording(*args, **kwargs):
+    at_setup.append("scipy.special" in sys.modules)
+    return load_run_config(*args, **kwargs)
+
+
+cli.load_run_config = recording
+code = cli.main(sys.argv[2:])
+loaded = any(module and name.split(".")[0] == "scipy" for name, module in sys.modules.items())
+print(f"scipy.special at set-up: {at_setup}, scipy loaded: {loaded}", file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def run_python(script: str, *argv: str) -> tuple[int, bytes, list[str]]:
+    """Exit code, stdout and stderr lines of ``script`` run in a new interpreter."""
+    result = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, timeout=120)
+    return result.returncode, result.stdout, result.stderr.decode().splitlines()
+
+
+class TestScipyImport:
+    """Only validate samples, so only validate imports scipy."""
+
+    @pytest.mark.parametrize("command", ["profile", "curve", "contour", "table1", "federate"])
+    def test_closed_form_commands_never_import_scipy(self, tmp_path, command):
+        scenario = tmp_path / "scenario.yaml"
+        scenario.write_text(GOLDEN_FEDERATION_YAML if command == "federate" else GOLDEN_PROFILE_YAML)
+        argv = {"contour": ["--grid", "201"], "table1": []}.get(command, ["--scenario", str(scenario)])
+        code, _, err = run_python(SCIPY_PROBE, "scipy", command, *argv, "--out", str(tmp_path / "out"))
+        assert code == 0
+        assert err[-1] == "scipy.special at set-up: [False], scipy loaded: False"
+
+    def test_validate_imports_scipy_before_set_up_ends(self, tmp_path):
+        scenario = tmp_path / "scenario.yaml"
+        scenario.write_text(TWO_AGENT_YAML)
+        code, out, err = run_python(SCIPY_PROBE, "scipy", "validate", "--scenario", str(scenario))
+        assert code == 0
+        assert out.endswith(b"overall: PASS\n")
+        assert err == ["scipy.special at set-up: [True], scipy loaded: True"]
+
+    def test_validate_without_scipy_exits_1_with_one_line(self, tmp_path):
+        scenario = tmp_path / "scenario.yaml"
+        scenario.write_text(TWO_AGENT_YAML)
+        code, out, err = run_python(SCIPY_PROBE, "no-scipy", "validate", "--scenario", str(scenario))
+        assert (code, out) == (1, b"")
+        assert len(err) == 2
+        assert err[0].startswith("error: validate needs scipy")
+        assert err[1] == "scipy.special at set-up: [], scipy loaded: False"
+
+    @pytest.mark.parametrize(
+        "argv,golden",
+        [
+            (["profile", "--scenario"], GOLDEN_CLOSED_FORM["profile_finite"]),
+            (["contour"], GOLDEN_CONTOUR["default_stdout"]),
+        ],
+        ids=["profile", "contour"],
+    )
+    def test_closed_form_commands_run_without_scipy(self, tmp_path, argv, golden):
+        scenario = tmp_path / "scenario.yaml"
+        scenario.write_text(GOLDEN_PROFILE_YAML)
+        if argv[-1] == "--scenario":
+            argv = [*argv, str(scenario)]
+        code, out, err = run_python(SCIPY_PROBE, "no-scipy", *argv)
+        assert code == 0
+        assert sha256(out) == golden
+        assert err == ["scipy.special at set-up: [False], scipy loaded: False"]
+
+
 class TestCommonBehaviour:
     def test_env_var_seed_fallback(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "suite.yaml"
@@ -694,6 +814,17 @@ class TestCommonBehaviour:
         assert err == b"error: interrupted\n"
         with pytest.raises(ProcessLookupError):
             os.killpg(process.pid, 0)
+
+    @pytest.mark.parametrize("command", ["contour", "validate"])
+    def test_sigint_during_fork_exits_130_leaving_no_child(self, tmp_path, command):
+        # contour forks row workers (ordered_map); validate forks trial-mean
+        # workers (_fill_in_workers).
+        scenario = tmp_path / "scenario.yaml"
+        scenario.write_text(MC_LONG_YAML)
+        argv = {"contour": ["--grid", "201"], "validate": ["--scenario", str(scenario)]}[command]
+        code, _, err = run_python(SIGINT_AT_FORK, command, *argv, "--out", str(tmp_path / "out"))
+        assert code == 130
+        assert err == ["error: interrupted", "interrupts raised: 1, child left: False"]
 
     def test_missing_file_exits_1(self, capsys):
         code, _, err = run_cli(capsys, "profile", "--scenario", "/nonexistent.yaml")

@@ -17,7 +17,6 @@ from collab_avg.distributions import Bernoulli, Exponential, Normal, PointMass, 
 from collab_avg.montecarlo import (
     SampledScenario,
     estimate_error_curve,
-    estimate_ese,
     trial_means,
     validate_scenario,
 )
@@ -29,38 +28,45 @@ from test_acceptance import MC_BASE_SEED, MC_SUITE
 TRIALS = 10**5
 
 
+def one_weight(x, n_x, y, n_y, alpha, trials, seed):
+    """The simulated ESE at one weight: a one-point grid."""
+    return estimate_error_curve(x, n_x, y, n_y, [alpha], trials, seed)[0]
+
+
 class TestEstimateEse:
+    """The simulated ESE at one weight."""
+
     def test_point_masses_have_exactly_zero_error(self):
-        result = estimate_ese(PointMass(1.0), 3, PointMass(1.0), 2, 0.37, 200, SeedSpec(1))
+        result = one_weight(PointMass(1.0), 3, PointMass(1.0), 2, 0.37, 200, SeedSpec(1))
         assert result.mean_sq_error == 0.0
         assert result.std_error == 0.0
 
     def test_shrinkage_scenario_matches_closed_form(self):
         # X ~ Normal(0,1) with 10 samples, helper pinned at the true mean:
         # e(0.2) = 0.8^2 * 0.1 = 0.064.
-        result = estimate_ese(Normal(0.0, 1.0), 10, PointMass(0.0), 1, 0.2, TRIALS, SeedSpec(11))
+        result = one_weight(Normal(0.0, 1.0), 10, PointMass(0.0), 1, 0.2, TRIALS, SeedSpec(11))
         assert abs(result.mean_sq_error - 0.064) <= 4.0 * result.std_error
 
     def test_biased_helper_matches_closed_form(self):
         # e(1/2) = 0.25 * 0.1 + 0.25 * (0.25 + 0.1) = 0.1125.
-        result = estimate_ese(
+        result = one_weight(
             Normal(0.0, 1.0), 10, Normal(0.5, 1.0), 10, 0.5, TRIALS, SeedSpec(13)
         )
         assert abs(result.mean_sq_error - 0.1125) <= 4.0 * result.std_error
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
-            estimate_ese(Normal(0, 1), 5, Normal(0, 1), 5, 1.5, 200, SeedSpec(1))
+            one_weight(Normal(0, 1), 5, Normal(0, 1), 5, 1.5, 200, SeedSpec(1))
         with pytest.raises(ValueError):
-            estimate_ese(Normal(0, 1), 5, Normal(0, 1), 5, 0.5, 99, SeedSpec(1))
+            one_weight(Normal(0, 1), 5, Normal(0, 1), 5, 0.5, 99, SeedSpec(1))
         with pytest.raises(ValueError):
-            estimate_ese(Normal(0, 1), 5, Normal(0, 1), math.inf, 0.5, 200, SeedSpec(1))
+            one_weight(Normal(0, 1), 5, Normal(0, 1), math.inf, 0.5, 200, SeedSpec(1))
         with pytest.raises(ValueError):
-            estimate_ese(Normal(0, 1), 0, Normal(0, 1), 5, 0.5, 200, SeedSpec(1))
+            one_weight(Normal(0, 1), 0, Normal(0, 1), 5, 0.5, 200, SeedSpec(1))
 
     def test_bitwise_reproducible(self):
         args = (Uniform(0, 1), 7, Bernoulli(0.3), 9, 0.4, 500, SeedSpec(99, 5))
-        assert estimate_ese(*args) == estimate_ese(*args)
+        assert one_weight(*args) == one_weight(*args)
 
     @pytest.mark.parametrize("chunk_draws", [1, 64, 65_536])
     @pytest.mark.parametrize(
@@ -75,23 +81,18 @@ class TestEstimateEse:
     def test_chunking_does_not_change_results(self, monkeypatch, chunk_draws, x, y):
         args = (x, 11, y, 13, 0.3, 1000, SeedSpec(7))
         monkeypatch.setattr(mc, "_CHUNK_DRAWS", 10**9)
-        whole = estimate_ese(*args)
+        whole = one_weight(*args)
         monkeypatch.setattr(mc, "_CHUNK_DRAWS", chunk_draws)
-        chunked = estimate_ese(*args)
+        chunked = one_weight(*args)
         assert whole == chunked
 
 
 class TestErrorCurve:
-    def test_single_point_grid_matches_estimate_ese(self):
-        curve = estimate_error_curve(Normal(0, 1), 5, Normal(1, 1), 5, [0.0], 300, SeedSpec(3))
-        single = estimate_ese(Normal(0, 1), 5, Normal(1, 1), 5, 0.0, 300, SeedSpec(3))
-        assert curve[0] == single
-
     def test_common_random_numbers_across_grid(self):
         alphas = [0.0, 0.25, 0.5, 0.75, 1.0]
         curve = estimate_error_curve(Normal(0, 1), 5, Normal(1, 1), 5, alphas, 300, SeedSpec(3))
         for alpha, point in zip(alphas, curve):
-            standalone = estimate_ese(Normal(0, 1), 5, Normal(1, 1), 5, alpha, 300, SeedSpec(3))
+            standalone = one_weight(Normal(0, 1), 5, Normal(1, 1), 5, alpha, 300, SeedSpec(3))
             assert point == standalone
 
     @pytest.mark.parametrize("trials", [100, 1001, 40_000])

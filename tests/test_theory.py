@@ -24,8 +24,6 @@ from collab_avg.theory import (
     alpha_star_upper_bounds,
     donahue_mse,
     error_profile,
-    ese0,
-    ese1,
     ese_of_alpha,
     ese_of_alpha_reduced,
     max_ese,
@@ -75,16 +73,16 @@ class TestPointErrors:
     )
     def test_local_error(self, var_x, n_x, expected):
         scenario = Scenario(0.0, var_x, n_x, 0.0, 0.0, 1)
-        assert ese0(scenario) == expected
+        assert error_profile(scenario).e0 == expected
 
     def test_helper_error_simple_cases(self):
-        assert ese1(Scenario(0.0, 1.0, 1, 0.0, 1.0, INFINITE)) == 0.0
-        assert ese1(Scenario(0.0, 1.0, 1, 1.0, 0.0, 1)) == 1.0
+        assert error_profile(Scenario(0.0, 1.0, 1, 0.0, 1.0, INFINITE)).e1 == 0.0
+        assert error_profile(Scenario(0.0, 1.0, 1, 1.0, 0.0, 1)).e1 == 1.0
 
     def test_helper_error_against_simulation(self):
         """bias^2 + var_y/n_y checked by simulating the helper mean."""
         scenario = Scenario(0.0, 1.0, 1, 0.5, 1.0, 4)
-        closed = ese1(scenario)
+        closed = error_profile(scenario).e1
         assert closed == 0.5
         trials = 10**6
         draws = sample(Normal(0.5, 1.0), 4 * trials, SeedSpec(555)).reshape(trials, 4)
