@@ -60,6 +60,16 @@ def _finite(x: float) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
 
 
+def _require_finite_moments(dist: Distribution) -> None:
+    # Finite parameters can still overflow ``** 2`` or, squared, underflow a
+    # divisor to zero.
+    try:
+        finite = all(math.isfinite(m) for m in dist.moments())
+    except ArithmeticError:
+        finite = False
+    _require(finite, f"{type(dist).__name__} moments overflow a float")
+
+
 class Distribution(ABC):
     """A scalar random variable with known exact mean and variance."""
 
@@ -87,6 +97,7 @@ class Normal(Distribution):
     def __post_init__(self) -> None:
         _require(_finite(self.mu), "Normal mu must be finite")
         _require(_finite(self.sd) and self.sd >= 0, "Normal sd must be finite and >= 0")
+        _require_finite_moments(self)
 
     def mean(self) -> float:
         return float(self.mu)
@@ -108,6 +119,7 @@ class Uniform(Distribution):
     def __post_init__(self) -> None:
         _require(_finite(self.lo) and _finite(self.hi), "Uniform bounds must be finite")
         _require(self.lo < self.hi, "Uniform requires lo < hi")
+        _require_finite_moments(self)
 
     def mean(self) -> float:
         return (self.lo + self.hi) / 2.0
@@ -142,6 +154,7 @@ class Exponential(Distribution):
 
     def __post_init__(self) -> None:
         _require(_finite(self.rate) and self.rate > 0, "Exponential rate must be > 0")
+        _require_finite_moments(self)
 
     def mean(self) -> float:
         return 1.0 / self.rate

@@ -72,6 +72,10 @@ class Scenario:
                 raise ValueError(f"{name} must be finite and >= 0")
         _check_count("n_x", self.n_x)
         _check_count("n_y", self.n_y, allow_infinite=True)
+        try:
+            self.bias_sq
+        except OverflowError:
+            raise ValueError("(mu_y - mu_x)**2 overflows a float") from None
 
     @property
     def infinite_helper(self) -> bool:

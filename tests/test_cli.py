@@ -928,6 +928,25 @@ class TestCommonBehaviour:
         assert out == ""
         assert err == f"error: {message}\n"
 
+    # Finite parameters whose moments overflow a float (or, squared,
+    # underflow a divisor to zero).
+    @pytest.mark.parametrize("command", ["profile", "validate"])
+    @pytest.mark.parametrize(
+        "x,message",
+        [
+            ("{family: normal, params: {mu: 0.0, sd: 1e200}}", "scenario file.x: Normal moments overflow a float"),
+            ("{family: exponential, params: {rate: 1e-200}}", "scenario file.x: Exponential moments overflow a float"),
+            ("{family: uniform, params: {lo: -1e200, hi: 1e200}}", "scenario file.x: Uniform moments overflow a float"),
+            ("{family: normal, params: {mu: 1e300, sd: 1.0}}", "(mu_y - mu_x)**2 overflows a float"),
+        ],
+        ids=["normal_sd", "exponential_rate", "uniform_bounds", "bias"],
+    )
+    def test_overflowing_moments_exit_1(self, tmp_path, capsys, command, x, message):
+        path = tmp_path / "scenario.yaml"
+        path.write_text(f"x: {x}\nn_x: 3\ny: {{constant: 1}}\nn_y: 2\n")
+        code, out, err = run_cli(capsys, command, "--scenario", str(path))
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
     def test_bad_yaml_exits_1(self, tmp_path, capsys):
         path = tmp_path / "broken.yaml"
         path.write_text("x: {family: normal\n")

@@ -6,10 +6,15 @@ import dataclasses
 import hashlib
 import math
 import os
+import subprocess
+import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import collab_avg.montecarlo as mc
 from collab_avg.cli import main
@@ -95,9 +100,10 @@ class TestErrorCurve:
             standalone = one_weight(Normal(0, 1), 5, Normal(1, 1), 5, alpha, 300, SeedSpec(3))
             assert point == standalone
 
-    @pytest.mark.parametrize("trials", [100, 1001, 40_000])
+    # 200,003 trials span seven slices of ``_SUM_LEAF``.
+    @pytest.mark.parametrize("trials", [100, 1001, 40_000, 200_003])
     def test_statistics_bitwise_equal_numpy_mean_and_std(self, trials):
-        """The reused-buffer sums reproduce ``mean`` and ``std(ddof=1)`` bit for bit."""
+        """The sliced sums reproduce ``mean`` and ``std(ddof=1)`` bit for bit."""
         x, y, seed = Exponential(0.7), Normal(1.5, 2.0), SeedSpec(8, 123)
         alphas = [0.0, 0.1, 1 / 3, 0.9, 1.0]
         xbar, ybar = trial_means(x, 3, y, 2, trials, seed)
@@ -252,6 +258,143 @@ class TestWorkers:
         with pytest.raises(MemoryError, match="^Unable to allocate"):
             trial_means(Normal(0, 1), 5, PointMass(0.0), 1, 2**58, SeedSpec(1))
         assert forks == []
+
+
+def _curve_inputs(trials: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-trial means on very different scales, so any change in summation order shows."""
+    rng = np.random.default_rng(seed)
+    xbar = rng.normal(0.0, 1.0, trials) * 10.0 ** rng.integers(-3, 4, trials)
+    return xbar, rng.exponential(2.0, trials)
+
+
+def _numpy_statistics(xbar, ybar, alphas, mu_x):
+    """numpy's own ``mean`` and ``std(ddof=1)`` of the squared errors, weight by weight."""
+    trials = xbar.size
+    pairs = []
+    for alpha in alphas:
+        sq = ((1.0 - alpha) * xbar + alpha * ybar - mu_x) ** 2
+        pairs.append((float(sq.mean()), float(sq.std(ddof=1)) / math.sqrt(trials)))
+    return pairs
+
+
+def _statistics(xbar, ybar, alphas, mu_x=0.25):
+    estimates = mc._estimates_from_means(xbar, ybar, alphas, mu_x, SeedSpec(1))
+    return [(e.mean_sq_error, e.std_error) for e in estimates]
+
+
+CURVE_ALPHAS = [0.0, 0.05, 1 / 3, 0.5, 0.9, 1.0]
+
+
+class TestCurveStatistics:
+    """The curve statistics: numpy's bits from leaf-sized slices, on any worker count."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(leaf=st.sampled_from([128, 256]), trials=st.integers(2, 5_000), seed=st.integers(0, 2**32))
+    @example(leaf=128, trials=127, seed=1)
+    @example(leaf=128, trials=128, seed=2)
+    @example(leaf=128, trials=129, seed=3)
+    @example(leaf=128, trials=9 * 128 + 7, seed=4)
+    @example(leaf=256, trials=255, seed=5)
+    @example(leaf=256, trials=256, seed=6)
+    @example(leaf=256, trials=257, seed=7)
+    @example(leaf=256, trials=17 * 256 + 7, seed=8)
+    def test_bitwise_equal_numpy_mean_and_std(self, leaf, trials, seed):
+        # A small leaf makes a deep tree out of few trials.
+        xbar, ybar = _curve_inputs(trials, seed)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mc, "_SUM_LEAF", leaf)
+            result = _statistics(xbar, ybar, CURVE_ALPHAS)
+        assert result == _numpy_statistics(xbar, ybar, CURVE_ALPHAS, 0.25)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("weights", [2, 21])
+    def test_any_worker_count_gives_numpy_statistics(self, monkeypatch, cpus, weights):
+        # Inputs differ per case and the reference is numpy's own, so a result
+        # the workers never wrote cannot pass by reusing an earlier result's
+        # freed memory.
+        xbar, ybar = _curve_inputs(70_001, 10 * cpus + weights)
+        alphas = list(np.linspace(0.0, 1.0, weights))
+        expected = _numpy_statistics(xbar, ybar, alphas, 0.25)
+        monkeypatch.setattr(mc, "_PARALLEL_MIN_CURVE", 0)
+        forks = force_cpus(monkeypatch, cpus)
+        assert _statistics(xbar, ybar, alphas) == expected
+        assert len(forks) == min(cpus, weights) - 1
+        assert no_child_left()
+
+    @pytest.mark.parametrize("reached", [False, True], ids=["below", "at"])
+    def test_trials_times_weights_threshold(self, monkeypatch, reached):
+        alphas = CURVE_ALPHAS
+        trials = -(-mc._PARALLEL_MIN_CURVE // len(alphas)) - (0 if reached else 1)
+        xbar, ybar = _curve_inputs(trials, 10)
+        force_cpus(monkeypatch, 1)
+        serial = _statistics(xbar, ybar, alphas)
+        forks = force_cpus(monkeypatch, 2)
+        assert _statistics(xbar, ybar, alphas) == serial
+        assert len(forks) == (1 if reached else 0)
+        assert no_child_left()
+
+    def test_failed_worker_weights_are_redone_here(self, monkeypatch):
+        xbar, ybar = _curve_inputs(70_001, 11)
+        serial = _statistics(xbar, ybar, CURVE_ALPHAS)
+        parent = os.getpid()
+        pairwise_sum = mc._pairwise_sum
+
+        def fails_in_child(*args):
+            if os.getpid() != parent:
+                raise RuntimeError("worker failure")
+            return pairwise_sum(*args)
+
+        monkeypatch.setattr(mc, "_pairwise_sum", fails_in_child)
+        monkeypatch.setattr(mc, "_PARALLEL_MIN_CURVE", 0)
+        forks = force_cpus(monkeypatch, 2)
+        assert _statistics(xbar, ybar, CURVE_ALPHAS) == serial
+        assert len(forks) == 1
+        assert no_child_left()
+
+    def test_memory_is_bounded_by_the_leaf(self, monkeypatch):
+        # One trial-length buffer at 1M trials is 8 MB. Two whole reused
+        # buffers peaked at 15.3 MiB here; leaf-sized scratch peaks at 0.51
+        # MiB. Serial, so every allocation is this process's own.
+        xbar, ybar = _curve_inputs(1_000_000, 12)
+        alphas = list(np.linspace(0.0, 1.0, 21))
+        force_cpus(monkeypatch, 1)
+        tracemalloc.start()
+        try:
+            _statistics(xbar, ybar, alphas)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20
+
+
+# A fresh interpreter on 2 CPUs that records, at each fork, whether scipy's
+# Normal inverse CDF is loaded yet.
+SCIPY_AT_FORK = """
+import os, sys
+os.sched_getaffinity = lambda pid: {0, 1}
+from collab_avg import _workers, montecarlo as mc
+from collab_avg.distributions import Exponential, Normal, SeedSpec
+
+fork = _workers._fork
+loaded = []
+
+
+def recording(work):
+    loaded.append("scipy.special" in sys.modules)
+    return fork(work)
+
+
+_workers._fork = recording
+mc._PARALLEL_MIN_DRAWS = 0
+mc.trial_means(Normal(0.0, 1.0), 3, Exponential(1.0), 2, 30_000, SeedSpec(0))
+print(loaded)
+"""
+
+
+def test_trial_means_loads_scipy_once_before_forking():
+    result = subprocess.run([sys.executable, "-c", SCIPY_AT_FORK], capture_output=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == b"[True]\n"
 
 
 class TestValidateScenario:
