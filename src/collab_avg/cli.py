@@ -341,11 +341,14 @@ def main(argv: list[str] | None = None) -> int:
     run, needs_scenario = _COMMANDS[args.command]
     try:
         if args.command == "validate":
-            # The one command that samples loads scipy in set-up, before any fork.
+            # The one command that samples loads what sampling imports in
+            # set-up, before any fork: scipy's ndtri, and numpy.random, which
+            # numpy 2 imports lazily and the long-stream Philox path uses.
             try:
                 _load_ndtri()
             except ImportError as exc:
                 raise ValueError(f"validate needs scipy to sample: {exc}") from None
+            import numpy.random  # noqa: F401
         config = load_run_config(
             args.scenario,
             seed=args.seed,

@@ -11,9 +11,14 @@ independent of chunking or thread count.
 from __future__ import annotations
 
 import functools
+import importlib.util
 import math
+import os
+import sys
+import types
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 
 import numpy as np
 
@@ -25,10 +30,51 @@ _U64_MAX = (1 << 64) - 1
 
 @functools.cache
 def _load_ndtri():
-    """scipy's Normal inverse CDF, imported on first use: only sampling needs scipy."""
+    """scipy's Normal inverse CDF, loaded on first use: only sampling needs scipy.
+
+    ``import scipy.special`` takes about 0.3 s, nearly all of it in modules
+    that ndtri does not use, so only the extension that defines it is
+    loaded. A later ``import scipy.special`` returns this very object. When
+    a scipy module is already loaded, or that load fails in any way, this
+    is the public import, which raises ImportError without scipy.
+    """
+    if "scipy" not in sys.modules:
+        try:
+            return _ufuncs_extension().ndtri
+        except Exception:
+            pass
     from scipy.special import ndtri
 
     return ndtri
+
+
+def _ufuncs_extension() -> types.ModuleType:
+    """``scipy.special._ufuncs``, loaded under bare ``scipy`` and ``scipy.special`` packages.
+
+    Every ``scipy`` module the load adds, the two stand-ins included, is
+    dropped again, so the real packages can still be imported; the other
+    modules the extension imports (``subprocess``, ``locale``, ...) stay.
+    """
+    root = importlib.util.find_spec("scipy").submodule_search_locations[0]
+    special = os.path.join(root, "special")
+    before = set(sys.modules)
+    try:
+        for name, location in (("scipy", root), ("scipy.special", special)):
+            package = types.ModuleType(name)
+            package.__path__ = [location]
+            sys.modules[name] = package
+        for suffix in EXTENSION_SUFFIXES:
+            path = os.path.join(special, "_ufuncs" + suffix)
+            if os.path.isfile(path):
+                break
+        loader = ExtensionFileLoader("scipy.special._ufuncs", path)
+        module = importlib.util.module_from_spec(importlib.util.spec_from_loader(loader.name, loader))
+        loader.exec_module(module)
+        return module
+    finally:
+        for name in set(sys.modules) - before:
+            if name.split(".")[0] == "scipy":
+                del sys.modules[name]
 
 
 @dataclass(frozen=True)

@@ -33,10 +33,10 @@ from .theory import ErrorProfile, Scenario, _check_count, error_profile, ese_of_
 _CHUNK_DRAWS = 65_536
 
 #: ``trial_means`` forks workers only from this many drawn uniforms on.
-#: Measured on a 2-core Xeon (numpy 2.4.6): a fork and wait cost 3.4-4.0 ms
-#: with scipy loaded, as ``validate`` has it (2.8 ms without); two workers
-#: lost to one at 100k draws and won by 1.2-1.6x from 400k draws on, at 4,
-#: 25 and 120 draws per trial.
+#: Measured on a 2-core Xeon (numpy 2.4.6): a fork and wait cost 3.1-3.3 ms
+#: with ndtri and numpy.random loaded, as ``validate`` has them (4.3-4.5 ms
+#: with all of scipy.special); two workers lost to one at 100k draws and
+#: won by 1.2-1.6x from 400k draws on, at 4, 25 and 120 draws per trial.
 _PARALLEL_MIN_DRAWS = 500_000
 
 #: Trials per slice of the curve statistics: at least 128 (see
@@ -162,8 +162,13 @@ def trial_means(
             means = np.frombuffer(mmap.mmap(-1, 16 * trials), np.float64).reshape(2, trials)
         except (OSError, OverflowError):
             workers = 1  # numpy's own allocation below reports a size it cannot make
-    if workers > 1 and (isinstance(x, Normal) or isinstance(y, Normal)):
-        _load_ndtri()  # here, once, rather than in every worker
+    if workers > 1:
+        # What sampling imports is loaded here, once, rather than in every
+        # worker: numpy.random (the long-stream Philox path) and ndtri.
+        import numpy.random  # noqa: F401
+
+        if isinstance(x, Normal) or isinstance(y, Normal):
+            _load_ndtri()
     if workers == 1:
         means = np.empty((2, trials), dtype=np.float64)
     xbar, ybar = means
@@ -271,7 +276,9 @@ def _estimates_from_means(
         stats[w_lo:w_hi, 0] = mean
         stats[w_lo:w_hi, 1] = np.sqrt(_pairwise_sum(deviations, 0, trials, _SUM_LEAF) / (trials - 1))
 
-    _fill_in_workers(fill, [len(alphas) * w // workers for w in range(workers)] + [len(alphas)])
+    # Squared errors can overflow a float; the point then reads FAIL, silently.
+    with np.errstate(over="ignore", invalid="ignore"):
+        _fill_in_workers(fill, [len(alphas) * w // workers for w in range(workers)] + [len(alphas)])
     return [
         MonteCarloEstimate(
             mean_sq_error=float(mean),
@@ -342,13 +349,15 @@ def validate_scenario(
         closed = ese_of_alpha(profile, float(alpha))
         limit = k * estimate.std_error
         deviation = abs(estimate.mean_sq_error - closed)
+        # A non-finite estimate or standard error never agrees: inf <= inf.
+        finite = math.isfinite(estimate.mean_sq_error) and math.isfinite(estimate.std_error)
         points.append(
             ValidationPoint(
                 alpha=float(alpha),
                 closed_form=closed,
                 estimate=estimate,
                 limit=limit,
-                passed=deviation <= limit,
+                passed=finite and deviation <= limit,
             )
         )
     return ValidationReport(points=tuple(points), k=k, trials=trials, seed=seed)

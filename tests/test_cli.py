@@ -553,6 +553,28 @@ class TestValidate:
         assert err.count("\n") == 1
         assert "k must be finite" in err
 
+    def test_non_finite_estimate_never_reads_ok(self, tmp_path, capsys):
+        # e0 = 1e308 is finite, but the sampled squared errors overflow, so
+        # 20 of the 21 points have mc=inf, with se=inf or nan. A numpy
+        # overflow warning would raise here (filterwarnings = error).
+        path = tmp_path / "huge.yaml"
+        path.write_text(
+            "x: {family: normal, params: {mu: 0.0, sd: 1.0e154}}\n"
+            "n_x: 1\n"
+            "y: {constant: 0}\n"
+            "trials: 1000\n"
+            "seed: 0\n"
+        )
+        code, out, err = run_cli(capsys, "validate", "--scenario", str(path))
+        assert (code, err) == (2, "")
+        points = [dict(field.split("=") for field in line.split()[:-1]) for line in out.splitlines()[1:-1]]
+        verdicts = [line.rsplit(" ", 1)[1] for line in out.splitlines()[1:-1]]
+        finite = [math.isfinite(float(p["mc"])) and math.isfinite(float(p["se"])) for p in points]
+        assert finite.count(False) == 20
+        assert "inf" in [p["se"] for p in points]
+        assert all(verdict == "FAIL" for verdict, ok in zip(verdicts, finite) if not ok)
+        assert out.endswith("alpha=1.0 mc=0.0 closed=0.0 se=0.0 dev=0.0 ok\noverall: FAIL\n")
+
     def test_trials_below_oracle_minimum_rejected_by_config(self, tmp_path, capsys):
         path = tmp_path / "scenario.yaml"
         path.write_text(DEGENERATE_YAML)
@@ -674,31 +696,52 @@ sys.exit(code)
 """
 
 # Runs the CLI in a fresh interpreter, with scipy hidden when the first
-# argument is "no-scipy". The last stderr line says whether scipy.special
-# was loaded when load_run_config was entered, and whether any scipy module
-# was loaded at the end.
+# argument is "no-scipy". The last stderr line gives, when load_run_config
+# returned and when main returned, how many ndtri functions are loaded and
+# whether numpy.random is, the modules imported in between, and the scipy
+# modules left at the end.
 SCIPY_PROBE = """\
 import sys
 
 if sys.argv[1] == "no-scipy":
     sys.modules["scipy"] = None  # as if scipy were not installed
-from collab_avg import cli
+from collab_avg import cli, distributions
+
+
+def state():
+    return distributions._load_ndtri.cache_info().currsize, "numpy.random" in sys.modules
+
 
 at_setup = []
+modules = set()
 load_run_config = cli.load_run_config
 
 
 def recording(*args, **kwargs):
-    at_setup.append("scipy.special" in sys.modules)
-    return load_run_config(*args, **kwargs)
+    config = load_run_config(*args, **kwargs)
+    at_setup.append(state())
+    modules.update(sys.modules)
+    return config
 
 
 cli.load_run_config = recording
 code = cli.main(sys.argv[2:])
-loaded = any(module and name.split(".")[0] == "scipy" for name, module in sys.modules.items())
-print(f"scipy.special at set-up: {at_setup}, scipy loaded: {loaded}", file=sys.stderr)
+late = sorted(set(sys.modules) - modules) if at_setup else []
+scipy = sorted(name for name, module in sys.modules.items() if module and name.split(".")[0] == "scipy")
+print(f"set-up: {at_setup}, end: {state()}, imported after set-up: {late}, scipy: {scipy}", file=sys.stderr)
 sys.exit(code)
 """
+
+# Makes trial_means fork a worker at any size, on two CPUs.
+FORK_ALWAYS = """\
+import os
+from collab_avg import montecarlo
+
+os.sched_getaffinity = lambda pid: {0, 1}
+montecarlo._PARALLEL_MIN_DRAWS = 0
+"""
+
+NOTHING_LOADED = "set-up: [(0, False)], end: (0, False), imported after set-up: [], scipy: []"
 
 
 def run_python(script: str, *argv: str) -> tuple[int, bytes, list[str]]:
@@ -708,7 +751,7 @@ def run_python(script: str, *argv: str) -> tuple[int, bytes, list[str]]:
 
 
 class TestScipyImport:
-    """Only validate samples, so only validate imports scipy."""
+    """Only validate samples, so only validate loads scipy's ndtri and numpy.random."""
 
     @pytest.mark.parametrize("command", ["profile", "curve", "contour", "table1", "federate"])
     def test_closed_form_commands_never_import_scipy(self, tmp_path, command):
@@ -717,15 +760,30 @@ class TestScipyImport:
         argv = {"contour": ["--grid", "201"], "table1": []}.get(command, ["--scenario", str(scenario)])
         code, _, err = run_python(SCIPY_PROBE, "scipy", command, *argv, "--out", str(tmp_path / "out"))
         assert code == 0
-        assert err[-1] == "scipy.special at set-up: [False], scipy loaded: False"
+        assert err[-1] == NOTHING_LOADED
 
     def test_validate_imports_scipy_before_set_up_ends(self, tmp_path):
+        # ndtri comes from scipy's extension alone, which leaves no scipy
+        # module behind; numpy.random is loaded with it, before any fork.
         scenario = tmp_path / "scenario.yaml"
         scenario.write_text(TWO_AGENT_YAML)
         code, out, err = run_python(SCIPY_PROBE, "scipy", "validate", "--scenario", str(scenario))
         assert code == 0
         assert out.endswith(b"overall: PASS\n")
-        assert err == ["scipy.special at set-up: [True], scipy loaded: True"]
+        assert err == ["set-up: [(1, True)], end: (1, True), imported after set-up: [], scipy: []"]
+
+    @pytest.mark.parametrize("yaml", [MC_LONG_YAML, TWO_AGENT_YAML], ids=["long_streams", "short_streams"])
+    def test_validate_imports_nothing_after_set_up(self, tmp_path, yaml):
+        # A module imported during the run is imported again by every forked
+        # worker. MC_LONG_YAML's streams take numpy's C Philox path,
+        # TWO_AGENT_YAML's the vectorized rounds.
+        scenario = tmp_path / "scenario.yaml"
+        scenario.write_text(yaml)
+        argv = ["validate", "--scenario", str(scenario), "--trials", "300"]
+        code, out, err = run_python(FORK_ALWAYS + SCIPY_PROBE, "scipy", *argv)
+        assert code == 0
+        assert out.endswith(b"overall: PASS\n")
+        assert err[-1].startswith("set-up: [(1, True)], end: (1, True), imported after set-up: [],")
 
     def test_validate_without_scipy_exits_1_with_one_line(self, tmp_path):
         scenario = tmp_path / "scenario.yaml"
@@ -734,7 +792,7 @@ class TestScipyImport:
         assert (code, out) == (1, b"")
         assert len(err) == 2
         assert err[0].startswith("error: validate needs scipy")
-        assert err[1] == "scipy.special at set-up: [], scipy loaded: False"
+        assert err[1] == "set-up: [], end: (0, False), imported after set-up: [], scipy: []"
 
     @pytest.mark.parametrize(
         "argv,golden",
@@ -752,7 +810,7 @@ class TestScipyImport:
         code, out, err = run_python(SCIPY_PROBE, "no-scipy", *argv)
         assert code == 0
         assert sha256(out) == golden
-        assert err == ["scipy.special at set-up: [False], scipy loaded: False"]
+        assert err == [NOTHING_LOADED]
 
 
 class TestCommonBehaviour:

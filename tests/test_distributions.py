@@ -3,14 +3,18 @@
 from __future__ import annotations
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.special
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from collab_avg import distributions
 from collab_avg.distributions import (
     Bernoulli,
     Exponential,
@@ -169,3 +173,95 @@ def test_determinism_property(master, stream, n):
     spec = Exponential(1.5)
     seed = SeedSpec(master, stream)
     assert np.array_equal(sample(spec, n, seed), sample(spec, n, seed))
+
+
+def run_python(script: str, stdin: bytes = b"") -> tuple[bytes, list[str]]:
+    """Stdout and stderr lines of ``script`` run in a new interpreter; it must exit 0."""
+    result = subprocess.run([sys.executable, "-c", script], input=stdin, capture_output=True, timeout=120)
+    assert result.returncode == 0, result.stderr.decode()
+    return result.stdout, result.stderr.decode().splitlines()
+
+
+# Loads ndtri in a fresh interpreter and writes its values at the float64
+# array read from stdin to stdout. The stderr line gives the scipy modules
+# left after the load, and whether a later import of scipy.special has the
+# very same function.
+LOAD_NDTRI = """
+import sys
+import numpy as np
+from collab_avg.distributions import _load_ndtri
+
+ndtri = _load_ndtri()
+left = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+sys.stdout.buffer.write(ndtri(np.frombuffer(sys.stdin.buffer.read())).tobytes())
+import scipy.special
+print(f"left: {left}, same: {ndtri is scipy.special.ndtri}", file=sys.stderr)
+"""
+
+# The same with ExtensionFileLoader refusing, so no scipy file is loaded
+# that way: the stand-in packages must be gone for the public import.
+LOAD_NDTRI_REFUSED = """
+import sys
+from collab_avg import distributions
+
+refused = []
+
+
+def refuse(*args):
+    refused.append(args[0])
+    raise OSError("refused")
+
+
+distributions.ExtensionFileLoader = refuse
+ndtri = distributions._load_ndtri()
+public = "scipy.special" in sys.modules
+import scipy.special
+print(f"refused: {refused}, public import: {public}, same: {ndtri is scipy.special.ndtri}", file=sys.stderr)
+"""
+
+# The same with scipy not installed.
+LOAD_NDTRI_MISSING = """
+import sys
+from collab_avg.distributions import _load_ndtri
+
+
+class Missing:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+
+
+sys.meta_path.insert(0, Missing())
+try:
+    _load_ndtri()
+except ImportError as exc:
+    print(f"ImportError: {exc}", file=sys.stderr)
+"""
+
+
+class TestLoadNdtri:
+    """ndtri comes from scipy's ``_ufuncs`` extension alone, or else the public import."""
+
+    def test_extension_gives_the_public_function(self):
+        # Both tails down to the smallest u the sampler can draw and beyond.
+        u = np.concatenate(
+            [np.logspace(-300, -1, 600), np.linspace(0.1, 0.9, 801), 1.0 - np.logspace(-1, -16, 600)]
+        )
+        out, err = run_python(LOAD_NDTRI, u.tobytes())
+        assert err == ["left: [], same: True"]
+        assert out == scipy.special.ndtri(u).tobytes()
+
+    def test_public_import_when_scipy_special_is_loaded(self, monkeypatch):
+        # This process imported scipy.special above.
+        calls = []
+        monkeypatch.setattr(distributions, "_ufuncs_extension", lambda: calls.append(1))
+        assert distributions._load_ndtri.__wrapped__() is scipy.special.ndtri
+        assert calls == []
+
+    def test_public_import_when_the_extension_load_raises(self):
+        _, err = run_python(LOAD_NDTRI_REFUSED)
+        assert err == ["refused: ['scipy.special._ufuncs'], public import: True, same: True"]
+
+    def test_import_error_without_scipy(self):
+        _, err = run_python(LOAD_NDTRI_MISSING)
+        assert err == ["ImportError: No module named 'scipy'"]

@@ -367,24 +367,26 @@ class TestCurveStatistics:
         assert peak < 2 << 20
 
 
-# A fresh interpreter on 2 CPUs that records, at each fork, whether scipy's
-# Normal inverse CDF is loaded yet.
+# A fresh interpreter on 2 CPUs that records, at each fork, how many ndtri
+# functions are loaded and whether numpy.random is: a long-stream call with
+# no normal side first, then a short-stream call with one.
 SCIPY_AT_FORK = """
 import os, sys
 os.sched_getaffinity = lambda pid: {0, 1}
 from collab_avg import _workers, montecarlo as mc
-from collab_avg.distributions import Exponential, Normal, SeedSpec
+from collab_avg.distributions import Exponential, Normal, SeedSpec, _load_ndtri
 
 fork = _workers._fork
 loaded = []
 
 
 def recording(work):
-    loaded.append("scipy.special" in sys.modules)
+    loaded.append((_load_ndtri.cache_info().currsize, "numpy.random" in sys.modules))
     return fork(work)
 
 
 _workers._fork = recording
+mc.trial_means(Exponential(1.0), 1000, Exponential(1.0), 6000, 2000, SeedSpec(0))
 mc._PARALLEL_MIN_DRAWS = 0
 mc.trial_means(Normal(0.0, 1.0), 3, Exponential(1.0), 2, 30_000, SeedSpec(0))
 print(loaded)
@@ -394,7 +396,7 @@ print(loaded)
 def test_trial_means_loads_scipy_once_before_forking():
     result = subprocess.run([sys.executable, "-c", SCIPY_AT_FORK], capture_output=True, timeout=120)
     assert result.returncode == 0, result.stderr
-    assert result.stdout == b"[True]\n"
+    assert result.stdout == b"[(0, True), (1, True)]\n"
 
 
 class TestValidateScenario:
