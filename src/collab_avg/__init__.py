@@ -14,7 +14,6 @@ from .distributions import (
     SeedSpec,
     Uniform,
     make_distribution,
-    sample,
 )
 from .federation import Agent, FederationScenario, personalized_weight, reduce_to_two_agent
 from .montecarlo import (
@@ -66,6 +65,5 @@ __all__ = [
     "max_ese",
     "personalized_weight",
     "reduce_to_two_agent",
-    "sample",
     "validate_scenario",
 ]

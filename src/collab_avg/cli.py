@@ -33,7 +33,7 @@ from .config import ConfigError, RunConfig, load_run_config
 from .distributions import _load_ndtri
 from .federation import reduce_to_two_agent
 from .montecarlo import validate_scenario
-from .table1 import RowStatus, reproduce_table
+from .table1 import INPUT_COLUMNS, OUTPUT_COLUMNS, reproduce_table
 from .theory import (
     ErrorProfile,
     Scenario,
@@ -78,16 +78,6 @@ def _fmt2(value: float) -> str:
     if math.isinf(value):
         return "inf"
     return f"{round(value, 2):.2f}"
-
-
-def _fmt_cell(value: float | None) -> str:
-    if value is None:
-        return "*"
-    if math.isinf(value):
-        return "inf"
-    if value == int(value):
-        return str(int(value))
-    return _fmt(value)
 
 
 def _write_csv(header: list[str], rows: list[list[str]]) -> str:
@@ -145,59 +135,28 @@ def cmd_profile(config: RunConfig) -> int:
 
 
 def cmd_table1(config: RunConfig) -> int:
-    comparisons = reproduce_table()
-    header = [
-        "row",
-        "bias2_over_varx",
-        "n_x",
-        "vary_over_varx",
-        "ny_over_nx",
-        "alpha_star",
-        "e_ratio_opt",
-        "e_ratio_fifth",
-        "e_ratio_half",
-        "printed_alpha_star",
-        "printed_e_ratio_opt",
-        "printed_e_ratio_fifth",
-        "printed_e_ratio_half",
-        "status",
-    ]
-    rows = []
-    for comparison in comparisons:
-        row = comparison.row
-        reference = comparison.reference
-        rows.append(
-            [
-                str(comparison.index),
-                _fmt_cell(row.bias2_over_varx),
-                _fmt_cell(row.n_x),
-                _fmt_cell(row.vary_over_varx),
-                _fmt_cell(row.ny_over_nx),
-                _fmt2(row.alpha_star),
-                _fmt2(row.e_ratio_opt),
-                _fmt2(row.e_ratio_fifth),
-                _fmt2(row.e_ratio_half),
-                reference.alpha_star,
-                reference.e_ratio_opt,
-                reference.e_ratio_fifth,
-                reference.e_ratio_half,
-                row.status.value,
-            ]
-        )
-    csv_text = _write_csv(header, rows)
-    mismatches = [c for c in comparisons if c.row.status is not RowStatus.MATCH]
+    rows = reproduce_table()
+    printed_columns = [f"printed_{column}" for column in OUTPUT_COLUMNS]
+    header = ["row", *INPUT_COLUMNS, *OUTPUT_COLUMNS, *printed_columns, "status"]
+    csv_text = _write_csv(
+        header,
+        [
+            [str(row.index), *row.inputs, *map(_fmt2, row.computed), *row.printed, row.status]
+            for row in rows
+        ],
+    )
+    mismatches = [row for row in rows if row.status == "Mismatch"]
     report_lines = [
-        f"rows: {len(comparisons)}, match: {len(comparisons) - len(mismatches)}, "
-        f"mismatch: {len(mismatches)}"
+        f"rows: {len(rows)}, match: {len(rows) - len(mismatches)}, mismatch: {len(mismatches)}"
     ]
-    for comparison in mismatches:
-        bad = [column for column, ok in comparison.cell_matches.items() if not ok]
+    for row in mismatches:
+        matches = row.cell_matches
         values = ", ".join(
-            f"{column} computed {_fmt2(getattr(comparison.row, column))} "
-            f"vs printed {comparison.reference.printed(column)}"
-            for column in bad
+            f"{column} computed {_fmt2(value)} vs printed {cell}"
+            for column, value, cell in zip(OUTPUT_COLUMNS, row.computed, row.printed)
+            if not matches[column]
         )
-        report_lines.append(f"row {comparison.index}: {values}")
+        report_lines.append(f"row {row.index}: {values}")
     report = "\n".join(report_lines) + "\n"
     _emit([csv_text], config.out)
     # The report goes wherever the CSV does not.
@@ -269,14 +228,14 @@ def _contour_rows(u_grid: np.ndarray, v_grid: np.ndarray) -> Iterator[str]:
 
 
 def cmd_validate(config: RunConfig) -> int:
-    lines = []
-    all_passed = True
-    for index, parsed in enumerate(config.scenarios, start=1):
-        sampled = parsed.two_agent()
-        report = validate_scenario(
-            sampled, config.trials, config.seed, k=config.k, expected=parsed.expected
+    reports = [
+        validate_scenario(
+            parsed.two_agent(), config.trials, config.seed, k=config.k, expected=parsed.expected
         )
-        all_passed = all_passed and report.passed
+        for parsed in config.scenarios
+    ]
+    lines = []
+    for index, report in enumerate(reports, start=1):
         lines.append(
             f"scenario {index}: {'PASS' if report.passed else 'FAIL'} "
             f"(trials={report.trials}, k={_fmt(report.k)}, seed={report.seed.master_seed})"
@@ -287,9 +246,10 @@ def cmd_validate(config: RunConfig) -> int:
                 f"closed={_fmt(point.closed_form)} se={_fmt(point.estimate.std_error)} "
                 f"dev={_fmt(point.deviation)} {'ok' if point.passed else 'FAIL'}"
             )
-    lines.append("overall: " + ("PASS" if all_passed else "FAIL"))
+    passed = all(report.passed for report in reports)
+    lines.append("overall: " + ("PASS" if passed else "FAIL"))
     _emit(["\n".join(lines) + "\n"], config.out)
-    return EXIT_OK if all_passed else EXIT_VALIDATION
+    return EXIT_OK if passed else EXIT_VALIDATION
 
 
 def cmd_federate(config: RunConfig) -> int:

@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 import os
 import re
+from collections.abc import Callable
 from dataclasses import dataclass
 from typing import Any
 
@@ -31,8 +32,8 @@ import yaml
 
 from .distributions import Distribution, PointMass, make_distribution
 from .federation import Agent, FederationScenario
-from .montecarlo import SampledScenario, _check_trials
-from .theory import ErrorProfile, _check_count
+from .montecarlo import SampledScenario, _check_k, _check_trials
+from .theory import ErrorProfile, _check_alpha, _check_count
 
 ENV_SEED = "COLLAB_AVG_SEED"
 
@@ -102,13 +103,18 @@ def _require_mapping(node: Any, where: str) -> dict:
     return node
 
 
+def _checked(check: Callable[..., None], *args: Any) -> None:
+    """Run one of the library's argument checks; its ValueError becomes a ConfigError."""
+    try:
+        check(*args)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def _parse_count(node: Any, where: str, allow_infinite: bool = False) -> int | float:
     if allow_infinite and node in ("inf", "+inf"):
         return math.inf
-    try:
-        _check_count(where, node, allow_infinite)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    _checked(_check_count, where, node, allow_infinite)
     return node
 
 
@@ -251,18 +257,13 @@ def load_run_config(
     alphas = []
     for value in alphas_node:
         alpha = _parse_float(value, "alpha")
-        if not 0.0 <= alpha <= 1.0:
-            raise ConfigError(f"alpha {alpha!r} outside [0, 1]")
+        _checked(_check_alpha, alpha)
         alphas.append(alpha)
 
     trials_value = trials if trials is not None else data.get("trials", DEFAULT_TRIALS)
-    try:
-        _check_trials(trials_value)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    _checked(_check_trials, trials_value)
     k_value = _parse_float(k if k is not None else data.get("k", DEFAULT_K), "k")
-    if not (math.isfinite(k_value) and k_value > 0):
-        raise ConfigError(f"k must be finite and > 0, got {k_value!r}")
+    _checked(_check_k, k_value)
 
     if grid is not None and not GRID_RANGE[0] <= grid <= GRID_RANGE[1]:
         raise ConfigError(f"--grid must be in {GRID_RANGE[0]}..{GRID_RANGE[1]}, got {grid}")

@@ -22,9 +22,6 @@ from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 
 import numpy as np
 
-from ._philox import uniforms
-from .theory import _check_count
-
 _U64_MAX = (1 << 64) - 1
 
 
@@ -250,17 +247,3 @@ def make_distribution(family: str, **params: float) -> Distribution:
     except TypeError as exc:
         raise ValueError(f"bad parameters for family {family!r}: {exc}") from exc
 
-
-def sample(spec: Distribution, n: int, seed: SeedSpec | int) -> np.ndarray:
-    """``n`` i.i.d. draws from ``spec``, fully determined by ``seed``.
-
-    Draw ``i`` occupies index ``i`` of the seed's stream; a point mass
-    consumes no randomness but the result is the same either way.
-    """
-    _check_count("n", n)
-    if isinstance(seed, int):
-        seed = SeedSpec(seed)
-    if isinstance(spec, PointMass):
-        return np.full(n, float(spec.value))
-    u = uniforms(seed.master_seed, seed.stream_id, n)
-    return spec._from_uniforms(u)

@@ -25,7 +25,7 @@ import numpy as np
 from ._philox import uniform_matrix
 from ._workers import _fill_in_workers, cpu_count
 from .distributions import Distribution, Normal, PointMass, SeedSpec, _load_ndtri
-from .theory import ErrorProfile, Scenario, _check_count, error_profile, ese_of_alpha
+from .theory import ErrorProfile, Scenario, _check_alpha, _check_count, error_profile, ese_of_alpha
 
 #: Target number of scalar draws generated per chunk. Sized so that the
 #: sampler's work arrays stay in a per-core L2 cache; output does not depend
@@ -53,6 +53,9 @@ _SUM_LEAF = 32_768
 _PARALLEL_MIN_CURVE = 4_000_000
 
 _MIN_TRIALS = 100
+
+#: Weights ``validate_scenario`` checks, equally spaced over [0, 1].
+_GRID_POINTS = 21
 
 
 @dataclass(frozen=True)
@@ -93,15 +96,28 @@ class MonteCarloEstimate:
 
 @dataclass(frozen=True)
 class ValidationPoint:
+    """One weight's simulated ESE beside its closed form; the verdict is derived."""
+
     alpha: float
     closed_form: float
     estimate: MonteCarloEstimate
-    limit: float
-    passed: bool
+    k: float
 
     @property
     def deviation(self) -> float:
         return abs(self.estimate.mean_sq_error - self.closed_form)
+
+    @property
+    def limit(self) -> float:
+        """The acceptance band, ``k`` standard errors wide."""
+        return self.k * self.estimate.std_error
+
+    @property
+    def passed(self) -> bool:
+        """Within the band; a non-finite estimate never agrees (inf <= inf)."""
+        estimate = self.estimate
+        finite = math.isfinite(estimate.mean_sq_error) and math.isfinite(estimate.std_error)
+        return finite and self.deviation <= self.limit
 
 
 @dataclass(frozen=True)
@@ -306,8 +322,7 @@ def estimate_error_curve(
     """
     alphas = [float(a) for a in alphas]
     for alpha in alphas:
-        if not 0.0 <= alpha <= 1.0:
-            raise ValueError(f"alpha must be in [0, 1], got {alpha!r}")
+        _check_alpha(alpha)
     _check_trials(trials)
     seed = _as_seed(seed)
     xbar, ybar = trial_means(x, n_x, y, n_y, trials, seed)
@@ -319,45 +334,34 @@ def _check_trials(trials: int) -> None:
         raise ValueError(f"trials must be an integer >= {_MIN_TRIALS}, got {trials!r}")
 
 
+def _check_k(k: float) -> None:
+    if not (math.isfinite(k) and k > 0):
+        raise ValueError(f"k must be finite and > 0, got {k!r}")
+
+
 def validate_scenario(
     scenario: SampledScenario,
     trials: int,
     seed: SeedSpec | int,
     k: float = 4.0,
-    grid_points: int = 21,
     expected: ErrorProfile | None = None,
 ) -> ValidationReport:
     """Check simulation against closed form on a fixed weight grid.
 
-    Each of the ``grid_points`` equally spaced weights passes when
+    Each of ``_GRID_POINTS`` equally spaced weights passes when
     ``|simulated - closed_form| <= k * std_error``. ``expected`` overrides
     the closed-form reference profile (diagnostics; the default recomputes
     it from the scenario's exact moments).
     """
-    if not (math.isfinite(k) and k > 0):
-        raise ValueError(f"k must be finite and > 0, got {k!r}")
-    if grid_points < 2:
-        raise ValueError("grid_points must be >= 2")
+    _check_k(k)
     seed = _as_seed(seed)
     profile = expected if expected is not None else error_profile(scenario.to_scenario())
-    alphas = np.linspace(0.0, 1.0, grid_points)
+    alphas = np.linspace(0.0, 1.0, _GRID_POINTS).tolist()
     estimates = estimate_error_curve(
         scenario.x, scenario.n_x, scenario.y, scenario.n_y, alphas, trials, seed
     )
-    points = []
-    for alpha, estimate in zip(alphas, estimates):
-        closed = ese_of_alpha(profile, float(alpha))
-        limit = k * estimate.std_error
-        deviation = abs(estimate.mean_sq_error - closed)
-        # A non-finite estimate or standard error never agrees: inf <= inf.
-        finite = math.isfinite(estimate.mean_sq_error) and math.isfinite(estimate.std_error)
-        points.append(
-            ValidationPoint(
-                alpha=float(alpha),
-                closed_form=closed,
-                estimate=estimate,
-                limit=limit,
-                passed=finite and deviation <= limit,
-            )
-        )
-    return ValidationReport(points=tuple(points), k=k, trials=trials, seed=seed)
+    points = tuple(
+        ValidationPoint(alpha, ese_of_alpha(profile, alpha), estimate, k)
+        for alpha, estimate in zip(alphas, estimates)
+    )
+    return ValidationReport(points=points, k=k, trials=trials, seed=seed)

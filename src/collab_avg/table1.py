@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 from .theory import ErrorProfile, ese_of_alpha
 
@@ -36,7 +35,8 @@ MISMATCH_ROWS = (7, 8)
 #: Per-(row, column) tolerance overrides.
 WIDENED_CELLS: dict[tuple[int, str], float] = {(15, "e_ratio_fifth"): 0.04}
 
-_OUTPUT_COLUMNS = ("alpha_star", "e_ratio_opt", "e_ratio_fifth", "e_ratio_half")
+INPUT_COLUMNS = ("bias2_over_varx", "n_x", "vary_over_varx", "ny_over_nx")
+OUTPUT_COLUMNS = ("alpha_star", "e_ratio_opt", "e_ratio_fifth", "e_ratio_half")
 
 # (bias2/var_x, n_x, var_y/var_x, n_y/n_x | alpha*, e_opt/e0, e_1/5/e0, e_1/2/e0)
 # "" = repeat cell above, "*" = any finite positive value, "inf" = infinite.
@@ -61,71 +61,33 @@ _RAW_ROWS = (
 )
 
 
-class RowStatus(Enum):
-    MATCH = "Match"
-    MISMATCH = "Mismatch"
-
-
-@dataclass(frozen=True)
-class ReferenceRow:
-    """One reference row with inheritance resolved; cells kept as strings."""
-
-    index: int
-    bias2_over_varx: str
-    n_x: str
-    vary_over_varx: str
-    ny_over_nx: str
-    alpha_star: str
-    e_ratio_opt: str
-    e_ratio_fifth: str
-    e_ratio_half: str
-
-    def printed(self, column: str) -> str:
-        return getattr(self, column)
-
-
 @dataclass(frozen=True)
 class TableRow:
-    """Inputs plus recomputed outputs and comparison status.
+    """One reference row: its printed cells and the outputs recomputed from them.
 
-    Input cells use ``None`` for a star (any finite positive value) and
-    ``math.inf`` for an infinite count or bias. Output ratios may be
+    ``inputs`` and ``printed`` hold the cells as printed, blanks inherited,
+    in ``INPUT_COLUMNS`` and ``OUTPUT_COLUMNS`` order; ``computed`` holds
+    the outputs in ``OUTPUT_COLUMNS`` order. Output ratios may be
     ``math.inf`` in the limit rows where the local error vanishes or the
-    helper error diverges.
+    helper error diverges. The verdicts are derived from these cells.
     """
 
-    bias2_over_varx: float | None
-    n_x: float | None
-    vary_over_varx: float | None
-    ny_over_nx: float | None
-    alpha_star: float
-    e_ratio_opt: float
-    e_ratio_fifth: float
-    e_ratio_half: float
-    status: RowStatus
-
-
-@dataclass(frozen=True)
-class TableComparison:
-    """A recomputed row next to its reference, with per-cell results."""
-
     index: int
-    row: TableRow
-    reference: ReferenceRow
-    cell_matches: dict[str, bool]
+    inputs: tuple[str, str, str, str]
+    printed: tuple[str, str, str, str]
+    computed: tuple[float, float, float, float]
 
+    @property
+    def cell_matches(self) -> dict[str, bool]:
+        """Per output column: does the recomputed value match the printed cell?"""
+        return {
+            column: match_cell(value, cell, WIDENED_CELLS.get((self.index, column), CELL_TOLERANCE))
+            for column, value, cell in zip(OUTPUT_COLUMNS, self.computed, self.printed)
+        }
 
-def reference_rows() -> list[ReferenceRow]:
-    """The reference rows with blank-cell inheritance applied."""
-    rows: list[ReferenceRow] = []
-    previous: list[str] | None = None
-    for index, raw in enumerate(_RAW_ROWS, start=1):
-        cells = list(raw)
-        if previous is not None:
-            cells = [cell if cell != "" else inherited for cell, inherited in zip(cells, previous)]
-        rows.append(ReferenceRow(index, *cells))
-        previous = cells
-    return rows
+    @property
+    def status(self) -> str:
+        return "Match" if all(self.cell_matches.values()) else "Mismatch"
 
 
 def _parse_input_cell(cell: str) -> float | None:
@@ -192,22 +154,14 @@ def match_cell(computed: float, printed: str, tolerance: float = CELL_TOLERANCE)
     return abs(rounded - reference) <= tolerance + 1e-9
 
 
-def reproduce_table() -> list[TableComparison]:
-    """Recompute every reference row and compare cell by cell."""
-    comparisons: list[TableComparison] = []
-    for reference in reference_rows():
-        inputs = (
-            _parse_input_cell(reference.bias2_over_varx),
-            _parse_input_cell(reference.n_x),
-            _parse_input_cell(reference.vary_over_varx),
-            _parse_input_cell(reference.ny_over_nx),
-        )
-        outputs = compute_row_outputs(*inputs)
-        cell_matches = {}
-        for column, computed in zip(_OUTPUT_COLUMNS, outputs):
-            tolerance = WIDENED_CELLS.get((reference.index, column), CELL_TOLERANCE)
-            cell_matches[column] = match_cell(computed, reference.printed(column), tolerance)
-        status = RowStatus.MATCH if all(cell_matches.values()) else RowStatus.MISMATCH
-        row = TableRow(*inputs, *outputs, status=status)
-        comparisons.append(TableComparison(reference.index, row, reference, cell_matches))
-    return comparisons
+def reproduce_table() -> list[TableRow]:
+    """Every reference row, blank cells inherited, recomputed from its inputs."""
+    rows: list[TableRow] = []
+    above: tuple[str, ...] = _RAW_ROWS[0]
+    for index, raw in enumerate(_RAW_ROWS, start=1):
+        cells = tuple(cell or inherited for cell, inherited in zip(raw, above))
+        inputs, printed = cells[:4], cells[4:]
+        computed = compute_row_outputs(*(_parse_input_cell(cell) for cell in inputs))
+        rows.append(TableRow(index, inputs, printed, computed))
+        above = cells
+    return rows

@@ -51,6 +51,12 @@ def _check_count(name: str, n: object, allow_infinite: bool = False) -> None:
     raise ValueError(f"{name} must be {kind}, got {n!r}")
 
 
+def _check_alpha(alpha: float) -> None:
+    """Raise ValueError unless the weight ``alpha`` lies in [0, 1]."""
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"alpha must be in [0, 1], got {alpha!r}")
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Moments and sample counts of the two-agent problem instance."""
@@ -159,8 +165,7 @@ def error_profile(scenario: Scenario) -> ErrorProfile:
 
 def ese_of_alpha(profile: ErrorProfile, alpha: float) -> float:
     """ESE at weight ``alpha``: (1 - alpha)**2 * e0 + alpha**2 * e1."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must be in [0, 1], got {alpha!r}")
+    _check_alpha(alpha)
     return (1.0 - alpha) ** 2 * profile.e0 + alpha**2 * profile.e1
 
 

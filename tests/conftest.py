@@ -8,7 +8,14 @@ import os
 import numpy as np
 import pytest
 
+from collab_avg._philox import uniforms
+from collab_avg.distributions import Distribution, SeedSpec
 from collab_avg.theory import Scenario
+
+
+def draws(spec: Distribution, n: int, seed: SeedSpec) -> np.ndarray:
+    """``n`` draws from ``spec``: draw ``i`` is uniform ``i`` of the seed's stream."""
+    return spec._from_uniforms(uniforms(seed.master_seed, seed.stream_id, n))
 
 
 def random_scenarios(

@@ -26,8 +26,9 @@ from collab_avg.distributions import (
     Uniform,
 )
 from collab_avg.federation import Agent, FederationScenario, personalized_weight, reduce_to_two_agent
+import collab_avg.montecarlo as mc
 from collab_avg.montecarlo import SampledScenario, trial_means, validate_scenario
-from collab_avg.table1 import MISMATCH_ROWS, RowStatus, reproduce_table
+from collab_avg.table1 import MISMATCH_ROWS, reproduce_table
 from collab_avg.theory import (
     alpha_star_upper_bounds,
     donahue_mse,
@@ -82,17 +83,15 @@ def _scale(profile) -> float:
 def test_c01_table1_reproduction():
     with criterion(1, "table1 reproduction"):
         start = time.perf_counter()
-        comparisons = reproduce_table()
+        rows = reproduce_table()
         elapsed = time.perf_counter() - start
-        assert len(comparisons) == 17
-        for comparison in comparisons:
-            if comparison.index in MISMATCH_ROWS:
-                assert comparison.row.status is RowStatus.MISMATCH
-                assert not comparison.cell_matches["alpha_star"]
+        assert len(rows) == 17
+        for row in rows:
+            if row.index in MISMATCH_ROWS:
+                assert row.status == "Mismatch"
+                assert not row.cell_matches["alpha_star"]
             else:
-                assert comparison.row.status is RowStatus.MATCH, (
-                    f"row {comparison.index}: {comparison.cell_matches}"
-                )
+                assert row.status == "Match", f"row {row.index}: {row.cell_matches}"
         assert elapsed < 1.0
 
 
@@ -145,13 +144,30 @@ def test_c05_upper_bounds_strict(scenario_suite):
             assert profile.alpha_star < min(bound_bias, bound_var)
 
 
-def test_c06_monte_carlo_oracle_agreement():
+@pytest.fixture(scope="module")
+def mc_suite_means():
+    """Per-trial means (xbar, ybar) of each MC_SUITE scenario, sampled once for c06 and c07."""
+    return [
+        trial_means(s.x, s.n_x, s.y, s.n_y, MC_TRIALS, SeedSpec(MC_BASE_SEED + index))
+        for index, s in enumerate(MC_SUITE)
+    ]
+
+
+def test_c06_monte_carlo_oracle_agreement(monkeypatch, request):
     with criterion(6, "Monte Carlo oracle agreement"):
         start = time.perf_counter()
-        for index, scenario in enumerate(MC_SUITE):
-            report = validate_scenario(
-                scenario, MC_TRIALS, SeedSpec(MC_BASE_SEED + index), k=4.0
-            )
+        # Requested here, so the time bound also covers the sampling.
+        mc_suite_means = request.getfixturevalue("mc_suite_means")
+        for index, (scenario, means) in enumerate(zip(MC_SUITE, mc_suite_means)):
+            seed = SeedSpec(MC_BASE_SEED + index)
+            sampled = (scenario.x, scenario.n_x, scenario.y, scenario.n_y, MC_TRIALS, seed)
+
+            def cached_means(*args, sampled=sampled, means=means):
+                assert args == sampled
+                return means
+
+            monkeypatch.setattr(mc, "trial_means", cached_means)
+            report = validate_scenario(scenario, MC_TRIALS, seed, k=4.0)
             assert report.passed, (
                 f"scenario {index}: "
                 + ", ".join(
@@ -164,14 +180,10 @@ def test_c06_monte_carlo_oracle_agreement():
         assert elapsed < 60.0
 
 
-def test_c07_estimator_moment_checks():
+def test_c07_estimator_moment_checks(mc_suite_means):
     with criterion(7, "estimator moment checks"):
         alphas = np.linspace(0.0, 1.0, 21)
-        for index, scenario in enumerate(MC_SUITE):
-            seed = SeedSpec(MC_BASE_SEED + index)
-            xbar, ybar = trial_means(
-                scenario.x, scenario.n_x, scenario.y, scenario.n_y, MC_TRIALS, seed
-            )
+        for scenario, (xbar, ybar) in zip(MC_SUITE, mc_suite_means):
             mu_x, var_x = scenario.x.moments()
             mu_y, var_y = scenario.y.moments()
             for alpha in alphas:

@@ -986,6 +986,16 @@ class TestCommonBehaviour:
         assert out == ""
         assert err == f"error: {message}\n"
 
+    # The library's own alpha check, so its message is the one ese_of_alpha gives.
+    @pytest.mark.parametrize("alpha,shown", [("1.5", "1.5"), ("-0.25", "-0.25"), (".nan", "nan")])
+    def test_alpha_outside_unit_interval_exits_1(self, tmp_path, capsys, alpha, shown):
+        path = tmp_path / "scenario.yaml"
+        path.write_text(TWO_AGENT_YAML.replace("alphas: [0.2, 0.5]", f"alphas: [0.2, {alpha}]"))
+        code, out, err = run_cli(capsys, "profile", "--scenario", str(path))
+        assert code == 1
+        assert out == ""
+        assert err == f"error: alpha must be in [0, 1], got {shown}\n"
+
     # Finite parameters whose moments overflow a float (or, squared,
     # underflow a divisor to zero).
     @pytest.mark.parametrize("command", ["profile", "validate"])

@@ -446,6 +446,43 @@ class TestValidateScenario:
             assert point.closed_form == ese_of_alpha(profile, point.alpha)
 
 
+class TestValidationPoint:
+    """A point stores its inputs; deviation, limit and verdict are derived."""
+
+    @staticmethod
+    def point(mean_sq_error, std_error, k=4.0, closed_form=1.0):
+        estimate = mc.MonteCarloEstimate(mean_sq_error, std_error, trials=100, seed=SeedSpec(0))
+        return mc.ValidationPoint(alpha=0.5, closed_form=closed_form, estimate=estimate, k=k)
+
+    def test_limit_is_k_standard_errors(self):
+        point = self.point(1.25, 0.125, k=3.0)
+        assert point.deviation == 0.25
+        assert point.limit == 0.375
+        assert point.passed
+        assert not self.point(1.5, 0.125, k=3.0).passed
+        scenario = SampledScenario(Normal(0, 1), 4, Normal(1, 1), 16)
+        report = validate_scenario(scenario, 200, SeedSpec(43), k=2.5)
+        assert [p.k for p in report.points] == [2.5] * 21
+        assert all(p.limit == 2.5 * p.estimate.std_error for p in report.points)
+
+    def test_band_edge_passes(self):
+        assert self.point(1.5, 0.125).passed
+        assert self.point(0.5, 0.125).passed
+
+    @pytest.mark.parametrize(
+        "mean_sq_error,std_error",
+        [(math.inf, 1.0), (math.nan, 1.0), (1.0, math.inf), (1.0, math.nan), (math.inf, math.inf)],
+    )
+    def test_non_finite_estimate_never_passes(self, mean_sq_error, std_error):
+        assert not self.point(mean_sq_error, std_error).passed
+
+    def test_report_passes_only_when_every_point_does(self):
+        good, bad = self.point(1.0, 0.1), self.point(1.0, math.inf)
+        report = mc.ValidationReport(points=(good, good), k=4.0, trials=100, seed=SeedSpec(0))
+        assert report.passed
+        assert not dataclasses.replace(report, points=(good, bad)).passed
+
+
 # sha256 digests recorded from the original 4M-draw sampler. Seeded output is
 # part of the reproducibility contract: any change to chunking, to the draw
 # layout or to which columns are generated must leave every byte as it was.

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import math
 
@@ -9,10 +10,9 @@ import pytest
 
 from collab_avg.table1 import (
     MISMATCH_ROWS,
-    RowStatus,
+    TableRow,
     compute_row_outputs,
     match_cell,
-    reference_rows,
     reproduce_table,
 )
 
@@ -20,23 +20,23 @@ from collab_avg.table1 import (
 GOLDEN_ROW_OUTPUTS = "fef64694e741b513bf6f4830a37f4e1b4232e6bf7de09a09aebb86cee461b3d8"
 
 
+def by_index() -> dict[int, TableRow]:
+    return {row.index: row for row in reproduce_table()}
+
+
 class TestReferenceData:
     def test_seventeen_rows(self):
-        assert len(reference_rows()) == 17
+        assert [row.index for row in reproduce_table()] == list(range(1, 18))
 
     def test_blank_cells_inherit_from_above(self):
-        rows = {row.index: row for row in reference_rows()}
-        assert rows[2].bias2_over_varx == "0"
-        assert rows[2].e_ratio_opt == "0.00"
-        assert rows[2].e_ratio_half == "0.25"
-        assert rows[8].bias2_over_varx == "0.25"
-        assert rows[8].n_x == "10"
-        assert rows[11].bias2_over_varx == "0.25"
-        assert rows[11].n_x == "20"
-        assert rows[13].bias2_over_varx == "1"
-        assert rows[13].n_x == "5"
-        assert rows[17].e_ratio_opt == "1.00"
-        assert rows[17].e_ratio_fifth == "inf"
+        rows = by_index()
+        assert rows[2].inputs[0] == "0"  # bias2_over_varx
+        assert rows[2].printed[1] == "0.00"  # e_ratio_opt
+        assert rows[2].printed[3] == "0.25"  # e_ratio_half
+        assert rows[8].inputs[:2] == ("0.25", "10")  # bias2_over_varx, n_x
+        assert rows[11].inputs[:2] == ("0.25", "20")
+        assert rows[13].inputs[:2] == ("1", "5")
+        assert rows[17].printed[1:3] == ("1.00", "inf")  # e_ratio_opt, e_ratio_fifth
 
 
 class TestComputation:
@@ -69,11 +69,8 @@ class TestComputation:
     def test_golden_row_outputs_repr(self):
         # The CSV shows two decimals; the full reprs pin every bit of all
         # 17 rows, recorded before alpha* came from ErrorProfile.
-        rows = [comparison.row for comparison in reproduce_table()]
-        text = "\n".join(
-            repr(compute_row_outputs(r.bias2_over_varx, r.n_x, r.vary_over_varx, r.ny_over_nx))
-            for r in rows
-        )
+        rows = reproduce_table()
+        text = "\n".join(repr(row.computed) for row in rows)
         assert len(rows) == 17
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN_ROW_OUTPUTS
 
@@ -98,36 +95,51 @@ class TestMatching:
 
 class TestReproduction:
     def test_statuses(self):
-        comparisons = reproduce_table()
-        for comparison in comparisons:
-            expected = (
-                RowStatus.MISMATCH
-                if comparison.index in MISMATCH_ROWS
-                else RowStatus.MATCH
-            )
-            assert comparison.row.status is expected, (
-                f"row {comparison.index}: {comparison.cell_matches}"
-            )
+        for row in reproduce_table():
+            expected = "Mismatch" if row.index in MISMATCH_ROWS else "Match"
+            assert row.status == expected, f"row {row.index}: {row.cell_matches}"
 
     def test_flagged_rows_recompute_lower_weights(self):
-        rows = {c.index: c for c in reproduce_table()}
-        assert round(rows[7].row.alpha_star, 2) == 0.29
-        assert rows[7].reference.alpha_star == "0.57"
-        assert round(rows[8].row.alpha_star, 2) == 0.22
-        assert rows[8].reference.alpha_star == "0.44"
+        rows = by_index()
+        assert round(rows[7].computed[0], 2) == 0.29  # alpha_star
+        assert rows[7].printed[0] == "0.57"
+        assert round(rows[8].computed[0], 2) == 0.22
+        assert rows[8].printed[0] == "0.44"
 
     def test_rounding_discrepancy_cell(self):
-        rows = {c.index: c for c in reproduce_table()}
-        assert round(rows[15].row.e_ratio_fifth, 2) == 2.68
-        assert rows[15].reference.e_ratio_fifth == "2.65"
-        assert rows[15].cell_matches["e_ratio_fifth"]
-        assert rows[15].row.status is RowStatus.MATCH
+        row = by_index()[15]
+        assert round(row.computed[2], 2) == 2.68  # e_ratio_fifth
+        assert row.printed[2] == "2.65"
+        assert row.cell_matches["e_ratio_fifth"]
+        assert row.status == "Match"
 
     def test_spot_values(self):
-        rows = {c.index: c for c in reproduce_table()}
-        assert round(rows[9].row.alpha_star, 2) == 0.04
-        assert round(rows[9].row.e_ratio_fifth, 2) == 1.64
-        assert round(rows[9].row.e_ratio_half, 2) == 6.50
-        assert round(rows[14].row.e_ratio_half, 1) == 12.8
-        assert rows[16].row.alpha_star == 0.0
-        assert math.isinf(rows[16].row.e_ratio_half)
+        rows = by_index()
+        assert round(rows[9].computed[0], 2) == 0.04
+        assert round(rows[9].computed[2], 2) == 1.64
+        assert round(rows[9].computed[3], 2) == 6.50
+        assert round(rows[14].computed[3], 1) == 12.8
+        assert rows[16].computed[0] == 0.0
+        assert math.isinf(rows[16].computed[3])
+
+
+class TestDerivedVerdicts:
+    """A row's cell matches and status are read from its cells, never stored."""
+
+    def test_one_bad_cell_reads_mismatch(self):
+        row = by_index()[3]
+        assert row.status == "Match"
+        bad = dataclasses.replace(row, printed=(row.printed[0], "0.15", *row.printed[2:]))
+        assert bad.cell_matches == {
+            "alpha_star": True,
+            "e_ratio_opt": False,
+            "e_ratio_fifth": True,
+            "e_ratio_half": True,
+        }
+        assert bad.status == "Mismatch"
+
+    def test_widened_cell_applies_to_its_row_only(self):
+        # Row 15's e_ratio_fifth (2.68 vs printed 2.65) matches only under
+        # its widened tolerance; the same cells at another index do not.
+        row = by_index()[15]
+        assert dataclasses.replace(row, index=14).status == "Mismatch"

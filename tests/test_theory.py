@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from collab_avg.distributions import Normal, SeedSpec, sample
+from collab_avg.distributions import Normal, SeedSpec
 from collab_avg.theory import (
     INFINITE,
     ErrorProfile,
@@ -29,7 +29,7 @@ from collab_avg.theory import (
     max_ese,
 )
 
-from conftest import random_scenarios
+from conftest import draws, random_scenarios
 
 IDENTITY_RTOL = 1e-12
 GRID = np.linspace(0.0, 1.0, 1001)
@@ -85,8 +85,8 @@ class TestPointErrors:
         closed = error_profile(scenario).e1
         assert closed == 0.5
         trials = 10**6
-        draws = sample(Normal(0.5, 1.0), 4 * trials, SeedSpec(555)).reshape(trials, 4)
-        sq = (draws.mean(axis=1) - scenario.mu_x) ** 2
+        helper = draws(Normal(0.5, 1.0), 4 * trials, SeedSpec(555)).reshape(trials, 4)
+        sq = (helper.mean(axis=1) - scenario.mu_x) ** 2
         band = 4.0 * sq.std(ddof=1) / math.sqrt(trials)
         assert abs(sq.mean() - closed) <= band
 
@@ -168,8 +168,8 @@ class TestEseOfAlpha:
         profile = error_profile(scenario)
         assert ese_of_alpha(profile, 0.5) == pytest.approx(1.0, rel=1e-12)
         trials = 4 * 10**5
-        x = sample(Normal(0.0, 1.0), trials, SeedSpec(808, 0))
-        y = sample(Normal(math.sqrt(2.0), 1.0), trials, SeedSpec(808, 1))
+        x = draws(Normal(0.0, 1.0), trials, SeedSpec(808, 0))
+        y = draws(Normal(math.sqrt(2.0), 1.0), trials, SeedSpec(808, 1))
         sq = (0.5 * x + 0.5 * y) ** 2
         band = 4.0 * sq.std(ddof=1) / math.sqrt(trials)
         assert abs(sq.mean() - 1.0) <= band
