@@ -8,5 +8,5 @@ if __name__ == "__main__":
     # forked workers from copying the pages such a scan would touch.
     gc.freeze()
     code = main()
-    gc.freeze()  # validate loads ndtri and numpy.random after the first one
+    gc.freeze()  # validate loads ndtri, and numpy.random for long streams, after the first one
     raise SystemExit(code)

@@ -32,7 +32,7 @@ from ._workers import cpu_count, ordered_map
 from .config import ConfigError, RunConfig, load_run_config
 from .distributions import _load_ndtri
 from .federation import reduce_to_two_agent
-from .montecarlo import validate_scenario
+from .montecarlo import VALIDATION_ALPHAS, estimate_suite_curves, validate_scenario
 from .table1 import INPUT_COLUMNS, OUTPUT_COLUMNS, reproduce_table
 from .theory import (
     ErrorProfile,
@@ -228,11 +228,13 @@ def _contour_rows(u_grid: np.ndarray, v_grid: np.ndarray) -> Iterator[str]:
 
 
 def cmd_validate(config: RunConfig) -> int:
+    scenarios = [parsed.two_agent() for parsed in config.scenarios]
+    curves = estimate_suite_curves(scenarios, VALIDATION_ALPHAS, config.trials, config.seed)
     reports = [
         validate_scenario(
-            parsed.two_agent(), config.trials, config.seed, k=config.k, expected=parsed.expected
+            scenario, config.trials, config.seed, k=config.k, expected=parsed.expected, estimates=curve
         )
-        for parsed in config.scenarios
+        for scenario, parsed, curve in zip(scenarios, config.scenarios, curves)
     ]
     lines = []
     for index, report in enumerate(reports, start=1):
@@ -300,15 +302,16 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     run, needs_scenario = _COMMANDS[args.command]
     try:
-        if args.command == "validate":
+        sampling = args.command == "validate"
+        if sampling:
             # The one command that samples loads what sampling imports in
-            # set-up, before any fork: scipy's ndtri, and numpy.random, which
-            # numpy 2 imports lazily and the long-stream Philox path uses.
+            # set-up, before any fork: scipy's ndtri here, and numpy.random
+            # in load_run_config once the scenarios show a stream long
+            # enough for numpy's C Philox path, its only user.
             try:
                 _load_ndtri()
             except ImportError as exc:
                 raise ValueError(f"validate needs scipy to sample: {exc}") from None
-            import numpy.random  # noqa: F401
         config = load_run_config(
             args.scenario,
             seed=args.seed,
@@ -317,6 +320,7 @@ def main(argv: list[str] | None = None) -> int:
             grid=args.grid,
             out=args.out,
             require_scenario=needs_scenario,
+            sampling=sampling,
         )
         return run(config)
     except (ConfigError, ValueError, OSError, MemoryError) as exc:

@@ -32,7 +32,7 @@ import yaml
 
 from .distributions import Distribution, PointMass, make_distribution
 from .federation import Agent, FederationScenario
-from .montecarlo import SampledScenario, _check_k, _check_trials
+from .montecarlo import SampledScenario, _check_k, _check_trials, _load_suite_modules
 from .theory import ErrorProfile, _check_alpha, _check_count
 
 ENV_SEED = "COLLAB_AVG_SEED"
@@ -224,8 +224,14 @@ def load_run_config(
     grid: int | None = None,
     out: str | None = None,
     require_scenario: bool = False,
+    sampling: bool = False,
 ) -> RunConfig:
-    """Combine a scenario file (optional) with flag overrides."""
+    """Combine a scenario file (optional) with flag overrides.
+
+    ``sampling`` says the command will sample the scenarios: what that
+    imports is then loaded here, in set-up, rather than in the run or in
+    every forked worker.
+    """
     data: dict = {}
     if scenario_path is not None:
         try:
@@ -235,6 +241,8 @@ def load_run_config(
             raise ConfigError(f"cannot read scenario file: {exc}") from exc
         except yaml.YAMLError as exc:
             raise ConfigError(f"scenario file is not valid YAML: {exc}") from exc
+        except RecursionError:
+            raise ConfigError("scenario file is nested too deeply") from None
         data = _require_mapping(loaded if loaded is not None else {}, "scenario file")
     elif require_scenario:
         raise ConfigError("this command requires --scenario <path>")
@@ -280,6 +288,8 @@ def load_run_config(
         if bounds[0] >= bounds[1] or bounds[2] >= bounds[3]:
             raise ConfigError("contour bounds must satisfy u_min < u_max and v_min < v_max")
 
+    if sampling:
+        _load_suite_modules([parsed.two_agent() for parsed in scenarios])
     return RunConfig(
         scenarios=tuple(scenarios),
         alphas=tuple(alphas),

@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import math
 import mmap
-from collections.abc import Callable
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from typing import TypeVar
 
 import numpy as np
 
-from ._philox import uniform_matrix
+from ._philox import _C_MIN_DRAWS, uniform_matrix
 from ._workers import _fill_in_workers, cpu_count
 from .distributions import Distribution, Normal, PointMass, SeedSpec, _load_ndtri
 from .theory import ErrorProfile, Scenario, _check_alpha, _check_count, error_profile, ese_of_alpha
@@ -54,8 +54,8 @@ _PARALLEL_MIN_CURVE = 4_000_000
 
 _MIN_TRIALS = 100
 
-#: Weights ``validate_scenario`` checks, equally spaced over [0, 1].
-_GRID_POINTS = 21
+#: Weights ``validate_scenario`` checks: 21, equally spaced over [0, 1].
+VALIDATION_ALPHAS = tuple(np.linspace(0.0, 1.0, 21).tolist())
 
 
 @dataclass(frozen=True)
@@ -138,6 +138,68 @@ def _as_seed(seed: SeedSpec | int) -> SeedSpec:
     return seed if isinstance(seed, SeedSpec) else SeedSpec(seed)
 
 
+def _buffer(shape: tuple[int, ...], workers: int) -> tuple[np.ndarray, int]:
+    """An empty float array of ``shape``, and how many workers may fill it.
+
+    For more than one worker the array is a shared anonymous mapping. Should
+    the mapping fail, one worker fills numpy's own allocation, which
+    reports a size it cannot make.
+    """
+    if workers > 1:
+        try:
+            return np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape))).reshape(shape), workers
+        except (OSError, OverflowError):
+            pass
+    return np.empty(shape), 1
+
+
+def _draw_range(x: Distribution, n_x: int, y: Distribution, n_y: int) -> tuple[int, int]:
+    """``(start, count)`` of the draw indices one trial uses; the counts are checked.
+
+    A point mass consumes no randomness: only the random side's index range
+    is drawn (none when both sides are constant), and the constant side's
+    slots stay reserved so the other agent's draw indices do not shift.
+    """
+    _check_count("n_x", n_x)
+    if isinstance(n_y, float) and math.isinf(n_y):
+        raise ValueError("infinite n_y cannot be simulated; use the closed form")
+    _check_count("n_y", n_y)
+    if isinstance(x, PointMass):
+        return n_x, 0 if isinstance(y, PointMass) else n_y
+    return 0, n_x if isinstance(y, PointMass) else n_x + n_y
+
+
+def _load_sampler_modules(dists: Iterable[Distribution], draws: int) -> None:
+    """Import what sampling ``dists`` in streams of ``draws`` draws uses.
+
+    Called before forking, so that each module is imported once rather than
+    in every worker: numpy.random, which numpy 2 imports lazily and only the
+    C Philox path of streams of ``_C_MIN_DRAWS`` draws or more uses, and
+    ndtri for a normal side.
+    """
+    if draws >= _C_MIN_DRAWS:
+        import numpy.random  # noqa: F401
+    if any(isinstance(dist, Normal) for dist in dists):
+        _load_ndtri()
+
+
+def _row_means(a: np.ndarray) -> np.ndarray:
+    """``a.mean(axis=1)``, bit for bit.
+
+    numpy adds a row of fewer than 8 elements one by one onto 0.0, so the
+    same additions column by column give its bits at about a third of its
+    per-row cost on narrow rows; wider rows take numpy's own pairwise sum.
+    """
+    n = a.shape[1]
+    if n >= 8:
+        return a.mean(axis=1)
+    total = a[:, 0] + 0.0
+    for j in range(1, n):
+        total += a[:, j]
+    total /= n
+    return total
+
+
 def trial_means(
     x: Distribution,
     n_x: int,
@@ -153,41 +215,17 @@ def trial_means(
     row's mean does not depend on the split, so neither does any byte.
     """
     seed = _as_seed(seed)
-    _check_count("n_x", n_x)
-    if isinstance(n_y, float) and math.isinf(n_y):
-        raise ValueError("infinite n_y cannot be simulated; use the closed form")
-    _check_count("n_y", n_y)
-    # A point mass consumes no randomness: only the random side's index
-    # range is generated, and the constant side's slots stay reserved so
-    # the other agent's draw indices do not shift.
+    start, count = _draw_range(x, n_x, y, n_y)
     x_const = isinstance(x, PointMass)
     y_const = isinstance(y, PointMass)
-    if x_const:
-        start, count = n_x, n_y
-    elif y_const:
-        start, count = 0, n_x
-    else:
-        start, count = 0, n_x + n_y
-    chunk = max(1, _CHUNK_DRAWS // count)
+    chunk = max(1, _CHUNK_DRAWS // max(count, 1))
     n_chunks = -(-trials // chunk)
     workers = 1
     if trials * count >= _PARALLEL_MIN_DRAWS:
         workers = min(cpu_count(), n_chunks)
+    (xbar, ybar), workers = _buffer((2, trials), workers)
     if workers > 1:
-        try:
-            means = np.frombuffer(mmap.mmap(-1, 16 * trials), np.float64).reshape(2, trials)
-        except (OSError, OverflowError):
-            workers = 1  # numpy's own allocation below reports a size it cannot make
-    if workers > 1:
-        # What sampling imports is loaded here, once, rather than in every
-        # worker: numpy.random (the long-stream Philox path) and ndtri.
-        import numpy.random  # noqa: F401
-
-        if isinstance(x, Normal) or isinstance(y, Normal):
-            _load_ndtri()
-    if workers == 1:
-        means = np.empty((2, trials), dtype=np.float64)
-    xbar, ybar = means
+        _load_sampler_modules((x, y), count)
     if x_const:
         xbar.fill(float(x.value))
     if y_const:
@@ -200,9 +238,9 @@ def trial_means(
             c_hi = min(c_lo + chunk, hi)
             u = uniform_matrix(seed.master_seed, seed.stream_id + c_lo, c_hi - c_lo, count, start)
             if not x_const:
-                xbar[c_lo:c_hi] = x._from_uniforms(u[:, :n_x]).mean(axis=1)
+                xbar[c_lo:c_hi] = _row_means(x._from_uniforms(u[:, :n_x]))
             if not y_const:
-                ybar[c_lo:c_hi] = y._from_uniforms(u[:, count - n_y :]).mean(axis=1)
+                ybar[c_lo:c_hi] = _row_means(y._from_uniforms(u[:, count - n_y :]))
 
     # Whole chunks per worker, so no chunk boundary moves.
     bounds = [n_chunks * w // workers * chunk for w in range(workers)] + [trials]
@@ -233,6 +271,52 @@ def _pairwise_sum(leaf_sum: Callable[[int, int], T], lo: int, hi: int, leaf: int
     return _pairwise_sum(leaf_sum, lo, mid, leaf) + _pairwise_sum(leaf_sum, mid, hi, leaf)
 
 
+def _curve_sums(
+    xbar: np.ndarray,
+    ybar: np.ndarray,
+    alphas: Sequence[float],
+    mu_x: float,
+    scratch: np.ndarray,
+    centres: np.ndarray | None = None,
+) -> np.ndarray:
+    """Per-weight ``np.add.reduce`` over these trials of the squared errors.
+
+    Each weight's squared errors are ``(1 - alpha) * xbar + alpha * ybar -
+    mu_x``, squared, as numpy's ``mean`` would see them. Given each
+    weight's mean squared error as ``centres``, the sums are of the squared
+    deviations from it instead, as in numpy's ``std``. ``scratch`` has two
+    rows of at least the trials' length, reused from call to call. A
+    squared error can overflow a float; its point then reads FAIL, silently.
+    """
+    err, sq = scratch[:, : xbar.size]
+    out = np.empty(len(alphas))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for w, alpha in enumerate(alphas):
+            np.multiply(xbar, 1.0 - alpha, out=err)
+            np.multiply(ybar, alpha, out=sq)
+            np.add(err, sq, out=err)
+            np.subtract(err, mu_x, out=err)
+            np.square(err, out=sq)
+            if centres is not None:
+                np.subtract(sq, centres[w], out=sq)
+                np.square(sq, out=sq)
+            out[w] = np.add.reduce(sq)
+    return out
+
+
+def _estimates(stats: np.ndarray, trials: int, seed: SeedSpec) -> list[MonteCarloEstimate]:
+    """One estimate per row ``(mean, std)`` of ``stats``."""
+    return [
+        MonteCarloEstimate(
+            mean_sq_error=float(mean),
+            std_error=float(std) / math.sqrt(trials),
+            trials=trials,
+            seed=seed,
+        )
+        for mean, std in stats
+    ]
+
+
 def _estimates_from_means(
     xbar: np.ndarray,
     ybar: np.ndarray,
@@ -244,66 +328,33 @@ def _estimates_from_means(
 
     The trials are taken in slices of at most ``_SUM_LEAF`` along numpy's
     pairwise-sum tree, every weight per slice, so the scratch memory is
-    two slices whatever the trial count. Each slice's squared errors are
-    computed as ``(1 - alpha) * xbar + alpha * ybar - mu_x``, squared, and
-    the sums follow numpy's ``mean`` and ``std(ddof=1)`` operation for
-    operation, so the results are bitwise those of ``sq.mean()`` and
-    ``sq.std(ddof=1)``. From ``_PARALLEL_MIN_CURVE`` trials x weights on,
-    the weights are split over one forked worker per CPU.
+    two slices whatever the trial count. The sums (``_curve_sums``) follow
+    numpy's ``mean`` and ``std(ddof=1)`` operation for operation, so the
+    results are bitwise those of ``sq.mean()`` and ``sq.std(ddof=1)``.
+    From ``_PARALLEL_MIN_CURVE`` trials x weights on, the weights are split
+    over one forked worker per CPU.
     """
     trials = xbar.size
     workers = 1
     if trials * len(alphas) >= _PARALLEL_MIN_CURVE:
         workers = min(cpu_count(), len(alphas))
-    # Row w holds weight w's (mean, std); a small shared buffer when forked.
-    if workers > 1:
-        stats = np.frombuffer(mmap.mmap(-1, 16 * len(alphas))).reshape(-1, 2)
-    else:
-        stats = np.empty((len(alphas), 2))
+    # Row w holds weight w's (mean, std).
+    stats, workers = _buffer((len(alphas), 2), workers)
 
     def fill(w_lo: int, w_hi: int) -> None:
         weights = alphas[w_lo:w_hi]
-        err = np.empty(min(trials, _SUM_LEAF))
-        sq = np.empty_like(err)
+        scratch = np.empty((2, min(trials, _SUM_LEAF)))
 
-        def squared_errors(lo: int, hi: int, alpha: float) -> np.ndarray:
-            e, q = err[: hi - lo], sq[: hi - lo]
-            np.multiply(xbar[lo:hi], 1.0 - alpha, out=e)
-            np.multiply(ybar[lo:hi], alpha, out=q)
-            np.add(e, q, out=e)
-            np.subtract(e, mu_x, out=e)
-            np.square(e, out=q)
-            return q
-
-        def sums(lo: int, hi: int) -> np.ndarray:
-            return np.array([np.add.reduce(squared_errors(lo, hi, alpha)) for alpha in weights])
+        def sums(lo: int, hi: int, centres: np.ndarray | None = None) -> np.ndarray:
+            return _curve_sums(xbar[lo:hi], ybar[lo:hi], weights, mu_x, scratch, centres)
 
         mean = _pairwise_sum(sums, 0, trials, _SUM_LEAF) / trials
-
-        def deviations(lo: int, hi: int) -> np.ndarray:
-            out = []
-            for alpha, m in zip(weights, mean):
-                q = squared_errors(lo, hi, alpha)
-                np.subtract(q, m, out=q)
-                np.square(q, out=q)
-                out.append(np.add.reduce(q))
-            return np.array(out)
-
+        deviations = _pairwise_sum(lambda lo, hi: sums(lo, hi, mean), 0, trials, _SUM_LEAF)
         stats[w_lo:w_hi, 0] = mean
-        stats[w_lo:w_hi, 1] = np.sqrt(_pairwise_sum(deviations, 0, trials, _SUM_LEAF) / (trials - 1))
+        stats[w_lo:w_hi, 1] = np.sqrt(deviations / (trials - 1))
 
-    # Squared errors can overflow a float; the point then reads FAIL, silently.
-    with np.errstate(over="ignore", invalid="ignore"):
-        _fill_in_workers(fill, [len(alphas) * w // workers for w in range(workers)] + [len(alphas)])
-    return [
-        MonteCarloEstimate(
-            mean_sq_error=float(mean),
-            std_error=float(std) / math.sqrt(trials),
-            trials=trials,
-            seed=seed,
-        )
-        for mean, std in stats
-    ]
+    _fill_in_workers(fill, [len(alphas) * w // workers for w in range(workers)] + [len(alphas)])
+    return _estimates(stats, trials, seed)
 
 
 def estimate_error_curve(
@@ -320,13 +371,148 @@ def estimate_error_curve(
     Every grid point reuses the same per-trial draws, so each entry is
     bitwise identical to a one-weight grid at that weight and seed.
     """
-    alphas = [float(a) for a in alphas]
-    for alpha in alphas:
-        _check_alpha(alpha)
+    alphas = _checked_alphas(alphas)
     _check_trials(trials)
     seed = _as_seed(seed)
     xbar, ybar = trial_means(x, n_x, y, n_y, trials, seed)
     return _estimates_from_means(xbar, ybar, alphas, x.mean(), seed)
+
+
+def _shared_range(ranges: Sequence[tuple[int, int]]) -> tuple[int, int] | None:
+    """``(start, count)`` spanning every scenario's draws, when a suite should share them.
+
+    The shared path draws this span twice per trial and runs each family
+    transform twice, where each scenario on its own draws and transforms
+    its range once. It is taken when the scenarios' ranges add up to more
+    than three times the span, and the span fits in a chunk. Measured
+    serially on a 2-core Xeon (numpy 2.4.6, 21 weights, median of 5), the
+    shared path took, against the scenarios on their own, 1.25x, 0.92x,
+    0.85x and 0.71x at 2, 2.5, 3 and 3.5 times a 200-draw span, and 1.19x,
+    1.04x, 0.93x and 0.79x at those multiples of a 20-draw span; c06's
+    suite adds up to 3.45 times its 200-draw span.
+    """
+    drawn = [(start, start + count) for start, count in ranges if count]
+    if not drawn:
+        return None
+    lo = min(start for start, _ in drawn)
+    hi = max(end for _, end in drawn)
+    if 3 * (hi - lo) < sum(end - start for start, end in drawn) and hi - lo <= _CHUNK_DRAWS:
+        return lo, hi - lo
+    return None
+
+
+def _load_suite_modules(scenarios: Sequence[SampledScenario]) -> None:
+    """Import what :func:`estimate_suite_curves` on ``scenarios`` will use.
+
+    A command that samples calls this while setting up, so that nothing is
+    imported later, in the run or in a forked worker.
+    """
+    ranges = [_draw_range(s.x, s.n_x, s.y, s.n_y) for s in scenarios]
+    shared = _shared_range(ranges)
+    longest = shared[1] if shared else max((count for _, count in ranges), default=0)
+    _load_sampler_modules([dist for s in scenarios for dist in (s.x, s.y)], longest)
+
+
+#: Trials per leaf of the shared path: at least 128 (see ``_pairwise_sum``).
+#: Each leaf holds its trial means for every scenario. Measured serially on
+#: the same machine at c06's suite (12 scenarios, 100k trials): 3.8-4.2 s
+#: at 4,096 and 8,192, 4.2-4.6 s at 2,048, where the numpy calls per leaf
+#: add up; peak RSS grew from 52.3 MB at 4,096 to 53.4, 55.6 and 60.2 MB
+#: at 8,192, 16,384 and 32,768.
+_SUITE_LEAF = 8_192
+
+
+def estimate_suite_curves(
+    scenarios: Sequence[SampledScenario],
+    alphas: Sequence[float],
+    trials: int,
+    seed: SeedSpec | int,
+) -> list[list[MonteCarloEstimate]]:
+    """:func:`estimate_error_curve` for each scenario, bit for bit, sharing their draws.
+
+    Every scenario of a suite reads trial ``t``'s draws from stream
+    ``(seed, stream_id + t)`` from the same index on. When ``_shared_range``
+    says it pays, the trials are taken in leaves of numpy's pairwise-sum
+    tree, and each leaf draws the span once, chunk by chunk, and takes every
+    scenario's trial means from slices of it. A first pass sums each
+    scenario's squared errors at each weight; a second draws the leaves
+    again and sums the squared deviations from the first pass's means. So
+    no trial-length buffer is kept, and every sum has numpy's bits. Each
+    pass splits its leaves over one forked worker per CPU from
+    ``_PARALLEL_MIN_DRAWS`` draws on. Otherwise each scenario is estimated
+    on its own.
+    """
+    alphas = _checked_alphas(alphas)
+    _check_trials(trials)
+    seed = _as_seed(seed)
+    shared = _shared_range([_draw_range(s.x, s.n_x, s.y, s.n_y) for s in scenarios])
+    if shared is None:
+        return [
+            estimate_error_curve(s.x, s.n_x, s.y, s.n_y, alphas, trials, seed) for s in scenarios
+        ]
+    first, count = shared
+    chunk = max(1, _CHUNK_DRAWS // count)
+    # The tree's leaves, in the order _pairwise_sum visits them.
+    leaves = _pairwise_sum(lambda lo, hi: [(lo, hi)], 0, trials, _SUITE_LEAF)
+    # tables[leaf, scenario, weight]: one pass's sums over the leaf's trials.
+    shape = (len(leaves), len(scenarios), len(alphas))
+    workers = 1
+    if trials * count >= _PARALLEL_MIN_DRAWS:
+        workers = min(cpu_count(), len(leaves))
+    tables, workers = _buffer(shape, workers)
+    if workers > 1:
+        _load_suite_modules(scenarios)
+
+    # (scenario, side, distribution, its draws' slice of the span): x takes
+    # draws 0 .. n_x-1 and y draws n_x .. n_x+n_y-1.
+    sides = [
+        (s, side, dist, slice(d_lo - first, d_hi - first))
+        for s, sc in enumerate(scenarios)
+        for side, dist, d_lo, d_hi in ((0, sc.x, 0, sc.n_x), (1, sc.y, sc.n_x, sc.n_x + sc.n_y))
+    ]
+
+    def leaf_means(lo: int, hi: int) -> np.ndarray:
+        """``means[scenario, side, trial]`` for trials ``lo .. hi-1``, as ``trial_means`` gives them."""
+        means = np.empty((len(scenarios), 2, hi - lo))
+        for s, side, dist, _ in sides:
+            if isinstance(dist, PointMass):
+                means[s, side].fill(float(dist.value))
+        for c_lo in range(lo, hi, chunk):
+            c_hi = min(c_lo + chunk, hi)
+            u = uniform_matrix(seed.master_seed, seed.stream_id + c_lo, c_hi - c_lo, count, first)
+            for s, side, dist, draws in sides:
+                if not isinstance(dist, PointMass):
+                    means[s, side, c_lo - lo : c_hi - lo] = _row_means(dist._from_uniforms(u[:, draws]))
+        return means
+
+    mus = [scenario.x.mean() for scenario in scenarios]
+
+    def summed(centres: np.ndarray | None) -> np.ndarray:
+        """One pass over every leaf, added up along numpy's tree: ``[scenario, weight]``."""
+
+        def fill(i_lo: int, i_hi: int) -> None:
+            scratch = np.empty((2, min(trials, _SUITE_LEAF)))
+            for i in range(i_lo, i_hi):
+                means = leaf_means(*leaves[i])
+                for s, mu_x in enumerate(mus):
+                    row = None if centres is None else centres[s]
+                    tables[i, s] = _curve_sums(means[s, 0], means[s, 1], alphas, mu_x, scratch, row)
+
+        _fill_in_workers(fill, [len(leaves) * w // workers for w in range(workers)] + [len(leaves)])
+        # The leaves come back in the order the tree visits them.
+        in_order = iter(tables)
+        return _pairwise_sum(lambda lo, hi: next(in_order), 0, trials, _SUITE_LEAF)
+
+    mean = summed(None) / trials
+    std = np.sqrt(summed(mean) / (trials - 1))
+    return [_estimates(np.stack([mean[s], std[s]], axis=1), trials, seed) for s in range(len(scenarios))]
+
+
+def _checked_alphas(alphas: Iterable[float]) -> list[float]:
+    alphas = [float(a) for a in alphas]
+    for alpha in alphas:
+        _check_alpha(alpha)
+    return alphas
 
 
 def _check_trials(trials: int) -> None:
@@ -345,23 +531,26 @@ def validate_scenario(
     seed: SeedSpec | int,
     k: float = 4.0,
     expected: ErrorProfile | None = None,
+    estimates: Sequence[MonteCarloEstimate] | None = None,
 ) -> ValidationReport:
     """Check simulation against closed form on a fixed weight grid.
 
-    Each of ``_GRID_POINTS`` equally spaced weights passes when
-    ``|simulated - closed_form| <= k * std_error``. ``expected`` overrides
-    the closed-form reference profile (diagnostics; the default recomputes
-    it from the scenario's exact moments).
+    Each weight of ``VALIDATION_ALPHAS`` passes when ``|simulated -
+    closed_form| <= k * std_error``. ``expected`` overrides the closed-form
+    reference profile (diagnostics; the default recomputes it from the
+    scenario's exact moments). ``estimates``, the scenario's simulated
+    curve on that grid when already made (as by
+    :func:`estimate_suite_curves` for a whole suite), spares sampling it.
     """
     _check_k(k)
     seed = _as_seed(seed)
     profile = expected if expected is not None else error_profile(scenario.to_scenario())
-    alphas = np.linspace(0.0, 1.0, _GRID_POINTS).tolist()
-    estimates = estimate_error_curve(
-        scenario.x, scenario.n_x, scenario.y, scenario.n_y, alphas, trials, seed
-    )
+    if estimates is None:
+        estimates = estimate_error_curve(
+            scenario.x, scenario.n_x, scenario.y, scenario.n_y, VALIDATION_ALPHAS, trials, seed
+        )
     points = tuple(
         ValidationPoint(alpha, ese_of_alpha(profile, alpha), estimate, k)
-        for alpha, estimate in zip(alphas, estimates)
+        for alpha, estimate in zip(VALIDATION_ALPHAS, estimates)
     )
     return ValidationReport(points=points, k=k, trials=trials, seed=seed)

@@ -666,6 +666,28 @@ scenarios:
   - {x: {family: normal, params: {mu: 0.0, sd: 1.0}}, n_x: 1000, y: {family: exponential, params: {rate: 1.0}}, n_y: 6000}
 """
 
+# Four scenarios over draws 0 .. 24 of each stream: validate draws them once
+# per pass for all four.
+SHARED_SHORT_STREAMS_YAML = """\
+seed: 3
+scenarios:
+  - {x: {family: normal, params: {mu: 0.0, sd: 1.0}}, n_x: 5, y: {family: uniform, params: {lo: 0.0, hi: 1.0}}, n_y: 20}
+  - {x: {family: exponential, params: {rate: 1.0}}, n_x: 20, y: {family: normal, params: {mu: 1.0, sd: 1.0}}, n_y: 5}
+  - {x: {family: bernoulli, params: {p: 0.5}}, n_x: 25, y: {constant: 0.5}}
+  - {x: {family: uniform, params: {lo: -1.0, hi: 1.0}}, n_x: 10, y: {family: bernoulli, params: {p: 0.3}}, n_y: 15}
+"""
+
+# No scenario's own stream reaches numpy's C Philox path (256 draws), but
+# the span the suite shares, draws 0 .. 299, does.
+SHARED_SPAN_OF_300_YAML = """\
+seed: 4
+scenarios:
+  - {x: {family: normal, params: {mu: 0.0, sd: 1.0}}, n_x: 50, y: {family: uniform, params: {lo: 0.0, hi: 1.0}}, n_y: 200}
+  - {x: {family: uniform, params: {lo: 0.0, hi: 1.0}}, n_x: 200, y: {family: normal, params: {mu: 0.0, sd: 1.0}}, n_y: 50}
+  - {x: {family: exponential, params: {rate: 1.0}}, n_x: 250, y: {constant: 1.0}}
+  - {x: {constant: 0.0}, n_x: 100, y: {family: exponential, params: {rate: 1.0}}, n_y: 200}
+"""
+
 # Runs the CLI in a fresh interpreter with 2 CPUs and a fork hook that
 # raises SIGINT once, in the parent, while os.fork runs its hooks. The last
 # stderr line says whether any child process was left.
@@ -764,26 +786,38 @@ class TestScipyImport:
 
     def test_validate_imports_scipy_before_set_up_ends(self, tmp_path):
         # ndtri comes from scipy's extension alone, which leaves no scipy
-        # module behind; numpy.random is loaded with it, before any fork.
+        # module behind. These streams are too short for numpy's C Philox,
+        # so numpy.random is never loaded.
         scenario = tmp_path / "scenario.yaml"
         scenario.write_text(TWO_AGENT_YAML)
         code, out, err = run_python(SCIPY_PROBE, "scipy", "validate", "--scenario", str(scenario))
         assert code == 0
         assert out.endswith(b"overall: PASS\n")
-        assert err == ["set-up: [(1, True)], end: (1, True), imported after set-up: [], scipy: []"]
+        assert err == ["set-up: [(1, False)], end: (1, False), imported after set-up: [], scipy: []"]
 
-    @pytest.mark.parametrize("yaml", [MC_LONG_YAML, TWO_AGENT_YAML], ids=["long_streams", "short_streams"])
-    def test_validate_imports_nothing_after_set_up(self, tmp_path, yaml):
+    @pytest.mark.parametrize(
+        "yaml,long_streams",
+        [
+            (MC_LONG_YAML, True),
+            (TWO_AGENT_YAML, False),
+            (SHARED_SHORT_STREAMS_YAML, False),
+            (SHARED_SPAN_OF_300_YAML, True),
+        ],
+        ids=["long_streams", "short_streams", "suite_short_span", "suite_long_span"],
+    )
+    def test_validate_imports_nothing_after_set_up(self, tmp_path, yaml, long_streams):
         # A module imported during the run is imported again by every forked
         # worker. MC_LONG_YAML's streams take numpy's C Philox path,
-        # TWO_AGENT_YAML's the vectorized rounds.
+        # TWO_AGENT_YAML's the vectorized rounds. The suites draw their
+        # shared span, whose length alone decides the path.
         scenario = tmp_path / "scenario.yaml"
         scenario.write_text(yaml)
         argv = ["validate", "--scenario", str(scenario), "--trials", "300"]
         code, out, err = run_python(FORK_ALWAYS + SCIPY_PROBE, "scipy", *argv)
         assert code == 0
         assert out.endswith(b"overall: PASS\n")
-        assert err[-1].startswith("set-up: [(1, True)], end: (1, True), imported after set-up: [],")
+        state = f"(1, {long_streams})"
+        assert err[-1].startswith(f"set-up: [{state}], end: {state}, imported after set-up: [],")
 
     def test_validate_without_scipy_exits_1_with_one_line(self, tmp_path):
         scenario = tmp_path / "scenario.yaml"
@@ -1014,6 +1048,12 @@ class TestCommonBehaviour:
         path.write_text(f"x: {x}\nn_x: 3\ny: {{constant: 1}}\nn_y: 2\n")
         code, out, err = run_cli(capsys, command, "--scenario", str(path))
         assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    def test_deeply_nested_yaml_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "nested.yaml"
+        path.write_text("x: " + "[" * 1000 + "]" * 1000 + "\n")
+        code, out, err = run_cli(capsys, "validate", "--scenario", str(path))
+        assert (code, out, err) == (1, "", "error: scenario file is nested too deeply\n")
 
     def test_bad_yaml_exits_1(self, tmp_path, capsys):
         path = tmp_path / "broken.yaml"

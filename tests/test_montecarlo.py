@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import hashlib
 import math
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import collab_avg.montecarlo as mc
 from collab_avg.cli import main
@@ -129,6 +131,25 @@ class TestErrorCurve:
         )
         empirical = float(alphas[int(np.argmin([p.mean_sq_error for p in curve]))])
         assert abs(empirical - profile.alpha_star) <= 0.1
+
+
+class TestRowMeans:
+    @settings(deadline=None, max_examples=200)
+    @given(
+        a=hnp.arrays(
+            np.float64,
+            st.tuples(st.integers(1, 40), st.integers(1, 12)),
+            elements=st.one_of(
+                st.sampled_from([-0.0, 0.0, 1.0]),
+                st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False),
+            ),
+        )
+    )
+    @example(a=np.full((3, 2), -0.0))
+    @example(a=np.array([[-0.0, 0.0, -0.0, 1.0, 0.0, 1.0, -0.0]]))
+    def test_bitwise_equal_numpy_mean(self, a):
+        """Also catches a numpy that changes how it adds up a short row."""
+        assert mc._row_means(a).tobytes() == a.mean(axis=1).tobytes()
 
 
 class TestTrialMeans:
@@ -367,9 +388,11 @@ class TestCurveStatistics:
         assert peak < 2 << 20
 
 
-# A fresh interpreter on 2 CPUs that records, at each fork, how many ndtri
-# functions are loaded and whether numpy.random is: a long-stream call with
-# no normal side first, then a short-stream call with one.
+# A fresh interpreter on 2 CPUs that forks at any size and records, at each
+# fork, how many ndtri functions are loaded and whether numpy.random is,
+# around the call its argument names: 7,000-draw streams with no normal
+# side, 5-draw streams with one, and suites of four scenarios that share
+# draws 0 .. 4 or draws 0 .. 299 of each stream.
 SCIPY_AT_FORK = """
 import os, sys
 os.sched_getaffinity = lambda pid: {0, 1}
@@ -386,17 +409,160 @@ def recording(work):
 
 
 _workers._fork = recording
-mc.trial_means(Exponential(1.0), 1000, Exponential(1.0), 6000, 2000, SeedSpec(0))
 mc._PARALLEL_MIN_DRAWS = 0
-mc.trial_means(Normal(0.0, 1.0), 3, Exponential(1.0), 2, 30_000, SeedSpec(0))
+call = sys.argv[1]
+if call == "long":
+    mc.trial_means(Exponential(1.0), 1000, Exponential(1.0), 6000, 2000, SeedSpec(0))
+elif call == "short":
+    mc.trial_means(Normal(0.0, 1.0), 3, Exponential(1.0), 2, 30_000, SeedSpec(0))
+else:
+    n = 5 if call == "suite_short" else 300
+    side = Normal(0.0, 1.0) if call == "suite_short" else Exponential(1.0)
+    suite = [mc.SampledScenario(side, i, Exponential(1.0), n - i) for i in (1, 2, 3, 4)]
+    mc.estimate_suite_curves(suite, [0.5], 20_000, SeedSpec(0))
 print(loaded)
 """
 
 
-def test_trial_means_loads_scipy_once_before_forking():
-    result = subprocess.run([sys.executable, "-c", SCIPY_AT_FORK], capture_output=True, timeout=120)
+def _loaded_at_forks(call: str) -> list[tuple[int, bool]]:
+    result = subprocess.run([sys.executable, "-c", SCIPY_AT_FORK, call], capture_output=True, timeout=120)
     assert result.returncode == 0, result.stderr
-    assert result.stdout == b"[(0, True), (1, True)]\n"
+    return ast.literal_eval(result.stdout.decode())
+
+
+def test_trial_means_loads_scipy_once_before_forking():
+    # One interpreter per call: a module the first call loaded stays loaded.
+    assert _loaded_at_forks("long") + _loaded_at_forks("short") == [(0, True), (1, False)]
+
+
+def test_suite_loads_its_modules_before_forking():
+    # One fork per pass: 20,000 trials are four leaves, two per process.
+    assert _loaded_at_forks("suite_short") == [(1, False)] * 2
+    assert _loaded_at_forks("suite_long") == [(0, True)] * 2
+
+
+class _DrawSpy:
+    """Records each ``uniform_matrix`` call's ``(n_streams, count, start)``."""
+
+    def __init__(self, monkeypatch):
+        self.calls = []
+        draw = mc.uniform_matrix
+
+        def spy(master_seed, first_stream, n_streams, count, start=0):
+            self.calls.append((n_streams, count, start))
+            return draw(master_seed, first_stream, n_streams, count, start)
+
+        monkeypatch.setattr(mc, "uniform_matrix", spy)
+
+    @property
+    def draws(self) -> int:
+        return sum(n_streams * count for n_streams, count, _ in self.calls)
+
+
+# Shares draws 0 .. 23 of each stream: 24 + 21 + 20 + 13 + 24 + 0 = 102
+# draws when each scenario draws its own, more than 3 x 24. Every family,
+# constant sides on either side and on both.
+SHARED_SUITE = (
+    SampledScenario(Normal(0.3, 1.2), 11, Exponential(2.0), 13),
+    SampledScenario(Uniform(-1.0, 1.0), 20, Bernoulli(0.4), 1),
+    SampledScenario(PointMass(0.5), 4, Normal(0.0, 2.0), 20),
+    SampledScenario(Bernoulli(0.3), 13, PointMass(-1.0), 4),
+    SampledScenario(Exponential(0.5), 3, Uniform(0.0, 2.0), 21),
+    SampledScenario(PointMass(1.0), 5, PointMass(2.0), 5),
+)
+
+
+# Every x constant: the span these share is draws 4 .. 23.
+CONSTANT_X_SUITE = (
+    SampledScenario(PointMass(0.5), 4, Normal(0.0, 2.0), 20),
+    SampledScenario(PointMass(-1.0), 4, Exponential(1.5), 20),
+    SampledScenario(PointMass(2.0), 10, Uniform(0.0, 1.0), 14),
+    SampledScenario(PointMass(0.0), 4, Bernoulli(0.6), 20),
+)
+
+
+def _alone(suite, alphas, trials, seed):
+    return [estimate_error_curve(s.x, s.n_x, s.y, s.n_y, alphas, trials, seed) for s in suite]
+
+
+class TestSuiteCurves:
+    """A suite that shares its streams gives each scenario's own estimates, bit for bit."""
+
+    # 20,001 trials are four leaves of 5,000 trials (the last one 5,001), not
+    # a multiple of the leaf; the seed's stream ids wrap at 2**64 within the
+    # first leaf.
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize(
+        "suite,first,span", [(SHARED_SUITE, 0, 24), (CONSTANT_X_SUITE, 4, 20)], ids=["shared", "constant_x"]
+    )
+    def test_each_scenario_bitwise_as_alone(self, monkeypatch, cpus, suite, first, span):
+        trials, seed = 20_001, SeedSpec(7, 2**64 - 3)
+        expected = _alone(suite, CURVE_ALPHAS, trials, seed)
+        monkeypatch.setattr(mc, "_PARALLEL_MIN_DRAWS", 0)
+        forks = force_cpus(monkeypatch, cpus)
+        spy = _DrawSpy(monkeypatch)
+        assert mc.estimate_suite_curves(suite, CURVE_ALPHAS, trials, seed) == expected
+        assert len(forks) == 2 * (cpus - 1)
+        assert no_child_left()
+        if cpus == 1:  # the workers' draws are not seen here
+            assert spy.calls[0] == (mc._CHUNK_DRAWS // span, span, first)
+            assert spy.draws == 2 * trials * span
+
+    @pytest.mark.parametrize("trials", [100, 128 * 9 + 5])
+    def test_many_small_leaves(self, monkeypatch, trials):
+        # A 128-trial leaf makes a deep tree out of few trials: one leaf of
+        # 100, or sixteen of 72 to 77.
+        expected = _alone(SHARED_SUITE, CURVE_ALPHAS, trials, SeedSpec(11))
+        monkeypatch.setattr(mc, "_SUITE_LEAF", 128)
+        assert mc.estimate_suite_curves(SHARED_SUITE, CURVE_ALPHAS, trials, SeedSpec(11)) == expected
+
+    def test_failed_worker_leaves_are_redone_here(self, monkeypatch):
+        trials, seed = 20_001, SeedSpec(12)
+        expected = _alone(SHARED_SUITE, CURVE_ALPHAS, trials, seed)
+        parent = os.getpid()
+        transform = Exponential._from_uniforms
+
+        def fails_in_child(self, u):
+            if os.getpid() != parent:
+                raise RuntimeError("worker failure")
+            return transform(self, u)
+
+        monkeypatch.setattr(Exponential, "_from_uniforms", fails_in_child)
+        monkeypatch.setattr(mc, "_PARALLEL_MIN_DRAWS", 0)
+        forks = force_cpus(monkeypatch, 2)
+        assert mc.estimate_suite_curves(SHARED_SUITE, CURVE_ALPHAS, trials, seed) == expected
+        assert len(forks) == 2
+        assert no_child_left()
+
+    @pytest.mark.parametrize(
+        "suite,chunk_draws",
+        [
+            (SHARED_SUITE[:1], 65_536),
+            # Three 40-draw streams over the same range: 120 draws are not
+            # more than 3 x 40.
+            (
+                (
+                    SampledScenario(Normal(0.0, 1.0), 15, Uniform(0.0, 1.0), 25),
+                    SampledScenario(Exponential(1.0), 30, Normal(1.0, 1.0), 10),
+                    SampledScenario(Uniform(0.0, 1.0), 40, PointMass(0.0), 3),
+                ),
+                65_536,
+            ),
+            # 4 x 24 draws are more than 3 x 24, but the span is more than a chunk.
+            (SHARED_SUITE[:1] * 4, 16),
+        ],
+        ids=["one_scenario", "below_the_rule", "span_beyond_a_chunk"],
+    )
+    def test_otherwise_draws_as_each_scenario_alone(self, monkeypatch, suite, chunk_draws):
+        trials = 200
+        monkeypatch.setattr(mc, "_CHUNK_DRAWS", chunk_draws)
+        force_cpus(monkeypatch, 1)
+        spy = _DrawSpy(monkeypatch)
+        expected = _alone(suite, CURVE_ALPHAS, trials, SeedSpec(13))
+        alone = list(spy.calls)
+        spy.calls.clear()
+        assert mc.estimate_suite_curves(suite, CURVE_ALPHAS, trials, SeedSpec(13)) == expected
+        assert spy.calls == alone
 
 
 class TestValidateScenario:
