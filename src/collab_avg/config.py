@@ -239,8 +239,12 @@ def load_run_config(
                 loaded = yaml.load(handle, Loader=_Loader)
         except OSError as exc:
             raise ConfigError(f"cannot read scenario file: {exc}") from exc
-        except yaml.YAMLError as exc:
-            raise ConfigError(f"scenario file is not valid YAML: {exc}") from exc
+        except yaml.MarkedYAMLError as exc:
+            mark = exc.problem_mark
+            where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
+            raise ConfigError(f"scenario file is not valid YAML: {exc.problem or exc.context}{where}") from exc
+        except yaml.YAMLError as exc:  # its message spans lines
+            raise ConfigError(f"scenario file is not valid YAML: {' '.join(str(exc).split())}") from exc
         except RecursionError:
             raise ConfigError("scenario file is nested too deeply") from None
         data = _require_mapping(loaded if loaded is not None else {}, "scenario file")

@@ -48,9 +48,11 @@ _PARALLEL_MIN_DRAWS = 500_000
 _SUM_LEAF = 32_768
 
 #: The curve statistics fork workers only from this many trials x weights
-#: on. Same machine, 21 weights, scipy loaded: two workers took 1.1-1.25x
-#: the serial time at 2M, 0.81-0.84x at 4M and 0.68-0.84x at 8M.
-_PARALLEL_MIN_CURVE = 4_000_000
+#: on. Same machine, 21 weights, ndtri and numpy.random loaded, two forks
+#: per call (median of 25): two workers took 1.44-1.49x the serial time at
+#: 2M, 0.95-1.09x at 4M, 0.81-0.86x at 6M, 0.67-0.85x at 8M and 0.65-0.70x
+#: at 16M.
+_PARALLEL_MIN_CURVE = 6_000_000
 
 _MIN_TRIALS = 100
 
@@ -165,8 +167,12 @@ def _draw_range(x: Distribution, n_x: int, y: Distribution, n_y: int) -> tuple[i
         raise ValueError("infinite n_y cannot be simulated; use the closed form")
     _check_count("n_y", n_y)
     if isinstance(x, PointMass):
-        return n_x, 0 if isinstance(y, PointMass) else n_y
-    return 0, n_x if isinstance(y, PointMass) else n_x + n_y
+        start, count = n_x, 0 if isinstance(y, PointMass) else n_y
+    else:
+        start, count = 0, n_x if isinstance(y, PointMass) else n_x + n_y
+    if count > 2**40:  # hours of one core per trial, and a run has at least 100 trials
+        raise ValueError(f"a trial of {count} draws is too long to simulate (at most 2**40)")
+    return start, count
 
 
 def _load_sampler_modules(dists: Iterable[Distribution], draws: int) -> None:
@@ -210,14 +216,15 @@ def trial_means(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-trial empirical means (xbar_t, ybar_t) for t = 0 .. trials-1.
 
-    Calls that draw at least ``_PARALLEL_MIN_DRAWS`` uniforms split their
-    chunks over one forked worker per CPU the process may run on; each
-    row's mean does not depend on the split, so neither does any byte.
+    A trial of more than ``_CHUNK_DRAWS`` draws is drawn side by side in
+    leaves of numpy's pairwise-sum tree, so its draws are never held whole
+    and each mean keeps the bits of ``mean`` over the whole side. Calls
+    that draw at least ``_PARALLEL_MIN_DRAWS`` uniforms split their chunks
+    over one forked worker per CPU the process may run on; each row's mean
+    does not depend on the split, so neither does any byte.
     """
     seed = _as_seed(seed)
     start, count = _draw_range(x, n_x, y, n_y)
-    x_const = isinstance(x, PointMass)
-    y_const = isinstance(y, PointMass)
     chunk = max(1, _CHUNK_DRAWS // max(count, 1))
     n_chunks = -(-trials // chunk)
     workers = 1
@@ -226,25 +233,36 @@ def trial_means(
     (xbar, ybar), workers = _buffer((2, trials), workers)
     if workers > 1:
         _load_sampler_modules((x, y), count)
-    if x_const:
-        xbar.fill(float(x.value))
-    if y_const:
-        ybar.fill(float(y.value))
-    if x_const and y_const:
-        return xbar, ybar
+    # (distribution, its means, its first draw index, its draw count): x
+    # takes draws 0 .. n_x-1 and y draws n_x .. n_x+n_y-1.
+    sides = []
+    for dist, means, d_lo, n in ((x, xbar, 0, n_x), (y, ybar, n_x, n_y)):
+        if isinstance(dist, PointMass):
+            means.fill(float(dist.value))
+        else:
+            sides.append((dist, means, d_lo, n))
 
     def fill(lo: int, hi: int) -> None:
         for c_lo in range(lo, hi, chunk):
             c_hi = min(c_lo + chunk, hi)
-            u = uniform_matrix(seed.master_seed, seed.stream_id + c_lo, c_hi - c_lo, count, start)
-            if not x_const:
-                xbar[c_lo:c_hi] = _row_means(x._from_uniforms(u[:, :n_x]))
-            if not y_const:
-                ybar[c_lo:c_hi] = _row_means(y._from_uniforms(u[:, count - n_y :]))
+            stream = seed.stream_id + c_lo
+            if count > _CHUNK_DRAWS:  # a chunk of one trial
+                for dist, means, d_lo, n in sides:
+
+                    def leaf_sum(l_lo: int, l_hi: int) -> float:
+                        u = uniform_matrix(seed.master_seed, stream, 1, l_hi - l_lo, l_lo)[0]
+                        return np.add.reduce(dist._from_uniforms(u))
+
+                    means[c_lo] = _pairwise_sum(leaf_sum, d_lo, d_lo + n, _CHUNK_DRAWS) / n
+                continue
+            u = uniform_matrix(seed.master_seed, stream, c_hi - c_lo, count, start)
+            for dist, means, d_lo, n in sides:
+                means[c_lo:c_hi] = _row_means(dist._from_uniforms(u[:, d_lo - start : d_lo - start + n]))
 
     # Whole chunks per worker, so no chunk boundary moves.
     bounds = [n_chunks * w // workers * chunk for w in range(workers)] + [trials]
-    _fill_in_workers(fill, bounds)
+    if sides:
+        _fill_in_workers(fill, bounds)
     return xbar, ybar
 
 
@@ -258,14 +276,14 @@ def _pairwise_sum(leaf_sum: Callable[[int, int], T], lo: int, hi: int, leaf: int
     its first ``n//2 - (n//2) % 8`` elements plus the sum of the rest, each
     half split the same way, and a run of at most 128 elements with eight
     unrolled accumulators. This walks that tree down to nodes of at most
-    ``leaf >= 128`` elements, calls ``leaf_sum(node_lo, node_hi)`` on each
-    in order and adds the results back up the tree. A ``leaf_sum`` that
-    returns ``np.add.reduce`` of its range therefore gives numpy's bits
-    exactly, from leaf-sized scratch; one returning an array sums each
-    entry.
+    ``max(leaf, 128)`` elements, calls ``leaf_sum(node_lo, node_hi)`` on
+    each in order and adds the results back up the tree. A ``leaf_sum``
+    that returns ``np.add.reduce`` of its range therefore gives numpy's
+    bits exactly, from leaf-sized scratch; one returning an array sums
+    each entry.
     """
     n = hi - lo
-    if n <= leaf:
+    if n <= max(leaf, 128):
         return leaf_sum(lo, hi)
     mid = lo + n // 2 - (n // 2) % 8
     return _pairwise_sum(leaf_sum, lo, mid, leaf) + _pairwise_sum(leaf_sum, mid, hi, leaf)
@@ -304,17 +322,47 @@ def _curve_sums(
     return out
 
 
-def _estimates(stats: np.ndarray, trials: int, seed: SeedSpec) -> list[MonteCarloEstimate]:
-    """One estimate per row ``(mean, std)`` of ``stats``."""
+def _estimates(mean: np.ndarray, std: np.ndarray, trials: int, seed: SeedSpec) -> list[MonteCarloEstimate]:
+    """One estimate per weight: its mean squared error and the squared errors' standard deviation."""
     return [
-        MonteCarloEstimate(
-            mean_sq_error=float(mean),
-            std_error=float(std) / math.sqrt(trials),
-            trials=trials,
-            seed=seed,
-        )
-        for mean, std in stats
+        MonteCarloEstimate(mean_sq_error=float(m), std_error=float(s) / math.sqrt(trials), trials=trials, seed=seed)
+        for m, s in zip(mean, std)
     ]
+
+
+def _tree_statistics(
+    leaf_sums: Callable[[int, int, np.ndarray | None], np.ndarray],
+    trials: int,
+    leaf: int,
+    shape: tuple[int, ...],
+    parallel: bool,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-entry mean and ``std(ddof=1)`` over the trials of a ``shape`` of squared errors.
+
+    ``leaf_sums(lo, hi, centres)`` gives ``np.add.reduce`` over trials ``lo
+    .. hi-1`` of the squared errors, or with ``centres`` of their squared
+    deviations from them (``_curve_sums``). Each of the two passes writes a
+    table per leaf of numpy's pairwise-sum tree (at most ``leaf`` trials)
+    and adds the tables up in tree order, which keeps numpy's bits. When
+    ``parallel``, a pass splits its leaves into one contiguous run per CPU,
+    each filled by a forked worker that reads only its own trials.
+    """
+    # The tree's leaves, in the order _pairwise_sum visits them.
+    leaves = _pairwise_sum(lambda lo, hi: [(lo, hi)], 0, trials, leaf)
+
+    def summed(centres: np.ndarray | None) -> np.ndarray:
+        tables, workers = _buffer((len(leaves), *shape), min(cpu_count(), len(leaves)) if parallel else 1)
+
+        def fill(i_lo: int, i_hi: int) -> None:
+            for i in range(i_lo, i_hi):
+                tables[i] = leaf_sums(*leaves[i], centres)
+
+        _fill_in_workers(fill, [len(leaves) * w // workers for w in range(workers)] + [len(leaves)])
+        in_order = iter(tables)
+        return _pairwise_sum(lambda lo, hi: next(in_order), 0, trials, leaf)
+
+    mean = summed(None) / trials
+    return mean, np.sqrt(summed(mean) / (trials - 1))
 
 
 def _estimates_from_means(
@@ -326,35 +374,19 @@ def _estimates_from_means(
 ) -> list[MonteCarloEstimate]:
     """Mean squared error and its standard error at each weight.
 
-    The trials are taken in slices of at most ``_SUM_LEAF`` along numpy's
-    pairwise-sum tree, every weight per slice, so the scratch memory is
-    two slices whatever the trial count. The sums (``_curve_sums``) follow
-    numpy's ``mean`` and ``std(ddof=1)`` operation for operation, so the
-    results are bitwise those of ``sq.mean()`` and ``sq.std(ddof=1)``.
-    From ``_PARALLEL_MIN_CURVE`` trials x weights on, the weights are split
-    over one forked worker per CPU.
+    The results are bitwise ``sq.mean()`` and ``sq.std(ddof=1)``, from
+    ``_tree_statistics`` over leaves of at most ``_SUM_LEAF`` trials, every
+    weight per leaf, so the scratch memory is two leaves whatever the trial
+    count. Workers fork from ``_PARALLEL_MIN_CURVE`` trials x weights on.
     """
     trials = xbar.size
-    workers = 1
-    if trials * len(alphas) >= _PARALLEL_MIN_CURVE:
-        workers = min(cpu_count(), len(alphas))
-    # Row w holds weight w's (mean, std).
-    stats, workers = _buffer((len(alphas), 2), workers)
+    scratch = np.empty((2, min(trials, _SUM_LEAF)))
 
-    def fill(w_lo: int, w_hi: int) -> None:
-        weights = alphas[w_lo:w_hi]
-        scratch = np.empty((2, min(trials, _SUM_LEAF)))
+    def leaf_sums(lo: int, hi: int, centres: np.ndarray | None) -> np.ndarray:
+        return _curve_sums(xbar[lo:hi], ybar[lo:hi], alphas, mu_x, scratch, centres)
 
-        def sums(lo: int, hi: int, centres: np.ndarray | None = None) -> np.ndarray:
-            return _curve_sums(xbar[lo:hi], ybar[lo:hi], weights, mu_x, scratch, centres)
-
-        mean = _pairwise_sum(sums, 0, trials, _SUM_LEAF) / trials
-        deviations = _pairwise_sum(lambda lo, hi: sums(lo, hi, mean), 0, trials, _SUM_LEAF)
-        stats[w_lo:w_hi, 0] = mean
-        stats[w_lo:w_hi, 1] = np.sqrt(deviations / (trials - 1))
-
-    _fill_in_workers(fill, [len(alphas) * w // workers for w in range(workers)] + [len(alphas)])
-    return _estimates(stats, trials, seed)
+    parallel = trials * len(alphas) >= _PARALLEL_MIN_CURVE
+    return _estimates(*_tree_statistics(leaf_sums, trials, _SUM_LEAF, (len(alphas),), parallel), trials, seed)
 
 
 def estimate_error_curve(
@@ -432,13 +464,9 @@ def estimate_suite_curves(
 
     Every scenario of a suite reads trial ``t``'s draws from stream
     ``(seed, stream_id + t)`` from the same index on. When ``_shared_range``
-    says it pays, the trials are taken in leaves of numpy's pairwise-sum
-    tree, and each leaf draws the span once, chunk by chunk, and takes every
-    scenario's trial means from slices of it. A first pass sums each
-    scenario's squared errors at each weight; a second draws the leaves
-    again and sums the squared deviations from the first pass's means. So
-    no trial-length buffer is kept, and every sum has numpy's bits. Each
-    pass splits its leaves over one forked worker per CPU from
+    says it pays, each pass of ``_tree_statistics`` draws a leaf's span once,
+    chunk by chunk, and takes every scenario's trial means from slices of
+    it, so no trial-length buffer is kept. The passes fork from
     ``_PARALLEL_MIN_DRAWS`` draws on. Otherwise each scenario is estimated
     on its own.
     """
@@ -452,15 +480,8 @@ def estimate_suite_curves(
         ]
     first, count = shared
     chunk = max(1, _CHUNK_DRAWS // count)
-    # The tree's leaves, in the order _pairwise_sum visits them.
-    leaves = _pairwise_sum(lambda lo, hi: [(lo, hi)], 0, trials, _SUITE_LEAF)
-    # tables[leaf, scenario, weight]: one pass's sums over the leaf's trials.
-    shape = (len(leaves), len(scenarios), len(alphas))
-    workers = 1
-    if trials * count >= _PARALLEL_MIN_DRAWS:
-        workers = min(cpu_count(), len(leaves))
-    tables, workers = _buffer(shape, workers)
-    if workers > 1:
+    parallel = trials * count >= _PARALLEL_MIN_DRAWS
+    if parallel:
         _load_suite_modules(scenarios)
 
     # (scenario, side, distribution, its draws' slice of the span): x takes
@@ -471,8 +492,12 @@ def estimate_suite_curves(
         for side, dist, d_lo, d_hi in ((0, sc.x, 0, sc.n_x), (1, sc.y, sc.n_x, sc.n_x + sc.n_y))
     ]
 
-    def leaf_means(lo: int, hi: int) -> np.ndarray:
-        """``means[scenario, side, trial]`` for trials ``lo .. hi-1``, as ``trial_means`` gives them."""
+    mus = [scenario.x.mean() for scenario in scenarios]
+    scratch = np.empty((2, min(trials, _SUITE_LEAF)))
+
+    def leaf_sums(lo: int, hi: int, centres: np.ndarray | None) -> np.ndarray:
+        """``[scenario, weight]`` sums over trials ``lo .. hi-1``, from one draw of their span."""
+        # means[scenario, side, trial], as trial_means gives them.
         means = np.empty((len(scenarios), 2, hi - lo))
         for s, side, dist, _ in sides:
             if isinstance(dist, PointMass):
@@ -483,29 +508,15 @@ def estimate_suite_curves(
             for s, side, dist, draws in sides:
                 if not isinstance(dist, PointMass):
                     means[s, side, c_lo - lo : c_hi - lo] = _row_means(dist._from_uniforms(u[:, draws]))
-        return means
+        return np.array(
+            [
+                _curve_sums(means[s, 0], means[s, 1], alphas, mu_x, scratch, None if centres is None else centres[s])
+                for s, mu_x in enumerate(mus)
+            ]
+        )
 
-    mus = [scenario.x.mean() for scenario in scenarios]
-
-    def summed(centres: np.ndarray | None) -> np.ndarray:
-        """One pass over every leaf, added up along numpy's tree: ``[scenario, weight]``."""
-
-        def fill(i_lo: int, i_hi: int) -> None:
-            scratch = np.empty((2, min(trials, _SUITE_LEAF)))
-            for i in range(i_lo, i_hi):
-                means = leaf_means(*leaves[i])
-                for s, mu_x in enumerate(mus):
-                    row = None if centres is None else centres[s]
-                    tables[i, s] = _curve_sums(means[s, 0], means[s, 1], alphas, mu_x, scratch, row)
-
-        _fill_in_workers(fill, [len(leaves) * w // workers for w in range(workers)] + [len(leaves)])
-        # The leaves come back in the order the tree visits them.
-        in_order = iter(tables)
-        return _pairwise_sum(lambda lo, hi: next(in_order), 0, trials, _SUITE_LEAF)
-
-    mean = summed(None) / trials
-    std = np.sqrt(summed(mean) / (trials - 1))
-    return [_estimates(np.stack([mean[s], std[s]], axis=1), trials, seed) for s in range(len(scenarios))]
+    stats = _tree_statistics(leaf_sums, trials, _SUITE_LEAF, (len(scenarios), len(alphas)), parallel)
+    return [_estimates(mean, std, trials, seed) for mean, std in zip(*stats)]
 
 
 def _checked_alphas(alphas: Iterable[float]) -> list[float]:

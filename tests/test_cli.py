@@ -13,6 +13,9 @@ import sys
 import tracemalloc
 
 import pytest
+import yaml
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from collab_avg import cli
 from collab_avg.cli import main
@@ -979,14 +982,19 @@ class TestCommonBehaviour:
         assert out == ""
         assert err == f"error: scenario file.{field} is too large for a float\n"
 
-    # 2**58 float64 values are 2 EiB, beyond any virtual address space, so
-    # the first allocation fails at once and nothing is ever allocated or run.
+    # 2**58 float64 trial means are 2 EiB, beyond any virtual address space,
+    # so the first allocation fails at once and nothing is ever allocated or
+    # run. A trial's draws are never held whole, so 2**58 draws per trial are
+    # refused by count before anything runs.
     @pytest.mark.parametrize(
-        "n_x,flags",
-        [(5, ["--trials", str(2**58)]), (2**58, [])],
+        "n_x,flags,message",
+        [
+            (5, ["--trials", str(2**58)], "error: Unable to allocate"),
+            (2**58, [], f"error: a trial of {2**58} draws is too long to simulate (at most 2**40)"),
+        ],
         ids=["trials", "sample_size"],
     )
-    def test_too_large_to_allocate_exits_1(self, tmp_path, capsys, n_x, flags):
+    def test_too_large_to_allocate_exits_1(self, tmp_path, capsys, n_x, flags, message):
         path = tmp_path / "scenario.yaml"
         path.write_text(
             f"x: {{family: normal, params: {{mu: 0.0, sd: 1.0}}}}\nn_x: {n_x}\n"
@@ -995,7 +1003,7 @@ class TestCommonBehaviour:
         code, out, err = run_cli(capsys, "validate", "--scenario", str(path), *flags)
         assert code == 1
         assert out == ""
-        assert err.startswith("error: Unable to allocate")
+        assert err.startswith(message)
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize(
@@ -1061,3 +1069,71 @@ class TestCommonBehaviour:
         code, _, err = run_cli(capsys, "profile", "--scenario", str(path))
         assert code == 1
         assert "YAML" in err
+
+
+# Keys the scenario-file schema knows, so generated documents reach past the
+# top-level checks, and values of every YAML type the loader can produce.
+SCHEMA_KEYS = (
+    "x", "n_x", "y", "n_y", "alphas", "trials", "seed", "k", "scenarios", "expected", "e0", "e1",
+    "family", "params", "constant", "union", "n", "mu", "sd", "lo", "hi", "p", "rate", "value",
+    "contour", "u_min", "u_max", "v_min", "v_max",
+)
+YAML_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 12),
+    st.integers(-(10**400), 10**400),
+    st.floats(),
+    st.sampled_from(["inf", "+inf", "-inf", "normal", "Uniform", "bernoulli", "exponential", "pointmass", ""]),
+    st.text(max_size=6),
+)
+YAML_VALUES = st.recursive(
+    YAML_SCALARS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(SCHEMA_KEYS) | YAML_SCALARS.filter(lambda v: v == v), inner, max_size=4),
+    max_leaves=10,
+)
+
+
+def _valid_document() -> dict:
+    side = {"family": "normal", "params": {"mu": 0.0, "sd": 1.0}}
+    return {"x": dict(side), "n_x": 10, "y": dict(side), "n_y": 20, "alphas": [0.2, 0.5], "trials": 400}
+
+
+@st.composite
+def scenario_documents(draw) -> str:
+    """A scenario file: a valid document with some fields replaced, or any text."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(st.text(max_size=40))
+    document = _valid_document()
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from([(), ("x",), ("y",), ("x", "params"), ("y", "params")]))
+        node = document
+        for key in path:
+            if not isinstance(node.get(key), dict):  # replaced by an earlier draw
+                break
+            node = node[key]
+        node[draw(st.sampled_from(SCHEMA_KEYS))] = draw(YAML_VALUES)
+    if draw(st.booleans()):
+        document = {"scenarios": [document, draw(YAML_VALUES)]}
+    return yaml.safe_dump(document, allow_unicode=True)
+
+
+class TestScenarioFileFuzz:
+    """Every scenario file either loads or exits 1 with one line on stderr."""
+
+    @settings(deadline=None, max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=scenario_documents())
+    @example(text="x: {family: normal\n")
+    @example(text="x: \x00\n")
+    @example(text="x: &a [*a]\n")
+    @example(text="seed: 2001-01-01\n")
+    @example(text="x: {family: normal, params: {1: 2}}\nn_x: 3\ny: {constant: 0}\n")
+    def test_loads_or_exits_1_with_one_line(self, tmp_path, capsys, text):
+        path = tmp_path / "scenario.yaml"
+        path.write_text(text, encoding="utf-8")
+        for command in ("profile", "federate"):
+            code, _, err = run_cli(capsys, command, "--scenario", str(path))
+            assert code in (0, 1), err
+            if code == 1:
+                assert err.startswith("error: ") and err.count("\n") == 1, err

@@ -6,6 +6,7 @@ import ast
 import dataclasses
 import hashlib
 import math
+import mmap
 import os
 import subprocess
 import sys
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import collab_avg.montecarlo as mc
+from collab_avg._philox import uniform_matrix
 from collab_avg.cli import main
 from collab_avg.distributions import Bernoulli, Exponential, Normal, PointMass, SeedSpec, Uniform
 from collab_avg.montecarlo import (
@@ -184,6 +186,77 @@ class TestTrialMeans:
         assert np.array_equal(ybar_with_const, ybar_with_noise)
 
 
+RANDOM_SIDES = (Normal(0.3, 1.2), Uniform(-1.0, 2.0), Bernoulli(0.35), Exponential(1.5))
+CONSTANT_SIDE = PointMass(0.75)
+
+
+def _whole_row_means(x, n_x, y, n_y, trials, seed):
+    """Each side's ``_from_uniforms(u).mean(axis=1)`` over its whole row of draws."""
+    u = uniform_matrix(seed.master_seed, seed.stream_id, trials, n_x + n_y)
+    return tuple(
+        np.full(trials, dist.value) if isinstance(dist, PointMass) else dist._from_uniforms(cols).mean(axis=1)
+        for dist, cols in ((x, u[:, :n_x]), (y, u[:, n_x:]))
+    )
+
+
+# A process's ru_maxrss starts from the peak of the process that started
+# it, the test runner here; a child forked from a bare interpreter starts
+# from that interpreter's RSS. So each memory script runs in such a child.
+FORKED = """
+import os
+if os.fork():
+    os._exit(os.waitstatus_to_exitcode(os.wait()[1]))
+"""
+
+# Peak RSS in MiB of a fresh interpreter that takes, serially, 20 trials'
+# means of a uniform x side of argv[1] draws beside a constant y.
+LONG_STREAM_PEAK = FORKED + """
+import resource, sys
+os.sched_getaffinity = lambda pid: {0}
+from collab_avg import montecarlo as mc
+from collab_avg.distributions import PointMass, SeedSpec, Uniform
+mc.trial_means(Uniform(0.0, 1.0), int(sys.argv[1]), PointMass(0.0), 1, 20, SeedSpec(0))
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
+"""
+
+
+class TestLongStreams:
+    """A trial longer than a chunk is drawn side by side in leaves, with the whole row's bits."""
+
+    @settings(deadline=None, max_examples=25)
+    @given(
+        x=st.sampled_from(RANDOM_SIDES + (CONSTANT_SIDE,)),
+        y=st.sampled_from(RANDOM_SIDES + (CONSTANT_SIDE,)),
+        long=st.integers(60_000, 200_000),
+        short=st.integers(1, 40_000),
+        long_first=st.booleans(),
+        seed=st.sampled_from([SeedSpec(0), SeedSpec(5, 2**64 - 1)]),
+    )
+    # Sides straddling a leaf, and sides of fewer than 8 draws beside a long one.
+    @example(x=RANDOM_SIDES[0], y=RANDOM_SIDES[1], long=65_535, short=2, long_first=True, seed=SeedSpec(1))
+    @example(x=RANDOM_SIDES[1], y=RANDOM_SIDES[2], long=65_536, short=1, long_first=True, seed=SeedSpec(2))
+    @example(x=RANDOM_SIDES[2], y=RANDOM_SIDES[3], long=65_537, short=7, long_first=True, seed=SeedSpec(3))
+    @example(x=RANDOM_SIDES[3], y=RANDOM_SIDES[0], long=131_073, short=3, long_first=False, seed=SeedSpec(4))
+    @example(x=CONSTANT_SIDE, y=RANDOM_SIDES[0], long=65_537, short=5, long_first=False, seed=SeedSpec(5))
+    def test_bitwise_equal_whole_row_mean(self, x, y, long, short, long_first, seed):
+        """Also catches a numpy that changes its pairwise rule."""
+        short = max(short, mc._CHUNK_DRAWS + 1 - long)  # a trial longer than a chunk
+        n_x, n_y = (long, short) if long_first else (short, long)
+        # Two trials of at most 240,000 draws stay below the forking threshold.
+        means = trial_means(x, n_x, y, n_y, 2, seed)
+        assert _means_bytes(means) == _means_bytes(_whole_row_means(x, n_x, y, n_y, 2, seed))
+
+    def test_memory_does_not_grow_with_the_stream(self):
+        def peak(n_x: int) -> float:
+            result = subprocess.run(
+                [sys.executable, "-c", LONG_STREAM_PEAK, str(n_x)], capture_output=True, timeout=120
+            )
+            assert result.returncode == 0, result.stderr
+            return float(result.stdout)
+
+        assert peak(2_000_000) < peak(20_000) + 2.0
+
+
 def _means_bytes(means) -> bytes:
     xbar, ybar = means
     return xbar.tobytes() + ybar.tobytes()
@@ -202,8 +275,10 @@ class TestWorkers:
             ((Normal(0, 1), 11, PointMass(0.5), 13, 10_001, SeedSpec(7)), 2),
             # 300-draw streams go through numpy's C Philox.
             ((Normal(0, 1), 200, Uniform(0, 1), 100, 1_000, SeedSpec(8, 2**64 - 3)), 5),
+            # Trials longer than a chunk: one trial per chunk, drawn in leaves.
+            ((Uniform(0, 1), 70_000, Normal(0, 1), 3, 5, SeedSpec(9, 2**64 - 2)), 5),
         ],
-        ids=["both_random", "pointmass_x", "pointmass_y", "c_philox_stream"],
+        ids=["both_random", "pointmass_x", "pointmass_y", "c_philox_stream", "long_stream"],
     )
     def test_any_worker_count_gives_serial_bytes(self, monkeypatch, cpus, args, chunks):
         monkeypatch.setattr(mc, "_PARALLEL_MIN_DRAWS", 10**18)
@@ -332,14 +407,15 @@ class TestCurveStatistics:
     def test_any_worker_count_gives_numpy_statistics(self, monkeypatch, cpus, weights):
         # Inputs differ per case and the reference is numpy's own, so a result
         # the workers never wrote cannot pass by reusing an earlier result's
-        # freed memory.
+        # freed memory. 70,001 trials are four leaves, split over the CPUs
+        # whatever the weight count.
         xbar, ybar = _curve_inputs(70_001, 10 * cpus + weights)
         alphas = list(np.linspace(0.0, 1.0, weights))
         expected = _numpy_statistics(xbar, ybar, alphas, 0.25)
         monkeypatch.setattr(mc, "_PARALLEL_MIN_CURVE", 0)
         forks = force_cpus(monkeypatch, cpus)
         assert _statistics(xbar, ybar, alphas) == expected
-        assert len(forks) == min(cpus, weights) - 1
+        assert len(forks) == 2 * (cpus - 1)  # once per pass
         assert no_child_left()
 
     @pytest.mark.parametrize("reached", [False, True], ids=["below", "at"])
@@ -351,25 +427,28 @@ class TestCurveStatistics:
         serial = _statistics(xbar, ybar, alphas)
         forks = force_cpus(monkeypatch, 2)
         assert _statistics(xbar, ybar, alphas) == serial
-        assert len(forks) == (1 if reached else 0)
+        assert len(forks) == (2 if reached else 0)
         assert no_child_left()
 
-    def test_failed_worker_weights_are_redone_here(self, monkeypatch):
+    def test_failed_worker_leaves_are_redone_here(self, monkeypatch):
         xbar, ybar = _curve_inputs(70_001, 11)
         serial = _statistics(xbar, ybar, CURVE_ALPHAS)
         parent = os.getpid()
-        pairwise_sum = mc._pairwise_sum
+        curve_sums = mc._curve_sums
+        failed = mmap.mmap(-1, 1)  # set by a worker, seen here
 
         def fails_in_child(*args):
             if os.getpid() != parent:
+                failed[0] = 1
                 raise RuntimeError("worker failure")
-            return pairwise_sum(*args)
+            return curve_sums(*args)
 
-        monkeypatch.setattr(mc, "_pairwise_sum", fails_in_child)
+        monkeypatch.setattr(mc, "_curve_sums", fails_in_child)
         monkeypatch.setattr(mc, "_PARALLEL_MIN_CURVE", 0)
         forks = force_cpus(monkeypatch, 2)
         assert _statistics(xbar, ybar, CURVE_ALPHAS) == serial
-        assert len(forks) == 1
+        assert len(forks) == 2
+        assert failed[0] == 1
         assert no_child_left()
 
     def test_memory_is_bounded_by_the_leaf(self, monkeypatch):
@@ -386,6 +465,40 @@ class TestCurveStatistics:
         finally:
             tracemalloc.stop()
         assert peak < 2 << 20
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="workers need sched_getaffinity")
+    def test_each_process_reads_only_its_own_leaves(self):
+        # 1M trials of 4-draw streams: 16 MB of means, half of them per
+        # process on 2 CPUs. Splitting the weights instead had each process
+        # read all of them: 14.2 MiB above the baseline on a 2-core Xeon,
+        # against 6.6 MiB split by leaves.
+        result = subprocess.run([sys.executable, "-c", LEAF_SPLIT_PEAKS], capture_output=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        baseline, own, children = ast.literal_eval(result.stdout.decode())
+        limit = baseline + 0.6 * 16e6 / 1024
+        assert own < limit
+        assert children < limit
+
+
+# A fresh interpreter on 2 CPUs: ru_maxrss in KiB of this process before and
+# after estimating a 21-weight curve at 1M trials, and of its workers. The
+# baseline is taken after a serial 100,000-trial call, so it holds the
+# sampler's chunk and the curve's leaf of scratch, which do not grow with
+# the trial count.
+LEAF_SPLIT_PEAKS = FORKED + """
+import resource
+os.sched_getaffinity = lambda pid: {0, 1}
+from collab_avg import montecarlo as mc
+from collab_avg.distributions import Normal, SeedSpec, Uniform
+
+def curve(trials):
+    mc.estimate_error_curve(Normal(0.0, 1.0), 2, Uniform(0.0, 1.0), 2, mc.VALIDATION_ALPHAS, trials, SeedSpec(0))
+
+curve(100_000)
+baseline = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+curve(1_000_000)
+print([baseline, *(resource.getrusage(who).ru_maxrss for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))])
+"""
 
 
 # A fresh interpreter on 2 CPUs that forks at any size and records, at each
