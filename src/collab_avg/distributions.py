@@ -124,9 +124,21 @@ class Distribution(ABC):
     def variance(self) -> float:
         """Exact variance (non-negative, finite)."""
 
-    @abstractmethod
     def _from_uniforms(self, u: np.ndarray) -> np.ndarray:
         """Map uniforms in (0, 1) to draws; elementwise, shape-preserving."""
+        return self._from_kernel(self._kernel(u))
+
+    def _kernel(self, u: np.ndarray) -> np.ndarray:
+        """The costly first step of ``_from_uniforms``, ``u`` itself when there is none.
+
+        Elementwise and the same for every member of the family, so one
+        kernel array can serve all of a family's sides.
+        """
+        return u
+
+    @abstractmethod
+    def _from_kernel(self, k: np.ndarray) -> np.ndarray:
+        """This member's draws from the family's ``_kernel`` values; elementwise."""
 
     def moments(self) -> tuple[float, float]:
         return self.mean(), self.variance()
@@ -148,10 +160,13 @@ class Normal(Distribution):
     def variance(self) -> float:
         return float(self.sd) ** 2
 
-    def _from_uniforms(self, u: np.ndarray) -> np.ndarray:
+    def _kernel(self, u: np.ndarray) -> np.ndarray:
+        return _load_ndtri()(u)
+
+    def _from_kernel(self, k: np.ndarray) -> np.ndarray:
         if self.sd == 0:
-            return np.full_like(u, float(self.mu))
-        return self.mu + self.sd * _load_ndtri()(u)
+            return np.full_like(k, float(self.mu))
+        return self.mu + self.sd * k
 
 
 @dataclass(frozen=True)
@@ -170,8 +185,8 @@ class Uniform(Distribution):
     def variance(self) -> float:
         return (self.hi - self.lo) ** 2 / 12.0
 
-    def _from_uniforms(self, u: np.ndarray) -> np.ndarray:
-        return self.lo + (self.hi - self.lo) * u
+    def _from_kernel(self, k: np.ndarray) -> np.ndarray:
+        return self.lo + (self.hi - self.lo) * k
 
 
 @dataclass(frozen=True)
@@ -187,8 +202,11 @@ class Bernoulli(Distribution):
     def variance(self) -> float:
         return self.p * (1.0 - self.p)
 
-    def _from_uniforms(self, u: np.ndarray) -> np.ndarray:
-        return (u < self.p).astype(np.float64)
+    def _successes(self, u: np.ndarray) -> np.ndarray:
+        return u < self.p
+
+    def _from_kernel(self, k: np.ndarray) -> np.ndarray:
+        return self._successes(k).astype(np.float64)
 
 
 @dataclass(frozen=True)
@@ -205,9 +223,15 @@ class Exponential(Distribution):
     def variance(self) -> float:
         return 1.0 / self.rate**2
 
-    def _from_uniforms(self, u: np.ndarray) -> np.ndarray:
+    def _kernel(self, u: np.ndarray) -> np.ndarray:
         # Inverse CDF; u is never exactly 0 or 1, so the result is finite.
-        return -np.log(u) / self.rate
+        # Negated in place: numpy reuses a temporary only from 256 KiB on,
+        # and a suite's kernel chunk is just below that.
+        k = np.log(u)
+        return np.negative(k, out=k)
+
+    def _from_kernel(self, k: np.ndarray) -> np.ndarray:
+        return k / self.rate
 
 
 @dataclass(frozen=True)
@@ -223,8 +247,8 @@ class PointMass(Distribution):
     def variance(self) -> float:
         return 0.0
 
-    def _from_uniforms(self, u: np.ndarray) -> np.ndarray:
-        return np.full_like(u, float(self.value))
+    def _from_kernel(self, k: np.ndarray) -> np.ndarray:
+        return np.full_like(k, float(self.value))
 
 
 FAMILIES: dict[str, type[Distribution]] = {

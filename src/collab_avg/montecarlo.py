@@ -24,7 +24,7 @@ import numpy as np
 
 from ._philox import _C_MIN_DRAWS, uniform_matrix
 from ._workers import _fill_in_workers, cpu_count
-from .distributions import Distribution, Normal, PointMass, SeedSpec, _load_ndtri
+from .distributions import Bernoulli, Distribution, Normal, PointMass, SeedSpec, _load_ndtri
 from .theory import ErrorProfile, Scenario, _check_alpha, _check_count, error_profile, ese_of_alpha
 
 #: Target number of scalar draws generated per chunk. Sized so that the
@@ -198,12 +198,23 @@ def _row_means(a: np.ndarray) -> np.ndarray:
     """
     n = a.shape[1]
     if n >= 8:
-        return a.mean(axis=1)
+        return np.add.reduce(a, axis=1) / n  # what mean computes, without its wrapper
     total = a[:, 0] + 0.0
     for j in range(1, n):
         total += a[:, j]
     total /= n
     return total
+
+
+def _kernel_means(dist: Distribution, k: np.ndarray) -> np.ndarray:
+    """``_row_means(dist._from_kernel(k))``, bit for bit.
+
+    A Bernoulli row's draws are 0.0s and 1.0s, whose sum is exact in any
+    order, so its successes are counted instead.
+    """
+    if isinstance(dist, Bernoulli):
+        return np.count_nonzero(dist._successes(k), axis=1) / k.shape[1]
+    return _row_means(dist._from_kernel(k))
 
 
 def trial_means(
@@ -216,9 +227,11 @@ def trial_means(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-trial empirical means (xbar_t, ybar_t) for t = 0 .. trials-1.
 
-    A trial of more than ``_CHUNK_DRAWS`` draws is drawn side by side in
-    leaves of numpy's pairwise-sum tree, so its draws are never held whole
-    and each mean keeps the bits of ``mean`` over the whole side. Calls
+    A trial of more than ``_CHUNK_DRAWS`` draws is drawn side by side: a
+    side longer than a chunk in leaves of numpy's pairwise-sum tree, one
+    trial at a time, so its draws are never held whole and each mean keeps
+    the bits of ``mean`` over the whole side; a shorter side in chunks of
+    trials, as a short trial is. Calls
     that draw at least ``_PARALLEL_MIN_DRAWS`` uniforms split their chunks
     over one forked worker per CPU the process may run on; each row's mean
     does not depend on the split, so neither does any byte.
@@ -242,22 +255,32 @@ def trial_means(
         else:
             sides.append((dist, means, d_lo, n))
 
+    def fill_rows(lo: int, hi: int, first: int, span: int, parts: list) -> None:
+        """The means of ``parts`` for trials ``lo .. hi-1``, from draws ``first ..
+        first+span-1`` of as many trials at a time as fit in a chunk."""
+        rows = max(1, _CHUNK_DRAWS // span)
+        for c_lo in range(lo, hi, rows):
+            c_hi = min(c_lo + rows, hi)
+            u = uniform_matrix(seed.master_seed, seed.stream_id + c_lo, c_hi - c_lo, span, first)
+            for dist, means, d_lo, n in parts:
+                means[c_lo:c_hi] = _row_means(dist._from_uniforms(u[:, d_lo - first : d_lo - first + n]))
+
     def fill(lo: int, hi: int) -> None:
-        for c_lo in range(lo, hi, chunk):
-            c_hi = min(c_lo + chunk, hi)
-            stream = seed.stream_id + c_lo
-            if count > _CHUNK_DRAWS:  # a chunk of one trial
-                for dist, means, d_lo, n in sides:
-
-                    def leaf_sum(l_lo: int, l_hi: int) -> float:
-                        u = uniform_matrix(seed.master_seed, stream, 1, l_hi - l_lo, l_lo)[0]
-                        return np.add.reduce(dist._from_uniforms(u))
-
-                    means[c_lo] = _pairwise_sum(leaf_sum, d_lo, d_lo + n, _CHUNK_DRAWS) / n
+        if count <= _CHUNK_DRAWS:
+            fill_rows(lo, hi, start, count, sides)
+            return
+        for side in sides:
+            dist, means, d_lo, n = side
+            if n <= _CHUNK_DRAWS:
+                fill_rows(lo, hi, d_lo, n, [side])
                 continue
-            u = uniform_matrix(seed.master_seed, stream, c_hi - c_lo, count, start)
-            for dist, means, d_lo, n in sides:
-                means[c_lo:c_hi] = _row_means(dist._from_uniforms(u[:, d_lo - start : d_lo - start + n]))
+            for t in range(lo, hi):
+
+                def leaf_sum(l_lo: int, l_hi: int) -> float:
+                    u = uniform_matrix(seed.master_seed, seed.stream_id + t, 1, l_hi - l_lo, l_lo)[0]
+                    return np.add.reduce(dist._from_uniforms(u))
+
+                means[t] = _pairwise_sum(leaf_sum, d_lo, d_lo + n, _CHUNK_DRAWS) / n
 
     # Whole chunks per worker, so no chunk boundary moves.
     bounds = [n_chunks * w // workers * chunk for w in range(workers)] + [trials]
@@ -413,15 +436,23 @@ def estimate_error_curve(
 def _shared_range(ranges: Sequence[tuple[int, int]]) -> tuple[int, int] | None:
     """``(start, count)`` spanning every scenario's draws, when a suite should share them.
 
-    The shared path draws this span twice per trial and runs each family
-    transform twice, where each scenario on its own draws and transforms
-    its range once. It is taken when the scenarios' ranges add up to more
-    than three times the span, and the span fits in a chunk. Measured
-    serially on a 2-core Xeon (numpy 2.4.6, 21 weights, median of 5), the
-    shared path took, against the scenarios on their own, 1.25x, 0.92x,
-    0.85x and 0.71x at 2, 2.5, 3 and 3.5 times a 200-draw span, and 1.19x,
-    1.04x, 0.93x and 0.79x at those multiples of a 20-draw span; c06's
-    suite adds up to 3.45 times its 200-draw span.
+    The shared path draws this span twice per trial and runs each family's
+    kernel twice over the draws covering that family's sides, where each
+    scenario on its own draws and transforms its range once. It is taken
+    when the scenarios' ranges add up to more than three times the span,
+    and the span fits in a chunk; c06's suite adds up to 3.45 times its
+    200-draw span. Measured serially on a 2-core Xeon (numpy 2.4.6, 21
+    weights, CPU time, median of 7; 20,000 trials of a 200-draw span,
+    200,000 of a 20-draw one), the shared path took, against the scenarios
+    on their own, at 2, 2.5, 3 and 3.5 times the span:
+    - sides of a family overlapping: 1.23x, 0.95x, 0.69x and 0.69x at a
+      200-draw span, 1.18x, 0.97x, 0.87x and 0.83x at a 20-draw span;
+    - no two sides of a family overlapping: 1.15x, 0.95x, 0.94x and 0.83x,
+      and 1.27x, 0.99x, 1.00x and 0.93x.
+    Before kernels were shared the same runs read 1.17x, 1.07x, 0.97x and
+    1.01x for overlapping families at a 200-draw span. The break-even now
+    sits near 2.5x, but runs of one setting spread by about 0.1x, so the
+    rule stays at 3x, where the shared path was no slower in any layout.
     """
     drawn = [(start, start + count) for start, count in ranges if count]
     if not drawn:
@@ -450,7 +481,9 @@ def _load_suite_modules(scenarios: Sequence[SampledScenario]) -> None:
 #: the same machine at c06's suite (12 scenarios, 100k trials): 3.8-4.2 s
 #: at 4,096 and 8,192, 4.2-4.6 s at 2,048, where the numpy calls per leaf
 #: add up; peak RSS grew from 52.3 MB at 4,096 to 53.4, 55.6 and 60.2 MB
-#: at 8,192, 16,384 and 32,768.
+#: at 8,192, 16,384 and 32,768. With shared kernels (median of 8, runs
+#: alternating): 3.62 s at 8,192 against 3.76 s at 4,096 serially, and
+#: 1.93 against 1.97 s on two workers; peak RSS 0.64 MiB lower at 4,096.
 _SUITE_LEAF = 8_192
 
 
@@ -465,10 +498,11 @@ def estimate_suite_curves(
     Every scenario of a suite reads trial ``t``'s draws from stream
     ``(seed, stream_id + t)`` from the same index on. When ``_shared_range``
     says it pays, each pass of ``_tree_statistics`` draws a leaf's span once,
-    chunk by chunk, and takes every scenario's trial means from slices of
-    it, so no trial-length buffer is kept. The passes fork from
-    ``_PARALLEL_MIN_DRAWS`` draws on. Otherwise each scenario is estimated
-    on its own.
+    chunk by chunk, runs each family's ``_kernel`` once per chunk over the
+    draws covering that family's sides, and takes every scenario's trial
+    means from slices of it, so no trial-length buffer is kept. The passes
+    fork from ``_PARALLEL_MIN_DRAWS`` draws on. Otherwise each scenario is
+    estimated on its own.
     """
     alphas = _checked_alphas(alphas)
     _check_trials(trials)
@@ -484,13 +518,24 @@ def estimate_suite_curves(
     if parallel:
         _load_suite_modules(scenarios)
 
-    # (scenario, side, distribution, its draws' slice of the span): x takes
-    # draws 0 .. n_x-1 and y draws n_x .. n_x+n_y-1.
-    sides = [
-        (s, side, dist, slice(d_lo - first, d_hi - first))
-        for s, sc in enumerate(scenarios)
-        for side, dist, d_lo, d_hi in ((0, sc.x, 0, sc.n_x), (1, sc.y, sc.n_x, sc.n_x + sc.n_y))
-    ]
+    # Each family's sides as (scenario, side, distribution, its draws' range
+    # in the span): x takes draws 0 .. n_x-1 and y draws n_x .. n_x+n_y-1.
+    families: dict[type, list] = {}
+    constants = []
+    for s, sc in enumerate(scenarios):
+        for side, dist, d_lo, d_hi in ((0, sc.x, 0, sc.n_x), (1, sc.y, sc.n_x, sc.n_x + sc.n_y)):
+            if isinstance(dist, PointMass):
+                constants.append((s, side, float(dist.value)))
+            else:
+                families.setdefault(type(dist), []).append((s, side, dist, d_lo - first, d_hi - first))
+    # Per family: its kernel, the span's draws covering all its sides, and
+    # each side with its draws' slice of the kernel.
+    kernels = []
+    for members in families.values():
+        k_lo = min(member[3] for member in members)
+        k_hi = max(member[4] for member in members)
+        sides = [(s, side, dist, slice(d_lo - k_lo, d_hi - k_lo)) for s, side, dist, d_lo, d_hi in members]
+        kernels.append((members[0][2]._kernel, slice(k_lo, k_hi), sides))
 
     mus = [scenario.x.mean() for scenario in scenarios]
     scratch = np.empty((2, min(trials, _SUITE_LEAF)))
@@ -499,15 +544,16 @@ def estimate_suite_curves(
         """``[scenario, weight]`` sums over trials ``lo .. hi-1``, from one draw of their span."""
         # means[scenario, side, trial], as trial_means gives them.
         means = np.empty((len(scenarios), 2, hi - lo))
-        for s, side, dist, _ in sides:
-            if isinstance(dist, PointMass):
-                means[s, side].fill(float(dist.value))
+        for s, side, value in constants:
+            means[s, side].fill(value)
         for c_lo in range(lo, hi, chunk):
             c_hi = min(c_lo + chunk, hi)
             u = uniform_matrix(seed.master_seed, seed.stream_id + c_lo, c_hi - c_lo, count, first)
-            for s, side, dist, draws in sides:
-                if not isinstance(dist, PointMass):
-                    means[s, side, c_lo - lo : c_hi - lo] = _row_means(dist._from_uniforms(u[:, draws]))
+            for kernel, covered, sides in kernels:
+                k = kernel(u[:, covered])
+                for s, side, dist, draws in sides:
+                    means[s, side, c_lo - lo : c_hi - lo] = _kernel_means(dist, k[:, draws])
+                del k  # freed before the next family's kernel is made
         return np.array(
             [
                 _curve_sums(means[s, 0], means[s, 1], alphas, mu_x, scratch, None if centres is None else centres[s])

@@ -19,6 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import collab_avg.distributions as distributions
 import collab_avg.montecarlo as mc
 from collab_avg._philox import uniform_matrix
 from collab_avg.cli import main
@@ -245,6 +246,16 @@ class TestLongStreams:
         # Two trials of at most 240,000 draws stay below the forking threshold.
         means = trial_means(x, n_x, y, n_y, 2, seed)
         assert _means_bytes(means) == _means_bytes(_whole_row_means(x, n_x, y, n_y, 2, seed))
+
+    def test_a_side_that_fits_a_chunk_is_drawn_for_many_trials_at_once(self, monkeypatch):
+        # 70,000 draws are two leaves of 35,000, drawn trial by trial; the
+        # 100-draw side takes one call for all 20 trials.
+        x, n_x, y, n_y, trials, seed = Normal(0.0, 1.0), 100, Uniform(0.0, 1.0), 70_000, 20, SeedSpec(1)
+        force_cpus(monkeypatch, 1)
+        spy = _DrawSpy(monkeypatch)
+        means = trial_means(x, n_x, y, n_y, trials, seed)
+        assert spy.calls == [(trials, 100, 0)] + [(1, 35_000, 100), (1, 35_000, 35_100)] * trials
+        assert _means_bytes(means) == _means_bytes(_whole_row_means(x, n_x, y, n_y, trials, seed))
 
     def test_memory_does_not_grow_with_the_stream(self):
         def peak(n_x: int) -> float:
@@ -594,6 +605,23 @@ CONSTANT_X_SUITE = (
 )
 
 
+# Each family's sides share one kernel over the draws covering them all
+# (span 0 .. 29). Normal sides: 0 .. 3 (sd 0, its family's first side),
+# 10 .. 21 and 16 .. 29, so they overlap and leave 4 .. 9 out. Exponential
+# sides: 4 .. 11, 8 .. 13 and 20 .. 25, so their kernel starts at 4 and
+# leaves 14 .. 19 out. Bernoulli sides of fewer than 8 and of 8 or more
+# draws, at p = 0 and p = 1.
+KERNEL_SUITE = (
+    SampledScenario(Normal(1.0, 0.0), 4, Exponential(2.0), 8),
+    SampledScenario(Uniform(0.0, 1.0), 10, Normal(0.3, 1.2), 12),
+    SampledScenario(PointMass(0.5), 8, Exponential(0.5), 6),
+    SampledScenario(Uniform(-1.0, 1.0), 16, Normal(-1.0, 0.7), 14),
+    SampledScenario(Uniform(2.0, 3.0), 20, Exponential(1.0), 6),
+    SampledScenario(Bernoulli(1.0), 5, Bernoulli(0.0), 25),
+    SampledScenario(Bernoulli(0.0), 3, Bernoulli(1.0), 9),
+)
+
+
 def _alone(suite, alphas, trials, seed):
     return [estimate_error_curve(s.x, s.n_x, s.y, s.n_y, alphas, trials, seed) for s in suite]
 
@@ -606,7 +634,9 @@ class TestSuiteCurves:
     # first leaf.
     @pytest.mark.parametrize("cpus", [1, 2])
     @pytest.mark.parametrize(
-        "suite,first,span", [(SHARED_SUITE, 0, 24), (CONSTANT_X_SUITE, 4, 20)], ids=["shared", "constant_x"]
+        "suite,first,span",
+        [(SHARED_SUITE, 0, 24), (CONSTANT_X_SUITE, 4, 20), (KERNEL_SUITE, 0, 30)],
+        ids=["shared", "constant_x", "kernels"],
     )
     def test_each_scenario_bitwise_as_alone(self, monkeypatch, cpus, suite, first, span):
         trials, seed = 20_001, SeedSpec(7, 2**64 - 3)
@@ -633,19 +663,40 @@ class TestSuiteCurves:
         trials, seed = 20_001, SeedSpec(12)
         expected = _alone(SHARED_SUITE, CURVE_ALPHAS, trials, seed)
         parent = os.getpid()
-        transform = Exponential._from_uniforms
+        draw = mc.uniform_matrix
+        failed = mmap.mmap(-1, 1)  # set by a worker, seen here
 
-        def fails_in_child(self, u):
+        def fails_in_child(*args):
             if os.getpid() != parent:
+                failed[0] = 1
                 raise RuntimeError("worker failure")
-            return transform(self, u)
+            return draw(*args)
 
-        monkeypatch.setattr(Exponential, "_from_uniforms", fails_in_child)
+        monkeypatch.setattr(mc, "uniform_matrix", fails_in_child)
         monkeypatch.setattr(mc, "_PARALLEL_MIN_DRAWS", 0)
         forks = force_cpus(monkeypatch, 2)
         assert mc.estimate_suite_curves(SHARED_SUITE, CURVE_ALPHAS, trials, seed) == expected
         assert len(forks) == 2
+        assert failed[0] == 1
         assert no_child_left()
+
+    def test_one_kernel_per_family_and_chunk(self, monkeypatch):
+        # c06's normal sides take 190 draws per trial, all among draws 0 ..
+        # 99: one ndtri over those 100 per chunk and pass, not one per side.
+        suite, trials, seed = MC_SUITE, 1_000, SeedSpec(MC_BASE_SEED)
+        expected = _alone(suite, CURVE_ALPHAS, trials, seed)
+        ndtri = distributions._load_ndtri()
+        shapes = []
+
+        def counted(u):
+            shapes.append(u.shape)
+            return ndtri(u)
+
+        monkeypatch.setattr(distributions, "_load_ndtri", lambda: counted)
+        force_cpus(monkeypatch, 1)
+        assert mc.estimate_suite_curves(suite, CURVE_ALPHAS, trials, seed) == expected
+        chunk = mc._CHUNK_DRAWS // 200
+        assert shapes == [(min(chunk, trials - lo), 100) for lo in range(0, trials, chunk)] * 2
 
     @pytest.mark.parametrize(
         "suite,chunk_draws",
