@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import math
 import mmap
+import os
+import tempfile
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from typing import TypeVar
@@ -153,6 +155,26 @@ def _buffer(shape: tuple[int, ...], workers: int) -> tuple[np.ndarray, int]:
         except (OSError, OverflowError):
             pass
     return np.empty(shape), 1
+
+
+def _write_at(fd: int, a: np.ndarray, offset: int) -> None:
+    """Write ``a`` at byte ``offset`` of file ``fd``; a short write raises."""
+    written = os.pwrite(fd, a, offset)
+    if written != a.nbytes:
+        raise OSError(f"short write to a scratch file: {written} of {a.nbytes} bytes")
+
+
+def _read_at(fd: int, shape: tuple[int, ...], offset: int) -> np.ndarray:
+    """The float array of ``shape`` at byte ``offset`` of file ``fd``; a short read raises.
+
+    A read past the file's end comes back short, so a block that was never
+    written cannot be read as zeros at the end of the file.
+    """
+    size = 8 * math.prod(shape)
+    data = os.pread(fd, size, offset)
+    if len(data) != size:
+        raise OSError(f"short read from a scratch file: {len(data)} of {size} bytes")
+    return np.frombuffer(data).reshape(shape)
 
 
 def _draw_range(x: Distribution, n_x: int, y: Distribution, n_y: int) -> tuple[int, int]:
@@ -436,30 +458,29 @@ def estimate_error_curve(
 def _shared_range(ranges: Sequence[tuple[int, int]]) -> tuple[int, int] | None:
     """``(start, count)`` spanning every scenario's draws, when a suite should share them.
 
-    The shared path draws this span twice per trial and runs each family's
-    kernel twice over the draws covering that family's sides, where each
-    scenario on its own draws and transforms its range once. It is taken
-    when the scenarios' ranges add up to more than three times the span,
-    and the span fits in a chunk; c06's suite adds up to 3.45 times its
-    200-draw span. Measured serially on a 2-core Xeon (numpy 2.4.6, 21
-    weights, CPU time, median of 7; 20,000 trials of a 200-draw span,
-    200,000 of a 20-draw one), the shared path took, against the scenarios
-    on their own, at 2, 2.5, 3 and 3.5 times the span:
-    - sides of a family overlapping: 1.23x, 0.95x, 0.69x and 0.69x at a
-      200-draw span, 1.18x, 0.97x, 0.87x and 0.83x at a 20-draw span;
-    - no two sides of a family overlapping: 1.15x, 0.95x, 0.94x and 0.83x,
-      and 1.27x, 0.99x, 1.00x and 0.93x.
-    Before kernels were shared the same runs read 1.17x, 1.07x, 0.97x and
-    1.01x for overlapping families at a 200-draw span. The break-even now
-    sits near 2.5x, but runs of one setting spread by about 0.1x, so the
-    rule stays at 3x, where the shared path was no slower in any layout.
+    The shared path draws this span once per trial and runs each family's
+    kernel once over the draws covering that family's sides, where each
+    scenario on its own draws and transforms its range. It is taken when
+    the scenarios' ranges add up to more than twice the span, and the span
+    fits in a chunk; c06's suite adds up to 3.45 times its 200-draw span.
+    Measured serially on a 2-core Xeon (numpy 2.4.6, 21 weights, CPU time,
+    median of 7; 20,000 trials of a 200-draw span, 200,000 of a 20-draw
+    one), the shared path took, against the scenarios on their own, at 1,
+    1.5, 2, 2.5, 3 and 3.5 times the span:
+    - sides of a family overlapping: 1.00x, 0.65x, 0.53x, 0.41x, 0.37x and
+      0.32x at a 200-draw span, 1.05x, 0.75x, 0.64x, 0.54x, 0.56x and 0.45x
+      at a 20-draw span;
+    - no two sides of a family overlapping: 1.00x, 0.76x, 0.65x, 0.61x,
+      0.50x and 0.41x, and 1.01x, 0.81x, 0.70x, 0.64x, 0.62x and 0.54x
+      (0.66x and 0.77x at 2 times the span in a second run).
+    The rule is 2x, where the shared path was faster in every layout.
     """
     drawn = [(start, start + count) for start, count in ranges if count]
     if not drawn:
         return None
     lo = min(start for start, _ in drawn)
     hi = max(end for _, end in drawn)
-    if 3 * (hi - lo) < sum(end - start for start, end in drawn) and hi - lo <= _CHUNK_DRAWS:
+    if 2 * (hi - lo) < sum(end - start for start, end in drawn) and hi - lo <= _CHUNK_DRAWS:
         return lo, hi - lo
     return None
 
@@ -497,12 +518,15 @@ def estimate_suite_curves(
 
     Every scenario of a suite reads trial ``t``'s draws from stream
     ``(seed, stream_id + t)`` from the same index on. When ``_shared_range``
-    says it pays, each pass of ``_tree_statistics`` draws a leaf's span once,
-    chunk by chunk, runs each family's ``_kernel`` once per chunk over the
-    draws covering that family's sides, and takes every scenario's trial
-    means from slices of it, so no trial-length buffer is kept. The passes
-    fork from ``_PARALLEL_MIN_DRAWS`` draws on. Otherwise each scenario is
-    estimated on its own.
+    says it pays, the first pass of ``_tree_statistics`` draws a leaf's span
+    once, chunk by chunk, runs each family's ``_kernel`` once per chunk over
+    the draws covering that family's sides, and takes every scenario's trial
+    means from slices of it. It writes the random sides' means to an
+    unlinked scratch file (trials x random sides x 8 bytes, in TMPDIR),
+    from which the second pass reads them back instead of drawing again; so
+    no trial-length buffer is held in memory. The passes fork from
+    ``_PARALLEL_MIN_DRAWS`` draws on, and the workers share the file.
+    Otherwise each scenario is estimated on its own.
     """
     alphas = _checked_alphas(alphas)
     _check_trials(trials)
@@ -537,23 +561,36 @@ def estimate_suite_curves(
         sides = [(s, side, dist, slice(d_lo - k_lo, d_hi - k_lo)) for s, side, dist, d_lo, d_hi in members]
         kernels.append((members[0][2]._kernel, slice(k_lo, k_hi), sides))
 
+    # The random sides' (scenario, side) indices into a leaf's means: the
+    # rows pass 1 writes to the scratch file.
+    random_sides = [member[:2] for members in families.values() for member in members]
+    spilled = tuple(np.array(index) for index in zip(*random_sides))
     mus = [scenario.x.mean() for scenario in scenarios]
     scratch = np.empty((2, min(trials, _SUITE_LEAF)))
 
     def leaf_sums(lo: int, hi: int, centres: np.ndarray | None) -> np.ndarray:
-        """``[scenario, weight]`` sums over trials ``lo .. hi-1``, from one draw of their span."""
+        """``[scenario, weight]`` sums over trials ``lo .. hi-1``.
+
+        Pass 1 draws their span and writes the random sides' means to
+        ``spill`` at their trials' place; pass 2 reads them back.
+        """
         # means[scenario, side, trial], as trial_means gives them.
         means = np.empty((len(scenarios), 2, hi - lo))
         for s, side, value in constants:
             means[s, side].fill(value)
-        for c_lo in range(lo, hi, chunk):
-            c_hi = min(c_lo + chunk, hi)
-            u = uniform_matrix(seed.master_seed, seed.stream_id + c_lo, c_hi - c_lo, count, first)
-            for kernel, covered, sides in kernels:
-                k = kernel(u[:, covered])
-                for s, side, dist, draws in sides:
-                    means[s, side, c_lo - lo : c_hi - lo] = _kernel_means(dist, k[:, draws])
-                del k  # freed before the next family's kernel is made
+        offset = 8 * len(random_sides) * lo  # each leaf a [random side, trial] block
+        if centres is None:
+            for c_lo in range(lo, hi, chunk):
+                c_hi = min(c_lo + chunk, hi)
+                u = uniform_matrix(seed.master_seed, seed.stream_id + c_lo, c_hi - c_lo, count, first)
+                for kernel, covered, sides in kernels:
+                    k = kernel(u[:, covered])
+                    for s, side, dist, draws in sides:
+                        means[s, side, c_lo - lo : c_hi - lo] = _kernel_means(dist, k[:, draws])
+                    del k  # freed before the next family's kernel is made
+            _write_at(spill.fileno(), means[spilled], offset)
+        else:
+            means[spilled] = _read_at(spill.fileno(), (len(random_sides), hi - lo), offset)
         return np.array(
             [
                 _curve_sums(means[s, 0], means[s, 1], alphas, mu_x, scratch, None if centres is None else centres[s])
@@ -561,7 +598,8 @@ def estimate_suite_curves(
             ]
         )
 
-    stats = _tree_statistics(leaf_sums, trials, _SUITE_LEAF, (len(scenarios), len(alphas)), parallel)
+    with tempfile.TemporaryFile() as spill:  # honours TMPDIR; unlinked at creation
+        stats = _tree_statistics(leaf_sums, trials, _SUITE_LEAF, (len(scenarios), len(alphas)), parallel)
     return [_estimates(mean, std, trials, seed) for mean, std in zip(*stats)]
 
 

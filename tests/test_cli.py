@@ -10,6 +10,7 @@ import os
 import signal
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 
 import pytest
@@ -17,7 +18,7 @@ import yaml
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from collab_avg import cli
+from collab_avg import cli, montecarlo
 from collab_avg.cli import main
 from collab_avg.theory import Scenario, error_profile, ese_of_alpha
 from conftest import force_cpus, no_child_left
@@ -601,6 +602,51 @@ class TestValidate:
         code, _, err = run_cli(capsys, "validate", "--scenario", str(path))
         assert code == 1
         assert "closed form" in err
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize(
+        "fault,message",
+        [
+            ("short_write", "error: short write to a scratch file: "),
+            ("short_read", "error: short read from a scratch file: "),
+            ("no_scratch_file", "error: [Errno 28] No space left on device"),
+        ],
+    )
+    def test_scratch_file_failure_exits_1_with_one_line(self, tmp_path, capsys, monkeypatch, fault, message, cpus):
+        # A shared suite keeps its first pass's trial means in a scratch
+        # file. Half a block written or read back, or no file at all, must
+        # end in an error, never in estimates from a partial file.
+        path = tmp_path / "suite.yaml"
+        path.write_text(SHARED_SHORT_STREAMS_YAML)
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+        pwrite, pread = os.pwrite, os.pread
+        if fault == "short_write":
+            monkeypatch.setattr(os, "pwrite", lambda fd, data, offset: pwrite(fd, bytes(data)[: len(data) // 2], offset))
+        elif fault == "short_read":
+            monkeypatch.setattr(os, "pread", lambda fd, size, offset: pread(fd, size, offset)[: size // 2])
+        else:
+
+            def no_file(*args, **kwargs):
+                raise OSError(28, "No space left on device")
+
+            monkeypatch.setattr(tempfile, "TemporaryFile", no_file)
+        monkeypatch.setattr(montecarlo, "_PARALLEL_MIN_DRAWS", 0)
+        forks = force_cpus(monkeypatch, cpus)
+        out_path = tmp_path / "out.txt"
+        # 20,001 trials are four leaves, two per process on 2 CPUs.
+        argv = ["validate", "--scenario", str(path), "--trials", "20001", "--out", str(out_path)]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith(message)
+        assert not out_path.exists()
+        # One fork per pass reached on 2 CPUs; only pass 2 reads the file.
+        assert len(forks) == (cpus - 1) * {"short_write": 1, "short_read": 2, "no_scratch_file": 0}[fault]
+        assert no_child_left()
+        assert os.listdir(scratch) == []
 
     def test_byte_identical_output_files(self, tmp_path):
         path = tmp_path / "suite.yaml"

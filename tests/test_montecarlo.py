@@ -8,8 +8,10 @@ import hashlib
 import math
 import mmap
 import os
+import pickle
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 
@@ -584,7 +586,7 @@ class _DrawSpy:
 
 
 # Shares draws 0 .. 23 of each stream: 24 + 21 + 20 + 13 + 24 + 0 = 102
-# draws when each scenario draws its own, more than 3 x 24. Every family,
+# draws when each scenario draws its own, more than 2 x 24. Every family,
 # constant sides on either side and on both.
 SHARED_SUITE = (
     SampledScenario(Normal(0.3, 1.2), 11, Exponential(2.0), 13),
@@ -626,6 +628,20 @@ def _alone(suite, alphas, trials, seed):
     return [estimate_error_curve(s.x, s.n_x, s.y, s.n_y, alphas, trials, seed) for s in suite]
 
 
+PROC_FD = os.path.isdir("/proc/self/fd")
+
+# Peak RSS in MiB of a fresh interpreter on 2 CPUs that estimates the suite
+# pickled on stdin at argv[1] trials.
+SUITE_PEAK = FORKED + """
+import pickle, resource, sys
+os.sched_getaffinity = lambda pid: {0, 1}
+from collab_avg import montecarlo as mc
+from collab_avg.distributions import SeedSpec
+mc.estimate_suite_curves(pickle.load(sys.stdin.buffer), mc.VALIDATION_ALPHAS, int(sys.argv[1]), SeedSpec(0))
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
+"""
+
+
 class TestSuiteCurves:
     """A suite that shares its streams gives each scenario's own estimates, bit for bit."""
 
@@ -649,7 +665,7 @@ class TestSuiteCurves:
         assert no_child_left()
         if cpus == 1:  # the workers' draws are not seen here
             assert spy.calls[0] == (mc._CHUNK_DRAWS // span, span, first)
-            assert spy.draws == 2 * trials * span
+            assert spy.draws == 1 * trials * span  # pass 2 reads pass 1's means back
 
     @pytest.mark.parametrize("trials", [100, 128 * 9 + 5])
     def test_many_small_leaves(self, monkeypatch, trials):
@@ -658,6 +674,17 @@ class TestSuiteCurves:
         expected = _alone(SHARED_SUITE, CURVE_ALPHAS, trials, SeedSpec(11))
         monkeypatch.setattr(mc, "_SUITE_LEAF", 128)
         assert mc.estimate_suite_curves(SHARED_SUITE, CURVE_ALPHAS, trials, SeedSpec(11)) == expected
+
+    def test_more_workers_than_cores(self, monkeypatch):
+        # Six processes write and read sixteen leaves of one scratch file.
+        trials, seed = 128 * 9 + 5, SeedSpec(16)
+        expected = _alone(KERNEL_SUITE, CURVE_ALPHAS, trials, seed)
+        monkeypatch.setattr(mc, "_SUITE_LEAF", 128)
+        monkeypatch.setattr(mc, "_PARALLEL_MIN_DRAWS", 0)
+        forks = force_cpus(monkeypatch, 6)
+        assert mc.estimate_suite_curves(KERNEL_SUITE, CURVE_ALPHAS, trials, seed) == expected
+        assert len(forks) == 2 * 5
+        assert no_child_left()
 
     def test_failed_worker_leaves_are_redone_here(self, monkeypatch):
         trials, seed = 20_001, SeedSpec(12)
@@ -680,9 +707,63 @@ class TestSuiteCurves:
         assert failed[0] == 1
         assert no_child_left()
 
+    @pytest.mark.parametrize("ending", ["passed", "failed_worker", "interrupted"])
+    def test_leaves_no_scratch_file(self, monkeypatch, tmp_path, ending):
+        trials, seed = 20_001, SeedSpec(15)
+        expected = _alone(SHARED_SUITE, CURVE_ALPHAS, trials, seed)
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        parent = os.getpid()
+        write_at = mc._write_at
+        failed = mmap.mmap(-1, 1)  # set by a worker, seen here
+        files = []  # at each write here: the directory's entries and the file's path
+
+        def watched(fd, a, offset):
+            if os.getpid() != parent:
+                if ending == "failed_worker":
+                    failed[0] = 1
+                    raise RuntimeError("worker failure")
+            else:
+                files.append((os.listdir(tmp_path), os.readlink(f"/proc/self/fd/{fd}") if PROC_FD else None))
+                if ending == "interrupted":
+                    raise KeyboardInterrupt
+            write_at(fd, a, offset)
+
+        monkeypatch.setattr(mc, "_write_at", watched)
+        monkeypatch.setattr(mc, "_PARALLEL_MIN_DRAWS", 0)
+        force_cpus(monkeypatch, 2)
+        if ending == "interrupted":
+            with pytest.raises(KeyboardInterrupt):
+                mc.estimate_suite_curves(SHARED_SUITE, CURVE_ALPHAS, trials, seed)
+        else:
+            assert mc.estimate_suite_curves(SHARED_SUITE, CURVE_ALPHAS, trials, seed) == expected
+        assert failed[0] == (ending == "failed_worker")
+        assert no_child_left()
+        assert files  # unlinked from the start, in the temporary directory
+        for entries, name in files:
+            assert entries == []
+            assert name is None or name.startswith(str(tmp_path))
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="workers need sched_getaffinity")
+    def test_memory_does_not_grow_with_trials(self):
+        # c06's suite has 19 random sides: 30.4 MB of trial means at 200,000
+        # trials, 7.6 MB at 50,000. Both are cut into leaves of 6,250 trials.
+        def peak(trials: int) -> float:
+            result = subprocess.run(
+                [sys.executable, "-c", SUITE_PEAK, str(trials)],
+                input=pickle.dumps(MC_SUITE),
+                capture_output=True,
+                timeout=300,
+            )
+            assert result.returncode == 0, result.stderr
+            return float(result.stdout)
+
+        assert peak(200_000) < peak(50_000) + 1.0
+
     def test_one_kernel_per_family_and_chunk(self, monkeypatch):
         # c06's normal sides take 190 draws per trial, all among draws 0 ..
-        # 99: one ndtri over those 100 per chunk and pass, not one per side.
+        # 99: one ndtri over those 100 per chunk, not one per side, and
+        # none in pass 2, which reads pass 1's means back.
         suite, trials, seed = MC_SUITE, 1_000, SeedSpec(MC_BASE_SEED)
         expected = _alone(suite, CURVE_ALPHAS, trials, seed)
         ndtri = distributions._load_ndtri()
@@ -696,23 +777,36 @@ class TestSuiteCurves:
         force_cpus(monkeypatch, 1)
         assert mc.estimate_suite_curves(suite, CURVE_ALPHAS, trials, seed) == expected
         chunk = mc._CHUNK_DRAWS // 200
-        assert shapes == [(min(chunk, trials - lo), 100) for lo in range(0, trials, chunk)] * 2
+        assert shapes == [(min(chunk, trials - lo), 100) for lo in range(0, trials, chunk)]
+
+    def test_shares_from_more_than_twice_the_span(self, monkeypatch):
+        # 40 + 40 + 20 = 100 draws, more than 2 x 40: the span is drawn once.
+        suite = (
+            SampledScenario(Normal(0.0, 1.0), 15, Uniform(0.0, 1.0), 25),
+            SampledScenario(Exponential(1.0), 30, Normal(1.0, 1.0), 10),
+            SampledScenario(Uniform(0.0, 1.0), 20, PointMass(0.0), 3),
+        )
+        trials = 200
+        expected = _alone(suite, CURVE_ALPHAS, trials, SeedSpec(14))
+        force_cpus(monkeypatch, 1)
+        spy = _DrawSpy(monkeypatch)
+        assert mc.estimate_suite_curves(suite, CURVE_ALPHAS, trials, SeedSpec(14)) == expected
+        assert spy.calls == [(trials, 40, 0)]
 
     @pytest.mark.parametrize(
         "suite,chunk_draws",
         [
             (SHARED_SUITE[:1], 65_536),
-            # Three 40-draw streams over the same range: 120 draws are not
-            # more than 3 x 40.
+            # Two 40-draw streams over the same range: 80 draws are not
+            # more than 2 x 40.
             (
                 (
                     SampledScenario(Normal(0.0, 1.0), 15, Uniform(0.0, 1.0), 25),
                     SampledScenario(Exponential(1.0), 30, Normal(1.0, 1.0), 10),
-                    SampledScenario(Uniform(0.0, 1.0), 40, PointMass(0.0), 3),
                 ),
                 65_536,
             ),
-            # 4 x 24 draws are more than 3 x 24, but the span is more than a chunk.
+            # 4 x 24 draws are more than 2 x 24, but the span is more than a chunk.
             (SHARED_SUITE[:1] * 4, 16),
         ],
         ids=["one_scenario", "below_the_rule", "span_beyond_a_chunk"],
