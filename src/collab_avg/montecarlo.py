@@ -14,6 +14,7 @@ convexity) tight at moderate trial counts.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import mmap
 import os
@@ -57,6 +58,12 @@ _SUM_LEAF = 32_768
 _PARALLEL_MIN_CURVE = 6_000_000
 
 _MIN_TRIALS = 100
+
+#: More trials could never finish. A scenario that draws nothing still
+#: takes 0.11 us per trial on validate's 21 weights (one core of a 2-core
+#: Xeon, numpy 2.4.6), 34 hours for 2**40 trials; a sampled one also writes
+#: 8 bytes per trial and random side to the scratch file, 8 TiB per side.
+_MAX_TRIALS = 2**40
 
 #: Weights ``validate_scenario`` checks: 21, equally spaced over [0, 1].
 VALIDATION_ALPHAS = tuple(np.linspace(0.0, 1.0, 21).tolist())
@@ -331,7 +338,9 @@ def _pairwise_sum(leaf_sum: Callable[[int, int], T], lo: int, hi: int, leaf: int
     if n <= max(leaf, 128):
         return leaf_sum(lo, hi)
     mid = lo + n // 2 - (n // 2) % 8
-    return _pairwise_sum(leaf_sum, lo, mid, leaf) + _pairwise_sum(leaf_sum, mid, hi, leaf)
+    left, right = _pairwise_sum(leaf_sum, lo, mid, leaf), _pairwise_sum(leaf_sum, mid, hi, leaf)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing sum reads inf, its point FAIL
+        return left + right
 
 
 def _curve_sums(
@@ -380,34 +389,40 @@ def _tree_statistics(
     trials: int,
     leaf: int,
     shape: tuple[int, ...],
-    parallel: bool,
+    parallel: tuple[bool, bool],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-entry mean and ``std(ddof=1)`` over the trials of a ``shape`` of squared errors.
 
     ``leaf_sums(lo, hi, centres)`` gives ``np.add.reduce`` over trials ``lo
     .. hi-1`` of the squared errors, or with ``centres`` of their squared
-    deviations from them (``_curve_sums``). Each of the two passes writes a
+    deviations from them (``_curve_sums``). Each of the two passes sums a
     table per leaf of numpy's pairwise-sum tree (at most ``leaf`` trials)
-    and adds the tables up in tree order, which keeps numpy's bits. When
-    ``parallel``, a pass splits its leaves into one contiguous run per CPU,
-    each filled by a forked worker that reads only its own trials.
+    and adds the tables up in tree order, which keeps numpy's bits. The
+    tree is cut into a few whole subtrees per CPU, each summed by one
+    process, so neither the leaves nor their tables are ever listed. A
+    pass whose entry of ``parallel`` is true splits the subtrees into one
+    contiguous run per CPU, each summed by a forked worker that reads only
+    its own trials.
     """
-    # The tree's leaves, in the order _pairwise_sum visits them.
-    leaves = _pairwise_sum(lambda lo, hi: [(lo, hi)], 0, trials, leaf)
+    cpus = cpu_count() if any(parallel) else 1
+    # The subtrees, in tree order: the tree's leaves, or nodes of about a
+    # quarter of a CPU's share of the trials when those are larger.
+    top = max(leaf, trials // (4 * cpus))
+    nodes = _pairwise_sum(lambda lo, hi: [(lo, hi)], 0, trials, top)
 
-    def summed(centres: np.ndarray | None) -> np.ndarray:
-        tables, workers = _buffer((len(leaves), *shape), min(cpu_count(), len(leaves)) if parallel else 1)
+    def summed(centres: np.ndarray | None, fork: bool) -> np.ndarray:
+        tables, workers = _buffer((len(nodes), *shape), min(cpus, len(nodes)) if fork else 1)
 
         def fill(i_lo: int, i_hi: int) -> None:
             for i in range(i_lo, i_hi):
-                tables[i] = leaf_sums(*leaves[i], centres)
+                tables[i] = _pairwise_sum(lambda lo, hi: leaf_sums(lo, hi, centres), *nodes[i], leaf)
 
-        _fill_in_workers(fill, [len(leaves) * w // workers for w in range(workers)] + [len(leaves)])
+        _fill_in_workers(fill, [len(nodes) * w // workers for w in range(workers)] + [len(nodes)])
         in_order = iter(tables)
-        return _pairwise_sum(lambda lo, hi: next(in_order), 0, trials, leaf)
+        return _pairwise_sum(lambda lo, hi: next(in_order), 0, trials, top)
 
-    mean = summed(None) / trials
-    return mean, np.sqrt(summed(mean) / (trials - 1))
+    mean = summed(None, parallel[0]) / trials
+    return mean, np.sqrt(summed(mean, parallel[1]) / (trials - 1))
 
 
 def _estimates_from_means(
@@ -431,7 +446,8 @@ def _estimates_from_means(
         return _curve_sums(xbar[lo:hi], ybar[lo:hi], alphas, mu_x, scratch, centres)
 
     parallel = trials * len(alphas) >= _PARALLEL_MIN_CURVE
-    return _estimates(*_tree_statistics(leaf_sums, trials, _SUM_LEAF, (len(alphas),), parallel), trials, seed)
+    stats = _tree_statistics(leaf_sums, trials, _SUM_LEAF, (len(alphas),), (parallel, parallel))
+    return _estimates(*stats, trials, seed)
 
 
 def estimate_error_curve(
@@ -446,11 +462,16 @@ def estimate_error_curve(
     """Simulated ESE over a grid of weights with common random numbers.
 
     Every grid point reuses the same per-trial draws, so each entry is
-    bitwise identical to a one-weight grid at that weight and seed.
+    bitwise identical to a one-weight grid at that weight and seed. A trial
+    that fits a chunk is estimated leaf by leaf, as a suite of one
+    (:func:`_leaf_curves`); a longer one from :func:`trial_means`.
     """
     alphas = _checked_alphas(alphas)
     _check_trials(trials)
     seed = _as_seed(seed)
+    first, count = _draw_range(x, n_x, y, n_y)
+    if count <= _CHUNK_DRAWS:
+        return _leaf_curves([(x, n_x, y, n_y)], alphas, trials, seed, first, count)[0]
     xbar, ybar = trial_means(x, n_x, y, n_y, trials, seed)
     return _estimates_from_means(xbar, ybar, alphas, x.mean(), seed)
 
@@ -497,57 +518,63 @@ def _load_suite_modules(scenarios: Sequence[SampledScenario]) -> None:
     _load_sampler_modules([dist for s in scenarios for dist in (s.x, s.y)], longest)
 
 
-#: Trials per leaf of the shared path: at least 128 (see ``_pairwise_sum``).
-#: Each leaf holds its trial means for every scenario. Measured serially on
-#: the same machine at c06's suite (12 scenarios, 100k trials): 3.8-4.2 s
-#: at 4,096 and 8,192, 4.2-4.6 s at 2,048, where the numpy calls per leaf
-#: add up; peak RSS grew from 52.3 MB at 4,096 to 53.4, 55.6 and 60.2 MB
-#: at 8,192, 16,384 and 32,768. With shared kernels (median of 8, runs
-#: alternating): 3.62 s at 8,192 against 3.76 s at 4,096 serially, and
-#: 1.93 against 1.97 s on two workers; peak RSS 0.64 MiB lower at 4,096.
-_SUITE_LEAF = 8_192
+#: Trial means a leaf of ``_leaf_curves`` may hold over its random sides
+#: (2 MiB). c06's suite, with 19 random sides, gets leaves of 8,192 trials.
+#: Measured serially on a 2-core Xeon (numpy 2.4.6) at its 100k trials:
+#: 3.62 s at 8,192 against 3.76 s at 4,096 (median of 8, runs alternating)
+#: and 4.2-4.6 s at 2,048, where the numpy calls per leaf add up; peak RSS
+#: 2.2 and 6.8 MB higher at 16,384 and 32,768.
+_LEAF_MEANS = 2**18
+
+#: The most trials per leaf of ``_leaf_curves``. For mc_many_trials (one
+#: scenario, two random 2-draw sides, 2M trials), on the same machine, at
+#: 16,384, 32,768 and 65,536 against the means held whole: peak RSS 37.6,
+#: 39.1 and 40.3 MB against 53.4 (perfbench, 4 runs alternating); median
+#: wall 0.556 and 0.538 s, and CPU 1.384 and 1.353 s, at 32,768 and 65,536
+#: against 0.524 and 1.341 s (validate in a fresh process on 2 CPUs, 12
+#: runs alternating). Serially, 65,536 took 19,900 page faults against
+#: 53,900 at 32,768: the larger leaf's freed buffers lift glibc's mmap and
+#: trim thresholds, so the sampler's per-chunk arrays are reused.
+_SUITE_LEAF = 65_536
 
 
-def estimate_suite_curves(
-    scenarios: Sequence[SampledScenario],
-    alphas: Sequence[float],
+def _leaf_curves(
+    scenarios: Sequence[tuple[Distribution, int, Distribution, int]],
+    alphas: list[float],
     trials: int,
-    seed: SeedSpec | int,
+    seed: SeedSpec,
+    first: int,
+    count: int,
 ) -> list[list[MonteCarloEstimate]]:
-    """:func:`estimate_error_curve` for each scenario, bit for bit, sharing their draws.
+    """Each scenario's curve, drawing the span ``first .. first+count-1`` of each trial once.
 
-    Every scenario of a suite reads trial ``t``'s draws from stream
-    ``(seed, stream_id + t)`` from the same index on. When ``_shared_range``
-    says it pays, the first pass of ``_tree_statistics`` draws a leaf's span
-    once, chunk by chunk, runs each family's ``_kernel`` once per chunk over
-    the draws covering that family's sides, and takes every scenario's trial
-    means from slices of it. It writes the random sides' means to an
-    unlinked scratch file (trials x random sides x 8 bytes, in TMPDIR),
-    from which the second pass reads them back instead of drawing again; so
-    no trial-length buffer is held in memory. The passes fork from
-    ``_PARALLEL_MIN_DRAWS`` draws on, and the workers share the file.
-    Otherwise each scenario is estimated on its own.
+    ``scenarios`` are ``(x, n_x, y, n_y)``, each drawing within the span,
+    which fits in a chunk. The first pass of ``_tree_statistics`` draws a
+    leaf's span chunk by chunk, runs each family's ``_kernel`` once per
+    chunk over the draws covering that family's sides, and takes every
+    scenario's trial means from slices of it. It writes the random sides'
+    means to an unlinked scratch file (trials x random sides x 8 bytes, in
+    TMPDIR), from which the second pass reads them back instead of drawing
+    again; so no trial-length buffer is held in memory. Pass 1 forks from
+    ``_PARALLEL_MIN_DRAWS`` draws on; pass 2, which only sums, from
+    ``_PARALLEL_MIN_CURVE`` trials x scenarios x weights on. The workers
+    share the file. Without a random side nothing is drawn and no file is
+    made.
     """
-    alphas = _checked_alphas(alphas)
-    _check_trials(trials)
-    seed = _as_seed(seed)
-    shared = _shared_range([_draw_range(s.x, s.n_x, s.y, s.n_y) for s in scenarios])
-    if shared is None:
-        return [
-            estimate_error_curve(s.x, s.n_x, s.y, s.n_y, alphas, trials, seed) for s in scenarios
-        ]
-    first, count = shared
-    chunk = max(1, _CHUNK_DRAWS // count)
-    parallel = trials * count >= _PARALLEL_MIN_DRAWS
-    if parallel:
-        _load_suite_modules(scenarios)
+    chunk = _CHUNK_DRAWS // max(count, 1)  # count fits in a chunk
+    parallel = (
+        trials * count >= _PARALLEL_MIN_DRAWS,
+        trials * len(scenarios) * len(alphas) >= _PARALLEL_MIN_CURVE,
+    )
+    if parallel[0]:
+        _load_sampler_modules([dist for x, _, y, _ in scenarios for dist in (x, y)], count)
 
     # Each family's sides as (scenario, side, distribution, its draws' range
     # in the span): x takes draws 0 .. n_x-1 and y draws n_x .. n_x+n_y-1.
     families: dict[type, list] = {}
     constants = []
-    for s, sc in enumerate(scenarios):
-        for side, dist, d_lo, d_hi in ((0, sc.x, 0, sc.n_x), (1, sc.y, sc.n_x, sc.n_x + sc.n_y)):
+    for s, (x, n_x, y, n_y) in enumerate(scenarios):
+        for side, dist, d_lo, d_hi in ((0, x, 0, n_x), (1, y, n_x, n_x + n_y)):
             if isinstance(dist, PointMass):
                 constants.append((s, side, float(dist.value)))
             else:
@@ -564,9 +591,14 @@ def estimate_suite_curves(
     # The random sides' (scenario, side) indices into a leaf's means: the
     # rows pass 1 writes to the scratch file.
     random_sides = [member[:2] for members in families.values() for member in members]
-    spilled = tuple(np.array(index) for index in zip(*random_sides))
-    mus = [scenario.x.mean() for scenario in scenarios]
-    scratch = np.empty((2, min(trials, _SUITE_LEAF)))
+    mus = [x.mean() for x, _, _, _ in scenarios]
+    # Trials per leaf: the largest power of two whose random sides' means fit
+    # in _LEAF_MEANS, at most _SUITE_LEAF, and at most a CPU's share of the
+    # trials, so that every CPU has a leaf (mc_long's 2,000 trials are two
+    # leaves on 2 CPUs); at least 128 (see _pairwise_sum).
+    fits = 1 << (_LEAF_MEANS // max(len(random_sides), 1)).bit_length() - 1
+    leaf = max(128, min(fits, _SUITE_LEAF, -(-trials // cpu_count())))
+    scratch = np.empty((2, min(trials, leaf)))
 
     def leaf_sums(lo: int, hi: int, centres: np.ndarray | None) -> np.ndarray:
         """``[scenario, weight]`` sums over trials ``lo .. hi-1``.
@@ -578,8 +610,13 @@ def estimate_suite_curves(
         means = np.empty((len(scenarios), 2, hi - lo))
         for s, side, value in constants:
             means[s, side].fill(value)
-        offset = 8 * len(random_sides) * lo  # each leaf a [random side, trial] block
-        if centres is None:
+        # Each leaf is a [random side, trial] block of the file, row by row.
+        block = 8 * len(random_sides) * lo
+        rows = [(means[s, side], block + 8 * i * (hi - lo)) for i, (s, side) in enumerate(random_sides)]
+        if centres is not None:
+            for row, offset in rows:
+                row[...] = _read_at(spill.fileno(), row.shape, offset)
+        elif kernels:
             for c_lo in range(lo, hi, chunk):
                 c_hi = min(c_lo + chunk, hi)
                 u = uniform_matrix(seed.master_seed, seed.stream_id + c_lo, c_hi - c_lo, count, first)
@@ -588,9 +625,8 @@ def estimate_suite_curves(
                     for s, side, dist, draws in sides:
                         means[s, side, c_lo - lo : c_hi - lo] = _kernel_means(dist, k[:, draws])
                     del k  # freed before the next family's kernel is made
-            _write_at(spill.fileno(), means[spilled], offset)
-        else:
-            means[spilled] = _read_at(spill.fileno(), (len(random_sides), hi - lo), offset)
+            for row, offset in rows:
+                _write_at(spill.fileno(), row, offset)
         return np.array(
             [
                 _curve_sums(means[s, 0], means[s, 1], alphas, mu_x, scratch, None if centres is None else centres[s])
@@ -598,9 +634,35 @@ def estimate_suite_curves(
             ]
         )
 
-    with tempfile.TemporaryFile() as spill:  # honours TMPDIR; unlinked at creation
-        stats = _tree_statistics(leaf_sums, trials, _SUITE_LEAF, (len(scenarios), len(alphas)), parallel)
+    # The scratch file honours TMPDIR and is unlinked at creation.
+    with tempfile.TemporaryFile() if random_sides else contextlib.nullcontext() as spill:
+        stats = _tree_statistics(leaf_sums, trials, leaf, (len(scenarios), len(alphas)), parallel)
     return [_estimates(mean, std, trials, seed) for mean, std in zip(*stats)]
+
+
+def estimate_suite_curves(
+    scenarios: Sequence[SampledScenario],
+    alphas: Sequence[float],
+    trials: int,
+    seed: SeedSpec | int,
+) -> list[list[MonteCarloEstimate]]:
+    """:func:`estimate_error_curve` for each scenario, bit for bit, sharing their draws.
+
+    Every scenario of a suite reads trial ``t``'s draws from stream
+    ``(seed, stream_id + t)`` from the same index on. When ``_shared_range``
+    says it pays, :func:`_leaf_curves` draws the span covering all their
+    draws once for the whole suite; otherwise each scenario is estimated on
+    its own.
+    """
+    alphas = _checked_alphas(alphas)
+    _check_trials(trials)
+    seed = _as_seed(seed)
+    shared = _shared_range([_draw_range(s.x, s.n_x, s.y, s.n_y) for s in scenarios])
+    if shared is None:
+        return [
+            estimate_error_curve(s.x, s.n_x, s.y, s.n_y, alphas, trials, seed) for s in scenarios
+        ]
+    return _leaf_curves([(s.x, s.n_x, s.y, s.n_y) for s in scenarios], alphas, trials, seed, *shared)
 
 
 def _checked_alphas(alphas: Iterable[float]) -> list[float]:
@@ -613,6 +675,8 @@ def _checked_alphas(alphas: Iterable[float]) -> list[float]:
 def _check_trials(trials: int) -> None:
     if not isinstance(trials, int) or isinstance(trials, bool) or trials < _MIN_TRIALS:
         raise ValueError(f"trials must be an integer >= {_MIN_TRIALS}, got {trials!r}")
+    if trials > _MAX_TRIALS:
+        raise ValueError(f"{trials} trials are too many to simulate (at most 2**40)")
 
 
 def _check_k(k: float) -> None:

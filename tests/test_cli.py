@@ -579,6 +579,23 @@ class TestValidate:
         assert all(verdict == "FAIL" for verdict, ok in zip(verdicts, finite) if not ok)
         assert out.endswith("alpha=1.0 mc=0.0 closed=0.0 se=0.0 dev=0.0 ok\noverall: FAIL\n")
 
+    @pytest.mark.parametrize(
+        "scenarios,trials", [(1, 100_000), (3, 40_000)], ids=["one_scenario", "shared_suite"]
+    )
+    def test_overflowing_sums_warn_nothing(self, tmp_path, scenarios, trials):
+        # Each squared error is finite (about 1e304 at most weights), but
+        # their sums over the trials overflow between leaves of the tree. The
+        # overflowed points read FAIL; Python's default warning filter, in a
+        # fresh interpreter, would print any RuntimeWarning to stderr.
+        side = "{x: {family: normal, params: {mu: 0.0, sd: 1.0e152}}, n_x: 1, y: {constant: 0}}"
+        path = tmp_path / "huge.yaml"
+        path.write_text(f"trials: {trials}\nseed: 0\nscenarios:\n" + f"  - {side}\n" * scenarios)
+        result = subprocess.run(
+            [sys.executable, "-m", "collab_avg", "validate", "--scenario", str(path)], capture_output=True, timeout=120
+        )
+        assert (result.returncode, result.stderr) == (2, b"")
+        assert result.stdout.endswith(b"overall: FAIL\n")
+
     def test_trials_below_oracle_minimum_rejected_by_config(self, tmp_path, capsys):
         path = tmp_path / "scenario.yaml"
         path.write_text(DEGENERATE_YAML)
@@ -633,9 +650,10 @@ class TestValidate:
 
             monkeypatch.setattr(tempfile, "TemporaryFile", no_file)
         monkeypatch.setattr(montecarlo, "_PARALLEL_MIN_DRAWS", 0)
+        monkeypatch.setattr(montecarlo, "_PARALLEL_MIN_CURVE", 0)
         forks = force_cpus(monkeypatch, cpus)
         out_path = tmp_path / "out.txt"
-        # 20,001 trials are four leaves, two per process on 2 CPUs.
+        # 20,001 trials are two leaves on 2 CPUs, one per process.
         argv = ["validate", "--scenario", str(path), "--trials", "20001", "--out", str(out_path)]
         code, out, err = run_cli(capsys, *argv)
         assert code == 1
@@ -1028,23 +1046,24 @@ class TestCommonBehaviour:
         assert out == ""
         assert err == f"error: scenario file.{field} is too large for a float\n"
 
-    # 2**58 float64 trial means are 2 EiB, beyond any virtual address space,
-    # so the first allocation fails at once and nothing is ever allocated or
-    # run. A trial's draws are never held whole, so 2**58 draws per trial are
-    # refused by count before anything runs.
+    # Neither 2**58 trials nor 2**58 draws per trial could ever finish; both
+    # are refused by count before anything is allocated or run, for one
+    # scenario as for a suite that shares its draws.
     @pytest.mark.parametrize(
         "n_x,flags,message",
         [
-            (5, ["--trials", str(2**58)], "error: Unable to allocate"),
+            (5, ["--trials", str(2**58)], f"error: {2**58} trials are too many to simulate (at most 2**40)\n"),
+            (None, ["--trials", str(2**58)], f"error: {2**58} trials are too many to simulate (at most 2**40)\n"),
             (2**58, [], f"error: a trial of {2**58} draws is too long to simulate (at most 2**40)"),
         ],
-        ids=["trials", "sample_size"],
+        ids=["trials", "trials_shared_suite", "sample_size"],
     )
     def test_too_large_to_allocate_exits_1(self, tmp_path, capsys, n_x, flags, message):
         path = tmp_path / "scenario.yaml"
         path.write_text(
-            f"x: {{family: normal, params: {{mu: 0.0, sd: 1.0}}}}\nn_x: {n_x}\n"
-            "y: {constant: 0.0}\ntrials: 100\n"
+            SHARED_SHORT_STREAMS_YAML
+            if n_x is None
+            else f"x: {{family: normal, params: {{mu: 0.0, sd: 1.0}}}}\nn_x: {n_x}\ny: {{constant: 0.0}}\ntrials: 100\n"
         )
         code, out, err = run_cli(capsys, "validate", "--scenario", str(path), *flags)
         assert code == 1

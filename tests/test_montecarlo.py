@@ -535,7 +535,7 @@ def recording(work):
 
 
 _workers._fork = recording
-mc._PARALLEL_MIN_DRAWS = 0
+mc._PARALLEL_MIN_DRAWS = mc._PARALLEL_MIN_CURVE = 0
 call = sys.argv[1]
 if call == "long":
     mc.trial_means(Exponential(1.0), 1000, Exponential(1.0), 6000, 2000, SeedSpec(0))
@@ -562,7 +562,7 @@ def test_trial_means_loads_scipy_once_before_forking():
 
 
 def test_suite_loads_its_modules_before_forking():
-    # One fork per pass: 20,000 trials are four leaves, two per process.
+    # One fork per pass: 20,000 trials are two leaves, one per process.
     assert _loaded_at_forks("suite_short") == [(1, False)] * 2
     assert _loaded_at_forks("suite_long") == [(0, True)] * 2
 
@@ -625,7 +625,13 @@ KERNEL_SUITE = (
 
 
 def _alone(suite, alphas, trials, seed):
-    return [estimate_error_curve(s.x, s.n_x, s.y, s.n_y, alphas, trials, seed) for s in suite]
+    """Each scenario's curve from numpy's own ``mean`` and ``std(ddof=1)`` over its ``trial_means``."""
+    curves = []
+    for s in suite:
+        xbar, ybar = trial_means(s.x, s.n_x, s.y, s.n_y, trials, seed)
+        pairs = _numpy_statistics(xbar, ybar, alphas, s.x.mean())
+        curves.append([mc.MonteCarloEstimate(mean, se, trials, seed) for mean, se in pairs])
+    return curves
 
 
 PROC_FD = os.path.isdir("/proc/self/fd")
@@ -645,9 +651,9 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
 class TestSuiteCurves:
     """A suite that shares its streams gives each scenario's own estimates, bit for bit."""
 
-    # 20,001 trials are four leaves of 5,000 trials (the last one 5,001), not
-    # a multiple of the leaf; the seed's stream ids wrap at 2**64 within the
-    # first leaf.
+    # 20,001 trials are four leaves of 8,192 trials at most (5,000, the last
+    # one 5,001), not a multiple of the leaf; the seed's stream ids wrap at
+    # 2**64 within the first leaf.
     @pytest.mark.parametrize("cpus", [1, 2])
     @pytest.mark.parametrize(
         "suite,first,span",
@@ -657,7 +663,9 @@ class TestSuiteCurves:
     def test_each_scenario_bitwise_as_alone(self, monkeypatch, cpus, suite, first, span):
         trials, seed = 20_001, SeedSpec(7, 2**64 - 3)
         expected = _alone(suite, CURVE_ALPHAS, trials, seed)
+        monkeypatch.setattr(mc, "_SUITE_LEAF", 8_192)
         monkeypatch.setattr(mc, "_PARALLEL_MIN_DRAWS", 0)
+        monkeypatch.setattr(mc, "_PARALLEL_MIN_CURVE", 0)
         forks = force_cpus(monkeypatch, cpus)
         spy = _DrawSpy(monkeypatch)
         assert mc.estimate_suite_curves(suite, CURVE_ALPHAS, trials, seed) == expected
@@ -681,6 +689,7 @@ class TestSuiteCurves:
         expected = _alone(KERNEL_SUITE, CURVE_ALPHAS, trials, seed)
         monkeypatch.setattr(mc, "_SUITE_LEAF", 128)
         monkeypatch.setattr(mc, "_PARALLEL_MIN_DRAWS", 0)
+        monkeypatch.setattr(mc, "_PARALLEL_MIN_CURVE", 0)
         forks = force_cpus(monkeypatch, 6)
         assert mc.estimate_suite_curves(KERNEL_SUITE, CURVE_ALPHAS, trials, seed) == expected
         assert len(forks) == 2 * 5
@@ -701,6 +710,7 @@ class TestSuiteCurves:
 
         monkeypatch.setattr(mc, "uniform_matrix", fails_in_child)
         monkeypatch.setattr(mc, "_PARALLEL_MIN_DRAWS", 0)
+        monkeypatch.setattr(mc, "_PARALLEL_MIN_CURVE", 0)
         forks = force_cpus(monkeypatch, 2)
         assert mc.estimate_suite_curves(SHARED_SUITE, CURVE_ALPHAS, trials, seed) == expected
         assert len(forks) == 2
@@ -730,6 +740,7 @@ class TestSuiteCurves:
 
         monkeypatch.setattr(mc, "_write_at", watched)
         monkeypatch.setattr(mc, "_PARALLEL_MIN_DRAWS", 0)
+        monkeypatch.setattr(mc, "_PARALLEL_MIN_CURVE", 0)
         force_cpus(monkeypatch, 2)
         if ending == "interrupted":
             with pytest.raises(KeyboardInterrupt):
@@ -815,12 +826,103 @@ class TestSuiteCurves:
         trials = 200
         monkeypatch.setattr(mc, "_CHUNK_DRAWS", chunk_draws)
         force_cpus(monkeypatch, 1)
-        spy = _DrawSpy(monkeypatch)
         expected = _alone(suite, CURVE_ALPHAS, trials, SeedSpec(13))
+        spy = _DrawSpy(monkeypatch)
+        for s in suite:
+            estimate_error_curve(s.x, s.n_x, s.y, s.n_y, CURVE_ALPHAS, trials, SeedSpec(13))
         alone = list(spy.calls)
         spy.calls.clear()
         assert mc.estimate_suite_curves(suite, CURVE_ALPHAS, trials, SeedSpec(13)) == expected
         assert spy.calls == alone
+
+
+# Peak RSS in MiB of a fresh interpreter on 2 CPUs that estimates the
+# benchmark's many-trials scenario (4 draws per trial) at argv[1] trials.
+ONE_SCENARIO_PEAK = FORKED + """
+import resource, sys
+os.sched_getaffinity = lambda pid: {0, 1}
+from collab_avg import montecarlo as mc
+from collab_avg.distributions import Normal, SeedSpec, Uniform
+mc.estimate_error_curve(Normal(0.0, 1.0), 2, Uniform(0.0, 1.0), 2, mc.VALIDATION_ALPHAS, int(sys.argv[1]), SeedSpec(0))
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
+"""
+
+
+class TestOneScenario:
+    """A scenario whose trial fits a chunk is estimated leaf by leaf, as a suite of one."""
+
+    SCENARIO = SampledScenario(Normal(0.3, 1.2), 3, Exponential(2.0), 2)
+
+    def curve(self, trials, seed, alphas=CURVE_ALPHAS):
+        s = self.SCENARIO
+        return estimate_error_curve(s.x, s.n_x, s.y, s.n_y, alphas, trials, seed)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_any_worker_count_gives_numpy_statistics(self, monkeypatch, cpus):
+        # 20,001 trials are four leaves of at most 8,192 trials; the seed's
+        # stream ids wrap at 2**64 within the first leaf.
+        trials, seed = 20_001, SeedSpec(3, 2**64 - 7)
+        expected = _alone([self.SCENARIO], CURVE_ALPHAS, trials, seed)[0]
+        monkeypatch.setattr(mc, "_SUITE_LEAF", 8_192)
+        monkeypatch.setattr(mc, "_PARALLEL_MIN_DRAWS", 0)
+        monkeypatch.setattr(mc, "_PARALLEL_MIN_CURVE", 0)
+        forks = force_cpus(monkeypatch, cpus)
+        assert self.curve(trials, seed) == expected
+        assert len(forks) == 2 * (cpus - 1)  # once per pass
+        assert no_child_left()
+
+    def test_draws_each_trial_once(self, monkeypatch):
+        # Pass 2 reads pass 1's means back: 5 draws per trial, drawn once, in
+        # calls of at most a chunk's rows.
+        trials, seed = 40_001, SeedSpec(4)
+        expected = _alone([self.SCENARIO], CURVE_ALPHAS, trials, seed)[0]
+        force_cpus(monkeypatch, 1)
+        spy = _DrawSpy(monkeypatch)
+        assert self.curve(trials, seed) == expected
+        assert spy.draws == trials * 5
+        assert {call[1:] for call in spy.calls} == {(5, 0)}
+        assert max(n_streams for n_streams, _, _ in spy.calls) == mc._CHUNK_DRAWS // 5
+
+    def test_pass_two_forks_from_the_curve_threshold(self, monkeypatch):
+        # Pass 1 draws 5 x 20,001 uniforms, below the draws threshold; pass
+        # 2 sums 20,001 trials x 6 weights, at the curve threshold.
+        trials, seed = 20_001, SeedSpec(5)
+        expected = _alone([self.SCENARIO], CURVE_ALPHAS, trials, seed)[0]
+        monkeypatch.setattr(mc, "_PARALLEL_MIN_CURVE", trials * len(CURVE_ALPHAS))
+        forks = force_cpus(monkeypatch, 2)
+        assert self.curve(trials, seed) == expected
+        assert len(forks) == 1
+        monkeypatch.setattr(mc, "_PARALLEL_MIN_CURVE", trials * len(CURVE_ALPHAS) + 1)
+        assert self.curve(trials, seed) == expected
+        assert len(forks) == 1
+        assert no_child_left()
+
+    def test_constant_scenario_draws_nothing_and_makes_no_file(self, monkeypatch):
+        spy = _DrawSpy(monkeypatch)
+        files = []
+        make = tempfile.TemporaryFile
+
+        def recorded(*args, **kwargs):
+            files.append(1)
+            return make(*args, **kwargs)
+
+        monkeypatch.setattr(tempfile, "TemporaryFile", recorded)
+        curve = estimate_error_curve(PointMass(2.0), 4, PointMass(2.5), 3, [0.0, 0.5, 1.0], 1_000, SeedSpec(5))
+        assert [(p.mean_sq_error, p.std_error) for p in curve] == [(0.0, 0.0), (0.0625, 0.0), (0.25, 0.0)]
+        assert spy.calls == []
+        assert files == []
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="workers need sched_getaffinity")
+    def test_memory_does_not_grow_with_trials(self):
+        # 1M trials' means are 16 MB; a leaf holds at most 65,536 trials'.
+        def peak(trials: int) -> float:
+            result = subprocess.run(
+                [sys.executable, "-c", ONE_SCENARIO_PEAK, str(trials)], capture_output=True, timeout=300
+            )
+            assert result.returncode == 0, result.stderr
+            return float(result.stdout)
+
+        assert peak(1_000_000) < peak(100_000) + 1.0
 
 
 class TestValidateScenario:
