@@ -30,7 +30,6 @@ import numpy as np
 
 from ._workers import cpu_count, ordered_map
 from .config import ConfigError, RunConfig, load_run_config
-from .distributions import _load_ndtri
 from .federation import reduce_to_two_agent
 from .montecarlo import VALIDATION_ALPHAS, estimate_suite_curves, validate_scenario
 from .table1 import INPUT_COLUMNS, OUTPUT_COLUMNS, reproduce_table
@@ -302,16 +301,6 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     run, needs_scenario = _COMMANDS[args.command]
     try:
-        sampling = args.command == "validate"
-        if sampling:
-            # The one command that samples loads what sampling imports in
-            # set-up, before any fork: scipy's ndtri here, and numpy.random
-            # in load_run_config once the scenarios show a stream long
-            # enough for numpy's C Philox path, its only user.
-            try:
-                _load_ndtri()
-            except ImportError as exc:
-                raise ValueError(f"validate needs scipy to sample: {exc}") from None
         config = load_run_config(
             args.scenario,
             seed=args.seed,
@@ -320,7 +309,7 @@ def main(argv: list[str] | None = None) -> int:
             grid=args.grid,
             out=args.out,
             require_scenario=needs_scenario,
-            sampling=sampling,
+            sampling=args.command == "validate",
         )
         return run(config)
     except (ConfigError, ValueError, OSError, MemoryError) as exc:

@@ -32,7 +32,7 @@ import yaml
 
 from .distributions import Distribution, PointMass, make_distribution
 from .federation import Agent, FederationScenario
-from .montecarlo import SampledScenario, _check_k, _check_trials, _load_suite_modules
+from .montecarlo import SampledScenario, _check_k, _check_trials, _load_sampling
 from .theory import ErrorProfile, _check_alpha, _check_count
 
 ENV_SEED = "COLLAB_AVG_SEED"
@@ -229,8 +229,8 @@ def load_run_config(
     """Combine a scenario file (optional) with flag overrides.
 
     ``sampling`` says the command will sample the scenarios: what that
-    imports is then loaded here, in set-up, rather than in the run or in
-    every forked worker.
+    imports (ndtri in any case) is loaded here, in set-up, rather than in
+    the run or in every forked worker.
     """
     data: dict = {}
     if scenario_path is not None:
@@ -293,7 +293,10 @@ def load_run_config(
             raise ConfigError("contour bounds must satisfy u_min < u_max and v_min < v_max")
 
     if sampling:
-        _load_suite_modules([parsed.two_agent() for parsed in scenarios])
+        try:
+            _load_sampling([(s.x, s.n_x, s.y, s.n_y) for s in map(ParsedScenario.two_agent, scenarios)], ndtri=True)
+        except ImportError as exc:
+            raise ConfigError(f"validate needs scipy to sample: {exc}") from None
     return RunConfig(
         scenarios=tuple(scenarios),
         alphas=tuple(alphas),

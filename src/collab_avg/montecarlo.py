@@ -35,20 +35,12 @@ from .theory import ErrorProfile, Scenario, _check_alpha, _check_count, error_pr
 #: on it.
 _CHUNK_DRAWS = 65_536
 
-#: ``trial_means`` forks workers only from this many drawn uniforms on.
+#: Drawing trial means forks workers only from this many drawn uniforms on.
 #: Measured on a 2-core Xeon (numpy 2.4.6): a fork and wait cost 3.1-3.3 ms
 #: with ndtri and numpy.random loaded, as ``validate`` has them (4.3-4.5 ms
 #: with all of scipy.special); two workers lost to one at 100k draws and
 #: won by 1.2-1.6x from 400k draws on, at 4, 25 and 120 draws per trial.
 _PARALLEL_MIN_DRAWS = 500_000
-
-#: Trials per slice of the curve statistics: at least 128 (see
-#: ``_pairwise_sum``), and small enough that the two means slices and the two
-#: scratch arrays share a per-core L2 cache. Measured serially on a 2-core
-#: Xeon (numpy 2.4.6, 2M trials x 21 weights, median of 6): 0.167 s at
-#: 16,384, 0.154 s at 32,768, 0.164 s at 65,536 and 0.29 s at 131,072;
-#: two whole trial-length buffers took 0.30 s.
-_SUM_LEAF = 32_768
 
 #: The curve statistics fork workers only from this many trials x weights
 #: on. Same machine, 21 weights, ndtri and numpy.random loaded, two forks
@@ -204,20 +196,6 @@ def _draw_range(x: Distribution, n_x: int, y: Distribution, n_y: int) -> tuple[i
     return start, count
 
 
-def _load_sampler_modules(dists: Iterable[Distribution], draws: int) -> None:
-    """Import what sampling ``dists`` in streams of ``draws`` draws uses.
-
-    Called before forking, so that each module is imported once rather than
-    in every worker: numpy.random, which numpy 2 imports lazily and only the
-    C Philox path of streams of ``_C_MIN_DRAWS`` draws or more uses, and
-    ndtri for a normal side.
-    """
-    if draws >= _C_MIN_DRAWS:
-        import numpy.random  # noqa: F401
-    if any(isinstance(dist, Normal) for dist in dists):
-        _load_ndtri()
-
-
 def _row_means(a: np.ndarray) -> np.ndarray:
     """``a.mean(axis=1)``, bit for bit.
 
@@ -246,6 +224,73 @@ def _kernel_means(dist: Distribution, k: np.ndarray) -> np.ndarray:
     return _row_means(dist._from_kernel(k))
 
 
+def _fill_means(
+    means: np.ndarray,
+    scenarios: Sequence[tuple[Distribution, int, Distribution, int]],
+    seed: SeedSpec,
+    first: int,
+    count: int,
+    lo: int,
+) -> None:
+    """Fill ``means[scenario, side]`` with the side means of trials ``lo .. lo+means.shape[2]-1``.
+
+    ``scenarios`` are ``(x, n_x, y, n_y)``, each drawing within the span
+    ``first .. first+count-1`` of every trial: x takes draws 0 .. n_x-1 and
+    y draws n_x .. n_x+n_y-1. A span that fits in a chunk is drawn chunk by
+    chunk, with one ``_kernel`` per family over the draws covering its
+    sides. A longer span is drawn side by side: a side that fits in a chunk
+    likewise over its own draws, a longer one a trial at a time in leaves
+    of numpy's pairwise-sum tree. Each mean has the bits of ``mean``.
+    """
+    hi = lo + means.shape[2]
+    sides = []  # (scenario, side, distribution, its draws' range)
+    for s, (x, n_x, y, n_y) in enumerate(scenarios):
+        for side, dist, d_lo, d_hi in ((0, x, 0, n_x), (1, y, n_x, n_x + n_y)):
+            if isinstance(dist, PointMass):
+                means[s, side].fill(float(dist.value))
+            else:
+                sides.append((s, side, dist, d_lo, d_hi))
+
+    def chunked(group: list, first: int, count: int) -> None:
+        """The means of the sides in ``group``, which draw within ``first .. first+count-1``."""
+        families: dict[type, list] = {}
+        for member in group:
+            families.setdefault(type(member[2]), []).append(member)
+        # Per family: its kernel, the draws covering all its sides, and each
+        # side with its draws' slice of the kernel.
+        kernels = []
+        for members in families.values():
+            k_lo = min(member[3] for member in members)
+            k_hi = max(member[4] for member in members)
+            slices = [(s, side, dist, slice(d_lo - k_lo, d_hi - k_lo)) for s, side, dist, d_lo, d_hi in members]
+            kernels.append((members[0][2]._kernel, slice(k_lo - first, k_hi - first), slices))
+        rows = _CHUNK_DRAWS // count
+        for c_lo in range(lo, hi, rows):
+            c_hi = min(c_lo + rows, hi)
+            u = uniform_matrix(seed.master_seed, seed.stream_id + c_lo, c_hi - c_lo, count, first)
+            for kernel, covered, slices in kernels:
+                k = kernel(u[:, covered])
+                for s, side, dist, draws in slices:
+                    means[s, side, c_lo - lo : c_hi - lo] = _kernel_means(dist, k[:, draws])
+                del k  # freed before the next family's kernel is made
+
+    if count <= _CHUNK_DRAWS:
+        if sides:
+            chunked(sides, first, count)
+        return
+    for s, side, dist, d_lo, d_hi in sides:
+        if d_hi - d_lo <= _CHUNK_DRAWS:
+            chunked([(s, side, dist, d_lo, d_hi)], d_lo, d_hi - d_lo)
+            continue
+        for t in range(lo, hi):
+
+            def leaf_sum(l_lo: int, l_hi: int) -> float:
+                u = uniform_matrix(seed.master_seed, seed.stream_id + t, 1, l_hi - l_lo, l_lo)[0]
+                return np.add.reduce(dist._from_uniforms(u))
+
+            means[s, side, t - lo] = _pairwise_sum(leaf_sum, d_lo, d_hi, _CHUNK_DRAWS) / (d_hi - d_lo)
+
+
 def trial_means(
     x: Distribution,
     n_x: int,
@@ -254,68 +299,25 @@ def trial_means(
     trials: int,
     seed: SeedSpec | int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-trial empirical means (xbar_t, ybar_t) for t = 0 .. trials-1.
+    """Per-trial empirical means (xbar_t, ybar_t) for t = 0 .. trials-1, from :func:`_fill_means`.
 
-    A trial of more than ``_CHUNK_DRAWS`` draws is drawn side by side: a
-    side longer than a chunk in leaves of numpy's pairwise-sum tree, one
-    trial at a time, so its draws are never held whole and each mean keeps
-    the bits of ``mean`` over the whole side; a shorter side in chunks of
-    trials, as a short trial is. Calls
-    that draw at least ``_PARALLEL_MIN_DRAWS`` uniforms split their chunks
-    over one forked worker per CPU the process may run on; each row's mean
-    does not depend on the split, so neither does any byte.
+    Calls that draw at least ``_PARALLEL_MIN_DRAWS`` uniforms split their
+    chunks over one forked worker per CPU the process may run on; each
+    row's mean does not depend on the split, so neither does any byte.
     """
     seed = _as_seed(seed)
-    start, count = _draw_range(x, n_x, y, n_y)
+    scenarios = [(x, n_x, y, n_y)]
+    first, count = _draw_range(*scenarios[0])
     chunk = max(1, _CHUNK_DRAWS // max(count, 1))
     n_chunks = -(-trials // chunk)
-    workers = 1
-    if trials * count >= _PARALLEL_MIN_DRAWS:
-        workers = min(cpu_count(), n_chunks)
-    (xbar, ybar), workers = _buffer((2, trials), workers)
+    workers = min(cpu_count(), n_chunks) if trials * count >= _PARALLEL_MIN_DRAWS else 1
+    means, workers = _buffer((1, 2, trials), workers)
     if workers > 1:
-        _load_sampler_modules((x, y), count)
-    # (distribution, its means, its first draw index, its draw count): x
-    # takes draws 0 .. n_x-1 and y draws n_x .. n_x+n_y-1.
-    sides = []
-    for dist, means, d_lo, n in ((x, xbar, 0, n_x), (y, ybar, n_x, n_y)):
-        if isinstance(dist, PointMass):
-            means.fill(float(dist.value))
-        else:
-            sides.append((dist, means, d_lo, n))
-
-    def fill_rows(lo: int, hi: int, first: int, span: int, parts: list) -> None:
-        """The means of ``parts`` for trials ``lo .. hi-1``, from draws ``first ..
-        first+span-1`` of as many trials at a time as fit in a chunk."""
-        rows = max(1, _CHUNK_DRAWS // span)
-        for c_lo in range(lo, hi, rows):
-            c_hi = min(c_lo + rows, hi)
-            u = uniform_matrix(seed.master_seed, seed.stream_id + c_lo, c_hi - c_lo, span, first)
-            for dist, means, d_lo, n in parts:
-                means[c_lo:c_hi] = _row_means(dist._from_uniforms(u[:, d_lo - first : d_lo - first + n]))
-
-    def fill(lo: int, hi: int) -> None:
-        if count <= _CHUNK_DRAWS:
-            fill_rows(lo, hi, start, count, sides)
-            return
-        for side in sides:
-            dist, means, d_lo, n = side
-            if n <= _CHUNK_DRAWS:
-                fill_rows(lo, hi, d_lo, n, [side])
-                continue
-            for t in range(lo, hi):
-
-                def leaf_sum(l_lo: int, l_hi: int) -> float:
-                    u = uniform_matrix(seed.master_seed, seed.stream_id + t, 1, l_hi - l_lo, l_lo)[0]
-                    return np.add.reduce(dist._from_uniforms(u))
-
-                means[t] = _pairwise_sum(leaf_sum, d_lo, d_lo + n, _CHUNK_DRAWS) / n
-
+        _load_sampling(scenarios)
     # Whole chunks per worker, so no chunk boundary moves.
     bounds = [n_chunks * w // workers * chunk for w in range(workers)] + [trials]
-    if sides:
-        _fill_in_workers(fill, bounds)
-    return xbar, ybar
+    _fill_in_workers(lambda lo, hi: _fill_means(means[:, :, lo:hi], scenarios, seed, first, count, lo), bounds)
+    return means[0, 0], means[0, 1]
 
 
 T = TypeVar("T")
@@ -425,31 +427,6 @@ def _tree_statistics(
     return mean, np.sqrt(summed(mean, parallel[1]) / (trials - 1))
 
 
-def _estimates_from_means(
-    xbar: np.ndarray,
-    ybar: np.ndarray,
-    alphas: list[float],
-    mu_x: float,
-    seed: SeedSpec,
-) -> list[MonteCarloEstimate]:
-    """Mean squared error and its standard error at each weight.
-
-    The results are bitwise ``sq.mean()`` and ``sq.std(ddof=1)``, from
-    ``_tree_statistics`` over leaves of at most ``_SUM_LEAF`` trials, every
-    weight per leaf, so the scratch memory is two leaves whatever the trial
-    count. Workers fork from ``_PARALLEL_MIN_CURVE`` trials x weights on.
-    """
-    trials = xbar.size
-    scratch = np.empty((2, min(trials, _SUM_LEAF)))
-
-    def leaf_sums(lo: int, hi: int, centres: np.ndarray | None) -> np.ndarray:
-        return _curve_sums(xbar[lo:hi], ybar[lo:hi], alphas, mu_x, scratch, centres)
-
-    parallel = trials * len(alphas) >= _PARALLEL_MIN_CURVE
-    stats = _tree_statistics(leaf_sums, trials, _SUM_LEAF, (len(alphas),), (parallel, parallel))
-    return _estimates(*stats, trials, seed)
-
-
 def estimate_error_curve(
     x: Distribution,
     n_x: int,
@@ -462,18 +439,13 @@ def estimate_error_curve(
     """Simulated ESE over a grid of weights with common random numbers.
 
     Every grid point reuses the same per-trial draws, so each entry is
-    bitwise identical to a one-weight grid at that weight and seed. A trial
-    that fits a chunk is estimated leaf by leaf, as a suite of one
-    (:func:`_leaf_curves`); a longer one from :func:`trial_means`.
+    bitwise identical to a one-weight grid at that weight and seed. It is
+    estimated leaf by leaf, as a suite of one (:func:`_leaf_curves`).
     """
     alphas = _checked_alphas(alphas)
     _check_trials(trials)
     seed = _as_seed(seed)
-    first, count = _draw_range(x, n_x, y, n_y)
-    if count <= _CHUNK_DRAWS:
-        return _leaf_curves([(x, n_x, y, n_y)], alphas, trials, seed, first, count)[0]
-    xbar, ybar = trial_means(x, n_x, y, n_y, trials, seed)
-    return _estimates_from_means(xbar, ybar, alphas, x.mean(), seed)
+    return _leaf_curves([(x, n_x, y, n_y)], alphas, trials, seed, *_draw_range(x, n_x, y, n_y))[0]
 
 
 def _shared_range(ranges: Sequence[tuple[int, int]]) -> tuple[int, int] | None:
@@ -506,16 +478,21 @@ def _shared_range(ranges: Sequence[tuple[int, int]]) -> tuple[int, int] | None:
     return None
 
 
-def _load_suite_modules(scenarios: Sequence[SampledScenario]) -> None:
-    """Import what :func:`estimate_suite_curves` on ``scenarios`` will use.
+def _load_sampling(scenarios: Sequence[tuple[Distribution, int, Distribution, int]], ndtri: bool = False) -> None:
+    """Import what sampling ``scenarios`` uses: ndtri for a normal side, or always with ``ndtri``.
 
-    A command that samples calls this while setting up, so that nothing is
-    imported later, in the run or in a forked worker.
+    Also numpy.random, which numpy 2 imports lazily and only numpy's C
+    Philox uses, for streams of ``_C_MIN_DRAWS`` draws or more: a suite
+    that shares its draws draws its span, any other scenario its own range.
+    Called while a command sets up, and before the core forks, so that
+    nothing is imported in the run or in every forked worker.
     """
-    ranges = [_draw_range(s.x, s.n_x, s.y, s.n_y) for s in scenarios]
+    ranges = [_draw_range(*scenario) for scenario in scenarios]
     shared = _shared_range(ranges)
-    longest = shared[1] if shared else max((count for _, count in ranges), default=0)
-    _load_sampler_modules([dist for s in scenarios for dist in (s.x, s.y)], longest)
+    if (shared[1] if shared else max((count for _, count in ranges), default=0)) >= _C_MIN_DRAWS:
+        import numpy.random  # noqa: F401
+    if ndtri or any(isinstance(dist, Normal) for x, _, y, _ in scenarios for dist in (x, y)):
+        _load_ndtri()
 
 
 #: Trial means a leaf of ``_leaf_curves`` may hold over its random sides
@@ -548,49 +525,22 @@ def _leaf_curves(
 ) -> list[list[MonteCarloEstimate]]:
     """Each scenario's curve, drawing the span ``first .. first+count-1`` of each trial once.
 
-    ``scenarios`` are ``(x, n_x, y, n_y)``, each drawing within the span,
-    which fits in a chunk. The first pass of ``_tree_statistics`` draws a
-    leaf's span chunk by chunk, runs each family's ``_kernel`` once per
-    chunk over the draws covering that family's sides, and takes every
-    scenario's trial means from slices of it. It writes the random sides'
-    means to an unlinked scratch file (trials x random sides x 8 bytes, in
-    TMPDIR), from which the second pass reads them back instead of drawing
-    again; so no trial-length buffer is held in memory. Pass 1 forks from
-    ``_PARALLEL_MIN_DRAWS`` draws on; pass 2, which only sums, from
-    ``_PARALLEL_MIN_CURVE`` trials x scenarios x weights on. The workers
-    share the file. Without a random side nothing is drawn and no file is
-    made.
+    ``scenarios`` are ``(x, n_x, y, n_y)``, each drawing within the span.
+    Pass 1 of ``_tree_statistics`` takes a leaf's means from ``_fill_means``
+    and writes the random sides' to an unlinked scratch file (trials x
+    random sides x 8 bytes, in TMPDIR), which pass 2 reads back instead of
+    drawing again; so no trial-length buffer is held in memory. Pass 1
+    forks from ``_PARALLEL_MIN_DRAWS`` draws on; pass 2, which only sums,
+    from ``_PARALLEL_MIN_CURVE`` trials x scenarios x weights on. The
+    workers share the file. Without a random side nothing is drawn and no
+    file is made.
     """
-    chunk = _CHUNK_DRAWS // max(count, 1)  # count fits in a chunk
-    parallel = (
-        trials * count >= _PARALLEL_MIN_DRAWS,
-        trials * len(scenarios) * len(alphas) >= _PARALLEL_MIN_CURVE,
-    )
+    parallel = (trials * count >= _PARALLEL_MIN_DRAWS, trials * len(scenarios) * len(alphas) >= _PARALLEL_MIN_CURVE)
     if parallel[0]:
-        _load_sampler_modules([dist for x, _, y, _ in scenarios for dist in (x, y)], count)
-
-    # Each family's sides as (scenario, side, distribution, its draws' range
-    # in the span): x takes draws 0 .. n_x-1 and y draws n_x .. n_x+n_y-1.
-    families: dict[type, list] = {}
-    constants = []
-    for s, (x, n_x, y, n_y) in enumerate(scenarios):
-        for side, dist, d_lo, d_hi in ((0, x, 0, n_x), (1, y, n_x, n_x + n_y)):
-            if isinstance(dist, PointMass):
-                constants.append((s, side, float(dist.value)))
-            else:
-                families.setdefault(type(dist), []).append((s, side, dist, d_lo - first, d_hi - first))
-    # Per family: its kernel, the span's draws covering all its sides, and
-    # each side with its draws' slice of the kernel.
-    kernels = []
-    for members in families.values():
-        k_lo = min(member[3] for member in members)
-        k_hi = max(member[4] for member in members)
-        sides = [(s, side, dist, slice(d_lo - k_lo, d_hi - k_lo)) for s, side, dist, d_lo, d_hi in members]
-        kernels.append((members[0][2]._kernel, slice(k_lo, k_hi), sides))
-
-    # The random sides' (scenario, side) indices into a leaf's means: the
-    # rows pass 1 writes to the scratch file.
-    random_sides = [member[:2] for members in families.values() for member in members]
+        _load_sampling(scenarios)
+    sides = [(s, side, dist) for s, (x, _, y, _) in enumerate(scenarios) for side, dist in enumerate((x, y))]
+    constants = [(s, side, float(dist.value)) for s, side, dist in sides if isinstance(dist, PointMass)]
+    random_sides = [(s, side) for s, side, dist in sides if not isinstance(dist, PointMass)]  # the file's rows
     mus = [x.mean() for x, _, _, _ in scenarios]
     # Trials per leaf: the largest power of two whose random sides' means fit
     # in _LEAF_MEANS, at most _SUITE_LEAF, and at most a CPU's share of the
@@ -606,27 +556,19 @@ def _leaf_curves(
         Pass 1 draws their span and writes the random sides' means to
         ``spill`` at their trials' place; pass 2 reads them back.
         """
-        # means[scenario, side, trial], as trial_means gives them.
-        means = np.empty((len(scenarios), 2, hi - lo))
-        for s, side, value in constants:
-            means[s, side].fill(value)
+        means = np.empty((len(scenarios), 2, hi - lo))  # [scenario, side, trial]
         # Each leaf is a [random side, trial] block of the file, row by row.
         block = 8 * len(random_sides) * lo
         rows = [(means[s, side], block + 8 * i * (hi - lo)) for i, (s, side) in enumerate(random_sides)]
-        if centres is not None:
-            for row, offset in rows:
-                row[...] = _read_at(spill.fileno(), row.shape, offset)
-        elif kernels:
-            for c_lo in range(lo, hi, chunk):
-                c_hi = min(c_lo + chunk, hi)
-                u = uniform_matrix(seed.master_seed, seed.stream_id + c_lo, c_hi - c_lo, count, first)
-                for kernel, covered, sides in kernels:
-                    k = kernel(u[:, covered])
-                    for s, side, dist, draws in sides:
-                        means[s, side, c_lo - lo : c_hi - lo] = _kernel_means(dist, k[:, draws])
-                    del k  # freed before the next family's kernel is made
+        if centres is None:
+            _fill_means(means, scenarios, seed, first, count, lo)
             for row, offset in rows:
                 _write_at(spill.fileno(), row, offset)
+        else:
+            for s, side, value in constants:
+                means[s, side].fill(value)
+            for row, offset in rows:
+                row[...] = _read_at(spill.fileno(), row.shape, offset)
         return np.array(
             [
                 _curve_sums(means[s, 0], means[s, 1], alphas, mu_x, scratch, None if centres is None else centres[s])
@@ -659,9 +601,7 @@ def estimate_suite_curves(
     seed = _as_seed(seed)
     shared = _shared_range([_draw_range(s.x, s.n_x, s.y, s.n_y) for s in scenarios])
     if shared is None:
-        return [
-            estimate_error_curve(s.x, s.n_x, s.y, s.n_y, alphas, trials, seed) for s in scenarios
-        ]
+        return [estimate_error_curve(s.x, s.n_x, s.y, s.n_y, alphas, trials, seed) for s in scenarios]
     return _leaf_curves([(s.x, s.n_x, s.y, s.n_y) for s in scenarios], alphas, trials, seed, *shared)
 
 

@@ -64,6 +64,16 @@ def variance_std_error(values: np.ndarray) -> float:
     return math.sqrt(max(var_of_var, 0.0))
 
 
+def numpy_statistics(xbar, ybar, alphas, mu_x) -> list[tuple[float, float]]:
+    """numpy's own ``mean`` and ``std(ddof=1) / sqrt(trials)`` of the squared errors, weight by weight."""
+    trials = xbar.size
+    pairs = []
+    for alpha in alphas:
+        sq = ((1.0 - alpha) * xbar + alpha * ybar - mu_x) ** 2
+        pairs.append((float(sq.mean()), float(sq.std(ddof=1)) / math.sqrt(trials)))
+    return pairs
+
+
 def force_cpus(monkeypatch, n: int) -> list[int]:
     """Give the process ``n`` CPUs; the returned list grows by one per fork."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))

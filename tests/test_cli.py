@@ -821,7 +821,7 @@ print(f"set-up: {at_setup}, end: {state()}, imported after set-up: {late}, scipy
 sys.exit(code)
 """
 
-# Makes trial_means fork a worker at any size, on two CPUs.
+# Makes the sampling core's pass 1 fork a worker at any size, on two CPUs.
 FORK_ALWAYS = """\
 import os
 from collab_avg import montecarlo

@@ -34,7 +34,7 @@ from collab_avg.montecarlo import (
 )
 from collab_avg.theory import ErrorProfile, error_profile, ese_of_alpha
 
-from conftest import force_cpus, no_child_left, variance_std_error
+from conftest import force_cpus, no_child_left, numpy_statistics, variance_std_error
 from test_acceptance import MC_BASE_SEED, MC_SUITE
 
 TRIALS = 10**5
@@ -107,7 +107,7 @@ class TestErrorCurve:
             standalone = one_weight(Normal(0, 1), 5, Normal(1, 1), 5, alpha, 300, SeedSpec(3))
             assert point == standalone
 
-    # 200,003 trials span seven slices of ``_SUM_LEAF``.
+    # 200,003 trials span four leaves of at most ``_SUITE_LEAF`` trials.
     @pytest.mark.parametrize("trials", [100, 1001, 40_000, 200_003])
     def test_statistics_bitwise_equal_numpy_mean_and_std(self, trials):
         """The sliced sums reproduce ``mean`` and ``std(ddof=1)`` bit for bit."""
@@ -194,12 +194,34 @@ CONSTANT_SIDE = PointMass(0.75)
 
 
 def _whole_row_means(x, n_x, y, n_y, trials, seed):
-    """Each side's ``_from_uniforms(u).mean(axis=1)`` over its whole row of draws."""
+    """Each side's ``_from_uniforms(u).mean(axis=1)`` over its whole row of draws.
+
+    The naive reference for the sampling core: every trial's draws at once,
+    each family's own transform and numpy's own mean.
+    """
     u = uniform_matrix(seed.master_seed, seed.stream_id, trials, n_x + n_y)
     return tuple(
         np.full(trials, dist.value) if isinstance(dist, PointMass) else dist._from_uniforms(cols).mean(axis=1)
         for dist, cols in ((x, u[:, :n_x]), (y, u[:, n_x:]))
     )
+
+
+class TestNaiveReference:
+    """``trial_means`` gives the naive reference's bits for every family, on either path."""
+
+    # Each family on each side, a constant on each side. A 64-draw chunk
+    # sends the 300-draw side down the long path, in leaves of at most 128.
+    @pytest.mark.parametrize("chunk_draws", [65_536, 64], ids=["fits_a_chunk", "side_beyond_a_chunk"])
+    @pytest.mark.parametrize(
+        "x,y",
+        list(zip(RANDOM_SIDES + (CONSTANT_SIDE,), (CONSTANT_SIDE,) + RANDOM_SIDES)),
+        ids=["normal_constant", "uniform_normal", "bernoulli_uniform", "exponential_bernoulli", "constant_exponential"],
+    )
+    def test_bitwise_equal(self, monkeypatch, chunk_draws, x, y):
+        args = (x, 5, y, 300, 40, SeedSpec(17, 2**64 - 9))
+        expected = _means_bytes(_whole_row_means(*args))
+        monkeypatch.setattr(mc, "_CHUNK_DRAWS", chunk_draws)
+        assert _means_bytes(trial_means(*args)) == expected
 
 
 # A process's ru_maxrss starts from the peak of the process that started
@@ -219,6 +241,22 @@ os.sched_getaffinity = lambda pid: {0}
 from collab_avg import montecarlo as mc
 from collab_avg.distributions import PointMass, SeedSpec, Uniform
 mc.trial_means(Uniform(0.0, 1.0), int(sys.argv[1]), PointMass(0.0), 1, 20, SeedSpec(0))
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
+"""
+
+
+# Peak RSS in MiB of a fresh interpreter on 2 CPUs that estimates a curve at
+# argv[1] trials of a 2-draw side beside a 512-draw one, longer than a
+# 511-draw chunk: the long side is drawn a trial at a time, in two leaves
+# of 256 draws, each a single call of numpy's C Philox.
+LONG_TRIAL_PEAK = FORKED + """
+import resource, sys
+os.sched_getaffinity = lambda pid: {0, 1}
+from collab_avg import montecarlo as mc
+from collab_avg.distributions import Normal, SeedSpec, Uniform
+mc._CHUNK_DRAWS = 511
+mc._SUITE_LEAF = 1_024
+mc.estimate_error_curve(Normal(0.0, 1.0), 2, Uniform(0.0, 1.0), 512, mc.VALIDATION_ALPHAS, int(sys.argv[1]), SeedSpec(0))
 print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
 """
 
@@ -269,6 +307,20 @@ class TestLongStreams:
 
         assert peak(2_000_000) < peak(20_000) + 2.0
 
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="workers need sched_getaffinity")
+    def test_curve_memory_does_not_grow_with_trials(self):
+        # 100,000 trials' means are 1.6 MB; held whole, they peaked 1.7 MiB
+        # above 10,000 trials' on a 2-core Xeon. Leaves hold at most 1,024
+        # trials' means.
+        def peak(trials: int) -> float:
+            result = subprocess.run(
+                [sys.executable, "-c", LONG_TRIAL_PEAK, str(trials)], capture_output=True, timeout=300
+            )
+            assert result.returncode == 0, result.stderr
+            return float(result.stdout)
+
+        assert peak(100_000) < peak(10_000) + 1.0
+
 
 def _means_bytes(means) -> bytes:
     xbar, ybar = means
@@ -318,14 +370,14 @@ class TestWorkers:
         args = (Normal(0, 1), 11, Exponential(2.0), 13, 10_001, SeedSpec(7))
         serial = trial_means(*args)
         parent = os.getpid()
-        transform = Exponential._from_uniforms
+        transform = Exponential._from_kernel
 
-        def fails_in_child(self, u):
+        def fails_in_child(self, k):
             if os.getpid() != parent:
                 raise RuntimeError("worker failure")
-            return transform(self, u)
+            return transform(self, k)
 
-        monkeypatch.setattr(Exponential, "_from_uniforms", fails_in_child)
+        monkeypatch.setattr(Exponential, "_from_kernel", fails_in_child)
         monkeypatch.setattr(mc, "_PARALLEL_MIN_DRAWS", 0)
         forks = force_cpus(monkeypatch, 2)
         assert _means_bytes(trial_means(*args)) == _means_bytes(serial)
@@ -347,12 +399,12 @@ class TestWorkers:
     def test_failing_parent_range_leaves_no_worker(self, monkeypatch):
         parent = os.getpid()
 
-        def fails_in_parent(self, u):
+        def fails_in_parent(self, k):
             if os.getpid() == parent:
                 raise RuntimeError("parent failure")
             time.sleep(60)  # a child still running when the parent fails
 
-        monkeypatch.setattr(Exponential, "_from_uniforms", fails_in_parent)
+        monkeypatch.setattr(Exponential, "_from_kernel", fails_in_parent)
         monkeypatch.setattr(mc, "_PARALLEL_MIN_DRAWS", 0)
         forks = force_cpus(monkeypatch, 3)
         began = time.monotonic()
@@ -376,19 +428,20 @@ def _curve_inputs(trials: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     return xbar, rng.exponential(2.0, trials)
 
 
-def _numpy_statistics(xbar, ybar, alphas, mu_x):
-    """numpy's own ``mean`` and ``std(ddof=1)`` of the squared errors, weight by weight."""
+def _statistics(xbar, ybar, alphas, leaf=32_768, parallel=False, mu_x=0.25):
+    """``(mean, std_error)`` per weight from ``_tree_statistics`` of ``_curve_sums`` over these means.
+
+    In leaves of at most ``leaf`` trials, both passes forked when
+    ``parallel``, as ``_leaf_curves`` sums a leaf's means.
+    """
     trials = xbar.size
-    pairs = []
-    for alpha in alphas:
-        sq = ((1.0 - alpha) * xbar + alpha * ybar - mu_x) ** 2
-        pairs.append((float(sq.mean()), float(sq.std(ddof=1)) / math.sqrt(trials)))
-    return pairs
+    scratch = np.empty((2, min(trials, leaf)))
 
+    def leaf_sums(lo, hi, centres):
+        return mc._curve_sums(xbar[lo:hi], ybar[lo:hi], alphas, mu_x, scratch, centres)
 
-def _statistics(xbar, ybar, alphas, mu_x=0.25):
-    estimates = mc._estimates_from_means(xbar, ybar, alphas, mu_x, SeedSpec(1))
-    return [(e.mean_sq_error, e.std_error) for e in estimates]
+    mean, std = mc._tree_statistics(leaf_sums, trials, leaf, (len(alphas),), (parallel, parallel))
+    return [(float(m), float(s) / math.sqrt(trials)) for m, s in zip(mean, std)]
 
 
 CURVE_ALPHAS = [0.0, 0.05, 1 / 3, 0.5, 0.9, 1.0]
@@ -410,10 +463,7 @@ class TestCurveStatistics:
     def test_bitwise_equal_numpy_mean_and_std(self, leaf, trials, seed):
         # A small leaf makes a deep tree out of few trials.
         xbar, ybar = _curve_inputs(trials, seed)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(mc, "_SUM_LEAF", leaf)
-            result = _statistics(xbar, ybar, CURVE_ALPHAS)
-        assert result == _numpy_statistics(xbar, ybar, CURVE_ALPHAS, 0.25)
+        assert _statistics(xbar, ybar, CURVE_ALPHAS, leaf) == numpy_statistics(xbar, ybar, CURVE_ALPHAS, 0.25)
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     @pytest.mark.parametrize("weights", [2, 21])
@@ -424,23 +474,25 @@ class TestCurveStatistics:
         # whatever the weight count.
         xbar, ybar = _curve_inputs(70_001, 10 * cpus + weights)
         alphas = list(np.linspace(0.0, 1.0, weights))
-        expected = _numpy_statistics(xbar, ybar, alphas, 0.25)
-        monkeypatch.setattr(mc, "_PARALLEL_MIN_CURVE", 0)
+        expected = numpy_statistics(xbar, ybar, alphas, 0.25)
         forks = force_cpus(monkeypatch, cpus)
-        assert _statistics(xbar, ybar, alphas) == expected
+        assert _statistics(xbar, ybar, alphas, parallel=True) == expected
         assert len(forks) == 2 * (cpus - 1)  # once per pass
         assert no_child_left()
 
     @pytest.mark.parametrize("reached", [False, True], ids=["below", "at"])
     def test_trials_times_weights_threshold(self, monkeypatch, reached):
+        # A scenario's curve sums its trials in workers from the threshold
+        # on; its draws stay in this process.
         alphas = CURVE_ALPHAS
         trials = -(-mc._PARALLEL_MIN_CURVE // len(alphas)) - (0 if reached else 1)
-        xbar, ybar = _curve_inputs(trials, 10)
+        args = (Normal(0.0, 1.0), 2, Uniform(0.0, 1.0), 2, alphas, trials, SeedSpec(10))
+        monkeypatch.setattr(mc, "_PARALLEL_MIN_DRAWS", 10**18)
         force_cpus(monkeypatch, 1)
-        serial = _statistics(xbar, ybar, alphas)
+        serial = estimate_error_curve(*args)
         forks = force_cpus(monkeypatch, 2)
-        assert _statistics(xbar, ybar, alphas) == serial
-        assert len(forks) == (2 if reached else 0)
+        assert estimate_error_curve(*args) == serial
+        assert len(forks) == (1 if reached else 0)
         assert no_child_left()
 
     def test_failed_worker_leaves_are_redone_here(self, monkeypatch):
@@ -457,9 +509,8 @@ class TestCurveStatistics:
             return curve_sums(*args)
 
         monkeypatch.setattr(mc, "_curve_sums", fails_in_child)
-        monkeypatch.setattr(mc, "_PARALLEL_MIN_CURVE", 0)
         forks = force_cpus(monkeypatch, 2)
-        assert _statistics(xbar, ybar, CURVE_ALPHAS) == serial
+        assert _statistics(xbar, ybar, CURVE_ALPHAS, parallel=True) == serial
         assert len(forks) == 2
         assert failed[0] == 1
         assert no_child_left()
@@ -625,11 +676,11 @@ KERNEL_SUITE = (
 
 
 def _alone(suite, alphas, trials, seed):
-    """Each scenario's curve from numpy's own ``mean`` and ``std(ddof=1)`` over its ``trial_means``."""
+    """Each scenario's curve from numpy's own ``mean`` and ``std(ddof=1)`` over its ``_whole_row_means``."""
     curves = []
     for s in suite:
-        xbar, ybar = trial_means(s.x, s.n_x, s.y, s.n_y, trials, seed)
-        pairs = _numpy_statistics(xbar, ybar, alphas, s.x.mean())
+        xbar, ybar = _whole_row_means(s.x, s.n_x, s.y, s.n_y, trials, seed)
+        pairs = numpy_statistics(xbar, ybar, alphas, s.x.mean())
         curves.append([mc.MonteCarloEstimate(mean, se, trials, seed) for mean, se in pairs])
     return curves
 
