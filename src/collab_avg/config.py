@@ -32,7 +32,7 @@ import yaml
 
 from .distributions import Distribution, PointMass, make_distribution
 from .federation import Agent, FederationScenario
-from .montecarlo import SampledScenario, _check_k, _check_trials, _load_sampling
+from .montecarlo import SampledScenario, _check_k, _check_trials, _draw_plan, _load_sampling
 from .theory import ErrorProfile, _check_alpha, _check_count
 
 ENV_SEED = "COLLAB_AVG_SEED"
@@ -294,7 +294,8 @@ def load_run_config(
 
     if sampling:
         try:
-            _load_sampling([(s.x, s.n_x, s.y, s.n_y) for s in map(ParsedScenario.two_agent, scenarios)], ndtri=True)
+            two_agent = [(s.x, s.n_x, s.y, s.n_y) for s in map(ParsedScenario.two_agent, scenarios)]
+            _load_sampling(_draw_plan(two_agent), ndtri=True)
         except ImportError as exc:
             raise ConfigError(f"validate needs scipy to sample: {exc}") from None
     return RunConfig(

@@ -260,7 +260,7 @@ FAMILIES: dict[str, type[Distribution]] = {
 }
 
 
-def make_distribution(family: str, **params: float) -> Distribution:
+def make_distribution(family: str, /, **params: float) -> Distribution:
     """Construct a distribution from its family name and parameters."""
     key = family.strip().lower().replace("_", "").replace("-", "")
     if key not in FAMILIES:

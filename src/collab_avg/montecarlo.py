@@ -176,24 +176,75 @@ def _read_at(fd: int, shape: tuple[int, ...], offset: int) -> np.ndarray:
     return np.frombuffer(data).reshape(shape)
 
 
-def _draw_range(x: Distribution, n_x: int, y: Distribution, n_y: int) -> tuple[int, int]:
-    """``(start, count)`` of the draw indices one trial uses; the counts are checked.
+#: :func:`_draw_plan`'s runs ``(first, count, sides)``, each side ``(scenario,
+#: side, distribution, first draw, end)``, and constant sides ``(scenario,
+#: side, value)``.
+_Plan = tuple[list[tuple[int, int, list[tuple[int, int, Distribution, int, int]]]], list[tuple[int, int, float]]]
 
-    A point mass consumes no randomness: only the random side's index range
-    is drawn (none when both sides are constant), and the constant side's
-    slots stay reserved so the other agent's draw indices do not shift.
+
+def _draw_plan(scenarios: Sequence[tuple[Distribution, int, Distribution, int]]) -> _Plan:
+    """The runs of draws each trial takes, and the constant sides; the counts are checked.
+
+    ``scenarios`` are ``(x, n_x, y, n_y)``: x takes draws 0 .. n_x-1 of a
+    trial's stream and y draws n_x .. n_x+n_y-1. A point mass consumes no
+    randomness, and its slots stay reserved so the other side's draw
+    indices do not shift. The runs are the span covering every scenario's
+    draws when ``_shared_range`` says to share it; otherwise each
+    scenario's own range, or each of its random sides when the range is
+    longer than a chunk.
     """
-    _check_count("n_x", n_x)
-    if isinstance(n_y, float) and math.isinf(n_y):
-        raise ValueError("infinite n_y cannot be simulated; use the closed form")
-    _check_count("n_y", n_y)
-    if isinstance(x, PointMass):
-        start, count = n_x, 0 if isinstance(y, PointMass) else n_y
-    else:
-        start, count = 0, n_x if isinstance(y, PointMass) else n_x + n_y
-    if count > 2**40:  # hours of one core per trial, and a run has at least 100 trials
-        raise ValueError(f"a trial of {count} draws is too long to simulate (at most 2**40)")
-    return start, count
+    runs, constants = [], []
+    for s, (x, n_x, y, n_y) in enumerate(scenarios):
+        _check_count("n_x", n_x)
+        if isinstance(n_y, float) and math.isinf(n_y):
+            raise ValueError("infinite n_y cannot be simulated; use the closed form")
+        _check_count("n_y", n_y)
+        sides = []
+        for side, dist, d_lo, d_hi in ((0, x, 0, n_x), (1, y, n_x, n_x + n_y)):
+            if isinstance(dist, PointMass):
+                constants.append((s, side, float(dist.value)))
+            else:
+                sides.append((s, side, dist, d_lo, d_hi))
+        if not sides:
+            continue
+        first, count = sides[0][3], sides[-1][4] - sides[0][3]
+        if count > 2**40:  # hours of one core per trial, and a run has at least 100 trials
+            raise ValueError(f"a trial of {count} draws is too long to simulate (at most 2**40)")
+        if count <= _CHUNK_DRAWS:
+            runs.append((first, count, sides))
+        else:
+            runs += [(side[3], side[4] - side[3], [side]) for side in sides]
+    shared = _shared_range([run[:2] for run in runs])
+    if shared:
+        runs = [(*shared, [side for *_, sides in runs for side in sides])]
+    return runs, constants
+
+
+def _shared_range(ranges: Sequence[tuple[int, int]]) -> tuple[int, int] | None:
+    """``(start, count)`` spanning the ``(start, count)`` draw ranges, when a suite should share them.
+
+    The shared path draws this span once per trial and runs each family's
+    kernel once over the draws covering that family's sides, where each
+    scenario on its own draws and transforms its range. It is taken when
+    the scenarios' ranges add up to more than twice the span, and the span
+    fits in a chunk; c06's suite adds up to 3.45 times its 200-draw span.
+    Measured serially on a 2-core Xeon (numpy 2.4.6, 21 weights, CPU time,
+    median of 7; 20,000 trials of a 200-draw span, 200,000 of a 20-draw
+    one), the shared path took, against the scenarios on their own, at 1,
+    1.5, 2, 2.5, 3 and 3.5 times the span:
+    - sides of a family overlapping: 1.00x, 0.65x, 0.53x, 0.41x, 0.37x and
+      0.32x at a 200-draw span, 1.05x, 0.75x, 0.64x, 0.54x, 0.56x and 0.45x
+      at a 20-draw span;
+    - no two sides of a family overlapping: 1.00x, 0.76x, 0.65x, 0.61x,
+      0.50x and 0.41x, and 1.01x, 0.81x, 0.70x, 0.64x, 0.62x and 0.54x
+      (0.66x and 0.77x at 2 times the span in a second run).
+    The rule is 2x, where the shared path was faster in every layout.
+    """
+    lo = min((start for start, _ in ranges), default=0)
+    hi = max((start + count for start, count in ranges), default=0)
+    if 2 * (hi - lo) < sum(count for _, count in ranges) and hi - lo <= _CHUNK_DRAWS:
+        return lo, hi - lo
+    return None
 
 
 def _row_means(a: np.ndarray) -> np.ndarray:
@@ -224,37 +275,31 @@ def _kernel_means(dist: Distribution, k: np.ndarray) -> np.ndarray:
     return _row_means(dist._from_kernel(k))
 
 
-def _fill_means(
-    means: np.ndarray,
-    scenarios: Sequence[tuple[Distribution, int, Distribution, int]],
-    seed: SeedSpec,
-    first: int,
-    count: int,
-    lo: int,
-) -> None:
+def _fill_means(means: np.ndarray, plan: _Plan, seed: SeedSpec, lo: int) -> None:
     """Fill ``means[scenario, side]`` with the side means of trials ``lo .. lo+means.shape[2]-1``.
 
-    ``scenarios`` are ``(x, n_x, y, n_y)``, each drawing within the span
-    ``first .. first+count-1`` of every trial: x takes draws 0 .. n_x-1 and
-    y draws n_x .. n_x+n_y-1. A span that fits in a chunk is drawn chunk by
-    chunk, with one ``_kernel`` per family over the draws covering its
-    sides. A longer span is drawn side by side: a side that fits in a chunk
-    likewise over its own draws, a longer one a trial at a time in leaves
-    of numpy's pairwise-sum tree. Each mean has the bits of ``mean``.
+    ``plan`` is :func:`_draw_plan`'s. A run that fits in a chunk is drawn
+    chunk by chunk, with one ``_kernel`` per family over the draws covering
+    its sides. A longer run, a single side, is drawn a trial at a time in
+    leaves of numpy's pairwise-sum tree. Each mean has the bits of ``mean``.
     """
+    runs, constants = plan
     hi = lo + means.shape[2]
-    sides = []  # (scenario, side, distribution, its draws' range)
-    for s, (x, n_x, y, n_y) in enumerate(scenarios):
-        for side, dist, d_lo, d_hi in ((0, x, 0, n_x), (1, y, n_x, n_x + n_y)):
-            if isinstance(dist, PointMass):
-                means[s, side].fill(float(dist.value))
-            else:
-                sides.append((s, side, dist, d_lo, d_hi))
+    for s, side, value in constants:
+        means[s, side].fill(value)
+    for first, count, sides in runs:
+        if count > _CHUNK_DRAWS:
+            ((s, side, dist, d_lo, d_hi),) = sides
+            for t in range(lo, hi):
 
-    def chunked(group: list, first: int, count: int) -> None:
-        """The means of the sides in ``group``, which draw within ``first .. first+count-1``."""
+                def leaf_sum(l_lo: int, l_hi: int) -> float:
+                    u = uniform_matrix(seed.master_seed, seed.stream_id + t, 1, l_hi - l_lo, l_lo)[0]
+                    return np.add.reduce(dist._from_uniforms(u))
+
+                means[s, side, t - lo] = _pairwise_sum(leaf_sum, d_lo, d_hi, _CHUNK_DRAWS) / count
+            continue
         families: dict[type, list] = {}
-        for member in group:
+        for member in sides:
             families.setdefault(type(member[2]), []).append(member)
         # Per family: its kernel, the draws covering all its sides, and each
         # side with its draws' slice of the kernel.
@@ -274,22 +319,6 @@ def _fill_means(
                     means[s, side, c_lo - lo : c_hi - lo] = _kernel_means(dist, k[:, draws])
                 del k  # freed before the next family's kernel is made
 
-    if count <= _CHUNK_DRAWS:
-        if sides:
-            chunked(sides, first, count)
-        return
-    for s, side, dist, d_lo, d_hi in sides:
-        if d_hi - d_lo <= _CHUNK_DRAWS:
-            chunked([(s, side, dist, d_lo, d_hi)], d_lo, d_hi - d_lo)
-            continue
-        for t in range(lo, hi):
-
-            def leaf_sum(l_lo: int, l_hi: int) -> float:
-                u = uniform_matrix(seed.master_seed, seed.stream_id + t, 1, l_hi - l_lo, l_lo)[0]
-                return np.add.reduce(dist._from_uniforms(u))
-
-            means[s, side, t - lo] = _pairwise_sum(leaf_sum, d_lo, d_hi, _CHUNK_DRAWS) / (d_hi - d_lo)
-
 
 def trial_means(
     x: Distribution,
@@ -306,17 +335,17 @@ def trial_means(
     row's mean does not depend on the split, so neither does any byte.
     """
     seed = _as_seed(seed)
-    scenarios = [(x, n_x, y, n_y)]
-    first, count = _draw_range(*scenarios[0])
-    chunk = max(1, _CHUNK_DRAWS // max(count, 1))
+    plan = _draw_plan([(x, n_x, y, n_y)])
+    draws = sum(count for _, count, _ in plan[0])
+    chunk = max(1, _CHUNK_DRAWS // max(draws, 1))
     n_chunks = -(-trials // chunk)
-    workers = min(cpu_count(), n_chunks) if trials * count >= _PARALLEL_MIN_DRAWS else 1
+    workers = min(cpu_count(), n_chunks) if trials * draws >= _PARALLEL_MIN_DRAWS else 1
     means, workers = _buffer((1, 2, trials), workers)
     if workers > 1:
-        _load_sampling(scenarios)
+        _load_sampling(plan)
     # Whole chunks per worker, so no chunk boundary moves.
     bounds = [n_chunks * w // workers * chunk for w in range(workers)] + [trials]
-    _fill_in_workers(lambda lo, hi: _fill_means(means[:, :, lo:hi], scenarios, seed, first, count, lo), bounds)
+    _fill_in_workers(lambda lo, hi: _fill_means(means[:, :, lo:hi], plan, seed, lo), bounds)
     return means[0, 0], means[0, 1]
 
 
@@ -442,56 +471,21 @@ def estimate_error_curve(
     bitwise identical to a one-weight grid at that weight and seed. It is
     estimated leaf by leaf, as a suite of one (:func:`_leaf_curves`).
     """
-    alphas = _checked_alphas(alphas)
-    _check_trials(trials)
-    seed = _as_seed(seed)
-    return _leaf_curves([(x, n_x, y, n_y)], alphas, trials, seed, *_draw_range(x, n_x, y, n_y))[0]
+    return _leaf_curves([(x, n_x, y, n_y)], alphas, trials, seed)[0]
 
 
-def _shared_range(ranges: Sequence[tuple[int, int]]) -> tuple[int, int] | None:
-    """``(start, count)`` spanning every scenario's draws, when a suite should share them.
-
-    The shared path draws this span once per trial and runs each family's
-    kernel once over the draws covering that family's sides, where each
-    scenario on its own draws and transforms its range. It is taken when
-    the scenarios' ranges add up to more than twice the span, and the span
-    fits in a chunk; c06's suite adds up to 3.45 times its 200-draw span.
-    Measured serially on a 2-core Xeon (numpy 2.4.6, 21 weights, CPU time,
-    median of 7; 20,000 trials of a 200-draw span, 200,000 of a 20-draw
-    one), the shared path took, against the scenarios on their own, at 1,
-    1.5, 2, 2.5, 3 and 3.5 times the span:
-    - sides of a family overlapping: 1.00x, 0.65x, 0.53x, 0.41x, 0.37x and
-      0.32x at a 200-draw span, 1.05x, 0.75x, 0.64x, 0.54x, 0.56x and 0.45x
-      at a 20-draw span;
-    - no two sides of a family overlapping: 1.00x, 0.76x, 0.65x, 0.61x,
-      0.50x and 0.41x, and 1.01x, 0.81x, 0.70x, 0.64x, 0.62x and 0.54x
-      (0.66x and 0.77x at 2 times the span in a second run).
-    The rule is 2x, where the shared path was faster in every layout.
-    """
-    drawn = [(start, start + count) for start, count in ranges if count]
-    if not drawn:
-        return None
-    lo = min(start for start, _ in drawn)
-    hi = max(end for _, end in drawn)
-    if 2 * (hi - lo) < sum(end - start for start, end in drawn) and hi - lo <= _CHUNK_DRAWS:
-        return lo, hi - lo
-    return None
-
-
-def _load_sampling(scenarios: Sequence[tuple[Distribution, int, Distribution, int]], ndtri: bool = False) -> None:
-    """Import what sampling ``scenarios`` uses: ndtri for a normal side, or always with ``ndtri``.
+def _load_sampling(plan: _Plan, ndtri: bool = False) -> None:
+    """Import what sampling by ``plan`` uses: ndtri for a normal side, or always with ``ndtri``.
 
     Also numpy.random, which numpy 2 imports lazily and only numpy's C
-    Philox uses, for streams of ``_C_MIN_DRAWS`` draws or more: a suite
-    that shares its draws draws its span, any other scenario its own range.
-    Called while a command sets up, and before the core forks, so that
-    nothing is imported in the run or in every forked worker.
+    Philox uses, for a run of ``_C_MIN_DRAWS`` draws or more. Called while
+    a command sets up, and before the core forks, so that nothing is
+    imported in the run or in every forked worker.
     """
-    ranges = [_draw_range(*scenario) for scenario in scenarios]
-    shared = _shared_range(ranges)
-    if (shared[1] if shared else max((count for _, count in ranges), default=0)) >= _C_MIN_DRAWS:
+    runs, _ = plan
+    if max((count for _, count, _ in runs), default=0) >= _C_MIN_DRAWS:
         import numpy.random  # noqa: F401
-    if ndtri or any(isinstance(dist, Normal) for x, _, y, _ in scenarios for dist in (x, y)):
+    if ndtri or any(isinstance(side[2], Normal) for *_, sides in runs for side in sides):
         _load_ndtri()
 
 
@@ -517,43 +511,45 @@ _SUITE_LEAF = 65_536
 
 def _leaf_curves(
     scenarios: Sequence[tuple[Distribution, int, Distribution, int]],
-    alphas: list[float],
+    alphas: Iterable[float],
     trials: int,
-    seed: SeedSpec,
-    first: int,
-    count: int,
+    seed: SeedSpec | int,
 ) -> list[list[MonteCarloEstimate]]:
-    """Each scenario's curve, drawing the span ``first .. first+count-1`` of each trial once.
+    """Each scenario's curve, drawing each trial once by one :func:`_draw_plan`.
 
-    ``scenarios`` are ``(x, n_x, y, n_y)``, each drawing within the span.
-    Pass 1 of ``_tree_statistics`` takes a leaf's means from ``_fill_means``
-    and writes the random sides' to an unlinked scratch file (trials x
-    random sides x 8 bytes, in TMPDIR), which pass 2 reads back instead of
-    drawing again; so no trial-length buffer is held in memory. Pass 1
-    forks from ``_PARALLEL_MIN_DRAWS`` draws on; pass 2, which only sums,
-    from ``_PARALLEL_MIN_CURVE`` trials x scenarios x weights on. The
-    workers share the file. Without a random side nothing is drawn and no
-    file is made.
+    ``scenarios`` are ``(x, n_x, y, n_y)``. Pass 1 of ``_tree_statistics``
+    takes a leaf's means from ``_fill_means`` and writes the random sides'
+    to an unlinked scratch file (trials x random sides x 8 bytes, in
+    TMPDIR), which pass 2 reads back instead of drawing again; so no
+    trial-length buffer is held in memory. Pass 1 forks from
+    ``_PARALLEL_MIN_DRAWS`` draws on; pass 2, which only sums, from
+    ``_PARALLEL_MIN_CURVE`` trials x scenarios x weights on. The workers
+    share the file. Without a random side nothing is drawn and no file is
+    made.
     """
-    parallel = (trials * count >= _PARALLEL_MIN_DRAWS, trials * len(scenarios) * len(alphas) >= _PARALLEL_MIN_CURVE)
+    alphas = _checked_alphas(alphas)
+    _check_trials(trials)
+    seed = _as_seed(seed)
+    plan = runs, constants = _draw_plan(scenarios)
+    draws = sum(count for _, count, _ in runs)
+    parallel = (trials * draws >= _PARALLEL_MIN_DRAWS, trials * len(scenarios) * len(alphas) >= _PARALLEL_MIN_CURVE)
     if parallel[0]:
-        _load_sampling(scenarios)
-    sides = [(s, side, dist) for s, (x, _, y, _) in enumerate(scenarios) for side, dist in enumerate((x, y))]
-    constants = [(s, side, float(dist.value)) for s, side, dist in sides if isinstance(dist, PointMass)]
-    random_sides = [(s, side) for s, side, dist in sides if not isinstance(dist, PointMass)]  # the file's rows
+        _load_sampling(plan)
+    random_sides = [side[:2] for *_, sides in runs for side in sides]  # the file's rows
     mus = [x.mean() for x, _, _, _ in scenarios]
     # Trials per leaf: the largest power of two whose random sides' means fit
     # in _LEAF_MEANS, at most _SUITE_LEAF, and at most a CPU's share of the
     # trials, so that every CPU has a leaf (mc_long's 2,000 trials are two
-    # leaves on 2 CPUs); at least 128 (see _pairwise_sum).
-    fits = 1 << (_LEAF_MEANS // max(len(random_sides), 1)).bit_length() - 1
+    # leaves on 2 CPUs); at least 128 (see _pairwise_sum), even where 128
+    # trials' means exceed _LEAF_MEANS (past 2,048 random sides).
+    fits = 1 << max((_LEAF_MEANS // max(len(random_sides), 1)).bit_length() - 1, 0)
     leaf = max(128, min(fits, _SUITE_LEAF, -(-trials // cpu_count())))
     scratch = np.empty((2, min(trials, leaf)))
 
     def leaf_sums(lo: int, hi: int, centres: np.ndarray | None) -> np.ndarray:
         """``[scenario, weight]`` sums over trials ``lo .. hi-1``.
 
-        Pass 1 draws their span and writes the random sides' means to
+        Pass 1 draws them by the plan and writes the random sides' means to
         ``spill`` at their trials' place; pass 2 reads them back.
         """
         means = np.empty((len(scenarios), 2, hi - lo))  # [scenario, side, trial]
@@ -561,12 +557,11 @@ def _leaf_curves(
         block = 8 * len(random_sides) * lo
         rows = [(means[s, side], block + 8 * i * (hi - lo)) for i, (s, side) in enumerate(random_sides)]
         if centres is None:
-            _fill_means(means, scenarios, seed, first, count, lo)
+            _fill_means(means, plan, seed, lo)
             for row, offset in rows:
                 _write_at(spill.fileno(), row, offset)
         else:
-            for s, side, value in constants:
-                means[s, side].fill(value)
+            _fill_means(means, ([], constants), seed, lo)  # the constants alone
             for row, offset in rows:
                 row[...] = _read_at(spill.fileno(), row.shape, offset)
         return np.array(
@@ -574,7 +569,7 @@ def _leaf_curves(
                 _curve_sums(means[s, 0], means[s, 1], alphas, mu_x, scratch, None if centres is None else centres[s])
                 for s, mu_x in enumerate(mus)
             ]
-        )
+        ).reshape(len(mus), len(alphas))  # an empty suite's too
 
     # The scratch file honours TMPDIR and is unlinked at creation.
     with tempfile.TemporaryFile() if random_sides else contextlib.nullcontext() as spill:
@@ -591,18 +586,12 @@ def estimate_suite_curves(
     """:func:`estimate_error_curve` for each scenario, bit for bit, sharing their draws.
 
     Every scenario of a suite reads trial ``t``'s draws from stream
-    ``(seed, stream_id + t)`` from the same index on. When ``_shared_range``
-    says it pays, :func:`_leaf_curves` draws the span covering all their
-    draws once for the whole suite; otherwise each scenario is estimated on
-    its own.
+    ``(seed, stream_id + t)`` from the same index on. The suite is one
+    :func:`_leaf_curves` run: one tree, one scratch file and one fork round
+    per pass, drawing the span covering all their draws once when
+    ``_shared_range`` says it pays, and each scenario's own range otherwise.
     """
-    alphas = _checked_alphas(alphas)
-    _check_trials(trials)
-    seed = _as_seed(seed)
-    shared = _shared_range([_draw_range(s.x, s.n_x, s.y, s.n_y) for s in scenarios])
-    if shared is None:
-        return [estimate_error_curve(s.x, s.n_x, s.y, s.n_y, alphas, trials, seed) for s in scenarios]
-    return _leaf_curves([(s.x, s.n_x, s.y, s.n_y) for s in scenarios], alphas, trials, seed, *shared)
+    return _leaf_curves([(s.x, s.n_x, s.y, s.n_y) for s in scenarios], alphas, trials, seed)
 
 
 def _checked_alphas(alphas: Iterable[float]) -> list[float]:

@@ -108,6 +108,8 @@ class TestValidation:
             make_distribution("cauchy", scale=1.0)
         with pytest.raises(ValueError):
             make_distribution("normal", location=0.0)
+        with pytest.raises(ValueError, match="bad parameters"):  # a parameter named like the family argument
+            make_distribution("normal", family=0.0, mu=0.0, sd=1.0)
 
 
 class TestSampling:

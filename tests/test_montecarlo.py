@@ -568,8 +568,9 @@ print([baseline, *(resource.getrusage(who).ru_maxrss for who in (resource.RUSAGE
 # A fresh interpreter on 2 CPUs that forks at any size and records, at each
 # fork, how many ndtri functions are loaded and whether numpy.random is,
 # around the call its argument names: 7,000-draw streams with no normal
-# side, 5-draw streams with one, and suites of four scenarios that share
-# draws 0 .. 4 or draws 0 .. 299 of each stream.
+# side, 5-draw streams with one, suites of four scenarios that share
+# draws 0 .. 4 or draws 0 .. 299 of each stream, and a suite below the
+# sharing rule whose normal side is in its 5-draw scenario.
 SCIPY_AT_FORK = """
 import os, sys
 os.sched_getaffinity = lambda pid: {0, 1}
@@ -592,6 +593,10 @@ if call == "long":
     mc.trial_means(Exponential(1.0), 1000, Exponential(1.0), 6000, 2000, SeedSpec(0))
 elif call == "short":
     mc.trial_means(Normal(0.0, 1.0), 3, Exponential(1.0), 2, 30_000, SeedSpec(0))
+elif call == "suite_below":
+    suite = [mc.SampledScenario(Exponential(1.0), 200, Exponential(1.0), 100)]
+    suite.append(mc.SampledScenario(Normal(0.0, 1.0), 3, Exponential(1.0), 2))
+    mc.estimate_suite_curves(suite, [0.5], 20_000, SeedSpec(0))
 else:
     n = 5 if call == "suite_short" else 300
     side = Normal(0.0, 1.0) if call == "suite_short" else Exponential(1.0)
@@ -616,6 +621,9 @@ def test_suite_loads_its_modules_before_forking():
     # One fork per pass: 20,000 trials are two leaves, one per process.
     assert _loaded_at_forks("suite_short") == [(1, False)] * 2
     assert _loaded_at_forks("suite_long") == [(0, True)] * 2
+    # One plan for the suite: its 300-draw run and its normal side are
+    # both loaded for before the first fork.
+    assert _loaded_at_forks("suite_below") == [(1, True)] * 2
 
 
 class _DrawSpy:
@@ -646,6 +654,14 @@ SHARED_SUITE = (
     SampledScenario(Bernoulli(0.3), 13, PointMass(-1.0), 4),
     SampledScenario(Exponential(0.5), 3, Uniform(0.0, 2.0), 21),
     SampledScenario(PointMass(1.0), 5, PointMass(2.0), 5),
+)
+
+
+# Two 40-draw streams over the same range: 80 draws are not more than 2 x
+# 40, so each scenario draws its own range.
+BELOW_RULE_SUITE = (
+    SampledScenario(Normal(0.0, 1.0), 15, Uniform(0.0, 1.0), 25),
+    SampledScenario(Exponential(1.0), 30, Normal(1.0, 1.0), 10),
 )
 
 
@@ -843,11 +859,7 @@ class TestSuiteCurves:
 
     def test_shares_from_more_than_twice_the_span(self, monkeypatch):
         # 40 + 40 + 20 = 100 draws, more than 2 x 40: the span is drawn once.
-        suite = (
-            SampledScenario(Normal(0.0, 1.0), 15, Uniform(0.0, 1.0), 25),
-            SampledScenario(Exponential(1.0), 30, Normal(1.0, 1.0), 10),
-            SampledScenario(Uniform(0.0, 1.0), 20, PointMass(0.0), 3),
-        )
+        suite = (*BELOW_RULE_SUITE, SampledScenario(Uniform(0.0, 1.0), 20, PointMass(0.0), 3))
         trials = 200
         expected = _alone(suite, CURVE_ALPHAS, trials, SeedSpec(14))
         force_cpus(monkeypatch, 1)
@@ -859,15 +871,7 @@ class TestSuiteCurves:
         "suite,chunk_draws",
         [
             (SHARED_SUITE[:1], 65_536),
-            # Two 40-draw streams over the same range: 80 draws are not
-            # more than 2 x 40.
-            (
-                (
-                    SampledScenario(Normal(0.0, 1.0), 15, Uniform(0.0, 1.0), 25),
-                    SampledScenario(Exponential(1.0), 30, Normal(1.0, 1.0), 10),
-                ),
-                65_536,
-            ),
+            (BELOW_RULE_SUITE, 65_536),
             # 4 x 24 draws are more than 2 x 24, but the span is more than a chunk.
             (SHARED_SUITE[:1] * 4, 16),
         ],
@@ -885,6 +889,39 @@ class TestSuiteCurves:
         spy.calls.clear()
         assert mc.estimate_suite_curves(suite, CURVE_ALPHAS, trials, SeedSpec(13)) == expected
         assert spy.calls == alone
+
+    def test_below_the_rule_is_one_tree(self, monkeypatch):
+        # Both scenarios' own ranges are drawn leaf by leaf in one tree:
+        # one fork per pass and one scratch file for the suite.
+        trials, seed = 20_001, SeedSpec(17)
+        expected = _alone(BELOW_RULE_SUITE, CURVE_ALPHAS, trials, seed)
+        monkeypatch.setattr(mc, "_PARALLEL_MIN_DRAWS", 0)
+        monkeypatch.setattr(mc, "_PARALLEL_MIN_CURVE", 0)
+        forks = force_cpus(monkeypatch, 2)
+        files = []
+        make = tempfile.TemporaryFile
+
+        def recorded(*args, **kwargs):
+            files.append(1)
+            return make(*args, **kwargs)
+
+        monkeypatch.setattr(tempfile, "TemporaryFile", recorded)
+        assert mc.estimate_suite_curves(BELOW_RULE_SUITE, CURVE_ALPHAS, trials, seed) == expected
+        assert len(forks) == 2
+        assert files == [1]
+        assert no_child_left()
+
+    @pytest.mark.parametrize(
+        "suite",
+        [(SampledScenario(Uniform(0.0, 1.0), 1, Uniform(0.0, 1.0), 1),) * 3, BELOW_RULE_SUITE],
+        ids=["shared", "below_the_rule"],
+    )
+    def test_leaf_of_128_trials_when_its_means_exceed_the_bound(self, monkeypatch, suite):
+        # More random sides than _LEAF_MEANS: no power of two of trials fits.
+        trials, seed = 128 * 3 + 5, SeedSpec(18)
+        expected = _alone(suite, CURVE_ALPHAS, trials, seed)
+        monkeypatch.setattr(mc, "_LEAF_MEANS", 1)
+        assert mc.estimate_suite_curves(suite, CURVE_ALPHAS, trials, seed) == expected
 
 
 # Peak RSS in MiB of a fresh interpreter on 2 CPUs that estimates the
@@ -1110,6 +1147,21 @@ GOLDEN_VALIDATE = {
     "c06_suite_at_base_seed": (
         MC_SUITE, 10_000, MC_BASE_SEED,
         "997ac5b44e42009540debeaf3efa4351457fb07fee0eaf4163477e0e397414d6",
+    ),
+    # 300 + 5 draws are not more than 2 x 300: each scenario draws its own.
+    "suite_below_the_sharing_rule": (
+        (
+            SampledScenario(Exponential(1.0), 200, Exponential(1.0), 100),
+            SampledScenario(Normal(0.0, 1.0), 3, Exponential(1.0), 2),
+        ),
+        20_000, 0,
+        "f5b73e0841b5010eee67bb06631d61f6533fb955d81f217b620ee31395adc419",
+    ),
+    # y's 70,000 draws are drawn a trial at a time, x's 5 chunk by chunk.
+    "side_longer_than_a_chunk": (
+        (SampledScenario(Normal(0.0, 1.0), 5, Exponential(1.0), 70_000),),
+        200, 0,
+        "4dc0623b919563ece48cca11a02eb1a4f2cc323a219dc4d42dd63f9b68b29f2e",
     ),
 }
 
