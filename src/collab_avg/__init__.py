@@ -5,6 +5,14 @@ averaging with a helper's estimate, plus a seeded Monte Carlo harness that
 validates every formula by simulation, and a CLI for batch reports.
 """
 
+import os
+import sys
+
+if "numpy" not in sys.modules:
+    # OpenBLAS starts a thread per CPU when numpy loads; one thread keeps
+    # the process single-threaded at each fork of a worker.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .distributions import (
     Bernoulli,
     Distribution,

@@ -21,12 +21,19 @@ Two generation paths give the same bits. Streams of at least
 stream by setting its key and counter; shorter streams run the rounds below
 in numpy array arithmetic, vectorized over all streams at once, because
 numpy's Philox takes one key per object and its per-stream set-up would
-dominate.
+dominate. The C Philox is loaded from its extension alone
+(:func:`_load_philox`), not with the rest of ``numpy.random``.
 """
 
 from __future__ import annotations
 
+import functools
+import random
+import types
+
 import numpy as np
+
+from .distributions import _load_from_extension
 
 _MASK64 = (1 << 64) - 1
 
@@ -161,6 +168,22 @@ def uniform_matrix(
     return out.reshape(n_streams, 4 * n_blocks)[:, offset : offset + count]
 
 
+@functools.cache
+def _load_philox() -> type:
+    """numpy's ``Philox`` class, loaded from its extension alone (:func:`_load_from_extension`).
+
+    ``import numpy.random`` raises the peak RSS by 5.4 MiB, the extension
+    with the two it imports by 0.55 MiB. Most of the rest is ``secrets``,
+    which ``bit_generator`` imports only for ``randbits`` and which brings
+    ``hashlib`` and OpenSSL, so a stand-in ``secrets`` gives it
+    ``randbits`` as ``Lib/secrets.py`` defines it, drawing entropy from the
+    same OS source. A later ``import numpy.random`` holds this very class.
+    """
+    secrets = types.ModuleType("secrets")
+    secrets.randbits = random.SystemRandom().getrandbits
+    return _load_from_extension("numpy.random", "numpy.random._philox", "Philox", secrets=secrets)
+
+
 def _c_uniform_matrix(
     master_seed: int, first_stream: int, n_streams: int, count: int, start: int
 ) -> np.ndarray:
@@ -173,7 +196,7 @@ def _c_uniform_matrix(
     first_block = start // 4
     offset = start - 4 * first_block
     out = np.empty((n_streams, count), dtype=np.float64)
-    bit_gen = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
+    bit_gen = _load_philox()(key=np.zeros(2, dtype=np.uint64))
     state = bit_gen.state
     # Python ints masked to 64 bits, stored into the state's uint64 arrays:
     # no numpy scalar arithmetic, so nothing can wrap with a warning.

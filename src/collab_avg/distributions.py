@@ -30,48 +30,52 @@ def _load_ndtri():
     """scipy's Normal inverse CDF, loaded on first use: only sampling needs scipy.
 
     ``import scipy.special`` takes about 0.3 s, nearly all of it in modules
-    that ndtri does not use, so only the extension that defines it is
-    loaded. A later ``import scipy.special`` returns this very object. When
-    a scipy module is already loaded, or that load fails in any way, this
-    is the public import, which raises ImportError without scipy.
+    that ndtri does not use, so only the extension that defines it,
+    ``_ufuncs``, is loaded (:func:`_load_from_extension`). Without scipy
+    this raises ImportError.
     """
-    if "scipy" not in sys.modules:
+    return _load_from_extension("scipy", "scipy.special._ufuncs", "ndtri")
+
+
+def _load_from_extension(root: str, extension: str, name: str, **stand_ins: types.ModuleType):
+    """``name`` from the extension module ``extension``, loaded without its packages' code.
+
+    ``root`` and each package between it and ``extension`` are bare
+    modules with only a ``__path__``, so no package ``__init__`` runs.
+    ``stand_ins`` are modules put in place, by name, for the load alone,
+    each only where no module of that name is imported yet. Every module
+    the load adds under ``root``, and every stand-in, is dropped again, so
+    the real packages can still be imported; the extension stays cached,
+    so they then hold this very object. The other modules the extension
+    imports stay. When ``root`` is already imported, or the load fails in
+    any way, this is the public ``from <extension's package> import name``.
+    """
+    if root not in sys.modules:
+        before = set(sys.modules)
         try:
-            return _ufuncs_extension().ndtri
+            path = importlib.util.find_spec(root).submodule_search_locations[0]
+            package = root
+            for part in extension[len(root) + 1 :].split("."):
+                bare = types.ModuleType(package)
+                bare.__path__ = [path]
+                sys.modules[package] = bare
+                package, path = f"{package}.{part}", os.path.join(path, part)
+            for item in stand_ins.items():
+                sys.modules.setdefault(*item)
+            for suffix in EXTENSION_SUFFIXES:
+                if os.path.isfile(path + suffix):
+                    break
+            loader = ExtensionFileLoader(extension, path + suffix)
+            module = importlib.util.module_from_spec(importlib.util.spec_from_loader(extension, loader))
+            loader.exec_module(module)
+            return getattr(module, name)
         except Exception:
             pass
-    from scipy.special import ndtri
-
-    return ndtri
-
-
-def _ufuncs_extension() -> types.ModuleType:
-    """``scipy.special._ufuncs``, loaded under bare ``scipy`` and ``scipy.special`` packages.
-
-    Every ``scipy`` module the load adds, the two stand-ins included, is
-    dropped again, so the real packages can still be imported; the other
-    modules the extension imports (``subprocess``, ``locale``, ...) stay.
-    """
-    root = importlib.util.find_spec("scipy").submodule_search_locations[0]
-    special = os.path.join(root, "special")
-    before = set(sys.modules)
-    try:
-        for name, location in (("scipy", root), ("scipy.special", special)):
-            package = types.ModuleType(name)
-            package.__path__ = [location]
-            sys.modules[name] = package
-        for suffix in EXTENSION_SUFFIXES:
-            path = os.path.join(special, "_ufuncs" + suffix)
-            if os.path.isfile(path):
-                break
-        loader = ExtensionFileLoader("scipy.special._ufuncs", path)
-        module = importlib.util.module_from_spec(importlib.util.spec_from_loader(loader.name, loader))
-        loader.exec_module(module)
-        return module
-    finally:
-        for name in set(sys.modules) - before:
-            if name.split(".")[0] == "scipy":
-                del sys.modules[name]
+        finally:
+            for added in set(sys.modules) - before:
+                if added in stand_ins or added == root or added.startswith(root + "."):
+                    del sys.modules[added]
+    return getattr(importlib.import_module(extension.rpartition(".")[0]), name)
 
 
 @dataclass(frozen=True)

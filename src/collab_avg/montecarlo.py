@@ -25,7 +25,7 @@ from typing import TypeVar
 
 import numpy as np
 
-from ._philox import _C_MIN_DRAWS, uniform_matrix
+from ._philox import _C_MIN_DRAWS, _load_philox, uniform_matrix
 from ._workers import _fill_in_workers, cpu_count
 from .distributions import Bernoulli, Distribution, Normal, PointMass, SeedSpec, _load_ndtri
 from .theory import ErrorProfile, Scenario, _check_alpha, _check_count, error_profile, ese_of_alpha
@@ -37,9 +37,9 @@ _CHUNK_DRAWS = 65_536
 
 #: Drawing trial means forks workers only from this many drawn uniforms on.
 #: Measured on a 2-core Xeon (numpy 2.4.6): a fork and wait cost 3.1-3.3 ms
-#: with ndtri and numpy.random loaded, as ``validate`` has them (4.3-4.5 ms
-#: with all of scipy.special); two workers lost to one at 100k draws and
-#: won by 1.2-1.6x from 400k draws on, at 4, 25 and 120 draws per trial.
+#: with ndtri and all of numpy.random loaded (4.3-4.5 ms with all of
+#: scipy.special); two workers lost to one at 100k draws and won by
+#: 1.2-1.6x from 400k draws on, at 4, 25 and 120 draws per trial.
 _PARALLEL_MIN_DRAWS = 500_000
 
 #: The curve statistics fork workers only from this many trials x weights
@@ -475,16 +475,15 @@ def estimate_error_curve(
 
 
 def _load_sampling(plan: _Plan, ndtri: bool = False) -> None:
-    """Import what sampling by ``plan`` uses: ndtri for a normal side, or always with ``ndtri``.
+    """Load what sampling by ``plan`` uses: ndtri for a normal side, or always with ``ndtri``.
 
-    Also numpy.random, which numpy 2 imports lazily and only numpy's C
-    Philox uses, for a run of ``_C_MIN_DRAWS`` draws or more. Called while
-    a command sets up, and before the core forks, so that nothing is
-    imported in the run or in every forked worker.
+    Also numpy's C Philox, for a run of ``_C_MIN_DRAWS`` draws or more.
+    Called while a command sets up, and before the core forks, so that
+    nothing is imported in the run or in every forked worker.
     """
     runs, _ = plan
     if max((count for _, count, _ in runs), default=0) >= _C_MIN_DRAWS:
-        import numpy.random  # noqa: F401
+        _load_philox()
     if ndtri or any(isinstance(side[2], Normal) for *_, sides in runs for side in sides):
         _load_ndtri()
 

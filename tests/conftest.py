@@ -5,12 +5,16 @@ from __future__ import annotations
 import math
 import os
 
-import numpy as np
-import pytest
+# As collab_avg/__init__.py does when it loads first: OpenBLAS then starts
+# no thread, so every fork in a test forks a single-threaded process.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from collab_avg._philox import uniforms
-from collab_avg.distributions import Distribution, SeedSpec
-from collab_avg.theory import Scenario
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from collab_avg._philox import uniforms  # noqa: E402
+from collab_avg.distributions import Distribution, SeedSpec  # noqa: E402
+from collab_avg.theory import Scenario  # noqa: E402
 
 
 def draws(spec: Distribution, n: int, seed: SeedSpec) -> np.ndarray:

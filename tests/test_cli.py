@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import csv
 import hashlib
 import io
@@ -13,6 +14,7 @@ import sys
 import tempfile
 import tracemalloc
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import HealthCheck, example, given, settings
@@ -786,19 +788,19 @@ sys.exit(code)
 
 # Runs the CLI in a fresh interpreter, with scipy hidden when the first
 # argument is "no-scipy". The last stderr line gives, when load_run_config
-# returned and when main returned, how many ndtri functions are loaded and
-# whether numpy.random is, the modules imported in between, and the scipy
-# modules left at the end.
+# returned and when main returned, how many ndtri functions and how many
+# numpy Philox classes are loaded, the modules imported in between, and the
+# scipy modules left at the end.
 SCIPY_PROBE = """\
 import sys
 
 if sys.argv[1] == "no-scipy":
     sys.modules["scipy"] = None  # as if scipy were not installed
-from collab_avg import cli, distributions
+from collab_avg import _philox, cli, distributions
 
 
 def state():
-    return distributions._load_ndtri.cache_info().currsize, "numpy.random" in sys.modules
+    return distributions._load_ndtri.cache_info().currsize, _philox._load_philox.cache_info().currsize
 
 
 at_setup = []
@@ -830,7 +832,55 @@ os.sched_getaffinity = lambda pid: {0, 1}
 montecarlo._PARALLEL_MIN_DRAWS = 0
 """
 
-NOTHING_LOADED = "set-up: [(0, False)], end: (0, False), imported after set-up: [], scipy: []"
+NOTHING_LOADED = "set-up: [(0, 0)], end: (0, 0), imported after set-up: [], scipy: []"
+
+# Runs the CLI in a fresh interpreter. The last stderr line gives which of
+# the modules a full numpy.random would bring are loaded, whether numpy's C
+# Philox gives the vectorized rounds' bits, and, imported after the run,
+# whether secrets is the real module, whether numpy.random's Philox is the
+# class the run used, and default_rng(1)'s first draw.
+PHILOX_AFTER_RUN = """\
+import sys
+from collab_avg import _philox, cli
+
+code = cli.main(sys.argv[1:])
+heavy = ["secrets", "hmac", "hashlib", "_hashlib", "numpy.random.mtrand", "numpy.random._generator"]
+loaded = [name for name in heavy if name in sys.modules]
+c_path = _philox._c_uniform_matrix(7, 2**64 - 2, 3, 301, 5)
+_philox._C_MIN_DRAWS = 2**62
+rounds = _philox.uniform_matrix(7, 2**64 - 2, 3, 301, 5)
+import secrets
+import numpy.random
+same = numpy.random.Philox is _philox._load_philox()
+print(
+    f"loaded: {loaded}, same bits: {c_path.tobytes() == rounds.tobytes()}, real secrets: "
+    f"{hasattr(secrets, 'token_hex')}, same Philox: {same}, rng: {numpy.random.default_rng(1).random()!r}",
+    file=sys.stderr,
+)
+sys.exit(code)
+"""
+
+# Runs the CLI in a fresh interpreter that forks at any size on two CPUs.
+# The last stderr line gives the process's threads at each fork.
+THREADS_AT_FORK = FORK_ALWAYS + """\
+import sys
+from collab_avg import _workers, cli
+
+fork = _workers._fork
+threads = []
+
+
+def recording(work):
+    threads.append(len(os.listdir("/proc/self/task")))
+    return fork(work)
+
+
+_workers._fork = recording
+cli._PARALLEL_MIN_CELLS = 0
+code = cli.main(sys.argv[1:])
+print(f"threads at each fork: {threads}", file=sys.stderr)
+sys.exit(code)
+"""
 
 
 def run_python(script: str, *argv: str) -> tuple[int, bytes, list[str]]:
@@ -840,7 +890,7 @@ def run_python(script: str, *argv: str) -> tuple[int, bytes, list[str]]:
 
 
 class TestScipyImport:
-    """Only validate samples, so only validate loads scipy's ndtri and numpy.random."""
+    """Only validate samples, so only validate loads scipy's ndtri and numpy's Philox."""
 
     @pytest.mark.parametrize("command", ["profile", "curve", "contour", "table1", "federate"])
     def test_closed_form_commands_never_import_scipy(self, tmp_path, command):
@@ -854,21 +904,21 @@ class TestScipyImport:
     def test_validate_imports_scipy_before_set_up_ends(self, tmp_path):
         # ndtri comes from scipy's extension alone, which leaves no scipy
         # module behind. These streams are too short for numpy's C Philox,
-        # so numpy.random is never loaded.
+        # so it is never loaded.
         scenario = tmp_path / "scenario.yaml"
         scenario.write_text(TWO_AGENT_YAML)
         code, out, err = run_python(SCIPY_PROBE, "scipy", "validate", "--scenario", str(scenario))
         assert code == 0
         assert out.endswith(b"overall: PASS\n")
-        assert err == ["set-up: [(1, False)], end: (1, False), imported after set-up: [], scipy: []"]
+        assert err == ["set-up: [(1, 0)], end: (1, 0), imported after set-up: [], scipy: []"]
 
     @pytest.mark.parametrize(
         "yaml,long_streams",
         [
-            (MC_LONG_YAML, True),
-            (TWO_AGENT_YAML, False),
-            (SHARED_SHORT_STREAMS_YAML, False),
-            (SHARED_SPAN_OF_300_YAML, True),
+            (MC_LONG_YAML, 1),
+            (TWO_AGENT_YAML, 0),
+            (SHARED_SHORT_STREAMS_YAML, 0),
+            (SHARED_SPAN_OF_300_YAML, 1),
         ],
         ids=["long_streams", "short_streams", "suite_short_span", "suite_long_span"],
     )
@@ -886,6 +936,29 @@ class TestScipyImport:
         state = f"(1, {long_streams})"
         assert err[-1].startswith(f"set-up: [{state}], end: {state}, imported after set-up: [],")
 
+    def test_validate_loads_numpy_philox_alone(self, tmp_path):
+        scenario = tmp_path / "scenario.yaml"
+        scenario.write_text(MC_LONG_YAML)
+        argv = ["validate", "--scenario", str(scenario), "--trials", "300"]
+        code, out, err = run_python(PHILOX_AFTER_RUN, *argv)
+        assert code == 0
+        assert out.endswith(b"overall: PASS\n")
+        # This process imported numpy.random the public way.
+        rng = np.random.default_rng(1).random()
+        assert err[-1] == f"loaded: [], same bits: True, real secrets: True, same Philox: True, rng: {rng!r}"
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
+    @pytest.mark.parametrize("command", ["validate", "contour"])
+    def test_one_thread_at_each_fork(self, tmp_path, monkeypatch, command):
+        # Importing collab_avg before numpy caps OpenBLAS at one thread.
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        scenario = tmp_path / "scenario.yaml"
+        scenario.write_text(MC_LONG_YAML)
+        argv = {"validate": ["--scenario", str(scenario), "--trials", "300"], "contour": ["--grid", "21"]}[command]
+        code, _, err = run_python(THREADS_AT_FORK, command, *argv, "--out", str(tmp_path / "out"))
+        assert code == 0
+        assert set(ast.literal_eval(err[-1].partition(": ")[2])) == {1}
+
     def test_validate_without_scipy_exits_1_with_one_line(self, tmp_path):
         scenario = tmp_path / "scenario.yaml"
         scenario.write_text(TWO_AGENT_YAML)
@@ -893,7 +966,7 @@ class TestScipyImport:
         assert (code, out) == (1, b"")
         assert len(err) == 2
         assert err[0].startswith("error: validate needs scipy")
-        assert err[1] == "set-up: [], end: (0, False), imported after set-up: [], scipy: []"
+        assert err[1] == "set-up: [], end: (0, 0), imported after set-up: [], scipy: []"
 
     @pytest.mark.parametrize(
         "argv,golden",
@@ -1187,7 +1260,15 @@ def scenario_documents(draw) -> str:
 class TestScenarioFileFuzz:
     """Every scenario file either loads or exits 1 with one line on stderr."""
 
-    @settings(deadline=None, max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    # Derandomized and without a database: the same 100 files on every run,
+    # so no checkout replays a failure found by another.
+    @settings(
+        deadline=None,
+        max_examples=100,
+        derandomize=True,
+        database=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
     @given(text=scenario_documents())
     @example(text="x: {family: normal\n")
     @example(text="x: \x00\n")

@@ -243,7 +243,7 @@ class TestLoadNdtri:
     def test_public_import_when_scipy_special_is_loaded(self, monkeypatch):
         # This process imported scipy.special above.
         calls = []
-        monkeypatch.setattr(distributions, "_ufuncs_extension", lambda: calls.append(1))
+        monkeypatch.setattr(distributions, "ExtensionFileLoader", lambda *args: calls.append(args))
         assert distributions._load_ndtri.__wrapped__() is scipy.special.ndtri
         assert calls == []
 

@@ -566,7 +566,7 @@ print([baseline, *(resource.getrusage(who).ru_maxrss for who in (resource.RUSAGE
 
 
 # A fresh interpreter on 2 CPUs that forks at any size and records, at each
-# fork, how many ndtri functions are loaded and whether numpy.random is,
+# fork, how many ndtri functions and how many numpy Philox classes are loaded,
 # around the call its argument names: 7,000-draw streams with no normal
 # side, 5-draw streams with one, suites of four scenarios that share
 # draws 0 .. 4 or draws 0 .. 299 of each stream, and a suite below the
@@ -574,7 +574,7 @@ print([baseline, *(resource.getrusage(who).ru_maxrss for who in (resource.RUSAGE
 SCIPY_AT_FORK = """
 import os, sys
 os.sched_getaffinity = lambda pid: {0, 1}
-from collab_avg import _workers, montecarlo as mc
+from collab_avg import _philox, _workers, montecarlo as mc
 from collab_avg.distributions import Exponential, Normal, SeedSpec, _load_ndtri
 
 fork = _workers._fork
@@ -582,7 +582,7 @@ loaded = []
 
 
 def recording(work):
-    loaded.append((_load_ndtri.cache_info().currsize, "numpy.random" in sys.modules))
+    loaded.append((_load_ndtri.cache_info().currsize, _philox._load_philox.cache_info().currsize))
     return fork(work)
 
 
@@ -606,7 +606,7 @@ print(loaded)
 """
 
 
-def _loaded_at_forks(call: str) -> list[tuple[int, bool]]:
+def _loaded_at_forks(call: str) -> list[tuple[int, int]]:
     result = subprocess.run([sys.executable, "-c", SCIPY_AT_FORK, call], capture_output=True, timeout=120)
     assert result.returncode == 0, result.stderr
     return ast.literal_eval(result.stdout.decode())
@@ -614,16 +614,16 @@ def _loaded_at_forks(call: str) -> list[tuple[int, bool]]:
 
 def test_trial_means_loads_scipy_once_before_forking():
     # One interpreter per call: a module the first call loaded stays loaded.
-    assert _loaded_at_forks("long") + _loaded_at_forks("short") == [(0, True), (1, False)]
+    assert _loaded_at_forks("long") + _loaded_at_forks("short") == [(0, 1), (1, 0)]
 
 
 def test_suite_loads_its_modules_before_forking():
     # One fork per pass: 20,000 trials are two leaves, one per process.
-    assert _loaded_at_forks("suite_short") == [(1, False)] * 2
-    assert _loaded_at_forks("suite_long") == [(0, True)] * 2
+    assert _loaded_at_forks("suite_short") == [(1, 0)] * 2
+    assert _loaded_at_forks("suite_long") == [(0, 1)] * 2
     # One plan for the suite: its 300-draw run and its normal side are
     # both loaded for before the first fork.
-    assert _loaded_at_forks("suite_below") == [(1, True)] * 2
+    assert _loaded_at_forks("suite_below") == [(1, 1)] * 2
 
 
 class _DrawSpy:

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.random import Philox
 
-from collab_avg import _philox
+from collab_avg import _philox, distributions
 from collab_avg._philox import _C_MIN_DRAWS, philox_blocks, uniform_matrix, uniforms
 
 U64 = st.integers(min_value=0, max_value=2**64 - 1)
@@ -141,3 +145,80 @@ def test_c_and_vectorized_paths_agree(master, first, n_streams, start, count):
     assert c_path.shape == (n_streams, count)
     assert np.array_equal(c_path, vectorized)
     assert np.array_equal(uniform_matrix(master, first, n_streams, count, start), vectorized)
+
+
+def run_python(script: str) -> list[str]:
+    """Stderr lines of ``script`` run in a new interpreter, which must exit 0."""
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, timeout=120)
+    assert result.returncode == 0, result.stderr.decode()
+    return result.stderr.decode().splitlines()
+
+
+# Loads numpy's Philox in a fresh interpreter that has imported the CLI, as
+# validate's set-up does, and writes how far that raised the peak RSS.
+LOAD_PHILOX_PEAK = """
+import sys
+from collab_avg import _philox, cli
+
+
+def peak_kib():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+
+
+before = peak_kib()
+_philox._load_philox()
+print(peak_kib() - before, file=sys.stderr)
+"""
+
+# The same with ExtensionFileLoader refusing, so no numpy file is loaded
+# that way: the stand-ins must be gone for the public import, and the C
+# path must still give the vectorized rounds' bits.
+LOAD_PHILOX_REFUSED = """
+import sys
+from collab_avg import _philox, distributions
+
+refused = []
+
+
+def refuse(*args):
+    refused.append(args[0])
+    raise OSError("refused")
+
+
+distributions.ExtensionFileLoader = refuse
+philox = _philox._load_philox()
+public = hasattr(sys.modules.get("numpy.random"), "default_rng")
+secrets = hasattr(sys.modules.get("secrets"), "token_hex")
+import numpy.random
+c_path = _philox._c_uniform_matrix(9, 2**64 - 1, 3, 300, 6)
+_philox._C_MIN_DRAWS = 2**62
+same = c_path.tobytes() == _philox.uniform_matrix(9, 2**64 - 1, 3, 300, 6).tobytes()
+print(
+    f"refused: {refused}, public import: {public}, real secrets: {secrets}, "
+    f"same class: {philox is numpy.random.Philox}, same bits: {same}",
+    file=sys.stderr,
+)
+"""
+
+
+class TestLoadPhilox:
+    """numpy's Philox comes from its ``_philox`` extension alone, or else the public import."""
+
+    @pytest.mark.skipif(not os.path.isfile("/proc/self/status"), reason="needs /proc")
+    def test_extension_adds_little_memory(self):
+        # Measured +0.55 MiB, against +5.4 MiB for import numpy.random.
+        assert int(run_python(LOAD_PHILOX_PEAK)[-1]) < 1536
+
+    def test_public_import_when_numpy_random_is_loaded(self, monkeypatch):
+        # This process imported numpy.random above.
+        calls = []
+        monkeypatch.setattr(distributions, "ExtensionFileLoader", lambda *args: calls.append(args))
+        assert _philox._load_philox.__wrapped__() is Philox
+        assert calls == []
+
+    def test_public_import_when_the_extension_load_raises(self):
+        assert run_python(LOAD_PHILOX_REFUSED) == [
+            "refused: ['numpy.random._philox'], public import: True, real secrets: True, "
+            "same class: True, same bits: True"
+        ]
