@@ -23,10 +23,9 @@ from .distributions import (
     Uniform,
     make_distribution,
 )
-from .federation import Agent, FederationScenario, personalized_weight, reduce_to_two_agent
+from .federation import Agent, SampledScenario, personalized_weight, reduce_to_two_agent
 from .montecarlo import (
     MonteCarloEstimate,
-    SampledScenario,
     ValidationPoint,
     ValidationReport,
     estimate_error_curve,
@@ -52,7 +51,6 @@ __all__ = [
     "Distribution",
     "ErrorProfile",
     "Exponential",
-    "FederationScenario",
     "INFINITE",
     "MonteCarloEstimate",
     "Normal",

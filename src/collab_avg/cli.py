@@ -7,7 +7,7 @@ Subcommands::
     curve      ESE-ratio curve over a weight grid, with linear bounds
     contour    optimal-weight grid over the two variance ratios
     validate   Monte Carlo agreement with the closed form
-    federate   reduce a multi-helper federation and report its weight
+    federate   reduce the helpers to one and report the optimal weight
 
 Exit codes: 0 success, 1 invalid input, 2 validation failure, 130
 interrupted (Ctrl-C). All CSV output is UTF-8 with LF line endings and a
@@ -127,7 +127,7 @@ def _profile_lines(scenario: Scenario, profile: ErrorProfile, alphas: tuple[floa
 
 
 def cmd_profile(config: RunConfig) -> int:
-    scenario = config.scenarios[0].two_agent().to_scenario()
+    scenario = reduce_to_two_agent(config.scenarios[0])
     profile = error_profile(scenario)
     _emit(["\n".join(_profile_lines(scenario, profile, config.alphas)) + "\n"], config.out)
     return EXIT_OK
@@ -164,7 +164,7 @@ def cmd_table1(config: RunConfig) -> int:
 
 
 def cmd_curve(config: RunConfig) -> int:
-    scenario = config.scenarios[0].two_agent().to_scenario()
+    scenario = reduce_to_two_agent(config.scenarios[0])
     profile = error_profile(scenario)
     if profile.alpha_star <= 0.0:
         print(
@@ -227,13 +227,10 @@ def _contour_rows(u_grid: np.ndarray, v_grid: np.ndarray) -> Iterator[str]:
 
 
 def cmd_validate(config: RunConfig) -> int:
-    scenarios = [parsed.two_agent() for parsed in config.scenarios]
-    curves = estimate_suite_curves(scenarios, VALIDATION_ALPHAS, config.trials, config.seed)
+    curves = estimate_suite_curves(config.scenarios, VALIDATION_ALPHAS, config.trials, config.seed)
     reports = [
-        validate_scenario(
-            scenario, config.trials, config.seed, k=config.k, expected=parsed.expected, estimates=curve
-        )
-        for scenario, parsed, curve in zip(scenarios, config.scenarios, curves)
+        validate_scenario(scenario, config.trials, config.seed, k=config.k, expected=expected, estimates=curve)
+        for scenario, expected, curve in zip(config.scenarios, config.expected, curves)
     ]
     lines = []
     for index, report in enumerate(reports, start=1):
@@ -254,12 +251,12 @@ def cmd_validate(config: RunConfig) -> int:
 
 
 def cmd_federate(config: RunConfig) -> int:
-    federation = config.scenarios[0].federation()
-    scenario = reduce_to_two_agent(federation)
+    sampled = config.scenarios[0]
+    scenario = reduce_to_two_agent(sampled)
     profile = error_profile(scenario)
     total = scenario.n_y
     lines = [
-        f"helpers = {len(federation.helpers)}",
+        f"helpers = {1 + len(sampled.more)}",
         f"pooled_n = {total}",
         f"reduced: mu_y={_fmt(scenario.mu_y)} var_y={_fmt(scenario.var_y)} n_y={total} "
         f"var_ybar={_fmt(scenario.var_helper_mean)}",

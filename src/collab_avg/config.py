@@ -12,7 +12,7 @@ union of helper agents (a federation):
     trials: 100000
     seed: 42
 
-    # union form (for the federate command):
+    # union form:
     # y: {union: [{family: normal, params: {mu: 0, sd: 1}, n: 10}, ...]}
 
 A ``scenarios:`` list of such mappings defines a validation suite. Every
@@ -31,8 +31,8 @@ from typing import Any
 import yaml
 
 from .distributions import Distribution, PointMass, make_distribution
-from .federation import Agent, FederationScenario
-from .montecarlo import SampledScenario, _check_k, _check_trials, _draw_plan, _load_sampling
+from .federation import Agent, SampledScenario
+from .montecarlo import _check_k, _check_trials, _draw_plan, _load_sampling
 from .theory import ErrorProfile, _check_alpha, _check_count
 
 ENV_SEED = "COLLAB_AVG_SEED"
@@ -62,32 +62,14 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
-class ParsedScenario:
-    """One scenario entry: a focal agent plus a helper side of either form."""
-
-    x: Distribution
-    n_x: int
-    y: Distribution | None
-    n_y: int | float | None
-    helpers: tuple[Agent, ...] | None
-    expected: ErrorProfile | None = None
-
-    def two_agent(self) -> SampledScenario:
-        if self.y is None or self.n_y is None:
-            raise ConfigError("this command needs a two-agent scenario (y with n_y)")
-        return SampledScenario(x=self.x, n_x=self.n_x, y=self.y, n_y=self.n_y)
-
-    def federation(self) -> FederationScenario:
-        if self.helpers is None:
-            raise ConfigError("this command needs a federation scenario (y.union)")
-        return FederationScenario(focal=Agent(self.x, self.n_x), helpers=self.helpers)
-
-
-@dataclass(frozen=True)
 class RunConfig:
-    """Everything a command run depends on besides the command name."""
+    """Everything a command run depends on besides the command name.
 
-    scenarios: tuple[ParsedScenario, ...]
+    ``expected`` holds each scenario's ``expected`` profile, or None.
+    """
+
+    scenarios: tuple[SampledScenario, ...]
+    expected: tuple[ErrorProfile | None, ...]
     alphas: tuple[float, ...]
     trials: int
     seed: int
@@ -168,7 +150,7 @@ def _parse_expected(node: Any, where: str) -> ErrorProfile:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _parse_scenario(node: Any, where: str) -> ParsedScenario:
+def _parse_scenario(node: Any, where: str) -> tuple[SampledScenario, ErrorProfile | None]:
     node = _require_mapping(node, where)
     if "x" not in node:
         raise ConfigError(f"{where} needs an 'x' distribution")
@@ -182,17 +164,17 @@ def _parse_scenario(node: Any, where: str) -> ParsedScenario:
     expected = _parse_expected(node["expected"], f"{where}.expected") if "expected" in node else None
 
     if "union" in y_node:
-        helpers = _parse_helpers(y_node["union"], f"{where}.y.union")
-        return ParsedScenario(x=x, n_x=n_x, y=None, n_y=None, helpers=helpers, expected=expected)
-
-    y = _parse_distribution(y_node, f"{where}.y")
-    if "n_y" in node:
-        n_y = _parse_count(node["n_y"], f"{where}.n_y", allow_infinite=True)
-    elif isinstance(y, PointMass):
-        n_y = 1  # a constant helper has a zero-variance mean at any count
+        first, *more = _parse_helpers(y_node["union"], f"{where}.y.union")
+        y, n_y = first.spec, first.n
     else:
-        raise ConfigError(f"{where} needs 'n_y' for a sampled y")
-    return ParsedScenario(x=x, n_x=n_x, y=y, n_y=n_y, helpers=None, expected=expected)
+        y, more = _parse_distribution(y_node, f"{where}.y"), ()
+        if "n_y" in node:
+            n_y = _parse_count(node["n_y"], f"{where}.n_y", allow_infinite=True)
+        elif isinstance(y, PointMass):
+            n_y = 1  # a constant helper has a zero-variance mean at any count
+        else:
+            raise ConfigError(f"{where} needs 'n_y' for a sampled y")
+    return SampledScenario(x, n_x, y, n_y, tuple(more)), expected
 
 
 def _resolve_seed(flag_seed: int | None, file_seed: Any) -> int:
@@ -251,17 +233,18 @@ def load_run_config(
     elif require_scenario:
         raise ConfigError("this command requires --scenario <path>")
 
-    scenarios: list[ParsedScenario] = []
+    parsed: list[tuple[SampledScenario, ErrorProfile | None]] = []
     if "scenarios" in data:
         entries = data["scenarios"]
         if not isinstance(entries, list) or not entries:
             raise ConfigError("'scenarios' must be a non-empty list")
         for i, entry in enumerate(entries):
-            scenarios.append(_parse_scenario(entry, f"scenarios[{i}]"))
+            parsed.append(_parse_scenario(entry, f"scenarios[{i}]"))
     elif "x" in data:
-        scenarios.append(_parse_scenario(data, "scenario file"))
+        parsed.append(_parse_scenario(data, "scenario file"))
     elif require_scenario:
         raise ConfigError("scenario file defines no scenario (needs 'x' or 'scenarios')")
+    scenarios, expected = tuple(zip(*parsed)) or ((), ())
 
     alphas_node = data.get("alphas", list(DEFAULT_ALPHAS))
     if not isinstance(alphas_node, list):
@@ -294,12 +277,12 @@ def load_run_config(
 
     if sampling:
         try:
-            two_agent = [(s.x, s.n_x, s.y, s.n_y) for s in map(ParsedScenario.two_agent, scenarios)]
-            _load_sampling(_draw_plan(two_agent), ndtri=True)
+            _load_sampling(_draw_plan(scenarios), ndtri=True)
         except ImportError as exc:
             raise ConfigError(f"validate needs scipy to sample: {exc}") from None
     return RunConfig(
-        scenarios=tuple(scenarios),
+        scenarios=scenarios,
+        expected=expected,
         alphas=tuple(alphas),
         trials=trials_value,
         seed=_resolve_seed(seed, data.get("seed")),

@@ -1,9 +1,9 @@
-"""Reduction of a multi-helper federation to the two-agent model.
+"""Sampled scenarios: a focal agent and its helpers, and their reduction to two agents.
 
-The helper side of the two-agent problem may stand for a whole federation:
-its effective model is the sample-count-weighted mean of the helpers'
-models, equivalently the pooled empirical mean over the union of all helper
-samples. Pooling N = sum(n_i) samples gives
+A two-agent scenario is a federation with one helper. Any number of helpers
+may stand for one: their effective model is the sample-count-weighted mean
+of the helpers' models, equivalently the pooled empirical mean over the
+union of all helper samples. Pooling N = sum(n_i) samples gives
 
     mu_y      = sum(n_i * mu_i) / N
     Var[ybar] = sum(n_i * var_i) / N**2
@@ -35,41 +35,58 @@ class Agent:
 
 
 @dataclass(frozen=True)
-class FederationScenario:
-    """A focal agent plus at least one helper agent."""
+class SampledScenario:
+    """A focal agent ``x`` with ``n_x`` samples and its helpers, by concrete distributions.
 
-    focal: Agent
-    helpers: tuple[Agent, ...]
+    ``y`` with ``n_y`` samples is the first helper and ``more`` holds any
+    further ones; a two-agent scenario has none. Only a scenario without
+    ``more`` may have ``n_y = math.inf``, a helper mean with zero variance.
+    """
+
+    x: Distribution
+    n_x: int
+    y: Distribution
+    n_y: int | float
+    more: tuple[Agent, ...] = ()
 
     def __post_init__(self) -> None:
-        helpers = tuple(self.helpers)
-        if not helpers:
-            raise ValueError("a federation needs at least one helper")
-        if not all(isinstance(h, Agent) for h in helpers):
+        if not isinstance(self.x, Distribution) or not isinstance(self.y, Distribution):
+            raise ValueError("x and y must be Distribution instances")
+        object.__setattr__(self, "more", tuple(self.more))
+        if not all(isinstance(helper, Agent) for helper in self.more):
             raise ValueError("helpers must be Agent instances")
-        object.__setattr__(self, "helpers", helpers)
+        reduce_to_two_agent(self)  # Scenario validates the counts and moments
+
+    @property
+    def helpers(self) -> tuple[Agent, ...]:
+        return (Agent(self.y, self.n_y), *self.more)
 
 
-def reduce_to_two_agent(federation: FederationScenario) -> Scenario:
-    """Collapse all helpers into one effective helper agent.
+def reduce_to_two_agent(scenario: SampledScenario) -> Scenario:
+    """The moment-level two-agent scenario: the focal agent beside its helpers pooled.
 
-    The weighted sums are accumulated with ``math.fsum`` (exactly rounded),
-    so the reduced scenario is bit-identical under any helper permutation.
+    One helper's moments are taken as they are. Several helpers' weighted
+    sums are accumulated with ``math.fsum`` (exactly rounded), so the
+    reduced scenario is bit-identical under any helper permutation.
     """
-    total = sum(helper.n for helper in federation.helpers)
-    weighted_mean = math.fsum(h.n * h.spec.mean() for h in federation.helpers)
-    weighted_var = math.fsum(h.n * h.spec.variance() for h in federation.helpers)
+    if scenario.more:
+        helpers = scenario.helpers
+        n_y = sum(helper.n for helper in helpers)
+        mu_y = math.fsum(h.n * h.spec.mean() for h in helpers) / n_y
+        var_y = math.fsum(h.n * h.spec.variance() for h in helpers) / n_y
+    else:
+        mu_y, var_y, n_y = scenario.y.mean(), scenario.y.variance(), scenario.n_y
     return Scenario(
-        mu_x=federation.focal.spec.mean(),
-        var_x=federation.focal.spec.variance(),
-        n_x=federation.focal.n,
-        mu_y=weighted_mean / total,
-        var_y=weighted_var / total,
-        n_y=total,
+        mu_x=scenario.x.mean(),
+        var_x=scenario.x.variance(),
+        n_x=scenario.n_x,
+        mu_y=mu_y,
+        var_y=var_y,
+        n_y=n_y,
     )
 
 
-def personalized_weight(federation: FederationScenario) -> tuple[float, ErrorProfile]:
+def personalized_weight(scenario: SampledScenario) -> tuple[float, ErrorProfile]:
     """Optimal federation weight for the focal agent, with its error profile."""
-    profile = error_profile(reduce_to_two_agent(federation))
+    profile = error_profile(reduce_to_two_agent(scenario))
     return profile.alpha_star, profile

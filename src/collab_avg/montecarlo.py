@@ -28,7 +28,8 @@ import numpy as np
 from ._philox import _C_MIN_DRAWS, _load_philox, uniform_matrix
 from ._workers import _fill_in_workers, cpu_count
 from .distributions import Bernoulli, Distribution, Normal, PointMass, SeedSpec, _load_ndtri
-from .theory import ErrorProfile, Scenario, _check_alpha, _check_count, error_profile, ese_of_alpha
+from .federation import SampledScenario, reduce_to_two_agent
+from .theory import ErrorProfile, _check_alpha, error_profile, ese_of_alpha
 
 #: Target number of scalar draws generated per chunk. Sized so that the
 #: sampler's work arrays stay in a per-core L2 cache; output does not depend
@@ -59,32 +60,6 @@ _MAX_TRIALS = 2**40
 
 #: Weights ``validate_scenario`` checks: 21, equally spaced over [0, 1].
 VALIDATION_ALPHAS = tuple(np.linspace(0.0, 1.0, 21).tolist())
-
-
-@dataclass(frozen=True)
-class SampledScenario:
-    """A two-agent scenario realized by concrete distributions."""
-
-    x: Distribution
-    n_x: int
-    y: Distribution
-    n_y: int | float
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.x, Distribution) or not isinstance(self.y, Distribution):
-            raise ValueError("x and y must be Distribution instances")
-        self.to_scenario()  # Scenario validates the counts and moments
-
-    def to_scenario(self) -> Scenario:
-        """The moment-level scenario induced by the exact moments."""
-        return Scenario(
-            mu_x=self.x.mean(),
-            var_x=self.x.variance(),
-            n_x=self.n_x,
-            mu_y=self.y.mean(),
-            var_y=self.y.variance(),
-            n_y=self.n_y,
-        )
 
 
 @dataclass(frozen=True)
@@ -157,8 +132,16 @@ def _buffer(shape: tuple[int, ...], workers: int) -> tuple[np.ndarray, int]:
 
 
 def _write_at(fd: int, a: np.ndarray, offset: int) -> None:
-    """Write ``a`` at byte ``offset`` of file ``fd``; a short write raises."""
-    written = os.pwrite(fd, a, offset)
+    """Write ``a`` at byte ``offset`` of file ``fd``; a short write raises.
+
+    Without ``os.pwrite`` (Windows) it seeks and writes, which moves the
+    file position that every process sharing ``fd`` sees.
+    """
+    if hasattr(os, "pwrite"):
+        written = os.pwrite(fd, a, offset)
+    else:
+        os.lseek(fd, offset, os.SEEK_SET)
+        written = os.write(fd, a)
     if written != a.nbytes:
         raise OSError(f"short write to a scratch file: {written} of {a.nbytes} bytes")
 
@@ -170,7 +153,11 @@ def _read_at(fd: int, shape: tuple[int, ...], offset: int) -> np.ndarray:
     written cannot be read as zeros at the end of the file.
     """
     size = 8 * math.prod(shape)
-    data = os.pread(fd, size, offset)
+    if hasattr(os, "pread"):
+        data = os.pread(fd, size, offset)
+    else:
+        os.lseek(fd, offset, os.SEEK_SET)
+        data = os.read(fd, size)
     if len(data) != size:
         raise OSError(f"short read from a scratch file: {len(data)} of {size} bytes")
     return np.frombuffer(data).reshape(shape)
@@ -182,23 +169,24 @@ def _read_at(fd: int, shape: tuple[int, ...], offset: int) -> np.ndarray:
 _Plan = tuple[list[tuple[int, int, list[tuple[int, int, Distribution, int, int]]]], list[tuple[int, int, float]]]
 
 
-def _draw_plan(scenarios: Sequence[tuple[Distribution, int, Distribution, int]]) -> _Plan:
-    """The runs of draws each trial takes, and the constant sides; the counts are checked.
+def _draw_plan(scenarios: Sequence[SampledScenario]) -> _Plan:
+    """The runs of draws each trial takes, and the constant sides.
 
-    ``scenarios`` are ``(x, n_x, y, n_y)``: x takes draws 0 .. n_x-1 of a
-    trial's stream and y draws n_x .. n_x+n_y-1. A point mass consumes no
-    randomness, and its slots stay reserved so the other side's draw
-    indices do not shift. The runs are the span covering every scenario's
+    Each scenario's x takes draws 0 .. n_x-1 of a trial's stream and y
+    draws n_x .. n_x+n_y-1. A point mass consumes no randomness, and its
+    slots stay reserved so the other side's draw indices do not shift.
+    Only a single finite helper can be sampled. The runs are the span covering every scenario's
     draws when ``_shared_range`` says to share it; otherwise each
     scenario's own range, or each of its random sides when the range is
     longer than a chunk.
     """
     runs, constants = [], []
-    for s, (x, n_x, y, n_y) in enumerate(scenarios):
-        _check_count("n_x", n_x)
-        if isinstance(n_y, float) and math.isinf(n_y):
+    for s, scenario in enumerate(scenarios):
+        x, n_x, y, n_y = scenario.x, scenario.n_x, scenario.y, scenario.n_y
+        if scenario.more:
+            raise ValueError("a scenario with more than one helper cannot be sampled yet")
+        if n_y == math.inf:
             raise ValueError("infinite n_y cannot be simulated; use the closed form")
-        _check_count("n_y", n_y)
         sides = []
         for side, dist, d_lo, d_hi in ((0, x, 0, n_x), (1, y, n_x, n_x + n_y)):
             if isinstance(dist, PointMass):
@@ -335,7 +323,7 @@ def trial_means(
     row's mean does not depend on the split, so neither does any byte.
     """
     seed = _as_seed(seed)
-    plan = _draw_plan([(x, n_x, y, n_y)])
+    plan = _draw_plan([SampledScenario(x, n_x, y, n_y)])
     draws = sum(count for _, count, _ in plan[0])
     chunk = max(1, _CHUNK_DRAWS // max(draws, 1))
     n_chunks = -(-trials // chunk)
@@ -469,9 +457,9 @@ def estimate_error_curve(
 
     Every grid point reuses the same per-trial draws, so each entry is
     bitwise identical to a one-weight grid at that weight and seed. It is
-    estimated leaf by leaf, as a suite of one (:func:`_leaf_curves`).
+    estimated leaf by leaf, as a suite of one (:func:`estimate_suite_curves`).
     """
-    return _leaf_curves([(x, n_x, y, n_y)], alphas, trials, seed)[0]
+    return estimate_suite_curves([SampledScenario(x, n_x, y, n_y)], alphas, trials, seed)[0]
 
 
 def _load_sampling(plan: _Plan, ndtri: bool = False) -> None:
@@ -488,7 +476,7 @@ def _load_sampling(plan: _Plan, ndtri: bool = False) -> None:
         _load_ndtri()
 
 
-#: Trial means a leaf of ``_leaf_curves`` may hold over its random sides
+#: Trial means a leaf of ``estimate_suite_curves`` may hold over its random sides
 #: (2 MiB). c06's suite, with 19 random sides, gets leaves of 8,192 trials.
 #: Measured serially on a 2-core Xeon (numpy 2.4.6) at its 100k trials:
 #: 3.62 s at 8,192 against 3.76 s at 4,096 (median of 8, runs alternating)
@@ -496,7 +484,7 @@ def _load_sampling(plan: _Plan, ndtri: bool = False) -> None:
 #: 2.2 and 6.8 MB higher at 16,384 and 32,768.
 _LEAF_MEANS = 2**18
 
-#: The most trials per leaf of ``_leaf_curves``. For mc_many_trials (one
+#: The most trials per leaf of ``estimate_suite_curves``. For mc_many_trials (one
 #: scenario, two random 2-draw sides, 2M trials), on the same machine, at
 #: 16,384, 32,768 and 65,536 against the means held whole: peak RSS 37.6,
 #: 39.1 and 40.3 MB against 53.4 (perfbench, 4 runs alternating); median
@@ -508,34 +496,45 @@ _LEAF_MEANS = 2**18
 _SUITE_LEAF = 65_536
 
 
-def _leaf_curves(
-    scenarios: Sequence[tuple[Distribution, int, Distribution, int]],
+def estimate_suite_curves(
+    scenarios: Sequence[SampledScenario],
     alphas: Iterable[float],
     trials: int,
     seed: SeedSpec | int,
 ) -> list[list[MonteCarloEstimate]]:
-    """Each scenario's curve, drawing each trial once by one :func:`_draw_plan`.
+    """:func:`estimate_error_curve` for each scenario, bit for bit, sharing their draws.
 
-    ``scenarios`` are ``(x, n_x, y, n_y)``. Pass 1 of ``_tree_statistics``
-    takes a leaf's means from ``_fill_means`` and writes the random sides'
-    to an unlinked scratch file (trials x random sides x 8 bytes, in
-    TMPDIR), which pass 2 reads back instead of drawing again; so no
-    trial-length buffer is held in memory. Pass 1 forks from
-    ``_PARALLEL_MIN_DRAWS`` draws on; pass 2, which only sums, from
-    ``_PARALLEL_MIN_CURVE`` trials x scenarios x weights on. The workers
-    share the file. Without a random side nothing is drawn and no file is
-    made.
+    Every scenario of a suite reads trial ``t``'s draws from stream
+    ``(seed, stream_id + t)`` from the same index on, and each trial is
+    drawn once by one :func:`_draw_plan`: the span covering all their
+    draws when ``_shared_range`` says it pays, and each scenario's own
+    range otherwise.
+
+    Pass 1 of ``_tree_statistics`` takes a leaf's means from
+    ``_fill_means`` and writes the random sides' to an unlinked scratch
+    file (trials x random sides x 8 bytes, in TMPDIR), which pass 2 reads
+    back instead of drawing again; so no trial-length buffer is held in
+    memory. Pass 1 forks from ``_PARALLEL_MIN_DRAWS`` draws on; pass 2,
+    which only sums, from ``_PARALLEL_MIN_CURVE`` trials x scenarios x
+    weights on. The workers share the file. Without a random side nothing
+    is drawn and no file is made.
     """
     alphas = _checked_alphas(alphas)
     _check_trials(trials)
     seed = _as_seed(seed)
     plan = runs, constants = _draw_plan(scenarios)
     draws = sum(count for _, count, _ in runs)
-    parallel = (trials * draws >= _PARALLEL_MIN_DRAWS, trials * len(scenarios) * len(alphas) >= _PARALLEL_MIN_CURVE)
+    # Processes that seek in one shared file would move each other's
+    # position, so without positioned I/O neither pass forks.
+    forks = hasattr(os, "pwrite") and hasattr(os, "pread")
+    parallel = (
+        forks and trials * draws >= _PARALLEL_MIN_DRAWS,
+        forks and trials * len(scenarios) * len(alphas) >= _PARALLEL_MIN_CURVE,
+    )
     if parallel[0]:
         _load_sampling(plan)
     random_sides = [side[:2] for *_, sides in runs for side in sides]  # the file's rows
-    mus = [x.mean() for x, _, _, _ in scenarios]
+    mus = [scenario.x.mean() for scenario in scenarios]
     # Trials per leaf: the largest power of two whose random sides' means fit
     # in _LEAF_MEANS, at most _SUITE_LEAF, and at most a CPU's share of the
     # trials, so that every CPU has a leaf (mc_long's 2,000 trials are two
@@ -576,23 +575,6 @@ def _leaf_curves(
     return [_estimates(mean, std, trials, seed) for mean, std in zip(*stats)]
 
 
-def estimate_suite_curves(
-    scenarios: Sequence[SampledScenario],
-    alphas: Sequence[float],
-    trials: int,
-    seed: SeedSpec | int,
-) -> list[list[MonteCarloEstimate]]:
-    """:func:`estimate_error_curve` for each scenario, bit for bit, sharing their draws.
-
-    Every scenario of a suite reads trial ``t``'s draws from stream
-    ``(seed, stream_id + t)`` from the same index on. The suite is one
-    :func:`_leaf_curves` run: one tree, one scratch file and one fork round
-    per pass, drawing the span covering all their draws once when
-    ``_shared_range`` says it pays, and each scenario's own range otherwise.
-    """
-    return _leaf_curves([(s.x, s.n_x, s.y, s.n_y) for s in scenarios], alphas, trials, seed)
-
-
 def _checked_alphas(alphas: Iterable[float]) -> list[float]:
     alphas = [float(a) for a in alphas]
     for alpha in alphas:
@@ -631,11 +613,9 @@ def validate_scenario(
     """
     _check_k(k)
     seed = _as_seed(seed)
-    profile = expected if expected is not None else error_profile(scenario.to_scenario())
+    profile = expected if expected is not None else error_profile(reduce_to_two_agent(scenario))
     if estimates is None:
-        estimates = estimate_error_curve(
-            scenario.x, scenario.n_x, scenario.y, scenario.n_y, VALIDATION_ALPHAS, trials, seed
-        )
+        estimates = estimate_suite_curves([scenario], VALIDATION_ALPHAS, trials, seed)[0]
     points = tuple(
         ValidationPoint(alpha, ese_of_alpha(profile, alpha), estimate, k)
         for alpha, estimate in zip(VALIDATION_ALPHAS, estimates)

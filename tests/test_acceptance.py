@@ -25,7 +25,7 @@ from collab_avg.distributions import (
     SeedSpec,
     Uniform,
 )
-from collab_avg.federation import Agent, FederationScenario, personalized_weight, reduce_to_two_agent
+from collab_avg.federation import Agent, personalized_weight, reduce_to_two_agent
 import collab_avg.montecarlo as mc
 from collab_avg.montecarlo import SampledScenario, estimate_error_curve, trial_means, validate_scenario
 from collab_avg.table1 import MISMATCH_ROWS, reproduce_table
@@ -217,7 +217,7 @@ def test_c08_shared_population_equivalence():
         assert elapsed < 1.0
 
 
-def _random_federation(rng: np.random.Generator) -> FederationScenario:
+def _random_federation(rng: np.random.Generator) -> SampledScenario:
     def random_agent() -> Agent:
         family = rng.integers(0, 5)
         n = int(rng.integers(1, 30))
@@ -234,8 +234,8 @@ def _random_federation(rng: np.random.Generator) -> FederationScenario:
             spec = PointMass(float(rng.uniform(-2, 2)))
         return Agent(spec, n)
 
-    helpers = tuple(random_agent() for _ in range(int(rng.integers(1, 9))))
-    return FederationScenario(Agent(Normal(0.0, 1.0), 10), helpers)
+    first, *rest = (random_agent() for _ in range(int(rng.integers(1, 9))))
+    return SampledScenario(Normal(0.0, 1.0), 10, first.spec, first.n, tuple(rest))
 
 
 def _pooled_mean_trials(helpers, trials: int, master_seed: int) -> np.ndarray:
@@ -274,9 +274,9 @@ def test_c09_federation_reduction():
         # sample share exactly (power-of-two totals, dyadic variance).
         spec = Normal(0.7, 0.5)
         helpers = (Agent(spec, 5), Agent(spec, 9), Agent(spec, 3), Agent(spec, 15))
-        alpha, _ = personalized_weight(FederationScenario(Agent(spec, 32), helpers))
+        alpha, _ = personalized_weight(SampledScenario(spec, 32, spec, 5, helpers[1:]))
         assert alpha == 0.5
-        alpha8, _ = personalized_weight(FederationScenario(Agent(spec, 8), helpers))
+        alpha8, _ = personalized_weight(SampledScenario(spec, 8, spec, 5, helpers[1:]))
         assert alpha8 == 32.0 / 40.0
 
 

@@ -53,6 +53,25 @@ y:
     - {family: normal, params: {mu: 1.0, sd: 0.5}, n: 8}
 """
 
+# One helper in both forms. fsum([n * mu]) / n is one bit above mu = 0.1
+# here, so pooling a single helper would show in the reduced mean.
+ONE_HELPER_YAML = """\
+x: {family: normal, params: {mu: 0.0, sd: 1.0}}
+n_x: 5
+y: {family: normal, params: {mu: 0.1, sd: 1.0}}
+n_y: 3
+alphas: [0.2, 0.5]
+"""
+
+ONE_HELPER_UNION_YAML = """\
+x: {family: normal, params: {mu: 0.0, sd: 1.0}}
+n_x: 5
+y:
+  union:
+    - {family: normal, params: {mu: 0.1, sd: 1.0}, n: 3}
+alphas: [0.2, 0.5]
+"""
+
 
 # Inputs of the closed-form golden pins below: a biased helper with odd
 # moments, so any change in the arithmetic's order shows in the last bit.
@@ -668,6 +687,27 @@ class TestValidate:
         assert no_child_left()
         assert os.listdir(scratch) == []
 
+    def test_without_positioned_io_runs_serially_to_the_same_bytes(self, tmp_path, capsys, monkeypatch):
+        # Windows has neither os.pwrite nor os.pread: the scratch file is
+        # then written and read by seeking, by this process alone.
+        path = tmp_path / "suite.yaml"
+        path.write_text(SHARED_SHORT_STREAMS_YAML)
+        monkeypatch.setattr(montecarlo, "_PARALLEL_MIN_DRAWS", 0)
+        monkeypatch.setattr(montecarlo, "_PARALLEL_MIN_CURVE", 0)
+        forks = force_cpus(monkeypatch, 2)
+        outputs = []
+        for name in ("positioned.txt", "seeking.txt"):
+            if name == "seeking.txt":
+                monkeypatch.delattr(os, "pwrite")
+                monkeypatch.delattr(os, "pread")
+            out_path = tmp_path / name
+            argv = ["validate", "--scenario", str(path), "--trials", "20001", "--out", str(out_path)]
+            assert run_cli(capsys, *argv) == (0, "", "")
+            outputs.append(out_path.read_bytes())
+        assert outputs[0] == outputs[1]
+        assert len(forks) == 2  # both from the first run, one per pass
+        assert no_child_left()
+
     def test_byte_identical_output_files(self, tmp_path):
         path = tmp_path / "suite.yaml"
         path.write_text(
@@ -718,12 +758,47 @@ class TestFederate:
         assert code == 0
         assert sha256(out.encode("utf-8")) == GOLDEN_CLOSED_FORM["federate_three"]
 
-    def test_two_agent_file_is_invalid_here(self, tmp_path, capsys):
-        path = tmp_path / "scenario.yaml"
-        path.write_text(TWO_AGENT_YAML)
-        code, _, err = run_cli(capsys, "federate", "--scenario", str(path))
-        assert code == 1
-        assert "union" in err
+    def test_two_agent_file_is_a_one_helper_union(self, tmp_path, capsys):
+        results = []
+        for name, text in (("two_agent", ONE_HELPER_YAML), ("union", ONE_HELPER_UNION_YAML)):
+            path = tmp_path / f"{name}.yaml"
+            path.write_text(text)
+            results.append(run_cli(capsys, "federate", "--scenario", str(path)))
+        assert results[0] == results[1]
+        code, out, err = results[0]
+        assert (code, err) == (0, "")
+        assert out.startswith("helpers = 1\npooled_n = 3\nreduced: mu_y=0.1 var_y=1.0 n_y=3 ")
+
+        path = tmp_path / "inf.yaml"
+        path.write_text(ONE_HELPER_YAML.replace("n_y: 3", "n_y: inf"))
+        code, out, err = run_cli(capsys, "federate", "--scenario", str(path))
+        assert (code, err) == (0, "")
+        assert parse_report(out)["pooled_n"] == "inf"
+
+
+class TestScenarioForms:
+    """A two-agent scenario is a federation of one helper, on every command."""
+
+    @pytest.mark.parametrize(
+        "argv", [["profile"], ["curve"], ["validate", "--trials", "2000", "--seed", "3"]], ids=lambda a: a[0]
+    )
+    def test_one_helper_union_gives_the_two_agent_bytes(self, tmp_path, capsys, argv):
+        results = []
+        for name, text in (("two_agent", ONE_HELPER_YAML), ("union", ONE_HELPER_UNION_YAML)):
+            path = tmp_path / f"{name}.yaml"
+            path.write_text(text)
+            results.append(run_cli(capsys, *argv, "--scenario", str(path)))
+        assert results[0] == results[1]
+        assert results[0][0] == 0
+
+    def test_validate_on_several_helpers_exits_1_with_one_line(self, tmp_path, capsys):
+        path = tmp_path / "federation.yaml"
+        path.write_text(GOLDEN_FEDERATION_YAML)
+        out_path = tmp_path / "out.txt"
+        code, out, err = run_cli(capsys, "validate", "--scenario", str(path), "--out", str(out_path))
+        assert (code, out) == (1, "")
+        assert err == "error: a scenario with more than one helper cannot be sampled yet\n"
+        assert not out_path.exists()
 
 
 # The mc_long benchmark scenario: 7,000-draw streams over 2,000 trials fork
@@ -1233,17 +1308,25 @@ YAML_VALUES = st.recursive(
 )
 
 
-def _valid_document() -> dict:
+def _valid_document(helpers: int) -> dict:
+    """Two-agent for no helpers, else the union form with that many."""
     side = {"family": "normal", "params": {"mu": 0.0, "sd": 1.0}}
-    return {"x": dict(side), "n_x": 10, "y": dict(side), "n_y": 20, "alphas": [0.2, 0.5], "trials": 400}
+    document = {"x": dict(side), "n_x": 10, "y": dict(side), "n_y": 20, "alphas": [0.2, 0.5], "trials": 400}
+    if helpers:
+        del document["n_y"]
+        document["y"] = {"union": [{**side, "n": 20} for _ in range(helpers)]}
+    return document
 
 
 @st.composite
 def scenario_documents(draw) -> str:
-    """A scenario file: a valid document with some fields replaced, or any text."""
+    """A scenario file: a valid document with some fields replaced, or any text.
+
+    Half the documents give the helper side in the union form.
+    """
     if draw(st.integers(0, 4)) == 0:
         return draw(st.text(max_size=40))
-    document = _valid_document()
+    document = _valid_document(draw(st.sampled_from([0, 0, 1, 2])))
     for _ in range(draw(st.integers(1, 3))):
         path = draw(st.sampled_from([(), ("x",), ("y",), ("x", "params"), ("y", "params")]))
         node = document
@@ -1258,7 +1341,7 @@ def scenario_documents(draw) -> str:
 
 
 class TestScenarioFileFuzz:
-    """Every scenario file either loads or exits 1 with one line on stderr."""
+    """Every scenario file either runs or exits 1 with one line on stderr; validate may read FAIL (2)."""
 
     # Derandomized and without a database: the same 100 files on every run,
     # so no checkout replays a failure found by another.
@@ -1278,8 +1361,8 @@ class TestScenarioFileFuzz:
     def test_loads_or_exits_1_with_one_line(self, tmp_path, capsys, text):
         path = tmp_path / "scenario.yaml"
         path.write_text(text, encoding="utf-8")
-        for command in ("profile", "federate"):
-            code, _, err = run_cli(capsys, command, "--scenario", str(path))
-            assert code in (0, 1), err
+        for argv in (["profile"], ["federate"], ["validate", "--trials", "100"]):
+            code, _, err = run_cli(capsys, *argv, "--scenario", str(path))
+            assert code in ((0, 1, 2) if argv[0] == "validate" else (0, 1)), err
             if code == 1:
                 assert err.startswith("error: ") and err.count("\n") == 1, err

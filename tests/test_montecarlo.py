@@ -26,6 +26,7 @@ import collab_avg.montecarlo as mc
 from collab_avg._philox import uniform_matrix
 from collab_avg.cli import main
 from collab_avg.distributions import Bernoulli, Exponential, Normal, PointMass, SeedSpec, Uniform
+from collab_avg.federation import reduce_to_two_agent
 from collab_avg.montecarlo import (
     SampledScenario,
     estimate_error_curve,
@@ -129,7 +130,7 @@ class TestErrorCurve:
 
     def test_empirical_argmin_near_optimum(self):
         scenario = SampledScenario(Normal(0.0, 1.0), 10, Normal(0.2, 1.0), 40)
-        profile = error_profile(scenario.to_scenario())
+        profile = error_profile(reduce_to_two_agent(scenario))
         alphas = np.linspace(0.0, 1.0, 11)
         curve = estimate_error_curve(
             scenario.x, scenario.n_x, scenario.y, scenario.n_y, alphas, TRIALS, SeedSpec(17)
@@ -432,7 +433,7 @@ def _statistics(xbar, ybar, alphas, leaf=32_768, parallel=False, mu_x=0.25):
     """``(mean, std_error)`` per weight from ``_tree_statistics`` of ``_curve_sums`` over these means.
 
     In leaves of at most ``leaf`` trials, both passes forked when
-    ``parallel``, as ``_leaf_curves`` sums a leaf's means.
+    ``parallel``, as ``estimate_suite_curves`` sums a leaf's means.
     """
     trials = xbar.size
     scratch = np.empty((2, min(trials, leaf)))
@@ -1023,14 +1024,14 @@ class TestValidateScenario:
 
     def test_bernoulli_with_exact_anchor(self):
         scenario = SampledScenario(Bernoulli(0.5), 20, PointMass(0.5), 1)
-        profile = error_profile(scenario.to_scenario())
+        profile = error_profile(reduce_to_two_agent(scenario))
         assert profile.e0 == 0.0125
         report = validate_scenario(scenario, TRIALS, SeedSpec(37), k=4.0)
         assert report.passed
 
     def test_corrupted_reference_fails(self):
         scenario = SampledScenario(Bernoulli(0.5), 20, PointMass(0.5), 1)
-        honest = error_profile(scenario.to_scenario())
+        honest = error_profile(reduce_to_two_agent(scenario))
         corrupted = ErrorProfile(e0=2 * honest.e0, e1=honest.e1)
         report = validate_scenario(scenario, TRIALS, SeedSpec(37), k=4.0, expected=corrupted)
         assert not report.passed
@@ -1055,7 +1056,7 @@ class TestValidateScenario:
     def test_closed_form_reference_values(self):
         scenario = SampledScenario(Normal(0, 1), 4, Normal(1, 1), 16)
         report = validate_scenario(scenario, 200, SeedSpec(43))
-        profile = error_profile(scenario.to_scenario())
+        profile = error_profile(reduce_to_two_agent(scenario))
         for point in report.points:
             assert point.closed_form == ese_of_alpha(profile, point.alpha)
 
