@@ -184,6 +184,12 @@ def _load_philox() -> type:
     return _load_from_extension("numpy.random", "numpy.random._philox", "Philox", secrets=secrets)
 
 
+@functools.cache
+def _bit_generator() -> object:
+    """The process's one numpy ``Philox``; building one costs more than a short stream's draws."""
+    return _load_philox()(key=np.zeros(2, dtype=np.uint64))
+
+
 def _c_uniform_matrix(
     master_seed: int, first_stream: int, n_streams: int, count: int, start: int
 ) -> np.ndarray:
@@ -191,12 +197,13 @@ def _c_uniform_matrix(
 
     numpy increments its 256-bit counter before producing each block, so
     the counter is set one below the first block (all ones for block 0) and
-    its buffer is marked empty.
+    its buffer is marked empty. Each call sets the shared ``Philox``'s key,
+    counter and buffer position, so nothing carries over from another call.
     """
     first_block = start // 4
     offset = start - 4 * first_block
     out = np.empty((n_streams, count), dtype=np.float64)
-    bit_gen = _load_philox()(key=np.zeros(2, dtype=np.uint64))
+    bit_gen = _bit_generator()
     state = bit_gen.state
     # Python ints masked to 64 bits, stored into the state's uint64 arrays:
     # no numpy scalar arithmetic, so nothing can wrap with a warning.

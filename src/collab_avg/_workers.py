@@ -1,14 +1,11 @@
 """Forked workers: how the package spreads work over the CPUs it may use.
 
-Two shapes of work fan out. ``_fill_in_workers`` splits an index range over
-processes that write into one shared buffer, for results whose size is
-known up front (Monte Carlo trial means). ``ordered_map`` deals items out
-round-robin and streams each back through its worker's pipe, in order, for
-results whose size is known only once made (contour rows). In both the
-calling process takes a share itself, a worker that fails or cannot be
-forked has its work redone here, and no worker outlives the call.
-Platforms without ``os.sched_getaffinity`` (macOS, Windows) stay serial,
-and under ``taskset -c 0`` all work stays in the calling process.
+Work fans out one way: ``ordered_map`` streams items made by forked workers
+back through pipes, in order, as bytes (contour rows, trial means and the
+curve statistics' tables of subtree sums), and its rules for a failed
+worker and for reaping are the package's only ones. Platforms without
+``os.sched_getaffinity`` (macOS, Windows) stay serial, and under ``taskset
+-c 0`` all work stays in the calling process.
 """
 
 from __future__ import annotations
@@ -53,45 +50,12 @@ def _fork(work: Callable[[], None]) -> Iterator[int]:
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
 
 
-def _fill_in_workers(fill: Callable[[int, int], None], bounds: list[int]) -> None:
-    """Run ``fill`` over each range ``bounds[w] .. bounds[w+1]``.
-
-    This process fills the first range; each other range goes to a forked
-    child that writes into the same shared memory. A child that fails, or
-    cannot be forked, has its range filled again here, so a real error is
-    raised in this process with its own message. Should this process's
-    range raise, every child is killed and reaped first: no worker
-    outlives the call.
-    """
-    children: dict[int, tuple[int, int]] = {}
-    redo = []
-    try:
-        for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            try:
-                with _fork(lambda: fill(lo, hi)) as pid:
-                    children[pid] = (lo, hi)
-            except OSError:
-                redo.append((lo, hi))
-        fill(bounds[0], bounds[1])
-        for pid in list(children):
-            if os.waitpid(pid, 0)[1] != 0:
-                redo.append(children[pid])
-            del children[pid]
-    finally:
-        for pid in children:
-            os.kill(pid, signal.SIGKILL)
-        for pid in children:
-            os.waitpid(pid, 0)
-    for lo, hi in redo:
-        fill(lo, hi)
-
-
-def ordered_map(make: Callable[[int], str], n: int, workers: int) -> Iterator[str]:
+def ordered_map(make: Callable[[int], bytes], n: int, workers: int) -> Iterator[bytes]:
     """Yield ``make(i)`` for ``i = 0 .. n-1`` in order, made by ``workers`` processes.
 
     Item ``i`` belongs to worker ``i % workers``. This process is worker 0;
     each other worker is a forked child that makes its items in turn and
-    writes each to its own pipe as an 8-byte length and the UTF-8 text, so
+    writes each to its own pipe as an 8-byte length and the data, so
     it runs at most a pipe's capacity ahead of the reader. A worker that
     cannot be forked, or whose pipe ends before all its items arrived, has
     its remaining items made here, so a real error is raised in this
@@ -114,7 +78,7 @@ def ordered_map(make: Callable[[int], str], n: int, workers: int) -> Iterator[st
                         pipe.close()
                 with open(write_end, "wb") as out:
                     for i in range(worker, n, workers):
-                        data = make(i).encode()
+                        data = make(i)
                         out.write(len(data).to_bytes(8, "little"))
                         out.write(data)
                         out.flush()
@@ -136,7 +100,7 @@ def ordered_map(make: Callable[[int], str], n: int, workers: int) -> Iterator[st
                     size = int.from_bytes(head, "little")
                     data = pipe.read(size)
                     if len(data) == size:
-                        yield data.decode()
+                        yield data
                         continue
                 pipe.close()  # the worker died: its items are made here from now on
                 pipes[i % workers] = None

@@ -223,7 +223,9 @@ def _contour_rows(u_grid: np.ndarray, v_grid: np.ndarray) -> Iterator[str]:
     workers = 1
     if len(u_values) * len(v_cells) >= _PARALLEL_MIN_CELLS:
         workers = min(cpu_count(), len(u_values))
-    yield from ordered_map(row, len(u_values), workers)
+    with closing(ordered_map(lambda i: row(i).encode(), len(u_values), workers)) as rows:
+        for chunk in rows:
+            yield chunk.decode()
 
 
 def cmd_validate(config: RunConfig) -> int:

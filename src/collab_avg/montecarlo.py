@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import contextlib
 import math
-import mmap
 import os
 import tempfile
 from collections.abc import Callable, Iterable, Sequence
@@ -26,7 +25,7 @@ from typing import TypeVar
 import numpy as np
 
 from ._philox import _C_MIN_DRAWS, _load_philox, uniform_matrix
-from ._workers import _fill_in_workers, cpu_count
+from ._workers import cpu_count, ordered_map
 from .distributions import Bernoulli, Distribution, Normal, PointMass, SeedSpec, _load_ndtri
 from .federation import SampledScenario, reduce_to_two_agent
 from .theory import ErrorProfile, _check_alpha, error_profile, ese_of_alpha
@@ -87,8 +86,24 @@ class ValidationPoint:
 
     @property
     def limit(self) -> float:
-        """The acceptance band, ``k`` standard errors wide."""
-        return self.k * self.estimate.std_error
+        """The acceptance band: ``k`` standard errors, and a floor for rounding.
+
+        Where every trial gives the same squared error (a constant helper's
+        at alpha = 1), the standard error is only rounding. The floor bounds
+        the rounding by Higham's ``h * eps / 2`` of a sum of non-negative
+        terms, ``h`` the most additions one term goes through ("Accuracy and
+        Stability of Numerical Algorithms", 2nd ed., section 4.2), counting
+        ``eps`` per rounding: in numpy's pairwise sum 24 in a block of at
+        most 128 terms (14 in an accumulator, 3 joining the eight, 7 for the
+        remainder), 1 onto the start value and 1 per halving above the
+        blocks (``levels``: a half may be 8 longer than half its parent);
+        then 1 for the division, 3 for the squared error and 7 for the
+        closed form (e1's 4; ``alpha**2``, its product and the sum 3). At
+        1,000 trials that is 9e-15 of the estimate.
+        """
+        levels = (max(self.estimate.trials, 128) - 1).bit_length() - 6
+        rounding = (24 + 1 + levels + 1 + 3 + 7) * 2.0**-52
+        return self.k * self.estimate.std_error + rounding * self.estimate.mean_sq_error
 
     @property
     def passed(self) -> bool:
@@ -114,21 +129,6 @@ class ValidationReport:
 
 def _as_seed(seed: SeedSpec | int) -> SeedSpec:
     return seed if isinstance(seed, SeedSpec) else SeedSpec(seed)
-
-
-def _buffer(shape: tuple[int, ...], workers: int) -> tuple[np.ndarray, int]:
-    """An empty float array of ``shape``, and how many workers may fill it.
-
-    For more than one worker the array is a shared anonymous mapping. Should
-    the mapping fail, one worker fills numpy's own allocation, which
-    reports a size it cannot make.
-    """
-    if workers > 1:
-        try:
-            return np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape))).reshape(shape), workers
-        except (OSError, OverflowError):
-            pass
-    return np.empty(shape), 1
 
 
 def _write_at(fd: int, a: np.ndarray, offset: int) -> None:
@@ -319,8 +319,9 @@ def trial_means(
     """Per-trial empirical means (xbar_t, ybar_t) for t = 0 .. trials-1, from :func:`_fill_means`.
 
     Calls that draw at least ``_PARALLEL_MIN_DRAWS`` uniforms split their
-    chunks over one forked worker per CPU the process may run on; each
-    row's mean does not depend on the split, so neither does any byte.
+    chunks into one run per CPU the process may run on, each filled by a
+    forked worker (:func:`ordered_map`); no row's mean, so no byte, depends
+    on the split.
     """
     seed = _as_seed(seed)
     plan = _draw_plan([SampledScenario(x, n_x, y, n_y)])
@@ -328,12 +329,22 @@ def trial_means(
     chunk = max(1, _CHUNK_DRAWS // max(draws, 1))
     n_chunks = -(-trials // chunk)
     workers = min(cpu_count(), n_chunks) if trials * draws >= _PARALLEL_MIN_DRAWS else 1
-    means, workers = _buffer((1, 2, trials), workers)
+    means = np.empty((1, 2, trials))  # before any fork, so numpy reports a size it cannot make
     if workers > 1:
         _load_sampling(plan)
     # Whole chunks per worker, so no chunk boundary moves.
     bounds = [n_chunks * w // workers * chunk for w in range(workers)] + [trials]
-    _fill_in_workers(lambda lo, hi: _fill_means(means[:, :, lo:hi], plan, seed, lo), bounds)
+    parent = os.getpid()
+
+    def fill(w: int) -> bytes:  # worker w's trials, in place; a forked worker also sends them
+        part = means[:, :, bounds[w] : bounds[w + 1]]
+        _fill_means(part, plan, seed, bounds[w])
+        return part.tobytes() if os.getpid() != parent else b""
+
+    with contextlib.closing(ordered_map(fill, workers, workers)) as parts:
+        for w, data in enumerate(parts):
+            if data:
+                means[:, :, bounds[w] : bounds[w + 1]] = np.frombuffer(data).reshape(1, 2, -1)
     return means[0, 0], means[0, 1]
 
 
@@ -395,14 +406,6 @@ def _curve_sums(
     return out
 
 
-def _estimates(mean: np.ndarray, std: np.ndarray, trials: int, seed: SeedSpec) -> list[MonteCarloEstimate]:
-    """One estimate per weight: its mean squared error and the squared errors' standard deviation."""
-    return [
-        MonteCarloEstimate(mean_sq_error=float(m), std_error=float(s) / math.sqrt(trials), trials=trials, seed=seed)
-        for m, s in zip(mean, std)
-    ]
-
-
 def _tree_statistics(
     leaf_sums: Callable[[int, int, np.ndarray | None], np.ndarray],
     trials: int,
@@ -420,8 +423,9 @@ def _tree_statistics(
     tree is cut into a few whole subtrees per CPU, each summed by one
     process, so neither the leaves nor their tables are ever listed. A
     pass whose entry of ``parallel`` is true splits the subtrees into one
-    contiguous run per CPU, each summed by a forked worker that reads only
-    its own trials.
+    contiguous run per CPU, each summed by a forked worker
+    (:func:`ordered_map`) that reads only its own trials and sends its
+    tables back.
     """
     cpus = cpu_count() if any(parallel) else 1
     # The subtrees, in tree order: the tree's leaves, or nodes of about a
@@ -430,13 +434,17 @@ def _tree_statistics(
     nodes = _pairwise_sum(lambda lo, hi: [(lo, hi)], 0, trials, top)
 
     def summed(centres: np.ndarray | None, fork: bool) -> np.ndarray:
-        tables, workers = _buffer((len(nodes), *shape), min(cpus, len(nodes)) if fork else 1)
+        workers = min(cpus, len(nodes)) if fork else 1
+        bounds = [len(nodes) * w // workers for w in range(workers + 1)]
 
-        def fill(i_lo: int, i_hi: int) -> None:
-            for i in range(i_lo, i_hi):
-                tables[i] = _pairwise_sum(lambda lo, hi: leaf_sums(lo, hi, centres), *nodes[i], leaf)
+        def run(w: int) -> bytes:  # the tables of worker w's subtrees, one after another
+            return b"".join(
+                _pairwise_sum(lambda lo, hi: leaf_sums(lo, hi, centres), *nodes[i], leaf).tobytes()
+                for i in range(bounds[w], bounds[w + 1])
+            )
 
-        _fill_in_workers(fill, [len(nodes) * w // workers for w in range(workers)] + [len(nodes)])
+        with contextlib.closing(ordered_map(run, workers, workers)) as runs:
+            tables = np.frombuffer(b"".join(runs)).reshape(len(nodes), *shape)
         in_order = iter(tables)
         return _pairwise_sum(lambda lo, hi: next(in_order), 0, trials, top)
 
@@ -519,7 +527,9 @@ def estimate_suite_curves(
     weights on. The workers share the file. Without a random side nothing
     is drawn and no file is made.
     """
-    alphas = _checked_alphas(alphas)
+    alphas = [float(alpha) for alpha in alphas]
+    for alpha in alphas:
+        _check_alpha(alpha)
     _check_trials(trials)
     seed = _as_seed(seed)
     plan = runs, constants = _draw_plan(scenarios)
@@ -572,14 +582,10 @@ def estimate_suite_curves(
     # The scratch file honours TMPDIR and is unlinked at creation.
     with tempfile.TemporaryFile() if random_sides else contextlib.nullcontext() as spill:
         stats = _tree_statistics(leaf_sums, trials, leaf, (len(scenarios), len(alphas)), parallel)
-    return [_estimates(mean, std, trials, seed) for mean, std in zip(*stats)]
-
-
-def _checked_alphas(alphas: Iterable[float]) -> list[float]:
-    alphas = [float(a) for a in alphas]
-    for alpha in alphas:
-        _check_alpha(alpha)
-    return alphas
+    return [
+        [MonteCarloEstimate(float(m), float(s) / math.sqrt(trials), trials, seed) for m, s in zip(mean, std)]
+        for mean, std in zip(*stats)
+    ]
 
 
 def _check_trials(trials: int) -> None:

@@ -546,6 +546,17 @@ class TestValidate:
         assert "overall: PASS" in out
         assert out.count("scenario") == 2
 
+    def test_constant_helper_passes_at_alpha_one(self, tmp_path, capsys):
+        # Every trial's squared error at alpha = 1 is the same float, so its
+        # standard error is only rounding; the band's floor covers the few
+        # ulps between the estimate and a correct closed form.
+        path = tmp_path / "constant.yaml"
+        path.write_text("x: {family: normal, params: {mu: 0.0, sd: 1.0}}\nn_x: 10\ny: {constant: 0.1}\n")
+        code, out, _ = run_cli(capsys, "validate", "--scenario", str(path), "--trials", "1000", "--seed", "0")
+        assert code == 0
+        assert "  alpha=1.0 mc=0.010000000000000005 closed=0.010000000000000002 se=1.0976844384286364e-19 " in out
+        assert out.endswith(" ok\noverall: PASS\n")
+
     def test_corrupted_reference_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.yaml"
         path.write_text(
@@ -1124,8 +1135,8 @@ class TestCommonBehaviour:
 
     @pytest.mark.parametrize("command", ["contour", "validate"])
     def test_sigint_during_fork_exits_130_leaving_no_child(self, tmp_path, command):
-        # contour forks row workers (ordered_map); validate forks trial-mean
-        # workers (_fill_in_workers).
+        # contour forks row workers and validate forks subtree workers, both
+        # through ordered_map.
         scenario = tmp_path / "scenario.yaml"
         scenario.write_text(MC_LONG_YAML)
         argv = {"contour": ["--grid", "201"], "validate": ["--scenario", str(scenario)]}[command]

@@ -1070,15 +1070,35 @@ class TestValidationPoint:
         return mc.ValidationPoint(alpha=0.5, closed_form=closed_form, estimate=estimate, k=k)
 
     def test_limit_is_k_standard_errors(self):
+        # k standard errors, plus a rounding floor: at 100 trials 24 + 1 + 1 +
+        # 1 + 3 + 7 = 37 eps of the estimate.
+        floor = 37 * np.finfo(float).eps
         point = self.point(1.25, 0.125, k=3.0)
         assert point.deviation == 0.25
-        assert point.limit == 0.375
+        assert point.limit == 0.375 + floor * 1.25
         assert point.passed
         assert not self.point(1.5, 0.125, k=3.0).passed
         scenario = SampledScenario(Normal(0, 1), 4, Normal(1, 1), 16)
         report = validate_scenario(scenario, 200, SeedSpec(43), k=2.5)
         assert [p.k for p in report.points] == [2.5] * 21
-        assert all(p.limit == 2.5 * p.estimate.std_error for p in report.points)
+        # 200 trials halve once more above the blocks of 128.
+        floor = 38 * np.finfo(float).eps
+        assert all(p.limit == 2.5 * p.estimate.std_error + floor * p.estimate.mean_sq_error for p in report.points)
+
+    @pytest.mark.parametrize("trials", [1_000, 100_000])
+    @pytest.mark.parametrize("constant", [0.05, 0.1, 0.2, 0.3, 0.7, 1.1, 2.5, -0.4])
+    def test_constant_helper_passes_its_closed_form(self, trials, constant):
+        # At alpha = 1 every trial's squared error is the same float, so the
+        # standard error is only rounding; without the floor 10 of these 16
+        # runs failed there. A closed form off by 1e-12 still fails.
+        scenario = SampledScenario(Normal(0.0, 1.0), 10, PointMass(constant), 1)
+        report = validate_scenario(scenario, trials, SeedSpec(0))
+        assert report.passed
+        profile = error_profile(reduce_to_two_agent(scenario))
+        wrong = dataclasses.replace(profile, e1=profile.e1 * (1 + 1e-12))
+        estimates = [point.estimate for point in report.points]
+        checked = validate_scenario(scenario, trials, SeedSpec(0), expected=wrong, estimates=estimates)
+        assert [point.alpha for point in checked.points if not point.passed] == [1.0]
 
     def test_band_edge_passes(self):
         assert self.point(1.5, 0.125).passed
