@@ -3,9 +3,11 @@
 Work fans out one way: ``ordered_map`` streams items made by forked workers
 back through pipes, in order, as bytes (contour rows, trial means and the
 curve statistics' tables of subtree sums), and its rules for a failed
-worker and for reaping are the package's only ones. Platforms without
-``os.sched_getaffinity`` (macOS, Windows) stay serial, and under ``taskset
--c 0`` all work stays in the calling process.
+worker and for reaping are the package's only ones. The calling process
+only reads the pipes, so it holds none of a worker's buffers on top of
+everything it loaded to set up. Platforms without ``os.sched_getaffinity``
+(macOS, Windows) stay serial, and under ``taskset -c 0`` all work stays in
+the calling process.
 """
 
 from __future__ import annotations
@@ -15,6 +17,16 @@ import signal
 from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from typing import BinaryIO
+
+try:
+    from fcntl import F_SETPIPE_SZ, fcntl
+except ImportError:  # not Linux: pipes keep their default size
+    F_SETPIPE_SZ = None
+
+#: A worker's pipe holds this much where Linux allows it: about 17 rows of
+#: ``contour --grid 1001`` (58 KiB each), so a worker is not held to one row
+#: ahead of the reader by the default 64 KiB.
+_PIPE_BYTES = 2**20
 
 
 def cpu_count() -> int:
@@ -53,21 +65,27 @@ def _fork(work: Callable[[], None]) -> Iterator[int]:
 def ordered_map(make: Callable[[int], bytes], n: int, workers: int) -> Iterator[bytes]:
     """Yield ``make(i)`` for ``i = 0 .. n-1`` in order, made by ``workers`` processes.
 
-    Item ``i`` belongs to worker ``i % workers``. This process is worker 0;
-    each other worker is a forked child that makes its items in turn and
-    writes each to its own pipe as an 8-byte length and the data, so
-    it runs at most a pipe's capacity ahead of the reader. A worker that
-    cannot be forked, or whose pipe ends before all its items arrived, has
-    its remaining items made here, so a real error is raised in this
-    process with its own message. However the generator ends (exhausted,
-    closed, an error or an interrupt), every child is killed and reaped;
-    close it explicitly rather than leave that to garbage collection.
+    One worker is this process. From two on, item ``i`` belongs to worker
+    ``i % workers``, a forked child that makes its items in turn and writes
+    each to its own pipe as an 8-byte length and the data, so it runs at
+    most a pipe's capacity ahead of the reader; this process only reads the
+    pipes in order. A worker that cannot be forked, or whose pipe ends
+    before all its items arrived, has its remaining items made here, so a
+    real error is raised in this process with its own message. However the
+    generator ends (exhausted, closed, an error or an interrupt), every
+    child is killed and reaped; close it explicitly rather than leave that
+    to garbage collection.
     """
     pipes: list[BinaryIO | None] = [None] * workers
     children = []
     try:
-        for worker in range(1, workers):
+        for worker in range(workers if workers > 1 else 0):
             read_end, write_end = os.pipe()
+            if F_SETPIPE_SZ is not None:
+                try:
+                    fcntl(write_end, F_SETPIPE_SZ, _PIPE_BYTES)
+                except OSError:  # above the system's limit: the default size
+                    pass
 
             def send() -> None:
                 os.close(read_end)

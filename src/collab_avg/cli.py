@@ -23,7 +23,7 @@ import csv
 import io
 import math
 import sys
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from contextlib import closing
 
 import numpy as np
@@ -87,13 +87,13 @@ def _write_csv(header: list[str], rows: list[list[str]]) -> str:
     return buffer.getvalue()
 
 
-def _emit(chunks: Iterable[str], out: str | None) -> None:
-    """Write the chunks in order to ``out``, or to stdout; a generator streams."""
+def _emit(text: str, out: str | None) -> None:
+    """Write ``text`` to ``out``, or to stdout."""
     if out is None:
-        sys.stdout.writelines(chunks)
+        sys.stdout.write(text)
     else:
         with open(out, "w", encoding="utf-8", newline="") as handle:
-            handle.writelines(chunks)
+            handle.write(text)
 
 
 def _profile_lines(scenario: Scenario, profile: ErrorProfile, alphas: tuple[float, ...]) -> list[str]:
@@ -129,7 +129,7 @@ def _profile_lines(scenario: Scenario, profile: ErrorProfile, alphas: tuple[floa
 def cmd_profile(config: RunConfig) -> int:
     scenario = reduce_to_two_agent(config.scenarios[0])
     profile = error_profile(scenario)
-    _emit(["\n".join(_profile_lines(scenario, profile, config.alphas)) + "\n"], config.out)
+    _emit("\n".join(_profile_lines(scenario, profile, config.alphas)) + "\n", config.out)
     return EXIT_OK
 
 
@@ -157,7 +157,7 @@ def cmd_table1(config: RunConfig) -> int:
         )
         report_lines.append(f"row {row.index}: {values}")
     report = "\n".join(report_lines) + "\n"
-    _emit([csv_text], config.out)
+    _emit(csv_text, config.out)
     # The report goes wherever the CSV does not.
     (sys.stderr if config.out is None else sys.stdout).write(report)
     return EXIT_OK
@@ -180,7 +180,7 @@ def cmd_curve(config: RunConfig) -> int:
         upper = _fmt(1.0 - alpha) if alpha <= profile.alpha_star else ""
         rows.append([_fmt(alpha), _fmt(ratio), _fmt(1.0 - 2.0 * alpha), upper])
     header = ["alpha", "ese_ratio", "lower_bound", "upper_bound_segment"]
-    _emit([_write_csv(header, rows)], config.out)
+    _emit(_write_csv(header, rows), config.out)
     return EXIT_OK
 
 
@@ -190,19 +190,25 @@ def cmd_contour(config: RunConfig) -> int:
     u_grid = np.logspace(math.log10(u_min), math.log10(u_max), points)
     v_grid = np.logspace(math.log10(v_min), math.log10(v_max), points)
     with closing(_contour_rows(u_grid, v_grid)) as rows:
-        _emit(rows, config.out)
+        if config.out is None:
+            sys.stdout.flush()  # anything written as text goes first
+            sys.stdout.buffer.writelines(rows)
+        else:
+            with open(config.out, "wb") as handle:
+                handle.writelines(rows)
     return EXIT_OK
 
 
-def _contour_rows(u_grid: np.ndarray, v_grid: np.ndarray) -> Iterator[str]:
-    """The contour CSV, one chunk per u, in O(len(v_grid)) memory.
+def _contour_rows(u_grid: np.ndarray, v_grid: np.ndarray) -> Iterator[bytes]:
+    """The contour CSV as UTF-8, one chunk per u, in O(len(v_grid)) memory.
 
     From ``_PARALLEL_MIN_CELLS`` cells on, the u-rows are made round-robin
-    by one forked worker per CPU and streamed back in order; each row is
-    built by the same code either way, so the bytes do not depend on it.
-    Close the generator when done with it: that reaps the workers.
+    by one forked worker per CPU and streamed back in order, as the bytes
+    that are written; each row is built by the same code either way, so
+    the output does not depend on it. Close the generator when done with
+    it: that reaps the workers.
     """
-    yield "varxbar_over_bias2,varxbar_over_varybar,alpha_star\n"
+    yield b"varxbar_over_bias2,varxbar_over_varybar,alpha_star\n"
     # u = Var[xbar]/bias^2 and v = Var[xbar]/Var[ybar] give the optimal weight
     # 1 / (1 + 1/u + 1/v): ErrorProfile's alpha_star at e0 = 1, summed in this
     # order because summing e1 = 1/u + 1/v first changes the last bit of
@@ -213,19 +219,18 @@ def _contour_rows(u_grid: np.ndarray, v_grid: np.ndarray) -> Iterator[str]:
     v_cells = [f",{v!r}," for v in v_grid.tolist()]
     u_values = u_grid.tolist()
 
-    def row(i: int) -> str:
+    def row(i: int) -> bytes:
         u = u_values[i]
         with np.errstate(over="ignore"):
             alphas = 1.0 / (1.0 + 1.0 / u + inv_v)
         u_cell = repr(u)
-        return "".join([f"{u_cell}{cell}{alpha!r}\n" for cell, alpha in zip(v_cells, alphas.tolist())])
+        return "".join([f"{u_cell}{cell}{alpha!r}\n" for cell, alpha in zip(v_cells, alphas.tolist())]).encode()
 
     workers = 1
     if len(u_values) * len(v_cells) >= _PARALLEL_MIN_CELLS:
         workers = min(cpu_count(), len(u_values))
-    with closing(ordered_map(lambda i: row(i).encode(), len(u_values), workers)) as rows:
-        for chunk in rows:
-            yield chunk.decode()
+    with closing(ordered_map(row, len(u_values), workers)) as rows:
+        yield from rows
 
 
 def cmd_validate(config: RunConfig) -> int:
@@ -248,7 +253,7 @@ def cmd_validate(config: RunConfig) -> int:
             )
     passed = all(report.passed for report in reports)
     lines.append("overall: " + ("PASS" if passed else "FAIL"))
-    _emit(["\n".join(lines) + "\n"], config.out)
+    _emit("\n".join(lines) + "\n", config.out)
     return EXIT_OK if passed else EXIT_VALIDATION
 
 
@@ -268,7 +273,7 @@ def cmd_federate(config: RunConfig) -> int:
         f"ese_opt = {_fmt(profile.ese_opt)}",
         f"ese_ratio_opt = {_fmt(1.0 - profile.alpha_star)}",
     ]
-    _emit(["\n".join(lines) + "\n"], config.out)
+    _emit("\n".join(lines) + "\n", config.out)
     return EXIT_OK
 
 

@@ -73,12 +73,18 @@ class MonteCarloEstimate:
 
 @dataclass(frozen=True)
 class ValidationPoint:
-    """One weight's simulated ESE beside its closed form; the verdict is derived."""
+    """One weight's simulated ESE beside its closed form; the verdict is derived.
+
+    ``mu_x`` and ``mu_y`` are the scenario's exact means, which scale the
+    rounding of each trial's error.
+    """
 
     alpha: float
     closed_form: float
     estimate: MonteCarloEstimate
     k: float
+    mu_x: float
+    mu_y: float
 
     @property
     def deviation(self) -> float:
@@ -89,28 +95,49 @@ class ValidationPoint:
         """The acceptance band: ``k`` standard errors, and a floor for rounding.
 
         Where every trial gives the same squared error (a constant helper's
-        at alpha = 1), the standard error is only rounding. The floor bounds
-        the rounding by Higham's ``h * eps / 2`` of a sum of non-negative
-        terms, ``h`` the most additions one term goes through ("Accuracy and
-        Stability of Numerical Algorithms", 2nd ed., section 4.2), counting
-        ``eps`` per rounding: in numpy's pairwise sum 24 in a block of at
-        most 128 terms (14 in an accumulator, 3 joining the eight, 7 for the
-        remainder), 1 onto the start value and 1 per halving above the
-        blocks (``levels``: a half may be 8 longer than half its parent);
-        then 1 for the division, 3 for the squared error and 7 for the
-        closed form (e1's 4; ``alpha**2``, its product and the sum 3). At
-        1,000 trials that is 9e-15 of the estimate.
+        at alpha = 1, or two constant sides), the standard error is only
+        rounding. The floor bounds the rounding by Higham's ``h * eps / 2``
+        of a sum of non-negative terms, ``h`` the most additions one term
+        goes through ("Accuracy and Stability of Numerical Algorithms", 2nd
+        ed., section 4.2), counting ``eps`` per rounding: in numpy's
+        pairwise sum 24 in a block of at most 128 terms (14 in an
+        accumulator, 3 joining the eight, 7 for the remainder), 1 onto the
+        start value and 1 per halving above the blocks (``levels``: a half
+        may be 8 longer than half its parent); then 1 for the division, 3
+        for the squared error and 7 for the closed form (e1's 4;
+        ``alpha**2``, its product and the sum 3). At 1,000 trials that is
+        9e-15 of the estimate.
+
+        The error ``e = (1 - alpha) * xbar + alpha * ybar - mu_x`` before it
+        is squared can cancel to far below its terms, so its rounding is
+        relative to them, not to the estimate. With ``u = 2**-53``,
+        ``1 - alpha`` and ``xbar``'s product are off by at most ``2u``
+        of ``(1 - alpha)|xbar|``, ``alpha * ybar`` by ``u`` of itself, their
+        sum by ``u`` of ``(1 - alpha)|xbar| + alpha|ybar|`` and the
+        difference by ``u|e|``; for constant sides, whose means are exact,
+        that is at most ``3u * S``, ``S = (1 - alpha)|mu_x| + alpha|mu_y| +
+        |mu_x|``, since ``|e| <= alpha(|mu_x| + |mu_y|)``. The square is
+        then off by ``3uS(2|e| + 3uS) = 6uS|e| + 9u**2 S**2``, with ``|e|``
+        the root of the estimate when every trial's error is the same. A
+        random side spreads the trials' errors by some ``sd``, and
+        ``k * std_error`` is then about ``k * sqrt(2) * sd *
+        sqrt(estimate / trials)`` (exactly so for normal errors), which
+        exceeds ``6uS * sqrt(estimate)`` unless ``sd`` is below about
+        ``4u * sqrt(trials) * S / k``: unless the side is constant to
+        rounding.
         """
         levels = (max(self.estimate.trials, 128) - 1).bit_length() - 6
         rounding = (24 + 1 + levels + 1 + 3 + 7) * 2.0**-52
-        return self.k * self.estimate.std_error + rounding * self.estimate.mean_sq_error
+        u, estimate = 2.0**-53, self.estimate.mean_sq_error
+        scale = (1.0 - self.alpha) * abs(self.mu_x) + self.alpha * abs(self.mu_y) + abs(self.mu_x)
+        error = 3 * u * scale * (2 * math.sqrt(estimate) + 3 * u * scale)
+        return self.k * self.estimate.std_error + rounding * estimate + error
 
     @property
     def passed(self) -> bool:
-        """Within the band; a non-finite estimate never agrees (inf <= inf)."""
-        estimate = self.estimate
-        finite = math.isfinite(estimate.mean_sq_error) and math.isfinite(estimate.std_error)
-        return finite and self.deviation <= self.limit
+        """Within a finite band: a non-finite estimate, or a floor that overflows, never agrees (inf <= inf)."""
+        limit = self.limit
+        return math.isfinite(limit) and self.deviation <= limit
 
 
 @dataclass(frozen=True)
@@ -320,8 +347,8 @@ def trial_means(
 
     Calls that draw at least ``_PARALLEL_MIN_DRAWS`` uniforms split their
     chunks into one run per CPU the process may run on, each filled by a
-    forked worker (:func:`ordered_map`); no row's mean, so no byte, depends
-    on the split.
+    forked worker (:func:`ordered_map`) and sent back through its pipe; no
+    row's mean, so no byte, depends on the split.
     """
     seed = _as_seed(seed)
     plan = _draw_plan([SampledScenario(x, n_x, y, n_y)])
@@ -336,7 +363,9 @@ def trial_means(
     bounds = [n_chunks * w // workers * chunk for w in range(workers)] + [trials]
     parent = os.getpid()
 
-    def fill(w: int) -> bytes:  # worker w's trials, in place; a forked worker also sends them
+    # Run w's trials, in place: a forked worker's are sent back and copied in;
+    # a run made here (serially, or redone after its worker died) stays put.
+    def fill(w: int) -> bytes:
         part = means[:, :, bounds[w] : bounds[w + 1]]
         _fill_means(part, plan, seed, bounds[w])
         return part.tobytes() if os.getpid() != parent else b""
@@ -425,7 +454,7 @@ def _tree_statistics(
     pass whose entry of ``parallel`` is true splits the subtrees into one
     contiguous run per CPU, each summed by a forked worker
     (:func:`ordered_map`) that reads only its own trials and sends its
-    tables back.
+    tables back; this process only adds the tables up.
     """
     cpus = cpu_count() if any(parallel) else 1
     # The subtrees, in tree order: the tree's leaves, or nodes of about a
@@ -611,19 +640,22 @@ def validate_scenario(
     """Check simulation against closed form on a fixed weight grid.
 
     Each weight of ``VALIDATION_ALPHAS`` passes when ``|simulated -
-    closed_form| <= k * std_error``. ``expected`` overrides the closed-form
+    closed_form|`` is within ``ValidationPoint.limit``: ``k * std_error``
+    and a floor for rounding. ``expected`` overrides the closed-form
     reference profile (diagnostics; the default recomputes it from the
-    scenario's exact moments). ``estimates``, the scenario's simulated
-    curve on that grid when already made (as by
-    :func:`estimate_suite_curves` for a whole suite), spares sampling it.
+    scenario's exact moments, which scale the floor either way).
+    ``estimates``, the scenario's simulated curve on that grid when already
+    made (as by :func:`estimate_suite_curves` for a whole suite), spares
+    sampling it.
     """
     _check_k(k)
     seed = _as_seed(seed)
-    profile = expected if expected is not None else error_profile(reduce_to_two_agent(scenario))
+    exact = reduce_to_two_agent(scenario)
+    profile = expected if expected is not None else error_profile(exact)
     if estimates is None:
         estimates = estimate_suite_curves([scenario], VALIDATION_ALPHAS, trials, seed)[0]
     points = tuple(
-        ValidationPoint(alpha, ese_of_alpha(profile, alpha), estimate, k)
+        ValidationPoint(alpha, ese_of_alpha(profile, alpha), estimate, k, exact.mu_x, exact.mu_y)
         for alpha, estimate in zip(VALIDATION_ALPHAS, estimates)
     )
     return ValidationReport(points=points, k=k, trials=trials, seed=seed)

@@ -92,6 +92,11 @@ def force_cpus(monkeypatch, n: int) -> list[int]:
     return forks
 
 
+def round_forks(n: int) -> int:
+    """Forks one ``ordered_map`` round makes on ``n`` CPUs: one per worker from two on, none on one."""
+    return n if n > 1 else 0
+
+
 def no_child_left() -> bool:
     try:
         os.waitpid(-1, os.WNOHANG)

@@ -35,7 +35,7 @@ from collab_avg.montecarlo import (
 )
 from collab_avg.theory import ErrorProfile, error_profile, ese_of_alpha
 
-from conftest import force_cpus, no_child_left, numpy_statistics, variance_std_error
+from conftest import force_cpus, no_child_left, numpy_statistics, round_forks, variance_std_error
 from test_acceptance import MC_BASE_SEED, MC_SUITE
 
 TRIALS = 10**5
@@ -353,7 +353,7 @@ class TestWorkers:
         monkeypatch.setattr(mc, "_PARALLEL_MIN_DRAWS", 0)
         forks = force_cpus(monkeypatch, cpus)
         assert _means_bytes(trial_means(*args)) == _means_bytes(serial)
-        assert len(forks) == min(cpus, chunks) - 1
+        assert len(forks) == round_forks(min(cpus, chunks))
         assert no_child_left()
 
     @pytest.mark.parametrize("reached", [False, True], ids=["below", "at"])
@@ -365,7 +365,7 @@ class TestWorkers:
         serial = trial_means(*args)
         forks = force_cpus(monkeypatch, 2)
         assert _means_bytes(trial_means(*args)) == _means_bytes(serial)
-        assert len(forks) == (1 if reached else 0)
+        assert len(forks) == (round_forks(2) if reached else 0)
 
     def test_failed_worker_range_is_recomputed(self, monkeypatch):
         args = (Normal(0, 1), 11, Exponential(2.0), 13, 10_001, SeedSpec(7))
@@ -382,7 +382,7 @@ class TestWorkers:
         monkeypatch.setattr(mc, "_PARALLEL_MIN_DRAWS", 0)
         forks = force_cpus(monkeypatch, 2)
         assert _means_bytes(trial_means(*args)) == _means_bytes(serial)
-        assert len(forks) == 1
+        assert len(forks) == round_forks(2)
         assert no_child_left()
 
     def test_range_that_cannot_be_forked_is_computed_here(self, monkeypatch):
@@ -398,21 +398,27 @@ class TestWorkers:
         assert _means_bytes(trial_means(*args)) == _means_bytes(serial)
 
     def test_failing_parent_range_leaves_no_worker(self, monkeypatch):
+        # The first run's worker dies, so its run is redone here, where it
+        # fails while the other workers are still running.
         parent = os.getpid()
+        fill_means = mc._fill_means
 
-        def fails_in_parent(self, k):
+        def fails_in_parent(means, plan, seed, lo):
             if os.getpid() == parent:
                 raise RuntimeError("parent failure")
-            time.sleep(60)  # a child still running when the parent fails
+            if lo == 0:
+                os._exit(1)
+            time.sleep(60)
+            fill_means(means, plan, seed, lo)
 
-        monkeypatch.setattr(Exponential, "_from_kernel", fails_in_parent)
+        monkeypatch.setattr(mc, "_fill_means", fails_in_parent)
         monkeypatch.setattr(mc, "_PARALLEL_MIN_DRAWS", 0)
         forks = force_cpus(monkeypatch, 3)
         began = time.monotonic()
         with pytest.raises(RuntimeError, match="parent failure"):
             trial_means(Normal(0, 1), 11, Exponential(2.0), 13, 10_001, SeedSpec(7))
         assert time.monotonic() - began < 30
-        assert len(forks) == 2
+        assert len(forks) == round_forks(3)
         assert no_child_left()
 
     def test_unallocatable_shared_buffer_reports_numpy_error(self, monkeypatch):
@@ -478,7 +484,7 @@ class TestCurveStatistics:
         expected = numpy_statistics(xbar, ybar, alphas, 0.25)
         forks = force_cpus(monkeypatch, cpus)
         assert _statistics(xbar, ybar, alphas, parallel=True) == expected
-        assert len(forks) == 2 * (cpus - 1)  # once per pass
+        assert len(forks) == 2 * round_forks(cpus)  # a round per pass
         assert no_child_left()
 
     @pytest.mark.parametrize("reached", [False, True], ids=["below", "at"])
@@ -493,7 +499,7 @@ class TestCurveStatistics:
         serial = estimate_error_curve(*args)
         forks = force_cpus(monkeypatch, 2)
         assert estimate_error_curve(*args) == serial
-        assert len(forks) == (1 if reached else 0)
+        assert len(forks) == (round_forks(2) if reached else 0)
         assert no_child_left()
 
     def test_failed_worker_leaves_are_redone_here(self, monkeypatch):
@@ -512,7 +518,7 @@ class TestCurveStatistics:
         monkeypatch.setattr(mc, "_curve_sums", fails_in_child)
         forks = force_cpus(monkeypatch, 2)
         assert _statistics(xbar, ybar, CURVE_ALPHAS, parallel=True) == serial
-        assert len(forks) == 2
+        assert len(forks) == 2 * round_forks(2)
         assert failed[0] == 1
         assert no_child_left()
 
@@ -615,16 +621,16 @@ def _loaded_at_forks(call: str) -> list[tuple[int, int]]:
 
 def test_trial_means_loads_scipy_once_before_forking():
     # One interpreter per call: a module the first call loaded stays loaded.
-    assert _loaded_at_forks("long") + _loaded_at_forks("short") == [(0, 1), (1, 0)]
+    assert _loaded_at_forks("long") + _loaded_at_forks("short") == [(0, 1)] * round_forks(2) + [(1, 0)] * round_forks(2)
 
 
 def test_suite_loads_its_modules_before_forking():
-    # One fork per pass: 20,000 trials are two leaves, one per process.
-    assert _loaded_at_forks("suite_short") == [(1, 0)] * 2
-    assert _loaded_at_forks("suite_long") == [(0, 1)] * 2
+    # A round per pass: 20,000 trials are two leaves, one per worker.
+    assert _loaded_at_forks("suite_short") == [(1, 0)] * (2 * round_forks(2))
+    assert _loaded_at_forks("suite_long") == [(0, 1)] * (2 * round_forks(2))
     # One plan for the suite: its 300-draw run and its normal side are
     # both loaded for before the first fork.
-    assert _loaded_at_forks("suite_below") == [(1, 1)] * 2
+    assert _loaded_at_forks("suite_below") == [(1, 1)] * (2 * round_forks(2))
 
 
 class _DrawSpy:
@@ -737,7 +743,7 @@ class TestSuiteCurves:
         forks = force_cpus(monkeypatch, cpus)
         spy = _DrawSpy(monkeypatch)
         assert mc.estimate_suite_curves(suite, CURVE_ALPHAS, trials, seed) == expected
-        assert len(forks) == 2 * (cpus - 1)
+        assert len(forks) == 2 * round_forks(cpus)
         assert no_child_left()
         if cpus == 1:  # the workers' draws are not seen here
             assert spy.calls[0] == (mc._CHUNK_DRAWS // span, span, first)
@@ -760,7 +766,7 @@ class TestSuiteCurves:
         monkeypatch.setattr(mc, "_PARALLEL_MIN_CURVE", 0)
         forks = force_cpus(monkeypatch, 6)
         assert mc.estimate_suite_curves(KERNEL_SUITE, CURVE_ALPHAS, trials, seed) == expected
-        assert len(forks) == 2 * 5
+        assert len(forks) == 2 * round_forks(6)
         assert no_child_left()
 
     def test_failed_worker_leaves_are_redone_here(self, monkeypatch):
@@ -781,29 +787,35 @@ class TestSuiteCurves:
         monkeypatch.setattr(mc, "_PARALLEL_MIN_CURVE", 0)
         forks = force_cpus(monkeypatch, 2)
         assert mc.estimate_suite_curves(SHARED_SUITE, CURVE_ALPHAS, trials, seed) == expected
-        assert len(forks) == 2
+        assert len(forks) == 2 * round_forks(2)
         assert failed[0] == 1
         assert no_child_left()
 
     @pytest.mark.parametrize("ending", ["passed", "failed_worker", "interrupted"])
     def test_leaves_no_scratch_file(self, monkeypatch, tmp_path, ending):
+        # Unless it passes, every worker fails, and an interrupted run is
+        # interrupted here, redoing their leaves.
         trials, seed = 20_001, SeedSpec(15)
         expected = _alone(SHARED_SUITE, CURVE_ALPHAS, trials, seed)
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
         parent = os.getpid()
         write_at = mc._write_at
         failed = mmap.mmap(-1, 1)  # set by a worker, seen here
-        files = []  # at each write here: the directory's entries and the file's path
+        # At each write, in any process: [0] set, and [1] set if the file
+        # had a name in the directory or its path was outside it.
+        seen = mmap.mmap(-1, 2)
 
         def watched(fd, a, offset):
+            seen[0] = 1
+            name = os.readlink(f"/proc/self/fd/{fd}") if PROC_FD else str(tmp_path)
+            if os.listdir(tmp_path) or not name.startswith(str(tmp_path)):
+                seen[1] = 1
             if os.getpid() != parent:
-                if ending == "failed_worker":
+                if ending != "passed":
                     failed[0] = 1
                     raise RuntimeError("worker failure")
-            else:
-                files.append((os.listdir(tmp_path), os.readlink(f"/proc/self/fd/{fd}") if PROC_FD else None))
-                if ending == "interrupted":
-                    raise KeyboardInterrupt
+            elif ending == "interrupted":
+                raise KeyboardInterrupt
             write_at(fd, a, offset)
 
         monkeypatch.setattr(mc, "_write_at", watched)
@@ -815,12 +827,10 @@ class TestSuiteCurves:
                 mc.estimate_suite_curves(SHARED_SUITE, CURVE_ALPHAS, trials, seed)
         else:
             assert mc.estimate_suite_curves(SHARED_SUITE, CURVE_ALPHAS, trials, seed) == expected
-        assert failed[0] == (ending == "failed_worker")
+        assert failed[0] == (ending != "passed")
         assert no_child_left()
-        assert files  # unlinked from the start, in the temporary directory
-        for entries, name in files:
-            assert entries == []
-            assert name is None or name.startswith(str(tmp_path))
+        # Unlinked from the start, in the temporary directory.
+        assert seen[:] == b"\x01\x00"
         assert os.listdir(tmp_path) == []
 
     @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="workers need sched_getaffinity")
@@ -893,7 +903,7 @@ class TestSuiteCurves:
 
     def test_below_the_rule_is_one_tree(self, monkeypatch):
         # Both scenarios' own ranges are drawn leaf by leaf in one tree:
-        # one fork per pass and one scratch file for the suite.
+        # one round of forks per pass and one scratch file for the suite.
         trials, seed = 20_001, SeedSpec(17)
         expected = _alone(BELOW_RULE_SUITE, CURVE_ALPHAS, trials, seed)
         monkeypatch.setattr(mc, "_PARALLEL_MIN_DRAWS", 0)
@@ -908,7 +918,7 @@ class TestSuiteCurves:
 
         monkeypatch.setattr(tempfile, "TemporaryFile", recorded)
         assert mc.estimate_suite_curves(BELOW_RULE_SUITE, CURVE_ALPHAS, trials, seed) == expected
-        assert len(forks) == 2
+        assert len(forks) == 2 * round_forks(2)
         assert files == [1]
         assert no_child_left()
 
@@ -937,6 +947,49 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
 """
 
 
+# A fresh interpreter on 2 CPUs that loads what sampling the benchmark's
+# many-trials scenario uses, as a command's set-up does, then estimates its
+# 21-weight curve at 400,000 trials. It prints how many KiB its own VmHWM
+# grew over the call, its draws and its forks, and whether the curve is the
+# serial one.
+CALLER_PEAK = FORKED + """
+import sys
+os.sched_getaffinity = lambda pid: {0, 1}
+from collab_avg import montecarlo as mc
+from collab_avg.distributions import Normal, SeedSpec, Uniform
+
+
+def hwm():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+
+
+me, draws, forks = os.getpid(), [], []
+draw, fork = mc.uniform_matrix, os.fork
+
+
+def spied_draw(*args):
+    if os.getpid() == me:
+        draws.append(1)
+    return draw(*args)
+
+
+def counted_fork():
+    forks.append(1)
+    return fork()
+
+
+mc.uniform_matrix, os.fork = spied_draw, counted_fork
+suite = [mc.SampledScenario(Normal(0.0, 1.0), 2, Uniform(0.0, 1.0), 2)]
+mc._load_sampling(mc._draw_plan(suite))
+before = hwm()
+curve = mc.estimate_suite_curves(suite, mc.VALIDATION_ALPHAS, 400_000, SeedSpec(0))
+print([hwm() - before, len(draws), len(forks)])
+os.sched_getaffinity = lambda pid: {0}
+print(curve == mc.estimate_suite_curves(suite, mc.VALIDATION_ALPHAS, 400_000, SeedSpec(0)))
+"""
+
+
 class TestOneScenario:
     """A scenario whose trial fits a chunk is estimated leaf by leaf, as a suite of one."""
 
@@ -957,7 +1010,7 @@ class TestOneScenario:
         monkeypatch.setattr(mc, "_PARALLEL_MIN_CURVE", 0)
         forks = force_cpus(monkeypatch, cpus)
         assert self.curve(trials, seed) == expected
-        assert len(forks) == 2 * (cpus - 1)  # once per pass
+        assert len(forks) == 2 * round_forks(cpus)  # a round per pass
         assert no_child_left()
 
     def test_draws_each_trial_once(self, monkeypatch):
@@ -980,10 +1033,10 @@ class TestOneScenario:
         monkeypatch.setattr(mc, "_PARALLEL_MIN_CURVE", trials * len(CURVE_ALPHAS))
         forks = force_cpus(monkeypatch, 2)
         assert self.curve(trials, seed) == expected
-        assert len(forks) == 1
+        assert len(forks) == round_forks(2)
         monkeypatch.setattr(mc, "_PARALLEL_MIN_CURVE", trials * len(CURVE_ALPHAS) + 1)
         assert self.curve(trials, seed) == expected
-        assert len(forks) == 1
+        assert len(forks) == round_forks(2)
         assert no_child_left()
 
     def test_constant_scenario_draws_nothing_and_makes_no_file(self, monkeypatch):
@@ -1012,6 +1065,19 @@ class TestOneScenario:
             return float(result.stdout)
 
         assert peak(1_000_000) < peak(100_000) + 1.0
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="VmHWM is read from /proc/self/status")
+    def test_workers_draw_and_this_process_holds_none_of_it(self):
+        # On 2 CPUs both passes fork, and this process only adds tables up:
+        # it drew half the trials, and grew 4.4 MiB, when it was worker 0.
+        result = subprocess.run([sys.executable, "-c", CALLER_PEAK], capture_output=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        counts, serial_bytes = result.stdout.decode().splitlines()
+        grown_kib, drawn_here, forks = ast.literal_eval(counts)
+        assert grown_kib < 1024
+        assert drawn_here == 0
+        assert forks == 2 * round_forks(2)
+        assert serial_bytes == "True"
 
 
 class TestValidateScenario:
@@ -1065,9 +1131,9 @@ class TestValidationPoint:
     """A point stores its inputs; deviation, limit and verdict are derived."""
 
     @staticmethod
-    def point(mean_sq_error, std_error, k=4.0, closed_form=1.0):
+    def point(mean_sq_error, std_error, k=4.0, closed_form=1.0, mu_x=0.0, mu_y=0.0):
         estimate = mc.MonteCarloEstimate(mean_sq_error, std_error, trials=100, seed=SeedSpec(0))
-        return mc.ValidationPoint(alpha=0.5, closed_form=closed_form, estimate=estimate, k=k)
+        return mc.ValidationPoint(alpha=0.5, closed_form=closed_form, estimate=estimate, k=k, mu_x=mu_x, mu_y=mu_y)
 
     def test_limit_is_k_standard_errors(self):
         # k standard errors, plus a rounding floor: at 100 trials 24 + 1 + 1 +
@@ -1081,9 +1147,22 @@ class TestValidationPoint:
         scenario = SampledScenario(Normal(0, 1), 4, Normal(1, 1), 16)
         report = validate_scenario(scenario, 200, SeedSpec(43), k=2.5)
         assert [p.k for p in report.points] == [2.5] * 21
-        # 200 trials halve once more above the blocks of 128.
-        floor = 38 * np.finfo(float).eps
-        assert all(p.limit == 2.5 * p.estimate.std_error + floor * p.estimate.mean_sq_error for p in report.points)
+        # 200 trials halve once more above the blocks of 128; mu_x = 0 and
+        # mu_y = 1 scale the error's rounding by alpha.
+        floor, u = 38 * np.finfo(float).eps, 2.0**-53
+        for p in report.points:
+            est = p.estimate.mean_sq_error
+            error = 3 * u * p.alpha * (2 * math.sqrt(est) + 3 * u * p.alpha)
+            assert p.limit == 2.5 * p.estimate.std_error + floor * est + error
+
+    def test_error_rounding_is_scaled_by_the_means(self):
+        # S = (1 - alpha)|mu_x| + alpha|mu_y| + |mu_x| = 1 + 1.5 + 2 at alpha = 0.5.
+        u = 2.0**-53
+        point = self.point(0.25, 0.0, closed_form=0.25, mu_x=-2.0, mu_y=3.0)
+        assert point.limit == 37 * np.finfo(float).eps * 0.25 + 3 * u * 4.5 * (2 * 0.5 + 3 * u * 4.5)
+        huge = self.point(0.0, 0.0, closed_form=0.0, mu_x=1e200, mu_y=1e200)
+        assert huge.limit == math.inf
+        assert not huge.passed  # a floor that overflows decides nothing
 
     @pytest.mark.parametrize("trials", [1_000, 100_000])
     @pytest.mark.parametrize("constant", [0.05, 0.1, 0.2, 0.3, 0.7, 1.1, 2.5, -0.4])
@@ -1099,6 +1178,28 @@ class TestValidationPoint:
         estimates = [point.estimate for point in report.points]
         checked = validate_scenario(scenario, trials, SeedSpec(0), expected=wrong, estimates=estimates)
         assert [point.alpha for point in checked.points if not point.passed] == [1.0]
+
+    @pytest.mark.parametrize("trials", [1_000, 100_000])
+    @pytest.mark.parametrize(
+        "mu_x,mu_y", [(1.1, 0.7), (0.3, 0.1), (0.1, 0.2), (2.5, -0.4), (1000.0, 999.9), (-7.3, 4.1), (0.05, 0.051)]
+    )
+    def test_two_constant_sides_pass_their_closed_form(self, trials, mu_x, mu_y):
+        # Every trial's error (1 - alpha) * mu_x + alpha * mu_y - mu_x is the
+        # same float, off by rounding relative to the means: without the
+        # error's floor 183 of these points failed, (1.1, 0.7) at (3, 5)
+        # and 1,000 trials first at alpha = 0.05. A closed form off by 1e-9
+        # still fails wherever it differs.
+        for n_x, n_y in [(3, 5), (1, 1), (10, 60)]:
+            scenario = SampledScenario(PointMass(mu_x), n_x, PointMass(mu_y), n_y)
+            report = validate_scenario(scenario, trials, SeedSpec(0))
+            assert report.passed
+            profile = error_profile(reduce_to_two_agent(scenario))
+            wrong = dataclasses.replace(profile, e1=profile.e1 * (1 + 1e-9))
+            estimates = [point.estimate for point in report.points]
+            checked = validate_scenario(scenario, trials, SeedSpec(0), expected=wrong, estimates=estimates)
+            differs = [p.alpha for p, q in zip(report.points, checked.points) if p.closed_form != q.closed_form]
+            assert len(differs) == 20
+            assert [point.alpha for point in checked.points if not point.passed] == differs
 
     def test_band_edge_passes(self):
         assert self.point(1.5, 0.125).passed
