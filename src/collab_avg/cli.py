@@ -51,10 +51,10 @@ _DEFAULT_CURVE_GRID = 1001
 _DEFAULT_CONTOUR_GRID = 101
 
 #: ``contour`` forks row workers only from this many grid cells on.
-#: Measured on a 2-core Xeon (numpy 2.4.6, rows written to a file): a fork,
-#: pipe and reap cost 3-6 ms; two workers took 0.59-0.74x the serial time
-#: from 36,100 cells on, while from 10,201 to 19,881 cells they lost when
-#: the machine was loaded (1.26-1.44x) and won 0.79-0.87x when it was idle.
+#: Measured on a 2-core Xeon (numpy 2.4.6, rows written to a file, median
+#: of 11, alternating): two workers took 1.26x the serial time at 10,201
+#: cells, 0.98x at 19,881, 0.85-0.87x at 36,481 and 40,401 and 0.78-0.81x
+#: from 63,001 on; a round of two forks costs about 7.7 ms.
 _PARALLEL_MIN_CELLS = 40_000
 
 

@@ -36,18 +36,23 @@ from .theory import ErrorProfile, _check_alpha, error_profile, ese_of_alpha
 _CHUNK_DRAWS = 65_536
 
 #: Drawing trial means forks workers only from this many drawn uniforms on.
-#: Measured on a 2-core Xeon (numpy 2.4.6): a fork and wait cost 3.1-3.3 ms
-#: with ndtri and all of numpy.random loaded (4.3-4.5 ms with all of
-#: scipy.special); two workers lost to one at 100k draws and won by
-#: 1.2-1.6x from 400k draws on, at 4, 25 and 120 draws per trial.
+#: Measured on a 2-core Xeon (numpy 2.4.6, ndtri and numpy.random loaded,
+#: 40 MiB resident): a fork costs 1.4 ms and a fork, exit and reap 4.4 ms;
+#: a round of two workers 7.7 ms. Against one process (median of 9-11,
+#: alternating), two workers took, in pass 1 of the curve statistics at 4
+#: and 25 draws per trial, 1.22-1.31x the time at 200k draws, 1.03-1.10x at
+#: 400k, 0.86-0.90x at 500k and 0.70-0.74x at 1M; in ``trial_means``, at 4,
+#: 25 and 120 draws per trial, 1.83-2.14x at 100k, 0.97-1.03x at 500k and
+#: 0.78-0.93x at 1M.
 _PARALLEL_MIN_DRAWS = 500_000
 
 #: The curve statistics fork workers only from this many trials x weights
-#: on. Same machine, 21 weights, ndtri and numpy.random loaded, two forks
-#: per call (median of 25): two workers took 1.44-1.49x the serial time at
-#: 2M, 0.95-1.09x at 4M, 0.81-0.86x at 6M, 0.67-0.85x at 8M and 0.65-0.70x
-#: at 16M.
-_PARALLEL_MIN_CURVE = 6_000_000
+#: on. Same machine, 21 weights, a round of forks per pass (median of 9-21,
+#: three runs): two workers took 2.38x the serial time at 2M, 1.07-1.20x
+#: at 6M and 8M, 0.97-1.04x at 10M, 0.85-0.93x at 12M and 0.77-0.80x at
+#: 16M and 24M. On mc_many_trials (42M) forking pass 2 took 0.90x of the
+#: whole curve's time, faster in 11 of 12 runs.
+_PARALLEL_MIN_CURVE = 12_000_000
 
 _MIN_TRIALS = 100
 
