@@ -26,8 +26,18 @@ def _item(i: int) -> bytes:
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_items_come_back_in_order(monkeypatch, workers):
+    # One worker is this process; from two on, it makes none of the items.
+    parent = os.getpid()
+    made_here = []
+
+    def make(i: int) -> bytes:
+        if os.getpid() == parent:
+            made_here.append(i)
+        return _item(i)
+
     forks = force_cpus(monkeypatch, workers)
-    assert list(ordered_map(_item, 10, workers)) == [_item(i) for i in range(10)]
+    assert list(ordered_map(make, 10, workers)) == [_item(i) for i in range(10)]
+    assert made_here == (list(range(10)) if workers == 1 else [])
     assert len(forks) == round_forks(workers)
     assert no_child_left()
 
@@ -57,25 +67,6 @@ def test_dead_worker_has_its_remaining_items_made_here(monkeypatch):
     assert list(ordered_map(make, 9, 3)) == [_item(i) for i in range(9)]
     assert made_here == [3, 4, 5, 6, 7, 8]
     assert len(forks) == round_forks(3)
-    assert no_child_left()
-
-
-def test_this_process_makes_nothing_while_its_workers_live(monkeypatch):
-    parent = os.getpid()
-    made_here = []
-
-    def make(i: int) -> bytes:
-        if os.getpid() == parent:
-            made_here.append(i)
-        return _item(i)
-
-    forks = force_cpus(monkeypatch, 2)
-    assert list(ordered_map(make, 9, 2)) == [_item(i) for i in range(9)]
-    assert made_here == []
-    assert len(forks) == round_forks(2)
-    assert list(ordered_map(make, 3, 1)) == [_item(i) for i in range(3)]
-    assert made_here == [0, 1, 2]
-    assert len(forks) == round_forks(2)
     assert no_child_left()
 
 
@@ -113,7 +104,7 @@ def test_a_pipe_that_cannot_grow_keeps_its_size(monkeypatch, limit):
         def refused(fd, cmd, arg):
             raise PermissionError(1, "Operation not permitted")
 
-        monkeypatch.setattr(_workers, "F_SETPIPE_SZ", 1031)
+        monkeypatch.setattr(_workers, "F_SETPIPE_SZ", 1031)  # Linux's value
         monkeypatch.setattr(_workers, "fcntl", refused)
     forks = force_cpus(monkeypatch, 2)
     assert list(ordered_map(_item, 10, 2)) == [_item(i) for i in range(10)]
