@@ -126,10 +126,9 @@ class ValidationPoint:
         the root of the estimate when every trial's error is the same. A
         random side spreads the trials' errors by some ``sd``, and
         ``k * std_error`` is then about ``k * sqrt(2) * sd *
-        sqrt(estimate / trials)`` (exactly so for normal errors), which
-        exceeds ``6uS * sqrt(estimate)`` unless ``sd`` is below about
-        ``4u * sqrt(trials) * S / k``: unless the side is constant to
-        rounding.
+        sqrt(estimate / trials)`` or more (normal errors), which exceeds
+        ``6uS * sqrt(estimate)`` unless ``sd`` is below about ``4u *
+        sqrt(trials) * S / k``: unless the side is constant to rounding.
         """
         levels = (max(self.estimate.trials, 128) - 1).bit_length() - 6
         rounding = (24 + 1 + levels + 1 + 3 + 7) * 2.0**-52
