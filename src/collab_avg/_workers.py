@@ -1,11 +1,11 @@
 """Forked workers: how the package spreads work over the CPUs it may use.
 
 Work fans out one way: ``ordered_map`` streams items made by forked workers
-back through pipes, in order, as bytes (contour rows, trial means and the
-curve statistics' tables of subtree sums), and its rules for a failed
-worker and for reaping are the package's only ones. The calling process
-only reads the pipes, so it holds none of a worker's buffers on top of
-everything it loaded to set up. Platforms without ``os.sched_getaffinity``
+back through pipes, in order, as bytes (contour rows and the curve
+statistics' tables of subtree sums), and its rules for a failed worker and
+for reaping are the package's only ones. The calling process only reads
+the pipes, so it holds none of a worker's buffers on top of everything it
+loaded to set up. Platforms without ``os.sched_getaffinity``
 (macOS, Windows) stay serial, and under ``taskset -c 0`` all work stays in
 the calling process.
 """
@@ -17,16 +17,6 @@ import signal
 from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from typing import BinaryIO
-
-try:
-    from fcntl import F_SETPIPE_SZ, fcntl
-except ImportError:  # not Linux: pipes keep their default size
-    F_SETPIPE_SZ = None
-
-#: A worker's pipe holds this much where Linux allows it: about 17 rows of
-#: ``contour --grid 1001`` (58 KiB each), so a worker is not held to one row
-#: ahead of the reader by the default 64 KiB.
-_PIPE_BYTES = 2**20
 
 
 def cpu_count() -> int:
@@ -81,11 +71,6 @@ def ordered_map(make: Callable[[int], bytes], n: int, workers: int) -> Iterator[
     try:
         for worker in range(workers if workers > 1 else 0):
             read_end, write_end = os.pipe()
-            if F_SETPIPE_SZ is not None:
-                try:
-                    fcntl(write_end, F_SETPIPE_SZ, _PIPE_BYTES)
-                except OSError:  # above the system's limit: the default size
-                    pass
 
             def send() -> None:
                 os.close(read_end)

@@ -206,11 +206,8 @@ class Bernoulli(Distribution):
     def variance(self) -> float:
         return self.p * (1.0 - self.p)
 
-    def _successes(self, u: np.ndarray) -> np.ndarray:
-        return u < self.p
-
     def _from_kernel(self, k: np.ndarray) -> np.ndarray:
-        return self._successes(k).astype(np.float64)
+        return (k < self.p).astype(np.float64)
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ import numpy as np
 
 from ._philox import _C_MIN_DRAWS, _load_philox, uniform_matrix
 from ._workers import cpu_count, ordered_map
-from .distributions import Bernoulli, Distribution, Normal, PointMass, SeedSpec, _load_ndtri
+from .distributions import Distribution, Normal, PointMass, SeedSpec, _load_ndtri
 from .federation import SampledScenario, reduce_to_two_agent
 from .theory import ErrorProfile, _check_alpha, error_profile, ese_of_alpha
 
@@ -35,15 +35,13 @@ from .theory import ErrorProfile, _check_alpha, error_profile, ese_of_alpha
 #: on it.
 _CHUNK_DRAWS = 65_536
 
-#: Drawing trial means forks workers only from this many drawn uniforms on.
-#: Measured on a 2-core Xeon (numpy 2.4.6, ndtri and numpy.random loaded,
-#: 40 MiB resident): a fork costs 1.4 ms and a fork, exit and reap 4.4 ms;
-#: a round of two workers 7.7 ms. Against one process (median of 9-11,
-#: alternating), two workers took, in pass 1 of the curve statistics at 4
-#: and 25 draws per trial, 1.22-1.31x the time at 200k draws, 1.03-1.10x at
-#: 400k, 0.86-0.90x at 500k and 0.70-0.74x at 1M; in ``trial_means``, at 4,
-#: 25 and 120 draws per trial, 1.83-2.14x at 100k, 0.97-1.03x at 500k and
-#: 0.78-0.93x at 1M.
+#: Pass 1 of the curve statistics forks workers only from this many drawn
+#: uniforms on. Measured on a 2-core Xeon (numpy 2.4.6, ndtri and
+#: numpy.random loaded, 40 MiB resident): a fork costs 1.4 ms and a fork,
+#: exit and reap 4.4 ms; a round of two workers 7.7 ms. Against one process
+#: (median of 9-11, alternating), two workers took, at 4 and 25 draws per
+#: trial, 1.22-1.31x the time at 200k draws, 1.03-1.10x at 400k, 0.86-0.90x
+#: at 500k and 0.70-0.74x at 1M.
 _PARALLEL_MIN_DRAWS = 500_000
 
 #: The curve statistics fork workers only from this many trials x weights
@@ -283,17 +281,6 @@ def _row_means(a: np.ndarray) -> np.ndarray:
     return total
 
 
-def _kernel_means(dist: Distribution, k: np.ndarray) -> np.ndarray:
-    """``_row_means(dist._from_kernel(k))``, bit for bit.
-
-    A Bernoulli row's draws are 0.0s and 1.0s, whose sum is exact in any
-    order, so its successes are counted instead.
-    """
-    if isinstance(dist, Bernoulli):
-        return np.count_nonzero(dist._successes(k), axis=1) / k.shape[1]
-    return _row_means(dist._from_kernel(k))
-
-
 def _fill_means(means: np.ndarray, plan: _Plan, seed: SeedSpec, lo: int) -> None:
     """Fill ``means[scenario, side]`` with the side means of trials ``lo .. lo+means.shape[2]-1``.
 
@@ -335,7 +322,7 @@ def _fill_means(means: np.ndarray, plan: _Plan, seed: SeedSpec, lo: int) -> None
             for kernel, covered, slices in kernels:
                 k = kernel(u[:, covered])
                 for s, side, dist, draws in slices:
-                    means[s, side, c_lo - lo : c_hi - lo] = _kernel_means(dist, k[:, draws])
+                    means[s, side, c_lo - lo : c_hi - lo] = _row_means(dist._from_kernel(k[:, draws]))
                 del k  # freed before the next family's kernel is made
 
 
@@ -347,37 +334,9 @@ def trial_means(
     trials: int,
     seed: SeedSpec | int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-trial empirical means (xbar_t, ybar_t) for t = 0 .. trials-1, from :func:`_fill_means`.
-
-    Calls that draw at least ``_PARALLEL_MIN_DRAWS`` uniforms split their
-    chunks into one run per CPU the process may run on, each filled by a
-    forked worker (:func:`ordered_map`) and sent back through its pipe; no
-    row's mean, so no byte, depends on the split.
-    """
-    seed = _as_seed(seed)
-    plan = _draw_plan([SampledScenario(x, n_x, y, n_y)])
-    draws = sum(count for _, count, _ in plan[0])
-    chunk = max(1, _CHUNK_DRAWS // max(draws, 1))
-    n_chunks = -(-trials // chunk)
-    workers = min(cpu_count(), n_chunks) if trials * draws >= _PARALLEL_MIN_DRAWS else 1
-    means = np.empty((1, 2, trials))  # before any fork, so numpy reports a size it cannot make
-    if workers > 1:
-        _load_sampling(plan)
-    # Whole chunks per worker, so no chunk boundary moves.
-    bounds = [n_chunks * w // workers * chunk for w in range(workers)] + [trials]
-    parent = os.getpid()
-
-    # Run w's trials, in place: a forked worker's are sent back and copied in;
-    # a run made here (serially, or redone after its worker died) stays put.
-    def fill(w: int) -> bytes:
-        part = means[:, :, bounds[w] : bounds[w + 1]]
-        _fill_means(part, plan, seed, bounds[w])
-        return part.tobytes() if os.getpid() != parent else b""
-
-    with contextlib.closing(ordered_map(fill, workers, workers)) as parts:
-        for w, data in enumerate(parts):
-            if data:
-                means[:, :, bounds[w] : bounds[w + 1]] = np.frombuffer(data).reshape(1, 2, -1)
+    """Per-trial empirical means (xbar_t, ybar_t) for t = 0 .. trials-1, from :func:`_fill_means`."""
+    means = np.empty((1, 2, trials))
+    _fill_means(means, _draw_plan([SampledScenario(x, n_x, y, n_y)]), _as_seed(seed), 0)
     return means[0, 0], means[0, 1]
 
 

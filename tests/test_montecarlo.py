@@ -12,7 +12,6 @@ import pickle
 import subprocess
 import sys
 import tempfile
-import time
 import tracemalloc
 
 import numpy as np
@@ -234,11 +233,10 @@ if os.fork():
     os._exit(os.waitstatus_to_exitcode(os.wait()[1]))
 """
 
-# Peak RSS in MiB of a fresh interpreter that takes, serially, 20 trials'
-# means of a uniform x side of argv[1] draws beside a constant y.
+# Peak RSS in MiB of a fresh interpreter that takes 20 trials' means of a
+# uniform x side of argv[1] draws beside a constant y.
 LONG_STREAM_PEAK = FORKED + """
 import resource, sys
-os.sched_getaffinity = lambda pid: {0}
 from collab_avg import montecarlo as mc
 from collab_avg.distributions import PointMass, SeedSpec, Uniform
 mc.trial_means(Uniform(0.0, 1.0), int(sys.argv[1]), PointMass(0.0), 1, 20, SeedSpec(0))
@@ -284,7 +282,6 @@ class TestLongStreams:
         """Also catches a numpy that changes its pairwise rule."""
         short = max(short, mc._CHUNK_DRAWS + 1 - long)  # a trial longer than a chunk
         n_x, n_y = (long, short) if long_first else (short, long)
-        # Two trials of at most 240,000 draws stay below the forking threshold.
         means = trial_means(x, n_x, y, n_y, 2, seed)
         assert _means_bytes(means) == _means_bytes(_whole_row_means(x, n_x, y, n_y, 2, seed))
 
@@ -292,7 +289,6 @@ class TestLongStreams:
         # 70,000 draws are two leaves of 35,000, drawn trial by trial; the
         # 100-draw side takes one call for all 20 trials.
         x, n_x, y, n_y, trials, seed = Normal(0.0, 1.0), 100, Uniform(0.0, 1.0), 70_000, 20, SeedSpec(1)
-        force_cpus(monkeypatch, 1)
         spy = _DrawSpy(monkeypatch)
         means = trial_means(x, n_x, y, n_y, trials, seed)
         assert spy.calls == [(trials, 100, 0)] + [(1, 35_000, 100), (1, 35_000, 35_100)] * trials
@@ -329,97 +325,31 @@ def _means_bytes(means) -> bytes:
 
 
 class TestWorkers:
-    """Trial means do not depend on how many forked workers compute them."""
+    """Trial means are drawn in this process, whatever the CPUs and the forking threshold."""
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     @pytest.mark.parametrize(
-        "args,chunks",
+        "args",
         [
             # 24 draws per trial: chunks of 2,730 trials, the last one short.
-            ((Normal(0, 1), 11, Exponential(2.0), 13, 10_001, SeedSpec(7)), 4),
-            ((PointMass(0.5), 11, Exponential(2.0), 13, 10_001, SeedSpec(7)), 2),
-            ((Normal(0, 1), 11, PointMass(0.5), 13, 10_001, SeedSpec(7)), 2),
+            (Normal(0, 1), 11, Exponential(2.0), 13, 10_001, SeedSpec(7)),
+            (PointMass(0.5), 11, Exponential(2.0), 13, 10_001, SeedSpec(7)),
+            (Normal(0, 1), 11, PointMass(0.5), 13, 10_001, SeedSpec(7)),
             # 300-draw streams go through numpy's C Philox.
-            ((Normal(0, 1), 200, Uniform(0, 1), 100, 1_000, SeedSpec(8, 2**64 - 3)), 5),
+            (Normal(0, 1), 200, Uniform(0, 1), 100, 1_000, SeedSpec(8, 2**64 - 3)),
             # Trials longer than a chunk: one trial per chunk, drawn in leaves.
-            ((Uniform(0, 1), 70_000, Normal(0, 1), 3, 5, SeedSpec(9, 2**64 - 2)), 5),
+            (Uniform(0, 1), 70_000, Normal(0, 1), 3, 5, SeedSpec(9, 2**64 - 2)),
         ],
         ids=["both_random", "pointmass_x", "pointmass_y", "c_philox_stream", "long_stream"],
     )
-    def test_any_worker_count_gives_serial_bytes(self, monkeypatch, cpus, args, chunks):
-        monkeypatch.setattr(mc, "_PARALLEL_MIN_DRAWS", 10**18)
+    def test_no_fork_and_serial_bytes(self, monkeypatch, cpus, args):
+        force_cpus(monkeypatch, 1)
         # Kept alive, so the next result cannot reuse (and so inherit) its memory.
         serial = trial_means(*args)
         monkeypatch.setattr(mc, "_PARALLEL_MIN_DRAWS", 0)
         forks = force_cpus(monkeypatch, cpus)
         assert _means_bytes(trial_means(*args)) == _means_bytes(serial)
-        assert len(forks) == round_forks(min(cpus, chunks))
-        assert no_child_left()
-
-    @pytest.mark.parametrize("reached", [False, True], ids=["below", "at"])
-    def test_draws_threshold(self, monkeypatch, reached):
-        per_trial = 11 + 13
-        trials = -(-mc._PARALLEL_MIN_DRAWS // per_trial) - (0 if reached else 1)
-        args = (Normal(0, 1), 11, Bernoulli(0.3), 13, trials, SeedSpec(9))
-        force_cpus(monkeypatch, 1)
-        serial = trial_means(*args)
-        forks = force_cpus(monkeypatch, 2)
-        assert _means_bytes(trial_means(*args)) == _means_bytes(serial)
-        assert len(forks) == (round_forks(2) if reached else 0)
-
-    def test_failed_worker_range_is_recomputed(self, monkeypatch):
-        args = (Normal(0, 1), 11, Exponential(2.0), 13, 10_001, SeedSpec(7))
-        serial = trial_means(*args)
-        parent = os.getpid()
-        transform = Exponential._from_kernel
-
-        def fails_in_child(self, k):
-            if os.getpid() != parent:
-                raise RuntimeError("worker failure")
-            return transform(self, k)
-
-        monkeypatch.setattr(Exponential, "_from_kernel", fails_in_child)
-        monkeypatch.setattr(mc, "_PARALLEL_MIN_DRAWS", 0)
-        forks = force_cpus(monkeypatch, 2)
-        assert _means_bytes(trial_means(*args)) == _means_bytes(serial)
-        assert len(forks) == round_forks(2)
-        assert no_child_left()
-
-    def test_range_that_cannot_be_forked_is_computed_here(self, monkeypatch):
-        args = (Normal(0, 1), 11, Exponential(2.0), 13, 10_001, SeedSpec(7))
-        serial = trial_means(*args)
-
-        def no_fork():
-            raise BlockingIOError(11, "Resource temporarily unavailable")
-
-        monkeypatch.setattr(mc, "_PARALLEL_MIN_DRAWS", 0)
-        force_cpus(monkeypatch, 3)
-        monkeypatch.setattr(os, "fork", no_fork)
-        assert _means_bytes(trial_means(*args)) == _means_bytes(serial)
-
-    def test_failing_parent_range_leaves_no_worker(self, monkeypatch):
-        # The first run's worker dies, so its run is redone here, where it
-        # fails while the other workers are still running.
-        parent = os.getpid()
-        fill_means = mc._fill_means
-
-        def fails_in_parent(means, plan, seed, lo):
-            if os.getpid() == parent:
-                raise RuntimeError("parent failure")
-            if lo == 0:
-                os._exit(1)
-            time.sleep(60)
-            fill_means(means, plan, seed, lo)
-
-        monkeypatch.setattr(mc, "_fill_means", fails_in_parent)
-        monkeypatch.setattr(mc, "_PARALLEL_MIN_DRAWS", 0)
-        forks = force_cpus(monkeypatch, 3)
-        began = time.monotonic()
-        with pytest.raises(RuntimeError, match="parent failure"):
-            trial_means(Normal(0, 1), 11, Exponential(2.0), 13, 10_001, SeedSpec(7))
-        assert time.monotonic() - began < 30
-        assert len(forks) == round_forks(3)
-        assert no_child_left()
+        assert forks == []
 
     def test_unallocatable_shared_buffer_reports_numpy_error(self, monkeypatch):
         forks = force_cpus(monkeypatch, 2)
@@ -574,8 +504,7 @@ print([baseline, *(resource.getrusage(who).ru_maxrss for who in (resource.RUSAGE
 
 # A fresh interpreter on 2 CPUs that forks at any size and records, at each
 # fork, how many ndtri functions and how many numpy Philox classes are loaded,
-# around the call its argument names: 7,000-draw streams with no normal
-# side, 5-draw streams with one, suites of four scenarios that share
+# around the call its argument names: suites of four scenarios that share
 # draws 0 .. 4 or draws 0 .. 299 of each stream, and a suite below the
 # sharing rule whose normal side is in its 5-draw scenario.
 SCIPY_AT_FORK = """
@@ -596,11 +525,7 @@ def recording(work):
 _workers._fork = recording
 mc._PARALLEL_MIN_DRAWS = mc._PARALLEL_MIN_CURVE = 0
 call = sys.argv[1]
-if call == "long":
-    mc.trial_means(Exponential(1.0), 1000, Exponential(1.0), 6000, 2000, SeedSpec(0))
-elif call == "short":
-    mc.trial_means(Normal(0.0, 1.0), 3, Exponential(1.0), 2, 30_000, SeedSpec(0))
-elif call == "suite_below":
+if call == "suite_below":
     suite = [mc.SampledScenario(Exponential(1.0), 200, Exponential(1.0), 100)]
     suite.append(mc.SampledScenario(Normal(0.0, 1.0), 3, Exponential(1.0), 2))
     mc.estimate_suite_curves(suite, [0.5], 20_000, SeedSpec(0))
@@ -617,11 +542,6 @@ def _loaded_at_forks(call: str) -> list[tuple[int, int]]:
     result = subprocess.run([sys.executable, "-c", SCIPY_AT_FORK, call], capture_output=True, timeout=120)
     assert result.returncode == 0, result.stderr
     return ast.literal_eval(result.stdout.decode())
-
-
-def test_trial_means_loads_scipy_once_before_forking():
-    # One interpreter per call: a module the first call loaded stays loaded.
-    assert _loaded_at_forks("long") + _loaded_at_forks("short") == [(0, 1)] * round_forks(2) + [(1, 0)] * round_forks(2)
 
 
 def test_suite_loads_its_modules_before_forking():

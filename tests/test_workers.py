@@ -3,17 +3,14 @@
 from __future__ import annotations
 
 import ast
-import mmap
 import os
 import signal
 import time
-from contextlib import closing
 from pathlib import Path
 
 import pytest
 
 import collab_avg
-from collab_avg import _workers
 from collab_avg._workers import ordered_map
 
 from conftest import force_cpus, no_child_left, round_forks
@@ -43,7 +40,7 @@ def test_items_come_back_in_order(monkeypatch, workers):
 
 
 def test_empty_and_larger_than_a_pipe_items_round_trip(monkeypatch):
-    # Worker 1 sends an empty item, then 2 MiB, more than a pipe holds.
+    # Worker 1 sends an empty item, then 2 MiB, more than a default 64 KiB pipe holds.
     sizes = [5, 0, 3, 2**21]
     items = [bytes([i + 1]) * size for i, size in enumerate(sizes)]
     forks = force_cpus(monkeypatch, 2)
@@ -52,7 +49,8 @@ def test_empty_and_larger_than_a_pipe_items_round_trip(monkeypatch):
     assert no_child_left()
 
 
-def test_dead_worker_has_its_remaining_items_made_here(monkeypatch):
+@pytest.mark.parametrize("death", ["killed", "raises"])
+def test_dead_worker_has_its_remaining_items_made_here(monkeypatch, death):
     parent = os.getpid()
     made_here = []
 
@@ -60,6 +58,8 @@ def test_dead_worker_has_its_remaining_items_made_here(monkeypatch):
         if os.getpid() == parent:
             made_here.append(i)
         elif i >= 3:  # each worker sends its first item, then dies
+            if death == "raises":
+                raise RuntimeError("worker failure")
             os.kill(os.getpid(), signal.SIGKILL)
         return _item(i)
 
@@ -70,45 +70,35 @@ def test_dead_worker_has_its_remaining_items_made_here(monkeypatch):
     assert no_child_left()
 
 
-@pytest.mark.skipif(_workers.F_SETPIPE_SZ is None, reason="pipes keep their default size")
-def test_a_worker_runs_a_mebibyte_ahead(monkeypatch):
-    # Worker 1 makes item 7 only once items 1, 3 and 5 (768 KiB) are in its
-    # pipe, while the reader still waits for item 0; a 64 KiB pipe holds
-    # none of them, and item 0 would then give up after 10 seconds.
-    worker_1_done = mmap.mmap(-1, 1)
+def test_an_item_that_cannot_be_forked_is_made_here(monkeypatch):
+    def no_fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
 
-    def make(i: int) -> bytes:
-        if i == 0:
-            deadline = time.monotonic() + 10
-            while not worker_1_done[0] and time.monotonic() < deadline:
-                time.sleep(0.01)
-            return worker_1_done[:]
-        if i == 7:
-            worker_1_done[0] = 1
-        return bytes(2**18)
-
-    force_cpus(monkeypatch, 2)
-    began = time.monotonic()
-    with closing(ordered_map(make, 8, 2)) as items:
-        assert next(items) == b"\x01"
-    assert time.monotonic() - began < 5
+    force_cpus(monkeypatch, 3)
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert list(ordered_map(_item, 9, 3)) == [_item(i) for i in range(9)]
     assert no_child_left()
 
 
-@pytest.mark.parametrize("limit", ["no_constant", "refused"])
-def test_a_pipe_that_cannot_grow_keeps_its_size(monkeypatch, limit):
-    if limit == "no_constant":
-        monkeypatch.setattr(_workers, "F_SETPIPE_SZ", None)
-    else:
+def test_an_error_made_here_leaves_no_worker(monkeypatch):
+    # Worker 0 dies, so its item is redone here, where it fails while the
+    # other workers are still running.
+    parent = os.getpid()
 
-        def refused(fd, cmd, arg):
-            raise PermissionError(1, "Operation not permitted")
+    def make(i: int) -> bytes:
+        if os.getpid() == parent:
+            raise RuntimeError("parent failure")
+        if i == 0:
+            os._exit(1)
+        time.sleep(60)
+        return _item(i)
 
-        monkeypatch.setattr(_workers, "F_SETPIPE_SZ", 1031)  # Linux's value
-        monkeypatch.setattr(_workers, "fcntl", refused)
-    forks = force_cpus(monkeypatch, 2)
-    assert list(ordered_map(_item, 10, 2)) == [_item(i) for i in range(10)]
-    assert len(forks) == round_forks(2)
+    forks = force_cpus(monkeypatch, 3)
+    began = time.monotonic()
+    with pytest.raises(RuntimeError, match="parent failure"):
+        list(ordered_map(make, 3, 3))
+    assert time.monotonic() - began < 30
+    assert len(forks) == round_forks(3)
     assert no_child_left()
 
 
