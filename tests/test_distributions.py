@@ -128,6 +128,14 @@ class TestSampling:
         assert abs(values.mean() - 0.5) < 0.002
         assert set(np.unique(values)) <= {0.0, 1.0}
 
+    def test_bernoulli_is_one_strictly_below_p(self):
+        p = 0.3
+        u = np.array([np.nextafter(p, 0.0), p, np.nextafter(p, 1.0)])
+        assert Bernoulli(p)._from_uniforms(u).tolist() == [1.0, 0.0, 0.0]
+        u = draws(Uniform(0.0, 1.0), 1000, SeedSpec(5))  # uniforms in (0, 1)
+        assert not Bernoulli(0.0)._from_uniforms(u).any()
+        assert Bernoulli(1.0)._from_uniforms(u).all()
+
     @pytest.mark.parametrize("spec", ALL_FAMILIES, ids=repr)
     def test_law_of_large_numbers(self, spec):
         """Empirical mean within 5 sigma/sqrt(n); variance within 5 SEs."""

@@ -223,6 +223,16 @@ class TestNaiveReference:
         monkeypatch.setattr(mc, "_CHUNK_DRAWS", chunk_draws)
         assert _means_bytes(trial_means(*args)) == expected
 
+    # A sum of zeros and ones is exact, so a Bernoulli side's mean is its
+    # successes over its draws, on either path.
+    @pytest.mark.parametrize("chunk_draws", [65_536, 64], ids=["fits_a_chunk", "side_beyond_a_chunk"])
+    def test_bernoulli_means_are_successes_over_draws(self, monkeypatch, chunk_draws):
+        x, n_x, y, n_y, trials, seed = Bernoulli(0.3), 13, Bernoulli(0.6), 300, 40, SeedSpec(18, 2**64 - 7)
+        u = uniform_matrix(seed.master_seed, seed.stream_id, trials, n_x + n_y)
+        successes = ((u[:, :n_x] < x.p).sum(axis=1) / n_x, (u[:, n_x:] < y.p).sum(axis=1) / n_y)
+        monkeypatch.setattr(mc, "_CHUNK_DRAWS", chunk_draws)
+        assert _means_bytes(trial_means(x, n_x, y, n_y, trials, seed)) == _means_bytes(successes)
+
 
 # A process's ru_maxrss starts from the peak of the process that started
 # it, the test runner here; a child forked from a bare interpreter starts
@@ -944,6 +954,22 @@ class TestOneScenario:
         assert spy.draws == trials * 5
         assert {call[1:] for call in spy.calls} == {(5, 0)}
         assert max(n_streams for n_streams, _, _ in spy.calls) == mc._CHUNK_DRAWS // 5
+
+    @pytest.mark.parametrize("reached", [False, True], ids=["below", "at"])
+    def test_pass_one_forks_from_the_draws_threshold(self, monkeypatch, reached):
+        # 20 draws per trial, a Bernoulli side among them, so "at" draws
+        # exactly the threshold; pass 2 stays in this process.
+        per_trial = 7 + 13
+        assert mc._PARALLEL_MIN_DRAWS % per_trial == 0
+        trials = mc._PARALLEL_MIN_DRAWS // per_trial - (0 if reached else 1)
+        args = (Normal(0, 1), 7, Bernoulli(0.3), 13, CURVE_ALPHAS, trials, SeedSpec(9))
+        monkeypatch.setattr(mc, "_PARALLEL_MIN_CURVE", 10**18)
+        force_cpus(monkeypatch, 1)
+        serial = estimate_error_curve(*args)
+        forks = force_cpus(monkeypatch, 2)
+        assert estimate_error_curve(*args) == serial
+        assert len(forks) == (round_forks(2) if reached else 0)
+        assert no_child_left()
 
     def test_pass_two_forks_from_the_curve_threshold(self, monkeypatch):
         # Pass 1 draws 5 x 20,001 uniforms, below the draws threshold; pass

@@ -70,17 +70,37 @@ def test_dead_worker_has_its_remaining_items_made_here(monkeypatch, death):
     assert no_child_left()
 
 
-def test_an_item_that_cannot_be_forked_is_made_here(monkeypatch):
-    def no_fork():
-        raise BlockingIOError(11, "Resource temporarily unavailable")
+@pytest.mark.parametrize("refused", ["every", "second"])
+def test_an_item_that_cannot_be_forked_is_made_here(monkeypatch, refused):
+    # Only the workers that could not be forked have their items made here.
+    parent = os.getpid()
+    made_here = []
 
-    force_cpus(monkeypatch, 3)
+    def make(i: int) -> bytes:
+        if os.getpid() == parent:
+            made_here.append(i)
+        return _item(i)
+
+    forks = force_cpus(monkeypatch, 3)
+    fork = os.fork
+    tries = []
+
+    def no_fork():
+        tries.append(1)
+        if refused == "every" or len(tries) == 2:
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        return fork()
+
     monkeypatch.setattr(os, "fork", no_fork)
-    assert list(ordered_map(_item, 9, 3)) == [_item(i) for i in range(9)]
+    assert list(ordered_map(make, 9, 3)) == [_item(i) for i in range(9)]
+    assert made_here == (list(range(9)) if refused == "every" else [1, 4, 7])
+    assert len(tries) == 3
+    assert len(forks) == (0 if refused == "every" else 2)
     assert no_child_left()
 
 
-def test_an_error_made_here_leaves_no_worker(monkeypatch):
+@pytest.mark.parametrize("death", ["exits", "raises"])
+def test_an_error_made_here_leaves_no_worker(monkeypatch, death):
     # Worker 0 dies, so its item is redone here, where it fails while the
     # other workers are still running.
     parent = os.getpid()
@@ -89,6 +109,8 @@ def test_an_error_made_here_leaves_no_worker(monkeypatch):
         if os.getpid() == parent:
             raise RuntimeError("parent failure")
         if i == 0:
+            if death == "raises":
+                raise RuntimeError("worker failure")
             os._exit(1)
         time.sleep(60)
         return _item(i)
