@@ -53,7 +53,7 @@ def _fork(work: Callable[[], None]) -> Iterator[int]:
 
 
 def ordered_map(make: Callable[[int], bytes], n: int, workers: int) -> Iterator[bytes]:
-    """Yield ``make(i)`` for ``i = 0 .. n-1`` in order, made by ``workers`` processes.
+    """Yield ``make(i)`` for ``i = 0 .. n-1`` in order, made by ``min(workers, n)`` processes.
 
     One worker is this process. From two on, item ``i`` belongs to worker
     ``i % workers``, a forked child that makes its items in turn and writes
@@ -66,6 +66,7 @@ def ordered_map(make: Callable[[int], bytes], n: int, workers: int) -> Iterator[
     child is killed and reaped; close it explicitly rather than leave that
     to garbage collection.
     """
+    workers = min(workers, n)
     pipes: list[BinaryIO | None] = [None] * workers
     children = []
     try:

@@ -228,7 +228,7 @@ def _contour_rows(u_grid: np.ndarray, v_grid: np.ndarray) -> Iterator[bytes]:
 
     workers = 1
     if len(u_values) * len(v_cells) >= _PARALLEL_MIN_CELLS:
-        workers = min(cpu_count(), len(u_values))
+        workers = cpu_count()
     with closing(ordered_map(row, len(u_values), workers)) as rows:
         yield from rows
 
@@ -315,6 +315,8 @@ def main(argv: list[str] | None = None) -> int:
             require_scenario=needs_scenario,
             sampling=args.command == "validate",
         )
+        if needs_scenario and args.command != "validate" and len(config.scenarios) > 1:  # a suite is for validate
+            raise ConfigError(f"{args.command} takes one scenario, but the file defines {len(config.scenarios)}")
         return run(config)
     except (ConfigError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

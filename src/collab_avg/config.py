@@ -277,7 +277,7 @@ def load_run_config(
 
     if sampling:
         try:
-            _load_sampling(_draw_plan(scenarios), ndtri=True)
+            _load_sampling(_draw_plan(scenarios)[0], ndtri=True)
         except ImportError as exc:
             raise ConfigError(f"validate needs scipy to sample: {exc}") from None
     return RunConfig(

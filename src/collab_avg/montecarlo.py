@@ -192,14 +192,15 @@ def _read_at(fd: int, shape: tuple[int, ...], offset: int) -> np.ndarray:
     return np.frombuffer(data).reshape(shape)
 
 
-#: :func:`_draw_plan`'s runs ``(first, count, sides)``, each side ``(scenario,
-#: side, distribution, first draw, end)``, and constant sides ``(scenario,
-#: side, value)``.
-_Plan = tuple[list[tuple[int, int, list[tuple[int, int, Distribution, int, int]]]], list[tuple[int, int, float]]]
+#: :func:`_draw_plan`'s runs ``(first, count, sides)``, each side ``(row,
+#: distribution, first draw, end)`` with rows 0, 1, ... in scenario order;
+#: and each scenario's ``(x, y)``: a random side's row, or a constant's value.
+_Runs = list[tuple[int, int, list[tuple[int, Distribution, int, int]]]]
+_Plan = tuple[_Runs, list[tuple[int | float, int | float]]]
 
 
 def _draw_plan(scenarios: Sequence[SampledScenario]) -> _Plan:
-    """The runs of draws each trial takes, and the constant sides.
+    """The runs of draws each trial takes, and where each scenario's side means come from.
 
     Each scenario's x takes draws 0 .. n_x-1 of a trial's stream and y
     draws n_x .. n_x+n_y-1. A point mass consumes no randomness, and its
@@ -209,32 +210,35 @@ def _draw_plan(scenarios: Sequence[SampledScenario]) -> _Plan:
     scenario's own range, or each of its random sides when the range is
     longer than a chunk.
     """
-    runs, constants = [], []
-    for s, scenario in enumerate(scenarios):
+    runs, sources, rows = [], [], 0
+    for scenario in scenarios:
         x, n_x, y, n_y = scenario.x, scenario.n_x, scenario.y, scenario.n_y
         if scenario.more:
             raise ValueError("a scenario with more than one helper cannot be sampled yet")
         if n_y == math.inf:
             raise ValueError("infinite n_y cannot be simulated; use the closed form")
-        sides = []
-        for side, dist, d_lo, d_hi in ((0, x, 0, n_x), (1, y, n_x, n_x + n_y)):
+        sides, source = [], []
+        for dist, d_lo, d_hi in ((x, 0, n_x), (y, n_x, n_x + n_y)):
             if isinstance(dist, PointMass):
-                constants.append((s, side, float(dist.value)))
+                source.append(float(dist.value))
             else:
-                sides.append((s, side, dist, d_lo, d_hi))
+                source.append(rows)
+                sides.append((rows, dist, d_lo, d_hi))
+                rows += 1
+        sources.append(tuple(source))
         if not sides:
             continue
-        first, count = sides[0][3], sides[-1][4] - sides[0][3]
+        first, count = sides[0][2], sides[-1][3] - sides[0][2]
         if count > 2**40:  # hours of one core per trial, and a run has at least 100 trials
             raise ValueError(f"a trial of {count} draws is too long to simulate (at most 2**40)")
         if count <= _CHUNK_DRAWS:
             runs.append((first, count, sides))
         else:
-            runs += [(side[3], side[4] - side[3], [side]) for side in sides]
+            runs += [(side[2], side[3] - side[2], [side]) for side in sides]
     shared = _shared_range([run[:2] for run in runs])
     if shared:
         runs = [(*shared, [side for *_, sides in runs for side in sides])]
-    return runs, constants
+    return runs, sources
 
 
 def _shared_range(ranges: Sequence[tuple[int, int]]) -> tuple[int, int] | None:
@@ -281,48 +285,45 @@ def _row_means(a: np.ndarray) -> np.ndarray:
     return total
 
 
-def _fill_means(means: np.ndarray, plan: _Plan, seed: SeedSpec, lo: int) -> None:
-    """Fill ``means[scenario, side]`` with the side means of trials ``lo .. lo+means.shape[2]-1``.
+def _fill_means(means: np.ndarray, runs: _Runs, seed: SeedSpec, lo: int) -> None:
+    """Fill ``means[row]`` with the random side's means of trials ``lo .. lo+means.shape[1]-1``.
 
-    ``plan`` is :func:`_draw_plan`'s. A run that fits in a chunk is drawn
+    ``runs`` are :func:`_draw_plan`'s. A run that fits in a chunk is drawn
     chunk by chunk, with one ``_kernel`` per family over the draws covering
     its sides. A longer run, a single side, is drawn a trial at a time in
     leaves of numpy's pairwise-sum tree. Each mean has the bits of ``mean``.
     """
-    runs, constants = plan
-    hi = lo + means.shape[2]
-    for s, side, value in constants:
-        means[s, side].fill(value)
+    hi = lo + means.shape[1]
     for first, count, sides in runs:
         if count > _CHUNK_DRAWS:
-            ((s, side, dist, d_lo, d_hi),) = sides
+            ((row, dist, d_lo, d_hi),) = sides
             for t in range(lo, hi):
 
                 def leaf_sum(l_lo: int, l_hi: int) -> float:
                     u = uniform_matrix(seed.master_seed, seed.stream_id + t, 1, l_hi - l_lo, l_lo)[0]
                     return np.add.reduce(dist._from_uniforms(u))
 
-                means[s, side, t - lo] = _pairwise_sum(leaf_sum, d_lo, d_hi, _CHUNK_DRAWS) / count
+                means[row, t - lo] = _pairwise_sum(leaf_sum, d_lo, d_hi, _CHUNK_DRAWS) / count
             continue
         families: dict[type, list] = {}
         for member in sides:
-            families.setdefault(type(member[2]), []).append(member)
+            families.setdefault(type(member[1]), []).append(member)
         # Per family: its kernel, the draws covering all its sides, and each
         # side with its draws' slice of the kernel.
         kernels = []
         for members in families.values():
-            k_lo = min(member[3] for member in members)
-            k_hi = max(member[4] for member in members)
-            slices = [(s, side, dist, slice(d_lo - k_lo, d_hi - k_lo)) for s, side, dist, d_lo, d_hi in members]
-            kernels.append((members[0][2]._kernel, slice(k_lo - first, k_hi - first), slices))
+            k_lo = min(member[2] for member in members)
+            k_hi = max(member[3] for member in members)
+            slices = [(row, dist, slice(d_lo - k_lo, d_hi - k_lo)) for row, dist, d_lo, d_hi in members]
+            kernels.append((members[0][1]._kernel, slice(k_lo - first, k_hi - first), slices))
         rows = _CHUNK_DRAWS // count
         for c_lo in range(lo, hi, rows):
             c_hi = min(c_lo + rows, hi)
             u = uniform_matrix(seed.master_seed, seed.stream_id + c_lo, c_hi - c_lo, count, first)
             for kernel, covered, slices in kernels:
                 k = kernel(u[:, covered])
-                for s, side, dist, draws in slices:
-                    means[s, side, c_lo - lo : c_hi - lo] = _row_means(dist._from_kernel(k[:, draws]))
+                for row, dist, draws in slices:
+                    means[row, c_lo - lo : c_hi - lo] = _row_means(dist._from_kernel(k[:, draws]))
                 del k  # freed before the next family's kernel is made
 
 
@@ -335,9 +336,10 @@ def trial_means(
     seed: SeedSpec | int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-trial empirical means (xbar_t, ybar_t) for t = 0 .. trials-1, from :func:`_fill_means`."""
-    means = np.empty((1, 2, trials))
-    _fill_means(means, _draw_plan([SampledScenario(x, n_x, y, n_y)]), _as_seed(seed), 0)
-    return means[0, 0], means[0, 1]
+    runs, (sources,) = _draw_plan([SampledScenario(x, n_x, y, n_y)])
+    means = np.empty((2, trials))  # the rows of up to two random sides
+    _fill_means(means, runs, _as_seed(seed), 0)
+    return tuple(means[s] if isinstance(s, int) else np.full(trials, s) for s in sources)
 
 
 T = TypeVar("T")
@@ -366,8 +368,8 @@ def _pairwise_sum(leaf_sum: Callable[[int, int], T], lo: int, hi: int, leaf: int
 
 
 def _curve_sums(
-    xbar: np.ndarray,
-    ybar: np.ndarray,
+    xbar: np.ndarray | float,
+    ybar: np.ndarray | float,
     alphas: Sequence[float],
     mu_x: float,
     scratch: np.ndarray,
@@ -376,19 +378,20 @@ def _curve_sums(
     """Per-weight ``np.add.reduce`` over these trials of the squared errors.
 
     Each weight's squared errors are ``(1 - alpha) * xbar + alpha * ybar -
-    mu_x``, squared, as numpy's ``mean`` would see them. Given each
-    weight's mean squared error as ``centres``, the sums are of the squared
-    deviations from it instead, as in numpy's ``std``. ``scratch`` has two
-    rows of at least the trials' length, reused from call to call. A
-    squared error can overflow a float; its point then reads FAIL, silently.
+    mu_x``, squared, as numpy's ``mean`` would see them; a constant side's
+    float product has a filled row's bits, at half the cost of numpy's.
+    Given each weight's mean squared error as ``centres``, the sums are of
+    the squared deviations from it instead, as in numpy's ``std``.
+    ``scratch`` is two rows of the trials' length. A squared error can
+    overflow a float; its point then reads FAIL, silently.
     """
-    err, sq = scratch[:, : xbar.size]
+    err, sq = scratch
     out = np.empty(len(alphas))
     with np.errstate(over="ignore", invalid="ignore"):
         for w, alpha in enumerate(alphas):
-            np.multiply(xbar, 1.0 - alpha, out=err)
-            np.multiply(ybar, alpha, out=sq)
-            np.add(err, sq, out=err)
+            x = xbar * (1.0 - alpha) if isinstance(xbar, float) else np.multiply(xbar, 1.0 - alpha, out=err)
+            y = ybar * alpha if isinstance(ybar, float) else np.multiply(ybar, alpha, out=sq)
+            np.add(x, y, out=err)
             np.subtract(err, mu_x, out=err)
             np.square(err, out=sq)
             if centres is not None:
@@ -414,10 +417,10 @@ def _tree_statistics(
     and adds the tables up in tree order, which keeps numpy's bits. The
     tree is cut into a few whole subtrees per CPU, each summed by one
     process, so neither the leaves nor their tables are ever listed. A
-    pass whose entry of ``parallel`` is true splits the subtrees into one
-    contiguous run per CPU, each summed by a forked worker
-    (:func:`ordered_map`) that reads only its own trials and sends its
-    tables back; this process only adds the tables up.
+    pass whose entry of ``parallel`` is true deals the subtrees round-robin
+    to one forked worker per CPU (:func:`ordered_map`), which reads only
+    its own trials and sends each subtree's table back; this process only
+    adds the tables up as they arrive.
     """
     cpus = cpu_count() if any(parallel) else 1
     # The subtrees, in tree order: the tree's leaves, or nodes of about a
@@ -426,19 +429,11 @@ def _tree_statistics(
     nodes = _pairwise_sum(lambda lo, hi: [(lo, hi)], 0, trials, top)
 
     def summed(centres: np.ndarray | None, fork: bool) -> np.ndarray:
-        workers = min(cpus, len(nodes)) if fork else 1
-        bounds = [len(nodes) * w // workers for w in range(workers + 1)]
+        def table(i: int) -> bytes:  # subtree i's
+            return _pairwise_sum(lambda lo, hi: leaf_sums(lo, hi, centres), *nodes[i], leaf).tobytes()
 
-        def run(w: int) -> bytes:  # the tables of worker w's subtrees, one after another
-            return b"".join(
-                _pairwise_sum(lambda lo, hi: leaf_sums(lo, hi, centres), *nodes[i], leaf).tobytes()
-                for i in range(bounds[w], bounds[w + 1])
-            )
-
-        with contextlib.closing(ordered_map(run, workers, workers)) as runs:
-            tables = np.frombuffer(b"".join(runs)).reshape(len(nodes), *shape)
-        in_order = iter(tables)
-        return _pairwise_sum(lambda lo, hi: next(in_order), 0, trials, top)
+        with contextlib.closing(ordered_map(table, len(nodes), cpus if fork else 1)) as tables:
+            return _pairwise_sum(lambda lo, hi: np.frombuffer(next(tables)).reshape(shape), 0, trials, top)
 
     mean = summed(None, parallel[0]) / trials
     return mean, np.sqrt(summed(mean, parallel[1]) / (trials - 1))
@@ -462,17 +457,16 @@ def estimate_error_curve(
     return estimate_suite_curves([SampledScenario(x, n_x, y, n_y)], alphas, trials, seed)[0]
 
 
-def _load_sampling(plan: _Plan, ndtri: bool = False) -> None:
-    """Load what sampling by ``plan`` uses: ndtri for a normal side, or always with ``ndtri``.
+def _load_sampling(runs: _Runs, ndtri: bool = False) -> None:
+    """Load what sampling :func:`_draw_plan`'s ``runs`` uses: ndtri for a normal side, or always with ``ndtri``.
 
     Also numpy's C Philox, for a run of ``_C_MIN_DRAWS`` draws or more.
     Called while a command sets up, and before the core forks, so that
     nothing is imported in the run or in every forked worker.
     """
-    runs, _ = plan
     if max((count for _, count, _ in runs), default=0) >= _C_MIN_DRAWS:
         _load_philox()
-    if ndtri or any(isinstance(side[2], Normal) for *_, sides in runs for side in sides):
+    if ndtri or any(isinstance(side[1], Normal) for *_, sides in runs for side in sides):
         _load_ndtri()
 
 
@@ -510,11 +504,11 @@ def estimate_suite_curves(
     draws when ``_shared_range`` says it pays, and each scenario's own
     range otherwise.
 
-    Pass 1 of ``_tree_statistics`` takes a leaf's means from
-    ``_fill_means`` and writes the random sides' to an unlinked scratch
-    file (trials x random sides x 8 bytes, in TMPDIR), which pass 2 reads
-    back instead of drawing again; so no trial-length buffer is held in
-    memory. Pass 1 forks from ``_PARALLEL_MIN_DRAWS`` draws on; pass 2,
+    Pass 1 of ``_tree_statistics`` takes a leaf's random sides' means from
+    ``_fill_means`` and writes them to an unlinked scratch file (trials x
+    random sides x 8 bytes, in TMPDIR), which pass 2 reads back instead of
+    drawing again; so no trial-length buffer is held in memory, and a
+    constant side is only its value. Pass 1 forks from ``_PARALLEL_MIN_DRAWS`` draws on; pass 2,
     which only sums, from ``_PARALLEL_MIN_CURVE`` trials x scenarios x
     weights on. The workers share the file. Without a random side nothing
     is drawn and no file is made.
@@ -524,7 +518,7 @@ def estimate_suite_curves(
         _check_alpha(alpha)
     _check_trials(trials)
     seed = _as_seed(seed)
-    plan = runs, constants = _draw_plan(scenarios)
+    runs, sources = _draw_plan(scenarios)
     draws = sum(count for _, count, _ in runs)
     # Processes that seek in one shared file would move each other's
     # position, so without positioned I/O neither pass forks.
@@ -534,45 +528,42 @@ def estimate_suite_curves(
         forks and trials * len(scenarios) * len(alphas) >= _PARALLEL_MIN_CURVE,
     )
     if parallel[0]:
-        _load_sampling(plan)
-    random_sides = [side[:2] for *_, sides in runs for side in sides]  # the file's rows
+        _load_sampling(runs)
+    rows = sum(len(sides) for *_, sides in runs)  # the random sides, the file's rows
     mus = [scenario.x.mean() for scenario in scenarios]
     # Trials per leaf: the largest power of two whose random sides' means fit
     # in _LEAF_MEANS, at most _SUITE_LEAF, and at most a CPU's share of the
     # trials, so that every CPU has a leaf (mc_long's 2,000 trials are two
     # leaves on 2 CPUs); at least 128 (see _pairwise_sum), even where 128
     # trials' means exceed _LEAF_MEANS (past 2,048 random sides).
-    fits = 1 << max((_LEAF_MEANS // max(len(random_sides), 1)).bit_length() - 1, 0)
+    fits = 1 << max((_LEAF_MEANS // max(rows, 1)).bit_length() - 1, 0)
     leaf = max(128, min(fits, _SUITE_LEAF, -(-trials // cpu_count())))
     scratch = np.empty((2, min(trials, leaf)))
 
     def leaf_sums(lo: int, hi: int, centres: np.ndarray | None) -> np.ndarray:
         """``[scenario, weight]`` sums over trials ``lo .. hi-1``.
 
-        Pass 1 draws them by the plan and writes the random sides' means to
-        ``spill`` at their trials' place; pass 2 reads them back.
+        Pass 1 draws the random sides' means by the plan and writes them to
+        ``spill`` as the leaf's ``[row, trial]`` block; pass 2 reads it back.
         """
-        means = np.empty((len(scenarios), 2, hi - lo))  # [scenario, side, trial]
-        # Each leaf is a [random side, trial] block of the file, row by row.
-        block = 8 * len(random_sides) * lo
-        rows = [(means[s, side], block + 8 * i * (hi - lo)) for i, (s, side) in enumerate(random_sides)]
-        if centres is None:
-            _fill_means(means, plan, seed, lo)
-            for row, offset in rows:
-                _write_at(spill.fileno(), row, offset)
+        shape, offset = (rows, hi - lo), 8 * rows * lo
+        if centres is not None:
+            means = _read_at(spill.fileno(), shape, offset) if rows else None
         else:
-            _fill_means(means, ([], constants), seed, lo)  # the constants alone
-            for row, offset in rows:
-                row[...] = _read_at(spill.fileno(), row.shape, offset)
+            means = np.empty(shape)
+            _fill_means(means, runs, seed, lo)
+            if rows:
+                _write_at(spill.fileno(), means, offset)
+        sides = [[means[side] if isinstance(side, int) else side for side in pair] for pair in sources]
         return np.array(
             [
-                _curve_sums(means[s, 0], means[s, 1], alphas, mu_x, scratch, None if centres is None else centres[s])
+                _curve_sums(*sides[s], alphas, mu_x, scratch[:, : hi - lo], None if centres is None else centres[s])
                 for s, mu_x in enumerate(mus)
             ]
         ).reshape(len(mus), len(alphas))  # an empty suite's too
 
     # The scratch file honours TMPDIR and is unlinked at creation.
-    with tempfile.TemporaryFile() if random_sides else contextlib.nullcontext() as spill:
+    with tempfile.TemporaryFile() if rows else contextlib.nullcontext() as spill:
         stats = _tree_statistics(leaf_sums, trials, leaf, (len(scenarios), len(alphas)), parallel)
     return [
         [MonteCarloEstimate(float(m), float(s) / math.sqrt(trials), trials, seed) for m, s in zip(mean, std)]

@@ -72,6 +72,12 @@ y:
 alphas: [0.2, 0.5]
 """
 
+ONE_ENTRY_SUITE_YAML = """\
+scenarios:
+  - {x: {family: normal, params: {mu: 0.0, sd: 1.0}}, n_x: 5, y: {family: normal, params: {mu: 0.1, sd: 1.0}}, n_y: 3}
+alphas: [0.2, 0.5]
+"""
+
 
 # Inputs of the closed-form golden pins below: a biased helper with odd
 # moments, so any change in the arithmetic's order shows in the last bit.
@@ -819,6 +825,25 @@ class TestScenarioForms:
         assert (code, out) == (1, "")
         assert err == "error: a scenario with more than one helper cannot be sampled yet\n"
         assert not out_path.exists()
+
+    @pytest.mark.parametrize("command", ["profile", "curve", "federate"])
+    def test_single_scenario_command_on_a_suite_exits_1_with_one_line(self, tmp_path, capsys, command):
+        # It would answer for the first scenario alone; a one-entry list is
+        # the two-agent file's scenario.
+        path = tmp_path / "suite.yaml"
+        path.write_text(SHARED_SHORT_STREAMS_YAML)
+        out_path = tmp_path / "out.txt"
+        code, out, err = run_cli(capsys, command, "--scenario", str(path), "--out", str(out_path))
+        assert (code, out) == (1, "")
+        assert err == f"error: {command} takes one scenario, but the file defines 4\n"
+        assert not out_path.exists()
+        results = []
+        for name, text in (("two_agent", ONE_HELPER_YAML), ("one_entry", ONE_ENTRY_SUITE_YAML)):
+            path = tmp_path / f"{name}.yaml"
+            path.write_text(text)
+            results.append(run_cli(capsys, command, "--scenario", str(path)))
+        assert results[0] == results[1]
+        assert results[0][0] == 0
 
 
 # The mc_long benchmark scenario: 7,000-draw streams over 2,000 trials fork

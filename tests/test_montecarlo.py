@@ -385,7 +385,7 @@ def _statistics(xbar, ybar, alphas, leaf=32_768, parallel=False, mu_x=0.25):
     scratch = np.empty((2, min(trials, leaf)))
 
     def leaf_sums(lo, hi, centres):
-        return mc._curve_sums(xbar[lo:hi], ybar[lo:hi], alphas, mu_x, scratch, centres)
+        return mc._curve_sums(xbar[lo:hi], ybar[lo:hi], alphas, mu_x, scratch[:, : hi - lo], centres)
 
     mean, std = mc._tree_statistics(leaf_sums, trials, leaf, (len(alphas),), (parallel, parallel))
     return [(float(m), float(s) / math.sqrt(trials)) for m, s in zip(mean, std)]
@@ -652,6 +652,19 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
 """
 
 
+# Peak RSS in MiB of a fresh interpreter on 1 CPU that estimates a suite of
+# argv[1] scenarios with two constant sides at 100,000 trials.
+CONSTANT_SUITE_PEAK = FORKED + """
+import resource, sys
+os.sched_getaffinity = lambda pid: {0}
+from collab_avg import montecarlo as mc
+from collab_avg.distributions import PointMass, SeedSpec
+suite = [mc.SampledScenario(PointMass(1.0), 3, PointMass(1.5), 5)] * int(sys.argv[1])
+mc.estimate_suite_curves(suite, mc.VALIDATION_ALPHAS, 100_000, SeedSpec(0))
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
+"""
+
+
 class TestSuiteCurves:
     """A suite that shares its streams gives each scenario's own estimates, bit for bit."""
 
@@ -778,6 +791,44 @@ class TestSuiteCurves:
             return float(result.stdout)
 
         assert peak(200_000) < peak(50_000) + 1.0
+
+    def test_constant_sides_hold_no_trial_means(self):
+        # Filled in per trial, 20 such scenarios' sides would take 20 x 2 x
+        # 50,000 floats in each of the two leaves, 15.3 MiB: a peak 14.6 MiB
+        # above one scenario's when measured. A constant side is its value.
+        def peak(scenarios: int) -> float:
+            result = subprocess.run(
+                [sys.executable, "-c", CONSTANT_SUITE_PEAK, str(scenarios)], capture_output=True, timeout=300
+            )
+            assert result.returncode == 0, result.stderr
+            return float(result.stdout)
+
+        assert peak(20) < peak(1) + 2.0
+
+    def test_one_write_and_one_read_per_leaf(self, monkeypatch):
+        # c06's 19 random sides get leaves of at most 8,192 trials: 20,000
+        # trials are four leaves of 5,000, each written and read back as its
+        # whole [random side, trial] block of the file.
+        trials, sides = 20_000, 19
+        blocks = [(8 * sides * 5_000, 8 * sides * lo) for lo in range(0, trials, 5_000)]
+        writes, reads = [], []
+        pwrite, pread = os.pwrite, os.pread
+
+        def counted_pwrite(fd, data, offset):
+            writes.append((memoryview(data).nbytes, offset))
+            return pwrite(fd, data, offset)
+
+        def counted_pread(fd, size, offset):
+            reads.append((size, offset))
+            return pread(fd, size, offset)
+
+        monkeypatch.setattr(os, "pwrite", counted_pwrite)
+        monkeypatch.setattr(os, "pread", counted_pread)
+        forks = force_cpus(monkeypatch, 1)
+        mc.estimate_suite_curves(MC_SUITE, mc.VALIDATION_ALPHAS, trials, SeedSpec(MC_BASE_SEED))
+        assert writes == blocks
+        assert reads == blocks
+        assert forks == []
 
     def test_one_kernel_per_family_and_chunk(self, monkeypatch):
         # c06's normal sides take 190 draws per trial, all among draws 0 ..
@@ -911,7 +962,7 @@ def counted_fork():
 
 mc.uniform_matrix, os.fork = spied_draw, counted_fork
 suite = [mc.SampledScenario(Normal(0.0, 1.0), 2, Uniform(0.0, 1.0), 2)]
-mc._load_sampling(mc._draw_plan(suite))
+mc._load_sampling(mc._draw_plan(suite)[0])
 before = hwm()
 curve = mc.estimate_suite_curves(suite, mc.VALIDATION_ALPHAS, 600_000, SeedSpec(0))
 print([hwm() - before, len(draws), len(forks)])

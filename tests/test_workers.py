@@ -124,6 +124,15 @@ def test_an_error_made_here_leaves_no_worker(monkeypatch, death):
     assert no_child_left()
 
 
+@pytest.mark.parametrize("n,forked", [(0, 0), (1, 0), (2, 2)])
+def test_no_worker_is_forked_without_an_item(monkeypatch, n, forked):
+    # At most one worker per item; a single item is made here.
+    forks = force_cpus(monkeypatch, 5)
+    assert list(ordered_map(_item, n, 5)) == [_item(i) for i in range(n)]
+    assert len(forks) == forked
+    assert no_child_left()
+
+
 def test_closing_early_leaves_no_worker(monkeypatch):
     forks = force_cpus(monkeypatch, 3)
     items = ordered_map(_item, 30, 3)
