@@ -378,8 +378,8 @@ def _curve_sums(
     """Per-weight ``np.add.reduce`` over these trials of the squared errors.
 
     Each weight's squared errors are ``(1 - alpha) * xbar + alpha * ybar -
-    mu_x``, squared, as numpy's ``mean`` would see them; a constant side's
-    float product has a filled row's bits, at half the cost of numpy's.
+    mu_x``, squared, as numpy's ``mean`` would see them; a constant side is
+    a float, which numpy broadcasts with a filled row's bits.
     Given each weight's mean squared error as ``centres``, the sums are of
     the squared deviations from it instead, as in numpy's ``std``.
     ``scratch`` is two rows of the trials' length. A squared error can
@@ -389,9 +389,9 @@ def _curve_sums(
     out = np.empty(len(alphas))
     with np.errstate(over="ignore", invalid="ignore"):
         for w, alpha in enumerate(alphas):
-            x = xbar * (1.0 - alpha) if isinstance(xbar, float) else np.multiply(xbar, 1.0 - alpha, out=err)
-            y = ybar * alpha if isinstance(ybar, float) else np.multiply(ybar, alpha, out=sq)
-            np.add(x, y, out=err)
+            np.multiply(xbar, 1.0 - alpha, out=err)
+            np.multiply(ybar, alpha, out=sq)
+            np.add(err, sq, out=err)
             np.subtract(err, mu_x, out=err)
             np.square(err, out=sq)
             if centres is not None:
