@@ -59,11 +59,10 @@ _PARALLEL_MIN_CELLS = 40_000
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits with 2 on usage errors; remap to the invalid-input code."""
+    """argparse exits with 2 on usage errors; report them as one line with the invalid-input code."""
 
     def error(self, message: str) -> None:  # type: ignore[override]
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
+        print(f"error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_INVALID)
 
 
@@ -236,7 +235,7 @@ def _contour_rows(u_grid: np.ndarray, v_grid: np.ndarray) -> Iterator[bytes]:
 def cmd_validate(config: RunConfig) -> int:
     curves = estimate_suite_curves(config.scenarios, VALIDATION_ALPHAS, config.trials, config.seed)
     reports = [
-        validate_scenario(scenario, config.trials, config.seed, k=config.k, expected=expected, estimates=curve)
+        validate_scenario(scenario, config.trials, config.seed, expected=expected, estimates=curve)
         for scenario, expected, curve in zip(config.scenarios, config.expected, curves)
     ]
     lines = []
@@ -288,36 +287,27 @@ _COMMANDS = {
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """Each command takes only the flags it reads."""
     parser = _Parser(prog="collab-avg", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
         command = sub.add_parser(name)
-        command.add_argument("--scenario", help="scenario file (YAML)")
+        if name != "table1":
+            command.add_argument("--scenario", help="scenario file (YAML)")
         command.add_argument("--out", help="output path (default: stdout)")
-        command.add_argument("--seed", type=int, help="master seed (fallback: file, then $COLLAB_AVG_SEED)")
-        command.add_argument("--trials", type=int, help="Monte Carlo trials per point")
-        command.add_argument("--grid", type=int, help="grid resolution (curve/contour)")
-        command.add_argument("--k", type=float, help="acceptance band in standard errors")
+        if name in ("curve", "contour"):
+            command.add_argument("--grid", type=int, help="grid resolution")
+        if name == "validate":
+            command.add_argument("--seed", type=int, help="master seed (fallback: file, then $COLLAB_AVG_SEED)")
+            command.add_argument("--trials", type=int, help="Monte Carlo trials per point")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
-    run, needs_scenario = _COMMANDS[args.command]
+    args = vars(_build_parser().parse_args(argv))
+    run, needs_scenario = _COMMANDS[args["command"]]
     try:
-        config = load_run_config(
-            args.scenario,
-            seed=args.seed,
-            trials=args.trials,
-            k=args.k,
-            grid=args.grid,
-            out=args.out,
-            require_scenario=needs_scenario,
-            sampling=args.command == "validate",
-        )
-        if needs_scenario and args.command != "validate" and len(config.scenarios) > 1:  # a suite is for validate
-            raise ConfigError(f"{args.command} takes one scenario, but the file defines {len(config.scenarios)}")
-        return run(config)
+        return run(load_run_config(**args, require_scenario=needs_scenario))
     except (ConfigError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -32,13 +32,12 @@ import yaml
 
 from .distributions import Distribution, PointMass, make_distribution
 from .federation import Agent, SampledScenario
-from .montecarlo import _check_k, _check_trials, _draw_plan, _load_sampling
+from .montecarlo import _check_trials, _draw_plan, _load_sampling
 from .theory import ErrorProfile, _check_alpha, _check_count
 
 ENV_SEED = "COLLAB_AVG_SEED"
 
 DEFAULT_TRIALS = 100_000
-DEFAULT_K = 4.0
 DEFAULT_SEED = 0
 DEFAULT_ALPHAS = (0.2, 0.5)
 DEFAULT_CONTOUR_BOUNDS = (0.01, 100.0, 0.01, 100.0)
@@ -65,18 +64,19 @@ class ConfigError(ValueError):
 class RunConfig:
     """Everything a command run depends on besides the command name.
 
-    ``expected`` holds each scenario's ``expected`` profile, or None.
+    A command's run sets the fields it reads; the others keep their
+    defaults. ``expected`` holds each scenario's ``expected`` profile, or
+    None.
     """
 
-    scenarios: tuple[SampledScenario, ...]
-    expected: tuple[ErrorProfile | None, ...]
-    alphas: tuple[float, ...]
-    trials: int
-    seed: int
-    k: float
-    grid: int | None
-    out: str | None
-    contour_bounds: tuple[float, float, float, float]
+    scenarios: tuple[SampledScenario, ...] = ()
+    expected: tuple[ErrorProfile | None, ...] = ()
+    alphas: tuple[float, ...] = DEFAULT_ALPHAS
+    trials: int = DEFAULT_TRIALS
+    seed: int = DEFAULT_SEED
+    grid: int | None = None
+    out: str | None = None
+    contour_bounds: tuple[float, float, float, float] = DEFAULT_CONTOUR_BOUNDS
 
 
 def _require_mapping(node: Any, where: str) -> dict:
@@ -150,7 +150,7 @@ def _parse_expected(node: Any, where: str) -> ErrorProfile:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _parse_scenario(node: Any, where: str) -> tuple[SampledScenario, ErrorProfile | None]:
+def _parse_scenario(node: Any, where: str, with_expected: bool) -> tuple[SampledScenario, ErrorProfile | None]:
     node = _require_mapping(node, where)
     if "x" not in node:
         raise ConfigError(f"{where} needs an 'x' distribution")
@@ -161,7 +161,9 @@ def _parse_scenario(node: Any, where: str) -> tuple[SampledScenario, ErrorProfil
     if "y" not in node:
         raise ConfigError(f"{where} needs a 'y' side")
     y_node = _require_mapping(node["y"], f"{where}.y")
-    expected = _parse_expected(node["expected"], f"{where}.expected") if "expected" in node else None
+    expected = None
+    if with_expected and "expected" in node:
+        expected = _parse_expected(node["expected"], f"{where}.expected")
 
     if "union" in y_node:
         first, *more = _parse_helpers(y_node["union"], f"{where}.y.union")
@@ -198,26 +200,31 @@ def _resolve_seed(flag_seed: int | None, file_seed: Any) -> int:
 
 
 def load_run_config(
-    scenario_path: str | None,
+    command: str,
+    scenario: str | None = None,
     *,
+    out: str | None = None,
+    grid: int | None = None,
     seed: int | None = None,
     trials: int | None = None,
-    k: float | None = None,
-    grid: int | None = None,
-    out: str | None = None,
     require_scenario: bool = False,
-    sampling: bool = False,
 ) -> RunConfig:
-    """Combine a scenario file (optional) with flag overrides.
+    """The configuration of a ``command`` run: its flags and the keys of the
+    scenario file at ``scenario`` that it reads.
 
-    ``sampling`` says the command will sample the scenarios: what that
-    imports (ndtri in any case) is loaded here, in set-up, rather than in
-    the run or in every forked worker.
+    ``profile`` reads ``alphas`` and ``contour`` its ``contour`` section; a
+    command reads the scenarios when ``require_scenario`` says it needs one,
+    and only ``validate`` may have more than one. ``validate`` alone reads
+    ``trials``, ``seed`` (then ``$COLLAB_AVG_SEED``) and each scenario's
+    ``expected``, refuses a ``k`` (its band is always 4 standard errors),
+    and loads what sampling imports (ndtri in any case) here, in set-up,
+    rather than in the run or in every forked worker. No command reads
+    another's keys, so their values cannot refuse its run.
     """
     data: dict = {}
-    if scenario_path is not None:
+    if scenario is not None:
         try:
-            with open(scenario_path, "r", encoding="utf-8") as handle:
+            with open(scenario, "r", encoding="utf-8") as handle:
                 loaded = yaml.load(handle, Loader=_Loader)
         except OSError as exc:
             raise ConfigError(f"cannot read scenario file: {exc}") from exc
@@ -232,39 +239,38 @@ def load_run_config(
         data = _require_mapping(loaded if loaded is not None else {}, "scenario file")
     elif require_scenario:
         raise ConfigError("this command requires --scenario <path>")
+    validating = command == "validate"
+    fields: dict[str, Any] = {"out": out, "grid": grid}
 
-    parsed: list[tuple[SampledScenario, ErrorProfile | None]] = []
-    if "scenarios" in data:
-        entries = data["scenarios"]
-        if not isinstance(entries, list) or not entries:
-            raise ConfigError("'scenarios' must be a non-empty list")
-        for i, entry in enumerate(entries):
-            parsed.append(_parse_scenario(entry, f"scenarios[{i}]"))
-    elif "x" in data:
-        parsed.append(_parse_scenario(data, "scenario file"))
-    elif require_scenario:
-        raise ConfigError("scenario file defines no scenario (needs 'x' or 'scenarios')")
-    scenarios, expected = tuple(zip(*parsed)) or ((), ())
+    if require_scenario:
+        if "scenarios" in data:
+            entries = data["scenarios"]
+            if not isinstance(entries, list) or not entries:
+                raise ConfigError("'scenarios' must be a non-empty list")
+            parsed = [_parse_scenario(entry, f"scenarios[{i}]", validating) for i, entry in enumerate(entries)]
+        elif "x" in data:
+            parsed = [_parse_scenario(data, "scenario file", validating)]
+        else:
+            raise ConfigError("scenario file defines no scenario (needs 'x' or 'scenarios')")
+        if len(parsed) > 1 and not validating:  # a suite is for validate
+            raise ConfigError(f"{command} takes one scenario, but the file defines {len(parsed)}")
+        fields["scenarios"], fields["expected"] = zip(*parsed)
 
-    alphas_node = data.get("alphas", list(DEFAULT_ALPHAS))
-    if not isinstance(alphas_node, list):
-        raise ConfigError("'alphas' must be a list of numbers in [0, 1]")
-    alphas = []
-    for value in alphas_node:
-        alpha = _parse_float(value, "alpha")
-        _checked(_check_alpha, alpha)
-        alphas.append(alpha)
-
-    trials_value = trials if trials is not None else data.get("trials", DEFAULT_TRIALS)
-    _checked(_check_trials, trials_value)
-    k_value = _parse_float(k if k is not None else data.get("k", DEFAULT_K), "k")
-    _checked(_check_k, k_value)
+    if command == "profile":
+        alphas_node = data.get("alphas", list(DEFAULT_ALPHAS))
+        if not isinstance(alphas_node, list):
+            raise ConfigError("'alphas' must be a list of numbers in [0, 1]")
+        alphas = []
+        for value in alphas_node:
+            alpha = _parse_float(value, "alpha")
+            _checked(_check_alpha, alpha)
+            alphas.append(alpha)
+        fields["alphas"] = tuple(alphas)
 
     if grid is not None and not GRID_RANGE[0] <= grid <= GRID_RANGE[1]:
         raise ConfigError(f"--grid must be in {GRID_RANGE[0]}..{GRID_RANGE[1]}, got {grid}")
 
-    bounds = DEFAULT_CONTOUR_BOUNDS
-    if "contour" in data:
+    if command == "contour" and "contour" in data:
         node = _require_mapping(data["contour"], "contour")
         bounds = tuple(
             _parse_float(node.get(name, default), f"contour.{name}")
@@ -274,20 +280,16 @@ def load_run_config(
             raise ConfigError("contour bounds must be positive and finite")
         if bounds[0] >= bounds[1] or bounds[2] >= bounds[3]:
             raise ConfigError("contour bounds must satisfy u_min < u_max and v_min < v_max")
+        fields["contour_bounds"] = bounds
 
-    if sampling:
+    if validating:
+        if "k" in data:
+            raise ConfigError("'k' is not a setting: validate's band is always 4 standard errors")
+        fields["trials"] = trials if trials is not None else data.get("trials", DEFAULT_TRIALS)
+        _checked(_check_trials, fields["trials"])
+        fields["seed"] = _resolve_seed(seed, data.get("seed"))
         try:
-            _load_sampling(_draw_plan(scenarios)[0], ndtri=True)
+            _load_sampling(_draw_plan(fields["scenarios"])[0], ndtri=True)
         except ImportError as exc:
             raise ConfigError(f"validate needs scipy to sample: {exc}") from None
-    return RunConfig(
-        scenarios=scenarios,
-        expected=expected,
-        alphas=tuple(alphas),
-        trials=trials_value,
-        seed=_resolve_seed(seed, data.get("seed")),
-        k=k_value,
-        grid=grid,
-        out=out,
-        contour_bounds=bounds,
-    )
+    return RunConfig(**fields)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import math
 import os
 
@@ -12,6 +13,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
+from collab_avg import cli  # noqa: E402
 from collab_avg._philox import uniforms  # noqa: E402
 from collab_avg.distributions import Distribution, SeedSpec  # noqa: E402
 from collab_avg.theory import Scenario  # noqa: E402
@@ -20,6 +22,16 @@ from collab_avg.theory import Scenario  # noqa: E402
 def draws(spec: Distribution, n: int, seed: SeedSpec) -> np.ndarray:
     """``n`` draws from ``spec``: draw ``i`` is uniform ``i`` of the seed's stream."""
     return spec._from_uniforms(uniforms(seed.master_seed, seed.stream_id, n))
+
+
+def command_flags() -> dict[str, set[str]]:
+    """The long options each command's parser takes, ``--help`` aside."""
+    parser = cli._build_parser()
+    (commands,) = [action.choices for action in parser._actions if isinstance(action, argparse._SubParsersAction)]
+    return {
+        name: {option for action in command._actions for option in action.option_strings} - {"-h", "--help"}
+        for name, command in commands.items()
+    }
 
 
 def random_scenarios(

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from collab_avg import cli, montecarlo
 from collab_avg.cli import main
 from collab_avg.theory import Scenario, error_profile, ese_of_alpha
-from conftest import force_cpus, no_child_left, round_forks
+from conftest import command_flags, force_cpus, no_child_left, round_forks
 
 TWO_AGENT_YAML = """\
 x: {family: normal, params: {mu: 0.0, sd: 1.0}}
@@ -79,6 +79,15 @@ alphas: [0.2, 0.5]
 """
 
 
+# e0 doubled: the scenario's closed form has e0 = 0.1.
+DOUBLED_E0_YAML = """\
+x: {family: normal, params: {mu: 0.0, sd: 1.0}}
+n_x: 10
+y: {family: normal, params: {mu: 0.5, sd: 1.0}}
+n_y: 60
+expected: {e0: 0.2, e1: 0.26666666666666666}
+"""
+
 # Inputs of the closed-form golden pins below: a biased helper with odd
 # moments, so any change in the arithmetic's order shows in the last bit.
 GOLDEN_PROFILE_YAML = """\
@@ -124,7 +133,10 @@ def sha256(data: bytes) -> str:
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # a usage error, from argparse
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -586,23 +598,26 @@ class TestValidate:
         assert code == 2
         assert "overall: FAIL" in out
 
-    @pytest.mark.parametrize("k", ["inf", "-inf", "nan"])
-    def test_non_finite_k_is_invalid(self, tmp_path, capsys, k):
-        # The expected profile is deliberately wrong: an unbounded band
-        # would turn it into PASS, a NaN band into FAIL at every point.
-        path = tmp_path / "wrong.yaml"
-        path.write_text(
-            "x: {family: bernoulli, params: {p: 0.5}}\n"
-            "n_x: 20\n"
-            "y: {constant: 0.5}\n"
-            "trials: 1000\n"
-            "expected: {e0: 5.0, e1: 5.0}\n"
-        )
-        code, out, err = run_cli(capsys, "validate", "--scenario", str(path), f"--k={k}")
-        assert code == 1
-        assert out == ""
-        assert err.count("\n") == 1
-        assert "k must be finite" in err
+    # The band is 4 standard errors, not a setting: at 1e6 standard errors
+    # this doubled e0 would read PASS.
+    @pytest.mark.parametrize("where", ["flag", "file"])
+    def test_k_is_refused_with_one_line(self, tmp_path, capsys, where):
+        path = tmp_path / "doubled_e0.yaml"
+        path.write_text(DOUBLED_E0_YAML)
+        code, out, err = run_cli(capsys, "validate", "--scenario", str(path), "--trials", "1000", "--seed", "0")
+        assert (code, err) == (2, "")
+        assert "(trials=1000, k=4.0, seed=0)" in out
+        assert out.endswith("overall: FAIL\n")
+        argv = ["--k", "1e6"]
+        if where == "file":
+            path.write_text(DOUBLED_E0_YAML + "k: 1e6\n")
+            argv = []
+        code, out, err = run_cli(capsys, "validate", "--scenario", str(path), "--trials", "1000", "--seed", "0", *argv)
+        assert (code, out) == (1, "")
+        assert err == {
+            "flag": "error: unrecognized arguments: --k 1e6\n",
+            "file": "error: 'k' is not a setting: validate's band is always 4 standard errors\n",
+        }[where]
 
     def test_non_finite_estimate_never_reads_ok(self, tmp_path, capsys):
         # e0 = 1e308 is finite, but the sampled squared errors overflow, so
@@ -1184,19 +1199,18 @@ class TestCommonBehaviour:
         assert "cannot read" in err
 
     @pytest.mark.parametrize(
-        "text,field",
+        "text,field,command",
         [
-            ("x: {family: normal, params: {mu: [1], sd: 1.0}}\n", "scenario file.x.params.mu"),
-            ("x: {constant: {value: 1}}\n", "scenario file.x.constant"),
-            ("x: {family: normal, params: {mu: 0.0, sd: abc}}\n", "scenario file.x.params.sd"),
-            ("x: {constant: 1.0}\nexpected: {e0: [1], e1: 0.5}\n", "scenario file.expected.e0"),
-            ("x: {constant: 1.0}\nalphas: [[0.5]]\n", "alpha"),
-            ("x: {constant: 1.0}\nk: [4]\n", "k"),
-            ("x: {constant: true}\n", "scenario file.x.constant"),
-            ('x: {family: normal, params: {mu: "0.5", sd: 1.0}}\n', "scenario file.x.params.mu"),
-            ("x: {constant: 1.0}\nalphas: [yes]\n", "alpha"),
-            ("x: {constant: 1.0}\ncontour: {u_min: true}\n", "contour.u_min"),
-            ('x: {constant: 1.0}\ncontour: {u_min: "0.5"}\n', "contour.u_min"),
+            ("x: {family: normal, params: {mu: [1], sd: 1.0}}\n", "scenario file.x.params.mu", "profile"),
+            ("x: {constant: {value: 1}}\n", "scenario file.x.constant", "profile"),
+            ("x: {family: normal, params: {mu: 0.0, sd: abc}}\n", "scenario file.x.params.sd", "profile"),
+            ("x: {constant: 1.0}\nexpected: {e0: [1], e1: 0.5}\n", "scenario file.expected.e0", "validate"),
+            ("x: {constant: 1.0}\nalphas: [[0.5]]\n", "alpha", "profile"),
+            ("x: {constant: true}\n", "scenario file.x.constant", "profile"),
+            ('x: {family: normal, params: {mu: "0.5", sd: 1.0}}\n', "scenario file.x.params.mu", "profile"),
+            ("x: {constant: 1.0}\nalphas: [yes]\n", "alpha", "profile"),
+            ("x: {constant: 1.0}\ncontour: {u_min: true}\n", "contour.u_min", "contour"),
+            ('x: {constant: 1.0}\ncontour: {u_min: "0.5"}\n', "contour.u_min", "contour"),
         ],
         ids=[
             "param_list",
@@ -1204,7 +1218,6 @@ class TestCommonBehaviour:
             "param_string",
             "expected_list",
             "alpha_list",
-            "k_list",
             "constant_bool",
             "param_quoted",
             "alpha_bool",
@@ -1212,10 +1225,10 @@ class TestCommonBehaviour:
             "contour_quoted",
         ],
     )
-    def test_non_numeric_value_exits_1(self, tmp_path, capsys, text, field):
+    def test_non_numeric_value_exits_1(self, tmp_path, capsys, text, field, command):
         path = tmp_path / "scenario.yaml"
         path.write_text(text + "n_x: 5\ny: {constant: 0.0}\n")
-        code, out, err = run_cli(capsys, "profile", "--scenario", str(path))
+        code, out, err = run_cli(capsys, command, "--scenario", str(path))
         assert code == 1
         assert out == ""
         assert err.startswith(f"error: {field} must be a number")
@@ -1265,23 +1278,25 @@ class TestCommonBehaviour:
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize(
-        "n_y_lines,message",
+        "n_y_lines,message,command",
         [
             (
                 "n_y: -.inf",
                 "scenario file.n_y must be a positive integer or math.inf, got -inf",
+                "profile",
             ),
             (
                 "n_y: 60\nexpected: {e0: -1.0, e1: 0.5}",
                 "scenario file.expected: e0 must be finite and >= 0",
+                "validate",
             ),
         ],
         ids=["negative_infinite_n_y", "negative_expected_e0"],
     )
-    def test_invalid_value_exits_1_naming_its_field(self, tmp_path, capsys, n_y_lines, message):
+    def test_invalid_value_exits_1_naming_its_field(self, tmp_path, capsys, n_y_lines, message, command):
         path = tmp_path / "scenario.yaml"
         path.write_text(TWO_AGENT_YAML.replace("n_y: 60", n_y_lines))
-        code, out, err = run_cli(capsys, "profile", "--scenario", str(path))
+        code, out, err = run_cli(capsys, command, "--scenario", str(path))
         assert code == 1
         assert out == ""
         assert err == f"error: {message}\n"
@@ -1327,6 +1342,64 @@ class TestCommonBehaviour:
         code, _, err = run_cli(capsys, "profile", "--scenario", str(path))
         assert code == 1
         assert "YAML" in err
+
+
+class TestFlags:
+    """Each command takes only the flags and reads only the file keys that it uses."""
+
+    def test_each_command_takes_only_the_flags_it_reads(self):
+        assert command_flags() == {
+            "profile": {"--scenario", "--out"},
+            "table1": {"--out"},
+            "curve": {"--scenario", "--out", "--grid"},
+            "contour": {"--scenario", "--out", "--grid"},
+            "validate": {"--scenario", "--out", "--seed", "--trials"},
+            "federate": {"--scenario", "--out"},
+        }
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["profile", "--seed", "3"], "unrecognized arguments: --seed 3"),
+            (["contour", "--grid", "abc"], "argument --grid: invalid int value: 'abc'"),
+            (["table1", "--scenario", "s.yaml"], "unrecognized arguments: --scenario s.yaml"),
+            (
+                ["profile", "--grid", "5", "--seed", "3", "--trials", "100", "--k", "2"],
+                "unrecognized arguments: --grid 5 --seed 3 --trials 100 --k 2",
+            ),
+        ],
+        ids=["profile_seed", "contour_grid_abc", "table1_scenario", "profile_four_flags"],
+    )
+    def test_usage_error_exits_1_with_one_line(self, capsys, argv, message):
+        assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
+
+    # Each key with a value its command takes and one it refuses.
+    VALUES = {
+        "alphas": ("[0.2, 0.5]", "[2]"),
+        "trials": ("400", "50"),
+        "seed": ("21", "-1"),
+        "expected": ("{e0: 0.1, e1: 0.016666666666666666}", "{e0: -1, e1: 0}"),
+        "contour": ("{u_min: 0.1}", "{u_min: -1}"),
+    }
+    READS = {"profile": {"alphas"}, "contour": {"contour"}, "validate": {"trials", "seed", "expected"}}
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_values_a_command_does_not_read_cannot_refuse_it(self, tmp_path, capsys, monkeypatch, command):
+        reads = self.READS.get(command, set())
+        body = "".join(TWO_AGENT_YAML.splitlines(keepends=True)[:4])
+
+        def run(refused: set[str]) -> tuple[int, str, str]:
+            path = tmp_path / "scenario.yaml"
+            path.write_text(body + "".join(f"{key}: {self.VALUES[key][key in refused]}\n" for key in self.VALUES))
+            return run_cli(capsys, command, *([] if command == "table1" else ["--scenario", str(path)]))
+
+        clean = run(set())
+        assert clean[0] == 0
+        for key in reads:
+            assert run({key})[0] == 1, key
+        if command != "validate":
+            monkeypatch.setenv("COLLAB_AVG_SEED", "abc")
+        assert run(set(self.VALUES) - reads) == clean
 
 
 # Keys the scenario-file schema knows, so generated documents reach past the

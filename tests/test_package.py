@@ -7,8 +7,10 @@ from pathlib import Path
 
 import collab_avg
 import collab_avg.cli
+from conftest import command_flags
 
-LAUNCH = Path(__file__).resolve().parents[1] / "perfbench" / "launch.py"
+ROOT = Path(__file__).resolve().parents[1]
+LAUNCH = ROOT / "perfbench" / "launch.py"
 
 
 def test_every_exported_name_resolves_once():
@@ -32,3 +34,14 @@ def test_every_name_the_benchmark_wraps_resolves():
     commands = collab_avg.cli._COMMANDS
     assert isinstance(commands, dict) and commands
     assert all(callable(run) and isinstance(needs_scenario, bool) for run, needs_scenario in commands.values())
+
+
+def test_readme_synopsis_lists_each_commands_flags():
+    # The CLI section's first code block has one synopsis line per command,
+    # so a flag cannot outlive its documentation, nor be added without it.
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split("\n## CLI\n", 1)[1]
+    block = section.split("```\n", 2)[1]
+    synopses = [line.split() for line in block.splitlines() if line.startswith("collab-avg ")]
+    documented = {words[1]: {word.strip("[]") for word in words[2:] if word.strip("[").startswith("--")} for words in synopses}
+    assert len(synopses) == len(documented)
+    assert documented == command_flags()
