@@ -28,6 +28,7 @@ from .montecarlo import (
     MonteCarloEstimate,
     ValidationPoint,
     ValidationReport,
+    Verdict,
     estimate_error_curve,
     validate_scenario,
 )
@@ -61,6 +62,7 @@ __all__ = [
     "Uniform",
     "ValidationPoint",
     "ValidationReport",
+    "Verdict",
     "alpha_star_upper_bounds",
     "donahue_mse",
     "error_profile",

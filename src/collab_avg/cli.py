@@ -19,8 +19,6 @@ reference-table comparison columns, which are fixed to two decimals
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import math
 import sys
 from collections.abc import Iterator
@@ -31,7 +29,7 @@ import numpy as np
 from ._workers import cpu_count, ordered_map
 from .config import ConfigError, RunConfig, load_run_config
 from .federation import reduce_to_two_agent
-from .montecarlo import VALIDATION_ALPHAS, estimate_suite_curves, validate_scenario
+from .montecarlo import VALIDATION_ALPHAS, Verdict, estimate_suite_curves, validate_scenario
 from .table1 import INPUT_COLUMNS, OUTPUT_COLUMNS, reproduce_table
 from .theory import (
     ErrorProfile,
@@ -46,6 +44,7 @@ EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_VALIDATION = 2
 EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports it
+_VERDICT_EXIT = {Verdict.PASS: EXIT_OK, Verdict.FAIL: EXIT_VALIDATION}  # validate's exit code for a run's verdict
 
 _DEFAULT_CURVE_GRID = 1001
 _DEFAULT_CONTOUR_GRID = 101
@@ -76,14 +75,6 @@ def _fmt2(value: float) -> str:
     if math.isinf(value):
         return "inf"
     return f"{round(value, 2):.2f}"
-
-
-def _write_csv(header: list[str], rows: list[list[str]]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buffer.getvalue()
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -135,14 +126,9 @@ def cmd_profile(config: RunConfig) -> int:
 def cmd_table1(config: RunConfig) -> int:
     rows = reproduce_table()
     printed_columns = [f"printed_{column}" for column in OUTPUT_COLUMNS]
-    header = ["row", *INPUT_COLUMNS, *OUTPUT_COLUMNS, *printed_columns, "status"]
-    csv_text = _write_csv(
-        header,
-        [
-            [str(row.index), *row.inputs, *map(_fmt2, row.computed), *row.printed, row.status]
-            for row in rows
-        ],
-    )
+    # No cell needs quoting: table strings, two-decimal numbers and empty cells.
+    csv_rows = [["row", *INPUT_COLUMNS, *OUTPUT_COLUMNS, *printed_columns, "status"]]
+    csv_rows += [[str(row.index), *row.inputs, *map(_fmt2, row.computed), *row.printed, row.status] for row in rows]
     mismatches = [row for row in rows if row.status == "Mismatch"]
     report_lines = [
         f"rows: {len(rows)}, match: {len(rows) - len(mismatches)}, mismatch: {len(mismatches)}"
@@ -156,7 +142,7 @@ def cmd_table1(config: RunConfig) -> int:
         )
         report_lines.append(f"row {row.index}: {values}")
     report = "\n".join(report_lines) + "\n"
-    _emit(csv_text, config.out)
+    _emit("".join(",".join(cells) + "\n" for cells in csv_rows), config.out)
     # The report goes wherever the CSV does not.
     (sys.stderr if config.out is None else sys.stdout).write(report)
     return EXIT_OK
@@ -172,14 +158,12 @@ def cmd_curve(config: RunConfig) -> int:
         )
         return EXIT_INVALID
     points = config.grid if config.grid is not None else _DEFAULT_CURVE_GRID
-    rows = []
-    for alpha in np.linspace(0.0, 1.0, points):
-        alpha = float(alpha)
+    lines = ["alpha,ese_ratio,lower_bound,upper_bound_segment"]
+    for alpha in np.linspace(0.0, 1.0, points).tolist():
         ratio = ese_of_alpha(profile, alpha) / profile.e0
         upper = _fmt(1.0 - alpha) if alpha <= profile.alpha_star else ""
-        rows.append([_fmt(alpha), _fmt(ratio), _fmt(1.0 - 2.0 * alpha), upper])
-    header = ["alpha", "ese_ratio", "lower_bound", "upper_bound_segment"]
-    _emit(_write_csv(header, rows), config.out)
+        lines.append(f"{_fmt(alpha)},{_fmt(ratio)},{_fmt(1.0 - 2.0 * alpha)},{upper}")
+    _emit("\n".join(lines) + "\n", config.out)
     return EXIT_OK
 
 
@@ -241,19 +225,19 @@ def cmd_validate(config: RunConfig) -> int:
     lines = []
     for index, report in enumerate(reports, start=1):
         lines.append(
-            f"scenario {index}: {'PASS' if report.passed else 'FAIL'} "
+            f"scenario {index}: {report.verdict.name} "
             f"(trials={report.trials}, k={_fmt(report.k)}, seed={report.seed.master_seed})"
         )
         for point in report.points:
             lines.append(
                 f"  alpha={_fmt(point.alpha)} mc={_fmt(point.estimate.mean_sq_error)} "
                 f"closed={_fmt(point.closed_form)} se={_fmt(point.estimate.std_error)} "
-                f"dev={_fmt(point.deviation)} {'ok' if point.passed else 'FAIL'}"
+                f"dev={_fmt(point.deviation)} {'ok' if point.verdict is Verdict.PASS else point.verdict.name}"
             )
-    passed = all(report.passed for report in reports)
-    lines.append("overall: " + ("PASS" if passed else "FAIL"))
+    verdict = Verdict.worst(report.verdict for report in reports)
+    lines.append(f"overall: {verdict.name}")
     _emit("\n".join(lines) + "\n", config.out)
-    return EXIT_OK if passed else EXIT_VALIDATION
+    return _VERDICT_EXIT[verdict]
 
 
 def cmd_federate(config: RunConfig) -> int:

@@ -15,6 +15,7 @@ convexity) tight at moderate trial counts.
 from __future__ import annotations
 
 import contextlib
+import enum
 import math
 import os
 import tempfile
@@ -62,6 +63,18 @@ _MAX_TRIALS = 2**40
 
 #: Weights ``validate_scenario`` checks: 21, equally spaced over [0, 1].
 VALIDATION_ALPHAS = tuple(np.linspace(0.0, 1.0, 21).tolist())
+
+
+class Verdict(enum.IntEnum):
+    """What a check reads, by severity: ``ValidationPoint.verdict`` decides each, and a group reads its worst."""
+
+    PASS = 0
+    FAIL = 1
+
+    @classmethod
+    def worst(cls, verdicts: Iterable[Verdict]) -> Verdict:
+        """The most severe of ``verdicts``; PASS when there are none."""
+        return max(verdicts, default=cls.PASS)
 
 
 @dataclass(frozen=True)
@@ -136,10 +149,10 @@ class ValidationPoint:
         return self.k * self.estimate.std_error + rounding * estimate + error
 
     @property
-    def passed(self) -> bool:
-        """Within a finite band: a non-finite estimate, or a floor that overflows, never agrees (inf <= inf)."""
+    def verdict(self) -> Verdict:
+        """PASS within a finite band: a non-finite estimate, or a floor that overflows, never agrees (inf <= inf)."""
         limit = self.limit
-        return math.isfinite(limit) and self.deviation <= limit
+        return Verdict.PASS if math.isfinite(limit) and self.deviation <= limit else Verdict.FAIL
 
 
 @dataclass(frozen=True)
@@ -152,8 +165,8 @@ class ValidationReport:
     seed: SeedSpec
 
     @property
-    def passed(self) -> bool:
-        return all(point.passed for point in self.points)
+    def verdict(self) -> Verdict:
+        return Verdict.worst(point.verdict for point in self.points)
 
 
 def _as_seed(seed: SeedSpec | int) -> SeedSpec:

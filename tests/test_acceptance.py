@@ -7,6 +7,7 @@ fixed seeds, so the whole suite is deterministic: green stays green.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import subprocess
 import sys
@@ -27,9 +28,10 @@ from collab_avg.distributions import (
 )
 from collab_avg.federation import Agent, personalized_weight, reduce_to_two_agent
 import collab_avg.montecarlo as mc
-from collab_avg.montecarlo import SampledScenario, estimate_error_curve, trial_means, validate_scenario
+from collab_avg.montecarlo import SampledScenario, Verdict, estimate_error_curve, trial_means, validate_scenario
 from collab_avg.table1 import MISMATCH_ROWS, reproduce_table
 from collab_avg.theory import (
+    ErrorProfile,
     alpha_star_upper_bounds,
     donahue_mse,
     error_profile,
@@ -153,25 +155,34 @@ def mc_suite_means():
     ]
 
 
+@pytest.fixture(scope="module")
+def mc_suite_curves(mc_suite_means):
+    """Each MC_SUITE scenario's simulated curve on validate's grid, from the c06 trial means."""
+    curves = []
+    for index, (scenario, (xbar, ybar)) in enumerate(zip(MC_SUITE, mc_suite_means)):
+        pairs = numpy_statistics(xbar, ybar, mc.VALIDATION_ALPHAS, scenario.x.mean())
+        seed = SeedSpec(MC_BASE_SEED + index)
+        curves.append([mc.MonteCarloEstimate(mean, se, MC_TRIALS, seed) for mean, se in pairs])
+    return curves
+
+
 def test_c06_monte_carlo_oracle_agreement(request):
     with criterion(6, "Monte Carlo oracle agreement"):
         start = time.perf_counter()
         # Requested here, so the time bound also covers the sampling.
-        mc_suite_means = request.getfixturevalue("mc_suite_means")
-        for index, (scenario, (xbar, ybar)) in enumerate(zip(MC_SUITE, mc_suite_means)):
+        mc_suite_curves = request.getfixturevalue("mc_suite_curves")
+        for index, (scenario, curve) in enumerate(zip(MC_SUITE, mc_suite_curves)):
             seed = SeedSpec(MC_BASE_SEED + index)
-            pairs = numpy_statistics(xbar, ybar, mc.VALIDATION_ALPHAS, scenario.x.mean())
-            curve = [mc.MonteCarloEstimate(mean, se, MC_TRIALS, seed) for mean, se in pairs]
             if index == 0:  # the oracle's own curve, from its leaf sums, has numpy's bits
                 x, n_x, y, n_y = scenario.x, scenario.n_x, scenario.y, scenario.n_y
                 assert curve == estimate_error_curve(x, n_x, y, n_y, mc.VALIDATION_ALPHAS, MC_TRIALS, seed)
             report = validate_scenario(scenario, MC_TRIALS, seed, k=4.0, estimates=curve)
-            assert report.passed, (
+            assert report.verdict is Verdict.PASS, (
                 f"scenario {index}: "
                 + ", ".join(
                     f"alpha={p.alpha:.2f} dev={p.deviation:.3g} limit={p.limit:.3g}"
                     for p in report.points
-                    if not p.passed
+                    if p.verdict is Verdict.FAIL
                 )
             )
         elapsed = time.perf_counter() - start
@@ -312,3 +323,43 @@ def test_c10_validate_determinism(tmp_path):
             outputs.append(out_path.read_bytes())
         assert outputs[0] == outputs[1]
         assert len(outputs[0]) > 0
+
+
+#: Wrong closed forms of the reduced scenario, each with the number of
+#: MC_SUITE scenarios whose profile it changes and the number of those that
+#: read FAIL on the c06 draws: README's kill matrix.
+MUTANTS = {
+    "e1 without the bias^2": (lambda s: ErrorProfile(s.var_local_mean, s.var_helper_mean), 7, 7),
+    "e1 with |bias| not squared": (
+        lambda s: ErrorProfile(s.var_local_mean, abs(s.mu_y - s.mu_x) + s.var_helper_mean), 6, 6
+    ),
+    "e0 with n_x - 1": (lambda s: ErrorProfile(s.var_x / (s.n_x - 1), error_profile(s).e1), 10, 8),
+    "e1 with n_y - 1": (lambda s: error_profile(dataclasses.replace(s, n_y=s.n_y - 1)), 9, 5),
+    "e1 with n_x + n_y": (lambda s: error_profile(dataclasses.replace(s, n_y=s.n_x + s.n_y)), 9, 8),
+    "n_x and n_y swapped": (lambda s: error_profile(dataclasses.replace(s, n_x=s.n_y, n_y=s.n_x)), 8, 8),
+    "var_x and var_y swapped": (
+        lambda s: error_profile(dataclasses.replace(s, var_x=s.var_y, var_y=s.var_x)), 9, 9
+    ),
+    "e0 x 1.02": (lambda s: dataclasses.replace(error_profile(s), e0=1.02 * error_profile(s).e0), 10, 8),
+    "e1 x 1.02": (lambda s: dataclasses.replace(error_profile(s), e1=1.02 * error_profile(s).e1), 9, 8),
+}
+
+
+def test_c11_mutant_catalogue(mc_suite_curves):
+    with criterion(11, "mutant catalogue"):
+        exact = [reduce_to_two_agent(scenario) for scenario in MC_SUITE]
+
+        def tally(form) -> tuple[int, int]:
+            """Scenarios whose closed form ``form`` changes, and scenarios that read FAIL with it."""
+            changed = fails = 0
+            for index, (scenario, reduced, curve) in enumerate(zip(MC_SUITE, exact, mc_suite_curves)):
+                expected = form(reduced)
+                changed += expected != error_profile(reduced)
+                seed = SeedSpec(MC_BASE_SEED + index)
+                report = validate_scenario(scenario, MC_TRIALS, seed, expected=expected, estimates=curve)
+                fails += report.verdict is Verdict.FAIL
+            return changed, fails
+
+        assert tally(error_profile) == (0, 0)
+        found = {name: tally(form) for name, (form, *_) in MUTANTS.items()}
+        assert found == {name: tuple(counts) for name, (_, *counts) in MUTANTS.items()}

@@ -28,6 +28,7 @@ from collab_avg.distributions import Bernoulli, Exponential, Normal, PointMass, 
 from collab_avg.federation import reduce_to_two_agent
 from collab_avg.montecarlo import (
     SampledScenario,
+    Verdict,
     estimate_error_curve,
     trial_means,
     validate_scenario,
@@ -1081,7 +1082,7 @@ class TestValidateScenario:
     def test_point_mass_scenario_passes_with_zero_error(self):
         scenario = SampledScenario(PointMass(1.0), 5, PointMass(1.0), 5)
         report = validate_scenario(scenario, 200, SeedSpec(31))
-        assert report.passed
+        assert report.verdict is Verdict.PASS
         assert all(p.deviation == 0.0 for p in report.points)
         assert len(report.points) == 21
 
@@ -1090,14 +1091,14 @@ class TestValidateScenario:
         profile = error_profile(reduce_to_two_agent(scenario))
         assert profile.e0 == 0.0125
         report = validate_scenario(scenario, TRIALS, SeedSpec(37), k=4.0)
-        assert report.passed
+        assert report.verdict is Verdict.PASS
 
     def test_corrupted_reference_fails(self):
         scenario = SampledScenario(Bernoulli(0.5), 20, PointMass(0.5), 1)
         honest = error_profile(reduce_to_two_agent(scenario))
         corrupted = ErrorProfile(e0=2 * honest.e0, e1=honest.e1)
         report = validate_scenario(scenario, TRIALS, SeedSpec(37), k=4.0, expected=corrupted)
-        assert not report.passed
+        assert report.verdict is Verdict.FAIL
 
     def test_report_reproducible(self):
         scenario = SampledScenario(Normal(0, 1), 5, Normal(0.5, 2.0), 7)
@@ -1139,8 +1140,8 @@ class TestValidationPoint:
         point = self.point(1.25, 0.125, k=3.0)
         assert point.deviation == 0.25
         assert point.limit == 0.375 + floor * 1.25
-        assert point.passed
-        assert not self.point(1.5, 0.125, k=3.0).passed
+        assert point.verdict is Verdict.PASS
+        assert self.point(1.5, 0.125, k=3.0).verdict is Verdict.FAIL
         scenario = SampledScenario(Normal(0, 1), 4, Normal(1, 1), 16)
         report = validate_scenario(scenario, 200, SeedSpec(43), k=2.5)
         assert [p.k for p in report.points] == [2.5] * 21
@@ -1160,7 +1161,7 @@ class TestValidationPoint:
         # A floor that overflows would pass any closed form.
         huge = self.point(0.0, 0.0, closed_form=1.0, mu_x=1e200, mu_y=1e200)
         assert huge.limit == math.inf
-        assert not huge.passed
+        assert huge.verdict is Verdict.FAIL
 
     @pytest.mark.parametrize("trials", [1_000, 100_000])
     @pytest.mark.parametrize("constant", [0.05, 0.1, 0.2, 0.3, 0.7, 1.1, 2.5, -0.4])
@@ -1170,12 +1171,12 @@ class TestValidationPoint:
         # runs failed there. A closed form off by 1e-12 still fails.
         scenario = SampledScenario(Normal(0.0, 1.0), 10, PointMass(constant), 1)
         report = validate_scenario(scenario, trials, SeedSpec(0))
-        assert report.passed
+        assert report.verdict is Verdict.PASS
         profile = error_profile(reduce_to_two_agent(scenario))
         wrong = dataclasses.replace(profile, e1=profile.e1 * (1 + 1e-12))
         estimates = [point.estimate for point in report.points]
         checked = validate_scenario(scenario, trials, SeedSpec(0), expected=wrong, estimates=estimates)
-        assert [point.alpha for point in checked.points if not point.passed] == [1.0]
+        assert [point.alpha for point in checked.points if point.verdict is Verdict.FAIL] == [1.0]
 
     @pytest.mark.parametrize("trials", [1_000, 100_000])
     @pytest.mark.parametrize(
@@ -1190,31 +1191,39 @@ class TestValidationPoint:
         for n_x, n_y in [(3, 5), (1, 1), (10, 60)]:
             scenario = SampledScenario(PointMass(mu_x), n_x, PointMass(mu_y), n_y)
             report = validate_scenario(scenario, trials, SeedSpec(0))
-            assert report.passed
+            assert report.verdict is Verdict.PASS
             profile = error_profile(reduce_to_two_agent(scenario))
             wrong = dataclasses.replace(profile, e1=profile.e1 * (1 + 1e-9))
             estimates = [point.estimate for point in report.points]
             checked = validate_scenario(scenario, trials, SeedSpec(0), expected=wrong, estimates=estimates)
             differs = [p.alpha for p, q in zip(report.points, checked.points) if p.closed_form != q.closed_form]
             assert len(differs) == 20
-            assert [point.alpha for point in checked.points if not point.passed] == differs
+            assert [point.alpha for point in checked.points if point.verdict is Verdict.FAIL] == differs
 
     def test_band_edge_passes(self):
-        assert self.point(1.5, 0.125).passed
-        assert self.point(0.5, 0.125).passed
+        assert self.point(1.5, 0.125).verdict is Verdict.PASS
+        assert self.point(0.5, 0.125).verdict is Verdict.PASS
 
     @pytest.mark.parametrize(
         "mean_sq_error,std_error",
         [(math.inf, 1.0), (math.nan, 1.0), (1.0, math.inf), (1.0, math.nan), (math.inf, math.inf)],
     )
     def test_non_finite_estimate_never_passes(self, mean_sq_error, std_error):
-        assert not self.point(mean_sq_error, std_error).passed
+        assert self.point(mean_sq_error, std_error).verdict is Verdict.FAIL
 
     def test_report_passes_only_when_every_point_does(self):
         good, bad = self.point(1.0, 0.1), self.point(1.0, math.inf)
         report = mc.ValidationReport(points=(good, good), k=4.0, trials=100, seed=SeedSpec(0))
-        assert report.passed
-        assert not dataclasses.replace(report, points=(good, bad)).passed
+        assert report.verdict is Verdict.PASS
+        assert dataclasses.replace(report, points=(good, bad)).verdict is Verdict.FAIL
+        assert dataclasses.replace(report, points=(bad, good)).verdict is Verdict.FAIL
+        assert dataclasses.replace(report, points=()).verdict is Verdict.PASS
+
+    def test_a_group_reads_its_worst_verdict(self):
+        assert list(Verdict) == sorted(Verdict) and Verdict.PASS < Verdict.FAIL
+        assert Verdict.worst([]) is Verdict.PASS
+        assert Verdict.worst(iter([Verdict.PASS, Verdict.FAIL, Verdict.PASS])) is Verdict.FAIL
+        assert Verdict.worst([Verdict.PASS] * 3) is Verdict.PASS
 
 
 # sha256 digests recorded from the original 4M-draw sampler. Seeded output is

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import importlib
+import re
 from pathlib import Path
 
 import collab_avg
 import collab_avg.cli
+from collab_avg.montecarlo import Verdict
 from conftest import command_flags
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -45,3 +47,17 @@ def test_readme_synopsis_lists_each_commands_flags():
     documented = {words[1]: {word.strip("[]") for word in words[2:] if word.strip("[").startswith("--")} for words in synopses}
     assert len(synopses) == len(documented)
     assert documented == command_flags()
+
+
+def test_every_verdict_has_an_exit_code_and_its_doc_line():
+    # A new verdict cannot land without its exit code, nor an exit code
+    # without the sentence that lists them in README and in cli's docstring.
+    cli = collab_avg.cli
+    assert set(cli._VERDICT_EXIT) == set(Verdict)
+    codes = {value for name, value in vars(cli).items() if name.startswith("EXIT_")}
+    assert codes == {0, 1, 2, 130}
+    assert set(cli._VERDICT_EXIT.values()) <= codes
+    for text in ((ROOT / "README.md").read_text(encoding="utf-8"), cli.__doc__):
+        sentence = " ".join(text.split()).split("Exit codes: ", 1)[1]
+        sentence = re.sub(r"\([^)]*\)", "", sentence.split(". ", 1)[0])
+        assert {int(item.split()[0]) for item in sentence.split(",")} == codes
