@@ -45,8 +45,6 @@ _W1 = 0xBB67AE8584CAA73B
 
 _SHIFT32 = np.uint64(32)
 _LOW32 = np.uint64(0xFFFFFFFF)
-_SHIFT11 = np.uint64(11)
-_UNIT = 2.0**-53
 
 #: Streams at least this long are drawn by numpy's C Philox. Measured on a
 #: 2-core Xeon (numpy 2.4.6): the vectorized rounds cost 42-52 ns per draw at
@@ -132,6 +130,13 @@ def philox_blocks(
     return c0, c1, c2, c3
 
 
+def _to_unit(words: np.ndarray, out: np.ndarray) -> None:
+    """Write raw words ``w`` to ``out`` as ``((w >> 11) + 0.5) * 2**-53``, in (0, 1); ``words`` is overwritten."""
+    np.right_shift(words, np.uint64(11), out=words)
+    np.add(words, 0.5, out=out)
+    np.multiply(out, 2.0**-53, out=out)
+
+
 def uniforms(master_seed: int, stream_id: int, count: int, start: int = 0) -> np.ndarray:
     """Draws ``start .. start+count-1`` of one stream, as floats in (0, 1)."""
     return uniform_matrix(master_seed, stream_id, 1, count, start)[0]
@@ -158,12 +163,10 @@ def uniform_matrix(
         (np.uint64(first_stream & _MASK64) + np.arange(n_streams, dtype=np.uint64))
     )[:, np.newaxis]
     lanes = philox_blocks(blocks, master_seed & _MASK64, stream_ids)
-    # Draw i is lane i % 4 of block i // 4, mapped to ((w >> 11) + 0.5) * 2**-53.
+    # Draw i is lane i % 4 of block i // 4.
     out = np.empty((n_streams, n_blocks, 4), dtype=np.float64)
     for lane, word in enumerate(lanes):
-        np.right_shift(word, _SHIFT11, out=word)
-        np.add(word, 0.5, out=out[:, :, lane])
-    out *= _UNIT
+        _to_unit(word, out[:, :, lane])
     offset = start - 4 * first_block
     return out.reshape(n_streams, 4 * n_blocks)[:, offset : offset + count]
 
@@ -214,8 +217,5 @@ def _c_uniform_matrix(
     for t in range(n_streams):
         key[1] = (first_stream + t) & _MASK64
         bit_gen.state = state
-        words = bit_gen.random_raw(offset + count)[offset:]
-        np.right_shift(words, _SHIFT11, out=words)
-        np.add(words, 0.5, out=out[t])
-    out *= _UNIT
+        _to_unit(bit_gen.random_raw(offset + count)[offset:], out[t])
     return out

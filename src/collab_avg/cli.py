@@ -29,7 +29,7 @@ import numpy as np
 from ._workers import cpu_count, ordered_map
 from .config import ConfigError, RunConfig, load_run_config
 from .federation import reduce_to_two_agent
-from .montecarlo import VALIDATION_ALPHAS, Verdict, estimate_suite_curves, validate_scenario
+from .montecarlo import BAND, VALIDATION_ALPHAS, Verdict, estimate_suite_curves, validate_scenario
 from .table1 import INPUT_COLUMNS, OUTPUT_COLUMNS, reproduce_table
 from .theory import (
     ErrorProfile,
@@ -218,15 +218,12 @@ def _contour_rows(u_grid: np.ndarray, v_grid: np.ndarray) -> Iterator[bytes]:
 
 def cmd_validate(config: RunConfig) -> int:
     curves = estimate_suite_curves(config.scenarios, VALIDATION_ALPHAS, config.trials, config.seed)
-    reports = [
-        validate_scenario(scenario, config.trials, config.seed, expected=expected, estimates=curve)
-        for scenario, expected, curve in zip(config.scenarios, config.expected, curves)
-    ]
+    reports = list(map(validate_scenario, config.scenarios, curves, config.expected))
     lines = []
     for index, report in enumerate(reports, start=1):
         lines.append(
             f"scenario {index}: {report.verdict.name} "
-            f"(trials={report.trials}, k={_fmt(report.k)}, seed={report.seed.master_seed})"
+            f"(trials={report.trials}, k={_fmt(BAND)}, seed={report.seed.master_seed})"
         )
         for point in report.points:
             lines.append(

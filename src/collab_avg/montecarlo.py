@@ -64,6 +64,9 @@ _MAX_TRIALS = 2**40
 #: Weights ``validate_scenario`` checks: 21, equally spaced over [0, 1].
 VALIDATION_ALPHAS = tuple(np.linspace(0.0, 1.0, 21).tolist())
 
+#: Half-width of the acceptance band, in standard errors.
+BAND = 4.0
+
 
 class Verdict(enum.IntEnum):
     """What a check reads, by severity: ``ValidationPoint.verdict`` decides each, and a group reads its worst."""
@@ -79,8 +82,9 @@ class Verdict(enum.IntEnum):
 
 @dataclass(frozen=True)
 class MonteCarloEstimate:
-    """Simulated ESE with its standard error and seed provenance."""
+    """Simulated ESE at one weight, with its standard error and seed provenance."""
 
+    alpha: float
     mean_sq_error: float
     std_error: float
     trials: int
@@ -95,12 +99,14 @@ class ValidationPoint:
     rounding of each trial's error.
     """
 
-    alpha: float
     closed_form: float
     estimate: MonteCarloEstimate
-    k: float
     mu_x: float
     mu_y: float
+
+    @property
+    def alpha(self) -> float:
+        return self.estimate.alpha
 
     @property
     def deviation(self) -> float:
@@ -108,7 +114,7 @@ class ValidationPoint:
 
     @property
     def limit(self) -> float:
-        """The acceptance band: ``k`` standard errors, and a floor for rounding.
+        """The acceptance band: ``BAND`` standard errors, and a floor for rounding.
 
         Where every trial gives the same squared error (a constant helper's
         at alpha = 1, or two constant sides), the standard error is only
@@ -136,17 +142,17 @@ class ValidationPoint:
         then off by ``3uS(2|e| + 3uS) = 6uS|e| + 9u**2 S**2``, with ``|e|``
         the root of the estimate when every trial's error is the same. A
         random side spreads the trials' errors by some ``sd``, and
-        ``k * std_error`` is then about ``k * sqrt(2) * sd *
+        ``BAND * std_error`` is then about ``BAND * sqrt(2) * sd *
         sqrt(estimate / trials)`` or more (normal errors), which exceeds
         ``6uS * sqrt(estimate)`` unless ``sd`` is below about ``4u *
-        sqrt(trials) * S / k``: unless the side is constant to rounding.
+        sqrt(trials) * S / BAND``: unless the side is constant to rounding.
         """
         levels = (max(self.estimate.trials, 128) - 1).bit_length() - 6
         rounding = (24 + 1 + levels + 1 + 3 + 7) * 2.0**-52
         u, estimate = 2.0**-53, self.estimate.mean_sq_error
         scale = (1.0 - self.alpha) * abs(self.mu_x) + self.alpha * abs(self.mu_y) + abs(self.mu_x)
         error = 3 * u * scale * (2 * math.sqrt(estimate) + 3 * u * scale)
-        return self.k * self.estimate.std_error + rounding * estimate + error
+        return BAND * self.estimate.std_error + rounding * estimate + error
 
     @property
     def verdict(self) -> Verdict:
@@ -157,12 +163,21 @@ class ValidationPoint:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Per-weight agreement between simulation and closed form."""
+    """Per-weight agreement between simulation and closed form, over one run of trials at one seed."""
 
     points: tuple[ValidationPoint, ...]
-    k: float
-    trials: int
-    seed: SeedSpec
+
+    def __post_init__(self) -> None:
+        if len({(point.estimate.trials, point.estimate.seed) for point in self.points}) != 1:
+            raise ValueError("a report needs one or more points, of one trial count and one seed")
+
+    @property
+    def trials(self) -> int:
+        return self.points[0].estimate.trials
+
+    @property
+    def seed(self) -> SeedSpec:
+        return self.points[0].estimate.seed
 
     @property
     def verdict(self) -> Verdict:
@@ -579,7 +594,10 @@ def estimate_suite_curves(
     with tempfile.TemporaryFile() if rows else contextlib.nullcontext() as spill:
         stats = _tree_statistics(leaf_sums, trials, leaf, (len(scenarios), len(alphas)), parallel)
     return [
-        [MonteCarloEstimate(float(m), float(s) / math.sqrt(trials), trials, seed) for m, s in zip(mean, std)]
+        [
+            MonteCarloEstimate(alpha, float(m), float(s) / math.sqrt(trials), trials, seed)
+            for alpha, m, s in zip(alphas, mean, std)
+        ]
         for mean, std in zip(*stats)
     ]
 
@@ -591,38 +609,22 @@ def _check_trials(trials: int) -> None:
         raise ValueError(f"{trials} trials are too many to simulate (at most 2**40)")
 
 
-def _check_k(k: float) -> None:
-    if not (math.isfinite(k) and k > 0):
-        raise ValueError(f"k must be finite and > 0, got {k!r}")
-
-
 def validate_scenario(
     scenario: SampledScenario,
-    trials: int,
-    seed: SeedSpec | int,
-    k: float = 4.0,
+    curve: Sequence[MonteCarloEstimate],
     expected: ErrorProfile | None = None,
-    estimates: Sequence[MonteCarloEstimate] | None = None,
 ) -> ValidationReport:
-    """Check simulation against closed form on a fixed weight grid.
+    """Compare ``curve``, a scenario's simulated ESE, with its closed form weight by weight.
 
-    Each weight of ``VALIDATION_ALPHAS`` passes when ``|simulated -
-    closed_form|`` is within ``ValidationPoint.limit``: ``k * std_error``
-    and a floor for rounding. ``expected`` overrides the closed-form
-    reference profile (diagnostics; the default recomputes it from the
-    scenario's exact moments, which scale the floor either way).
-    ``estimates``, the scenario's simulated curve on that grid when already
-    made (as by :func:`estimate_suite_curves` for a whole suite), spares
-    sampling it.
+    ``curve`` comes from :func:`estimate_suite_curves` or :func:`estimate_error_curve`
+    on ``VALIDATION_ALPHAS``, in order, at one trial count and one seed. Each
+    weight passes within ``ValidationPoint.limit``. ``expected`` overrides the
+    closed-form reference profile (diagnostics; the default recomputes it
+    from the scenario's exact moments, which scale the floor either way).
     """
-    _check_k(k)
-    seed = _as_seed(seed)
+    if tuple(estimate.alpha for estimate in curve) != VALIDATION_ALPHAS:
+        raise ValueError("a curve to validate must be estimated at VALIDATION_ALPHAS, in order")
     exact = reduce_to_two_agent(scenario)
     profile = expected if expected is not None else error_profile(exact)
-    if estimates is None:
-        estimates = estimate_suite_curves([scenario], VALIDATION_ALPHAS, trials, seed)[0]
-    points = tuple(
-        ValidationPoint(alpha, ese_of_alpha(profile, alpha), estimate, k, exact.mu_x, exact.mu_y)
-        for alpha, estimate in zip(VALIDATION_ALPHAS, estimates)
-    )
-    return ValidationReport(points=points, k=k, trials=trials, seed=seed)
+    points = (ValidationPoint(ese_of_alpha(profile, e.alpha), e, exact.mu_x, exact.mu_y) for e in curve)
+    return ValidationReport(tuple(points))

@@ -162,7 +162,9 @@ def mc_suite_curves(mc_suite_means):
     for index, (scenario, (xbar, ybar)) in enumerate(zip(MC_SUITE, mc_suite_means)):
         pairs = numpy_statistics(xbar, ybar, mc.VALIDATION_ALPHAS, scenario.x.mean())
         seed = SeedSpec(MC_BASE_SEED + index)
-        curves.append([mc.MonteCarloEstimate(mean, se, MC_TRIALS, seed) for mean, se in pairs])
+        curves.append(
+            [mc.MonteCarloEstimate(a, mean, se, MC_TRIALS, seed) for a, (mean, se) in zip(mc.VALIDATION_ALPHAS, pairs)]
+        )
     return curves
 
 
@@ -176,7 +178,7 @@ def test_c06_monte_carlo_oracle_agreement(request):
             if index == 0:  # the oracle's own curve, from its leaf sums, has numpy's bits
                 x, n_x, y, n_y = scenario.x, scenario.n_x, scenario.y, scenario.n_y
                 assert curve == estimate_error_curve(x, n_x, y, n_y, mc.VALIDATION_ALPHAS, MC_TRIALS, seed)
-            report = validate_scenario(scenario, MC_TRIALS, seed, k=4.0, estimates=curve)
+            report = validate_scenario(scenario, curve)
             assert report.verdict is Verdict.PASS, (
                 f"scenario {index}: "
                 + ", ".join(
@@ -352,11 +354,10 @@ def test_c11_mutant_catalogue(mc_suite_curves):
         def tally(form) -> tuple[int, int]:
             """Scenarios whose closed form ``form`` changes, and scenarios that read FAIL with it."""
             changed = fails = 0
-            for index, (scenario, reduced, curve) in enumerate(zip(MC_SUITE, exact, mc_suite_curves)):
+            for scenario, reduced, curve in zip(MC_SUITE, exact, mc_suite_curves):
                 expected = form(reduced)
                 changed += expected != error_profile(reduced)
-                seed = SeedSpec(MC_BASE_SEED + index)
-                report = validate_scenario(scenario, MC_TRIALS, seed, expected=expected, estimates=curve)
+                report = validate_scenario(scenario, curve, expected)
                 fails += report.verdict is Verdict.FAIL
             return changed, fails
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import dataclasses
 import hashlib
+import inspect
 import math
 import mmap
 import os
@@ -635,7 +636,7 @@ def _alone(suite, alphas, trials, seed):
     for s in suite:
         xbar, ybar = _whole_row_means(s.x, s.n_x, s.y, s.n_y, trials, seed)
         pairs = numpy_statistics(xbar, ybar, alphas, s.x.mean())
-        curves.append([mc.MonteCarloEstimate(mean, se, trials, seed) for mean, se in pairs])
+        curves.append([mc.MonteCarloEstimate(a, mean, se, trials, seed) for a, (mean, se) in zip(alphas, pairs)])
     return curves
 
 
@@ -1078,10 +1079,16 @@ class TestOneScenario:
         assert serial_bytes == "True"
 
 
+def validated(scenario, trials, seed, expected=None):
+    """``validate_scenario`` on the scenario's curve simulated at ``trials`` and ``seed``."""
+    curve = mc.estimate_suite_curves([scenario], mc.VALIDATION_ALPHAS, trials, seed)[0]
+    return validate_scenario(scenario, curve, expected)
+
+
 class TestValidateScenario:
     def test_point_mass_scenario_passes_with_zero_error(self):
         scenario = SampledScenario(PointMass(1.0), 5, PointMass(1.0), 5)
-        report = validate_scenario(scenario, 200, SeedSpec(31))
+        report = validated(scenario, 200, SeedSpec(31))
         assert report.verdict is Verdict.PASS
         assert all(p.deviation == 0.0 for p in report.points)
         assert len(report.points) == 21
@@ -1090,68 +1097,105 @@ class TestValidateScenario:
         scenario = SampledScenario(Bernoulli(0.5), 20, PointMass(0.5), 1)
         profile = error_profile(reduce_to_two_agent(scenario))
         assert profile.e0 == 0.0125
-        report = validate_scenario(scenario, TRIALS, SeedSpec(37), k=4.0)
+        report = validated(scenario, TRIALS, SeedSpec(37))
         assert report.verdict is Verdict.PASS
 
     def test_corrupted_reference_fails(self):
         scenario = SampledScenario(Bernoulli(0.5), 20, PointMass(0.5), 1)
         honest = error_profile(reduce_to_two_agent(scenario))
         corrupted = ErrorProfile(e0=2 * honest.e0, e1=honest.e1)
-        report = validate_scenario(scenario, TRIALS, SeedSpec(37), k=4.0, expected=corrupted)
+        report = validated(scenario, TRIALS, SeedSpec(37), expected=corrupted)
         assert report.verdict is Verdict.FAIL
 
     def test_report_reproducible(self):
         scenario = SampledScenario(Normal(0, 1), 5, Normal(0.5, 2.0), 7)
-        first = validate_scenario(scenario, 400, SeedSpec(41))
-        second = validate_scenario(scenario, 400, SeedSpec(41))
+        first = validated(scenario, 400, SeedSpec(41))
+        second = validated(scenario, 400, SeedSpec(41))
         assert first == second
-
-    @pytest.mark.parametrize("k", [math.inf, -math.inf, math.nan, 0.0, -1.0])
-    def test_band_must_be_finite_and_positive(self, k):
-        scenario = SampledScenario(Normal(0, 1), 5, Normal(0, 1), 5)
-        with pytest.raises(ValueError, match="k must be finite"):
-            validate_scenario(scenario, 200, SeedSpec(1), k=k)
 
     def test_infinite_helper_rejected(self):
         scenario = SampledScenario(Normal(0, 1), 5, Normal(0, 1), math.inf)
         with pytest.raises(ValueError):
-            validate_scenario(scenario, 200, SeedSpec(1))
+            validated(scenario, 200, SeedSpec(1))
 
     def test_closed_form_reference_values(self):
         scenario = SampledScenario(Normal(0, 1), 4, Normal(1, 1), 16)
-        report = validate_scenario(scenario, 200, SeedSpec(43))
+        report = validated(scenario, 200, SeedSpec(43))
+        assert (report.trials, report.seed) == (200, SeedSpec(43))
         profile = error_profile(reduce_to_two_agent(scenario))
         for point in report.points:
             assert point.closed_form == ese_of_alpha(profile, point.alpha)
 
+    def test_an_empty_curve_is_refused(self):
+        scenario = SampledScenario(Normal(0, 1), 4, Normal(1, 1), 16)
+        with pytest.raises(ValueError, match="VALIDATION_ALPHAS"):
+            validate_scenario(scenario, [])
+
+    @pytest.mark.parametrize("wrong", ["reversed", "other grid", "first point", "last point dropped"])
+    def test_a_curve_off_the_grid_is_refused(self, wrong):
+        # Each weight's closed form comes from its estimate's own weight, and
+        # only on validate's grid in order: a one-point curve was once paired
+        # with alpha = 0 whatever its weight.
+        scenario = SampledScenario(Normal(0, 1), 4, Normal(1, 1), 16)
+        curve = mc.estimate_suite_curves([scenario], mc.VALIDATION_ALPHAS, 200, SeedSpec(43))[0]
+        curves = {
+            "reversed": curve[::-1],
+            "other grid": mc.estimate_suite_curves([scenario], np.linspace(0.0, 1.0, 11), 200, SeedSpec(43))[0],
+            "first point": curve[:1],
+            "last point dropped": curve[:-1],
+        }
+        with pytest.raises(ValueError, match="VALIDATION_ALPHAS"):
+            validate_scenario(scenario, curves[wrong])
+
+    @pytest.mark.parametrize("trials,seed", [(400, SeedSpec(43)), (200, SeedSpec(44)), (200, SeedSpec(43, 1))])
+    def test_a_curve_from_two_runs_is_refused(self, trials, seed):
+        # A report's trials and seed are its points': they cannot disagree.
+        scenario = SampledScenario(Normal(0, 1), 4, Normal(1, 1), 16)
+        first = mc.estimate_suite_curves([scenario], mc.VALIDATION_ALPHAS, 200, SeedSpec(43))[0]
+        other = mc.estimate_suite_curves([scenario], mc.VALIDATION_ALPHAS, trials, seed)[0]
+        with pytest.raises(ValueError, match="one trial count and one seed"):
+            validate_scenario(scenario, first[:10] + other[10:])
+
+    def test_no_argument_widens_the_band(self):
+        # e0 doubled: at 1,000 trials it reads FAIL, and the band stays BAND
+        # standard errors whatever is passed; k = 1e6 once read PASS.
+        scenario = SampledScenario(Normal(0.0, 1.0), 10, Normal(0.5, 1.0), 60)
+        profile = error_profile(reduce_to_two_agent(scenario))
+        doubled = dataclasses.replace(profile, e0=2 * profile.e0)
+        curve = mc.estimate_suite_curves([scenario], mc.VALIDATION_ALPHAS, 1_000, SeedSpec(0))[0]
+        assert list(inspect.signature(validate_scenario).parameters) == ["scenario", "curve", "expected"]
+        assert validate_scenario(scenario, curve, doubled).verdict is Verdict.FAIL
+        for wider in ({"k": 1e6}, {"trials": 100}, {"seed": SeedSpec(5)}, {"estimates": curve}):
+            with pytest.raises(TypeError):
+                validate_scenario(scenario, curve, doubled, **wider)
+
 
 class TestValidationPoint:
-    """A point stores its inputs; deviation, limit and verdict are derived."""
+    """A point stores its inputs; its weight, deviation, limit and verdict are derived."""
 
     @staticmethod
-    def point(mean_sq_error, std_error, k=4.0, closed_form=1.0, mu_x=0.0, mu_y=0.0):
-        estimate = mc.MonteCarloEstimate(mean_sq_error, std_error, trials=100, seed=SeedSpec(0))
-        return mc.ValidationPoint(alpha=0.5, closed_form=closed_form, estimate=estimate, k=k, mu_x=mu_x, mu_y=mu_y)
+    def point(mean_sq_error, std_error, closed_form=1.0, mu_x=0.0, mu_y=0.0):
+        estimate = mc.MonteCarloEstimate(0.5, mean_sq_error, std_error, trials=100, seed=SeedSpec(0))
+        return mc.ValidationPoint(closed_form=closed_form, estimate=estimate, mu_x=mu_x, mu_y=mu_y)
 
     def test_limit_is_k_standard_errors(self):
-        # k standard errors, plus a rounding floor: at 100 trials 24 + 1 + 1 +
-        # 1 + 3 + 7 = 37 eps of the estimate.
+        # BAND = 4 standard errors, plus a rounding floor: at 100 trials 24 +
+        # 1 + 1 + 1 + 3 + 7 = 37 eps of the estimate.
+        assert mc.BAND == 4.0
         floor = 37 * np.finfo(float).eps
-        point = self.point(1.25, 0.125, k=3.0)
-        assert point.deviation == 0.25
-        assert point.limit == 0.375 + floor * 1.25
-        assert point.verdict is Verdict.PASS
-        assert self.point(1.5, 0.125, k=3.0).verdict is Verdict.FAIL
+        point = self.point(1.5, 0.125)
+        assert point.alpha == 0.5
+        assert point.deviation == 0.5
+        assert point.limit == 0.5 + floor * 1.5
         scenario = SampledScenario(Normal(0, 1), 4, Normal(1, 1), 16)
-        report = validate_scenario(scenario, 200, SeedSpec(43), k=2.5)
-        assert [p.k for p in report.points] == [2.5] * 21
+        report = validated(scenario, 200, SeedSpec(43))
         # 200 trials halve once more above the blocks of 128; mu_x = 0 and
         # mu_y = 1 scale the error's rounding by alpha.
         floor, u = 38 * np.finfo(float).eps, 2.0**-53
         for p in report.points:
             est = p.estimate.mean_sq_error
             error = 3 * u * p.alpha * (2 * math.sqrt(est) + 3 * u * p.alpha)
-            assert p.limit == 2.5 * p.estimate.std_error + floor * est + error
+            assert p.limit == 4.0 * p.estimate.std_error + floor * est + error
 
     def test_error_rounding_is_scaled_by_the_means(self):
         # S = (1 - alpha)|mu_x| + alpha|mu_y| + |mu_x| = 1 + 1.5 + 2 at alpha = 0.5.
@@ -1170,12 +1214,11 @@ class TestValidationPoint:
         # standard error is only rounding; without the floor 10 of these 16
         # runs failed there. A closed form off by 1e-12 still fails.
         scenario = SampledScenario(Normal(0.0, 1.0), 10, PointMass(constant), 1)
-        report = validate_scenario(scenario, trials, SeedSpec(0))
+        report = validated(scenario, trials, SeedSpec(0))
         assert report.verdict is Verdict.PASS
         profile = error_profile(reduce_to_two_agent(scenario))
         wrong = dataclasses.replace(profile, e1=profile.e1 * (1 + 1e-12))
-        estimates = [point.estimate for point in report.points]
-        checked = validate_scenario(scenario, trials, SeedSpec(0), expected=wrong, estimates=estimates)
+        checked = validate_scenario(scenario, [point.estimate for point in report.points], wrong)
         assert [point.alpha for point in checked.points if point.verdict is Verdict.FAIL] == [1.0]
 
     @pytest.mark.parametrize("trials", [1_000, 100_000])
@@ -1190,12 +1233,11 @@ class TestValidationPoint:
         # still fails wherever it differs.
         for n_x, n_y in [(3, 5), (1, 1), (10, 60)]:
             scenario = SampledScenario(PointMass(mu_x), n_x, PointMass(mu_y), n_y)
-            report = validate_scenario(scenario, trials, SeedSpec(0))
+            report = validated(scenario, trials, SeedSpec(0))
             assert report.verdict is Verdict.PASS
             profile = error_profile(reduce_to_two_agent(scenario))
             wrong = dataclasses.replace(profile, e1=profile.e1 * (1 + 1e-9))
-            estimates = [point.estimate for point in report.points]
-            checked = validate_scenario(scenario, trials, SeedSpec(0), expected=wrong, estimates=estimates)
+            checked = validate_scenario(scenario, [point.estimate for point in report.points], wrong)
             differs = [p.alpha for p, q in zip(report.points, checked.points) if p.closed_form != q.closed_form]
             assert len(differs) == 20
             assert [point.alpha for point in checked.points if point.verdict is Verdict.FAIL] == differs
@@ -1213,11 +1255,13 @@ class TestValidationPoint:
 
     def test_report_passes_only_when_every_point_does(self):
         good, bad = self.point(1.0, 0.1), self.point(1.0, math.inf)
-        report = mc.ValidationReport(points=(good, good), k=4.0, trials=100, seed=SeedSpec(0))
+        report = mc.ValidationReport(points=(good, good))
+        assert (report.trials, report.seed) == (100, SeedSpec(0))
         assert report.verdict is Verdict.PASS
         assert dataclasses.replace(report, points=(good, bad)).verdict is Verdict.FAIL
         assert dataclasses.replace(report, points=(bad, good)).verdict is Verdict.FAIL
-        assert dataclasses.replace(report, points=()).verdict is Verdict.PASS
+        with pytest.raises(ValueError, match="one or more points"):
+            mc.ValidationReport(points=())
 
     def test_a_group_reads_its_worst_verdict(self):
         assert list(Verdict) == sorted(Verdict) and Verdict.PASS < Verdict.FAIL

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib
+import math
 import re
 from pathlib import Path
 
@@ -61,3 +62,14 @@ def test_every_verdict_has_an_exit_code_and_its_doc_line():
         sentence = " ".join(text.split()).split("Exit codes: ", 1)[1]
         sentence = re.sub(r"\([^)]*\)", "", sentence.split(". ", 1)[0])
         assert {int(item.split()[0]) for item in sentence.split(",")} == codes
+
+
+def test_readme_quickstart_runs_as_written():
+    # The "Library quickstart" block is the library's documented API: it
+    # makes a curve and validates it, so a changed signature fails here.
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split("\n## Library quickstart\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {"__name__": "readme_quickstart"}
+    exec(compile(block, "README.md", "exec"), namespace)
+    assert math.isclose(namespace["profile"].alpha_star, 6 / 7)
+    assert namespace["report"].verdict is Verdict.PASS
