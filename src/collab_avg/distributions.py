@@ -83,7 +83,11 @@ class SeedSpec:
     """Addresses one reproducible random stream.
 
     Identical ``(master_seed, stream_id, draw index)`` always yields the
-    identical draw, across runs, platforms, and worker counts.
+    identical uniform, across runs, platforms, chunk sizes and worker
+    counts. A family's transform of that uniform keeps its bits across
+    runs, chunk sizes and worker counts, but not always across hosts:
+    numpy's ``log``, which Exponential uses, takes an AVX-512 path whose
+    last bit can differ from libm's.
     """
 
     master_seed: int

@@ -220,9 +220,10 @@ def _read_at(fd: int, shape: tuple[int, ...], offset: int) -> np.ndarray:
     return np.frombuffer(data).reshape(shape)
 
 
-#: :func:`_draw_plan`'s runs ``(first, count, sides)``, each side ``(row,
-#: distribution, first draw, end)`` with rows 0, 1, ... in scenario order;
-#: and each scenario's ``(x, y)``: a random side's row, or a constant's value.
+#: :func:`_draw_plan`'s runs ``(first, count, sides)`` in order of their
+#: first draw, each side ``(row, distribution, first draw, end)`` with rows
+#: 0, 1, ... in scenario order; and each scenario's ``(x, y)``: a random
+#: side's row, or a constant's value.
 _Runs = list[tuple[int, int, list[tuple[int, Distribution, int, int]]]]
 _Plan = tuple[_Runs, list[tuple[int | float, int | float]]]
 
@@ -233,67 +234,43 @@ def _draw_plan(scenarios: Sequence[SampledScenario]) -> _Plan:
     Each scenario's x takes draws 0 .. n_x-1 of a trial's stream and y
     draws n_x .. n_x+n_y-1. A point mass consumes no randomness, and its
     slots stay reserved so the other side's draw indices do not shift.
-    Only a single finite helper can be sampled. The runs are the span covering every scenario's
-    draws when ``_shared_range`` says to share it; otherwise each
-    scenario's own range, or each of its random sides when the range is
-    longer than a chunk.
+    Only a single finite helper can be sampled. The random sides, taken in
+    order of their first draw, make up the runs: a side joins the run
+    before it when their draws overlap or adjoin and the merged run fits
+    in a chunk, and otherwise starts a run of its own. So a side longer
+    than a chunk is a run by itself, and no uniform is drawn that no side
+    reads.
     """
-    runs, sources, rows = [], [], 0
+    sides, sources = [], []
     for scenario in scenarios:
         x, n_x, y, n_y = scenario.x, scenario.n_x, scenario.y, scenario.n_y
         if scenario.more:
             raise ValueError("a scenario with more than one helper cannot be sampled yet")
         if n_y == math.inf:
             raise ValueError("infinite n_y cannot be simulated; use the closed form")
-        sides, source = [], []
+        first_row, source = len(sides), []
         for dist, d_lo, d_hi in ((x, 0, n_x), (y, n_x, n_x + n_y)):
             if isinstance(dist, PointMass):
                 source.append(float(dist.value))
             else:
-                source.append(rows)
-                sides.append((rows, dist, d_lo, d_hi))
-                rows += 1
+                source.append(len(sides))
+                sides.append((len(sides), dist, d_lo, d_hi))
         sources.append(tuple(source))
-        if not sides:
-            continue
-        first, count = sides[0][2], sides[-1][3] - sides[0][2]
-        if count > 2**40:  # hours of one core per trial, and a run has at least 100 trials
+        if len(sides) > first_row and (count := sides[-1][3] - sides[first_row][2]) > 2**40:
+            # hours of one core per trial, and a run has at least 100 trials
             raise ValueError(f"a trial of {count} draws is too long to simulate (at most 2**40)")
-        if count <= _CHUNK_DRAWS:
-            runs.append((first, count, sides))
-        else:
-            runs += [(side[2], side[3] - side[2], [side]) for side in sides]
-    shared = _shared_range([run[:2] for run in runs])
-    if shared:
-        runs = [(*shared, [side for *_, sides in runs for side in sides])]
+    runs: _Runs = []
+    for side in sorted(sides, key=lambda side: side[2]):
+        _, _, d_lo, d_hi = side
+        if runs:
+            first, count, members = runs[-1]
+            end = max(first + count, d_hi)
+            if d_lo <= first + count and end - first <= _CHUNK_DRAWS:
+                members.append(side)
+                runs[-1] = (first, end - first, members)
+                continue
+        runs.append((d_lo, d_hi - d_lo, [side]))
     return runs, sources
-
-
-def _shared_range(ranges: Sequence[tuple[int, int]]) -> tuple[int, int] | None:
-    """``(start, count)`` spanning the ``(start, count)`` draw ranges, when a suite should share them.
-
-    The shared path draws this span once per trial and runs each family's
-    kernel once over the draws covering that family's sides, where each
-    scenario on its own draws and transforms its range. It is taken when
-    the scenarios' ranges add up to more than twice the span, and the span
-    fits in a chunk; c06's suite adds up to 3.45 times its 200-draw span.
-    Measured serially on a 2-core Xeon (numpy 2.4.6, 21 weights, CPU time,
-    median of 7; 20,000 trials of a 200-draw span, 200,000 of a 20-draw
-    one), the shared path took, against the scenarios on their own, at 1,
-    1.5, 2, 2.5, 3 and 3.5 times the span:
-    - sides of a family overlapping: 1.00x, 0.65x, 0.53x, 0.41x, 0.37x and
-      0.32x at a 200-draw span, 1.05x, 0.75x, 0.64x, 0.54x, 0.56x and 0.45x
-      at a 20-draw span;
-    - no two sides of a family overlapping: 1.00x, 0.76x, 0.65x, 0.61x,
-      0.50x and 0.41x, and 1.01x, 0.81x, 0.70x, 0.64x, 0.62x and 0.54x
-      (0.66x and 0.77x at 2 times the span in a second run).
-    The rule is 2x, where the shared path was faster in every layout.
-    """
-    lo = min((start for start, _ in ranges), default=0)
-    hi = max((start + count for start, count in ranges), default=0)
-    if 2 * (hi - lo) < sum(count for _, count in ranges) and hi - lo <= _CHUNK_DRAWS:
-        return lo, hi - lo
-    return None
 
 
 def _row_means(a: np.ndarray) -> np.ndarray:
@@ -528,9 +505,8 @@ def estimate_suite_curves(
 
     Every scenario of a suite reads trial ``t``'s draws from stream
     ``(seed, stream_id + t)`` from the same index on, and each trial is
-    drawn once by one :func:`_draw_plan`: the span covering all their
-    draws when ``_shared_range`` says it pays, and each scenario's own
-    range otherwise.
+    drawn once by one :func:`_draw_plan`, whose runs join the sides whose
+    draws overlap or adjoin.
 
     Pass 1 of ``_tree_statistics`` takes a leaf's random sides' means from
     ``_fill_means`` and writes them to an unlinked scratch file (trials x

@@ -517,8 +517,8 @@ print([baseline, *(resource.getrusage(who).ru_maxrss for who in (resource.RUSAGE
 # A fresh interpreter on 2 CPUs that forks at any size and records, at each
 # fork, how many ndtri functions and how many numpy Philox classes are loaded,
 # around the call its argument names: suites of four scenarios that share
-# draws 0 .. 4 or draws 0 .. 299 of each stream, and a suite below the
-# sharing rule whose normal side is in its 5-draw scenario.
+# draws 0 .. 4 or draws 0 .. 299 of each stream, and a suite of a 300-draw
+# scenario and a 5-draw one that holds its normal side.
 SCIPY_AT_FORK = """
 import os, sys
 os.sched_getaffinity = lambda pid: {0, 1}
@@ -537,7 +537,7 @@ def recording(work):
 _workers._fork = recording
 mc._PARALLEL_MIN_DRAWS = mc._PARALLEL_MIN_CURVE = 0
 call = sys.argv[1]
-if call == "suite_below":
+if call == "suite_overlapping":
     suite = [mc.SampledScenario(Exponential(1.0), 200, Exponential(1.0), 100)]
     suite.append(mc.SampledScenario(Normal(0.0, 1.0), 3, Exponential(1.0), 2))
     mc.estimate_suite_curves(suite, [0.5], 20_000, SeedSpec(0))
@@ -562,7 +562,7 @@ def test_suite_loads_its_modules_before_forking():
     assert _loaded_at_forks("suite_long") == [(0, 1)] * (2 * round_forks(2))
     # One plan for the suite: its 300-draw run and its normal side are
     # both loaded for before the first fork.
-    assert _loaded_at_forks("suite_below") == [(1, 1)] * (2 * round_forks(2))
+    assert _loaded_at_forks("suite_overlapping") == [(1, 1)] * (2 * round_forks(2))
 
 
 class _DrawSpy:
@@ -596,11 +596,19 @@ SHARED_SUITE = (
 )
 
 
-# Two 40-draw streams over the same range: 80 draws are not more than 2 x
-# 40, so each scenario draws its own range.
-BELOW_RULE_SUITE = (
+# Two 40-draw scenarios over the same range: their sides overlap in draws 0
+# .. 39, which a trial draws once.
+OVERLAP_SUITE = (
     SampledScenario(Normal(0.0, 1.0), 15, Uniform(0.0, 1.0), 25),
     SampledScenario(Exponential(1.0), 30, Normal(1.0, 1.0), 10),
+)
+
+
+# Random sides in draws 0 .. 4 and 60 .. 64: the constant sides' draws 5 ..
+# 59 between them are never drawn.
+GAP_SUITE = (
+    SampledScenario(Normal(0.0, 1.0), 5, PointMass(0.0), 5),
+    SampledScenario(PointMass(1.0), 60, Normal(1.0, 2.0), 5),
 )
 
 
@@ -851,9 +859,10 @@ class TestSuiteCurves:
         chunk = mc._CHUNK_DRAWS // 200
         assert shapes == [(min(chunk, trials - lo), 100) for lo in range(0, trials, chunk)]
 
-    def test_shares_from_more_than_twice_the_span(self, monkeypatch):
-        # 40 + 40 + 20 = 100 draws, more than 2 x 40: the span is drawn once.
-        suite = (*BELOW_RULE_SUITE, SampledScenario(Uniform(0.0, 1.0), 20, PointMass(0.0), 3))
+    def test_overlapping_sides_are_drawn_once(self, monkeypatch):
+        # Every random side lies in draws 0 .. 39, and the constant side's
+        # 20 .. 22 are among them: 40 uniforms per trial, not 40 + 40 + 20.
+        suite = (*OVERLAP_SUITE, SampledScenario(Uniform(0.0, 1.0), 20, PointMass(0.0), 3))
         trials = 200
         expected = _alone(suite, CURVE_ALPHAS, trials, SeedSpec(14))
         force_cpus(monkeypatch, 1)
@@ -862,33 +871,36 @@ class TestSuiteCurves:
         assert spy.calls == [(trials, 40, 0)]
 
     @pytest.mark.parametrize(
-        "suite,chunk_draws",
+        "suite,chunk_draws,runs",
         [
-            (SHARED_SUITE[:1], 65_536),
-            (BELOW_RULE_SUITE, 65_536),
-            # 4 x 24 draws are more than 2 x 24, but the span is more than a chunk.
-            (SHARED_SUITE[:1] * 4, 16),
+            (SHARED_SUITE[:1], 65_536, [(0, 24)]),
+            # Both scenarios' 40 draws, once: not 80.
+            (OVERLAP_SUITE, 65_536, [(0, 40)]),
+            # The four copies' 24 draws are more than a 16-draw chunk: their
+            # x sides are one run and their y sides another, not eight runs.
+            (SHARED_SUITE[:1] * 4, 16, [(0, 11), (11, 13)]),
+            # Draws 0 .. 4 and 60 .. 64 only: 10 per trial, not 65.
+            (GAP_SUITE, 65_536, [(0, 5), (60, 5)]),
         ],
-        ids=["one_scenario", "below_the_rule", "span_beyond_a_chunk"],
+        ids=["one_scenario", "overlapping", "span_beyond_a_chunk", "gap"],
     )
-    def test_otherwise_draws_as_each_scenario_alone(self, monkeypatch, suite, chunk_draws):
+    def test_draws_each_run_chunk_by_chunk(self, monkeypatch, suite, chunk_draws, runs):
         trials = 200
         monkeypatch.setattr(mc, "_CHUNK_DRAWS", chunk_draws)
         force_cpus(monkeypatch, 1)
         expected = _alone(suite, CURVE_ALPHAS, trials, SeedSpec(13))
         spy = _DrawSpy(monkeypatch)
-        for s in suite:
-            estimate_error_curve(s.x, s.n_x, s.y, s.n_y, CURVE_ALPHAS, trials, SeedSpec(13))
-        alone = list(spy.calls)
-        spy.calls.clear()
         assert mc.estimate_suite_curves(suite, CURVE_ALPHAS, trials, SeedSpec(13)) == expected
-        assert spy.calls == alone
+        chunks = [(first, count, chunk_draws // count) for first, count in runs]
+        assert spy.calls == [
+            (min(rows, trials - lo), count, first) for first, count, rows in chunks for lo in range(0, trials, rows)
+        ]
 
-    def test_below_the_rule_is_one_tree(self, monkeypatch):
-        # Both scenarios' own ranges are drawn leaf by leaf in one tree:
+    def test_overlapping_suite_is_one_tree(self, monkeypatch):
+        # Both scenarios are drawn leaf by leaf in one tree:
         # one round of forks per pass and one scratch file for the suite.
         trials, seed = 20_001, SeedSpec(17)
-        expected = _alone(BELOW_RULE_SUITE, CURVE_ALPHAS, trials, seed)
+        expected = _alone(OVERLAP_SUITE, CURVE_ALPHAS, trials, seed)
         monkeypatch.setattr(mc, "_PARALLEL_MIN_DRAWS", 0)
         monkeypatch.setattr(mc, "_PARALLEL_MIN_CURVE", 0)
         forks = force_cpus(monkeypatch, 2)
@@ -900,15 +912,15 @@ class TestSuiteCurves:
             return make(*args, **kwargs)
 
         monkeypatch.setattr(tempfile, "TemporaryFile", recorded)
-        assert mc.estimate_suite_curves(BELOW_RULE_SUITE, CURVE_ALPHAS, trials, seed) == expected
+        assert mc.estimate_suite_curves(OVERLAP_SUITE, CURVE_ALPHAS, trials, seed) == expected
         assert len(forks) == 2 * round_forks(2)
         assert files == [1]
         assert no_child_left()
 
     @pytest.mark.parametrize(
         "suite",
-        [(SampledScenario(Uniform(0.0, 1.0), 1, Uniform(0.0, 1.0), 1),) * 3, BELOW_RULE_SUITE],
-        ids=["shared", "below_the_rule"],
+        [(SampledScenario(Uniform(0.0, 1.0), 1, Uniform(0.0, 1.0), 1),) * 3, OVERLAP_SUITE],
+        ids=["shared", "overlapping"],
     )
     def test_leaf_of_128_trials_when_its_means_exceed_the_bound(self, monkeypatch, suite):
         # More random sides than _LEAF_MEANS: no power of two of trials fits.
@@ -916,6 +928,37 @@ class TestSuiteCurves:
         expected = _alone(suite, CURVE_ALPHAS, trials, seed)
         monkeypatch.setattr(mc, "_LEAF_MEANS", 1)
         assert mc.estimate_suite_curves(suite, CURVE_ALPHAS, trials, seed) == expected
+
+
+class TestDrawPlan:
+    """A side joins the run before it when their draws overlap or adjoin and the run still fits a chunk."""
+
+    @pytest.mark.parametrize(
+        "suite,chunk_draws,runs",
+        [
+            # Rows 0 .. 3 are draws 0 .. 14, 15 .. 39, 0 .. 29 and 30 .. 39.
+            (OVERLAP_SUITE, 65_536, [(0, 40, [0, 2, 1, 3])]),
+            (SHARED_SUITE[:1], 65_536, [(0, 24, [0, 1])]),
+            (GAP_SUITE, 65_536, [(0, 5, [0]), (60, 5, [1])]),
+            # Two copies of draws 0 .. 10 and 11 .. 23: 24 draws, more than a 16-draw chunk.
+            (SHARED_SUITE[:1] * 2, 16, [(0, 11, [0, 2]), (11, 13, [1, 3])]),
+            # Row 0 is draws 0 .. 19, longer than the chunk: row 2's draws 0 ..
+            # 2 cannot join it, and row 1's 20 .. 22 start after row 2's run.
+            (
+                (
+                    SampledScenario(Exponential(1.0), 20, Normal(0.0, 1.0), 3),
+                    SampledScenario(Uniform(0.0, 1.0), 3, PointMass(0.0), 1),
+                ),
+                16,
+                [(0, 20, [0]), (0, 3, [2]), (20, 3, [1])],
+            ),
+        ],
+        ids=["overlapping", "adjoining", "gap", "union_beyond_a_chunk", "side_beyond_a_chunk"],
+    )
+    def test_runs_and_their_rows(self, monkeypatch, suite, chunk_draws, runs):
+        monkeypatch.setattr(mc, "_CHUNK_DRAWS", chunk_draws)
+        plan, _ = mc._draw_plan(suite)
+        assert [(first, count, [side[0] for side in sides]) for first, count, sides in plan] == runs
 
 
 # Peak RSS in MiB of a fresh interpreter on 2 CPUs that estimates the
@@ -1321,8 +1364,8 @@ GOLDEN_VALIDATE = {
         MC_SUITE, 10_000, MC_BASE_SEED,
         "997ac5b44e42009540debeaf3efa4351457fb07fee0eaf4163477e0e397414d6",
     ),
-    # 300 + 5 draws are not more than 2 x 300: each scenario draws its own.
-    "suite_below_the_sharing_rule": (
+    # The 5-draw scenario's sides lie within the 300-draw one's: one run.
+    "suite_overlapping_scenarios": (
         (
             SampledScenario(Exponential(1.0), 200, Exponential(1.0), 100),
             SampledScenario(Normal(0.0, 1.0), 3, Exponential(1.0), 2),

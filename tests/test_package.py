@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib
 import math
+import pkgutil
 import re
 from pathlib import Path
 
@@ -73,3 +74,23 @@ def test_readme_quickstart_runs_as_written():
     exec(compile(block, "README.md", "exec"), namespace)
     assert math.isclose(namespace["profile"].alpha_star, 6 / 7)
     assert namespace["report"].verdict is Verdict.PASS
+
+
+def test_every_module_name_the_readme_cites_resolves():
+    # A backticked `module.name` whose module is one of the package's, such
+    # as `montecarlo._draw_plan`, must name code that exists, so a deleted
+    # function cannot stay documented.
+    modules = {info.name for info in pkgutil.iter_modules(collab_avg.__path__)}
+    cited = re.findall(r"`(\w+)\.([\w.]+)`", (ROOT / "README.md").read_text(encoding="utf-8"))
+    names = [(module, path) for module, path in cited if module in modules]
+    assert len(names) >= 13
+
+    def resolves(module: str, path: str) -> bool:
+        target = importlib.import_module(f"collab_avg.{module}")
+        for attribute in path.split("."):
+            if not hasattr(target, attribute):
+                return False
+            target = getattr(target, attribute)
+        return True
+
+    assert [f"{module}.{path}" for module, path in names if not resolves(module, path)] == []
