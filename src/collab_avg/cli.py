@@ -49,12 +49,16 @@ _VERDICT_EXIT = {Verdict.PASS: EXIT_OK, Verdict.FAIL: EXIT_VALIDATION}  # valida
 _DEFAULT_CURVE_GRID = 1001
 _DEFAULT_CONTOUR_GRID = 101
 
-#: ``contour`` forks row workers only from this many grid cells on.
+#: ``contour`` forks block workers only from this many grid cells on.
 #: Measured on a 2-core Xeon (numpy 2.4.6, rows written to a file, median
-#: of 11, alternating): two workers took 1.26x the serial time at 10,201
-#: cells, 0.98x at 19,881, 0.85-0.87x at 36,481 and 40,401 and 0.78-0.81x
-#: from 63,001 on; a round of two forks costs about 7.7 ms.
-_PARALLEL_MIN_CELLS = 40_000
+#: of 21 or 25 alternating pairs): two workers took 1.50x the serial time
+#: at 19,881 cells, 1.04-1.20x at 40,401, 0.97-0.99x at 48,841 and 53,361,
+#: 0.94-0.95x at 63,001, 0.78-0.82x from 78,961 to 100,489, 0.69x at
+#: 160,801 and 0.60x at 1,002,001; a round of two forks costs about 7.7 ms.
+_PARALLEL_MIN_CELLS = 60_000
+#: ``contour`` makes its rows in blocks of about this many cells, at least
+#: one u-row each; a block's traced peak is about 2.5 MiB.
+_BLOCK_CELLS = 8_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -182,38 +186,143 @@ def cmd_contour(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _contour_rows(u_grid: np.ndarray, v_grid: np.ndarray) -> Iterator[bytes]:
-    """The contour CSV as UTF-8, one chunk per u, in O(len(v_grid)) memory.
+#: Bytes per formatted alpha* cell: ``repr`` of a float has at most 24
+#: characters ("-2.2250738585072014e-308").
+_FIELD = 24
+#: 10**17 .. 10**20, each exact, and their Veltkamp halves (high, low).
+_SCALES = 10.0 ** np.arange(17, 21)
+_SCALES_HIGH = _SCALES * 134217729.0 - (_SCALES * 134217729.0 - _SCALES)
+_SCALES_LOW = _SCALES - _SCALES_HIGH
+_STEPS = np.array([1, 10, 100])
+#: Two ASCII bytes read as one uint16, a NUL for each byte left out. At
+#: 100 * j + d: the last two of digits ending in d, less the last j of them
+#: ("00" .. "99" for j = 0); at 300 + d: "\0" and the digit d; at 310, 311
+#: and 312: "\0\0", "0\0" and "0.".
+_PAIRS = [f"{d:02d}" for d in range(100)] + [f"{d // 10}\0" for d in range(100)] + ["\0\0"] * 100
+_PAIRS = np.frombuffer("".join([*_PAIRS, *(f"\0{d}" for d in range(10)), "\0\0", "0\0", "0."]).encode(), np.uint16)
 
-    From ``_PARALLEL_MIN_CELLS`` cells on, the u-rows are made round-robin
-    by one forked worker per CPU and streamed back in order, as the bytes
-    that are written; each row is built by the same code either way, so
-    the output does not depend on it. Close the generator when done with
-    it: that reaps the workers.
+
+def _repr_cells(x: np.ndarray) -> np.ndarray:
+    """``repr`` of each value of the float64 vector ``x``, as ``(len(x), _FIELD)`` bytes.
+
+    Row i without its NUL bytes is ``repr(x[i])`` in ASCII. ``repr`` gives
+    the shortest decimal inside x's rounding interval and, of those, the
+    one nearest to x. Values in [1e-4, 1) are worked out in numpy, exactly:
+
+    - Scale by 10**k, k = 17 .. 20 from comparing x with 0.1, 0.01 and
+      0.001 (each float above its decimal), so that V = x * 10**k lies in
+      (1e16, 1e17). Dekker's product with Veltkamp's split (Numer. Math. 18,
+      1971) gives V exactly as a float integer p plus a float e, without
+      FMA.
+    - Scaled the same way, the half-ulp h = 2**(E - 54) * 10**k (E from
+      ``frexp``) is 5**k times a power of two, so exact, and so are e - h
+      and e + h, which need fewer than 53 bits. V - h and V + h are odd
+      multiples of 2**(E + k - 54) with E + k <= 17, so not integers: the
+      candidates are the integers in [L + 1, H], L and H their floors.
+    - The shortest form ends at the largest j in 2, 1, 0 for which a
+      multiple of 10**j is a candidate. The interval is symmetric about V,
+      so the multiple of 10**j nearest to V is a candidate too: its 17
+      digits, less the last j, follow "0." and k - 17 zeros.
+
+    Values outside [1e-4, 1) take ``repr`` itself, and so do the two cases
+    the argument leaves open: V halfway between two multiples of 10**j
+    (``repr`` rounds the tie to even), and a multiple of 1000 among the
+    candidates (a shorter form, or a round-up to 1e17, might exist). The
+    latter takes in the powers of two, whose intervals are not symmetric:
+    2**-1 .. 2**-13 have at most 13 digits, so V is a multiple of 1000
+    itself. All the arithmetic is IEEE-exact (+, -, *, /, floor, frexp and
+    integers), so the bytes do not depend on the CPU's SIMD paths.
+    """
+    fast = (x >= 1e-4) & (x < 1.0)
+    values, x = x, np.where(fast, x, 0.3)  # the others get harmless stand-ins
+    zeros = (x < 0.1).astype(np.intp) + (x < 0.01) + (x < 0.001)  # k - 17
+    scale, scale_high, scale_low = (np.take(table, zeros) for table in (_SCALES, _SCALES_HIGH, _SCALES_LOW))
+    p = x * scale
+    x_high = x * 134217729.0
+    x_high -= x_high - x
+    x_low = x - x_high
+    e = (((x_high * scale_high - p) + x_high * scale_low) + x_low * scale_high) + x_low * scale_low
+    h = x / np.frexp(x)[0] * scale * 2.0**-54  # x / mantissa = 2**E exactly
+    p = p.astype(np.int64)
+    low, high = p + np.floor(e - h).astype(np.int64), p + np.floor(e + h).astype(np.int64)
+    fast &= high // 1000 == low // 1000
+    j = (high // 100 > low // 100).astype(np.intp) + (high // 10 > low // 10)
+    step = np.take(_STEPS, j)
+    # V = whole + rest with rest in [0, 1); round it to a multiple of step.
+    floor_e = np.floor(e)
+    rest = e - floor_e
+    whole = p + floor_e.astype(np.int64)
+    under = whole % step
+    half = step / 2 - under
+    fast &= rest != half
+    digits = whole - under + step * (rest > half)
+
+    codes = np.empty((12, x.size), np.intp)  # indices into _PAIRS, one row per two bytes
+    codes[0], codes[11] = 312, 310
+    codes[1] = np.take([310, 311, 0, 0], zeros)
+    for row in range(10, 2, -1):
+        head = digits // 100
+        np.subtract(digits, head * 100, out=codes[row])
+        digits = head
+    codes[2] = digits + np.take([300, 300, 300, 0], zeros)
+    codes[10] += 100 * j
+    cells = np.take(_PAIRS, codes).T.copy().view(np.uint8)
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        texts = [repr(value).encode().ljust(_FIELD, b"\0") for value in values[slow].tolist()]
+        cells[slow] = np.frombuffer(b"".join(texts), np.uint8).reshape(slow.size, _FIELD)
+    return cells
+
+
+def _text_cells(texts: list[str]) -> np.ndarray:
+    """ASCII ``texts`` as rows of one width, padded with NUL bytes."""
+    width = max(map(len, texts))
+    return np.frombuffer("".join(text.ljust(width, "\0") for text in texts).encode(), np.uint8).reshape(-1, width)
+
+
+def _contour_rows(u_grid: np.ndarray, v_grid: np.ndarray) -> Iterator[bytes]:
+    """The contour CSV as UTF-8, one chunk per block of u-rows, in O(len(v_grid)) memory.
+
+    A block holds about ``_BLOCK_CELLS`` cells, and at least one u-row. It
+    is built in numpy: each line's fields side by side in a byte array,
+    padded with NUL bytes that are then dropped, the alpha* cells from
+    ``_repr_cells``, so that every cell reads as ``_fmt`` gives it. From
+    ``_PARALLEL_MIN_CELLS`` cells on, the blocks are made round-robin by
+    one forked worker per CPU and streamed back in order, as the bytes that
+    are written; each block is built by the same code either way, so the
+    output does not depend on it. Close the generator when done with it:
+    that reaps the workers.
     """
     yield b"varxbar_over_bias2,varxbar_over_varybar,alpha_star\n"
     # u = Var[xbar]/bias^2 and v = Var[xbar]/Var[ybar] give the optimal weight
     # 1 / (1 + 1/u + 1/v): ErrorProfile's alpha_star at e0 = 1, summed in this
     # order because summing e1 = 1/u + 1/v first changes the last bit of
     # 108,498 of 1,002,001 cells at --grid 1001. Overflow to inf stays silent,
-    # as in the scalar formula. Cells are _fmt's repr form.
+    # as in the scalar formula.
     with np.errstate(over="ignore"):
         inv_v = 1.0 / v_grid
-    v_cells = [f",{v!r}," for v in v_grid.tolist()]
-    u_values = u_grid.tolist()
+    u_cells = _text_cells([repr(u) for u in u_grid.tolist()])
+    v_cells = _text_cells([f",{v!r}," for v in v_grid.tolist()])
+    per_block = max(1, _BLOCK_CELLS // v_grid.size)
 
-    def row(i: int) -> bytes:
-        u = u_values[i]
+    def block(i: int) -> bytes:
+        rows = slice(i * per_block, (i + 1) * per_block)
         with np.errstate(over="ignore"):
-            alphas = 1.0 / (1.0 + 1.0 / u + inv_v)
-        u_cell = repr(u)
-        return "".join([f"{u_cell}{cell}{alpha!r}\n" for cell, alpha in zip(v_cells, alphas.tolist())]).encode()
+            alphas = 1.0 / ((1.0 + 1.0 / u_grid[rows])[:, None] + inv_v)
+        parts = (
+            u_cells[rows, None],
+            v_cells[None],
+            _repr_cells(alphas.ravel()).reshape(*alphas.shape, _FIELD),
+            np.array([[[ord("\n")]]], np.uint8),
+        )
+        lines = np.concatenate([np.broadcast_to(part, (*alphas.shape, part.shape[2])) for part in parts], axis=2)
+        return lines.tobytes().translate(None, b"\0")
 
     workers = 1
-    if len(u_values) * len(v_cells) >= _PARALLEL_MIN_CELLS:
+    if u_grid.size * v_grid.size >= _PARALLEL_MIN_CELLS:
         workers = cpu_count()
-    with closing(ordered_map(row, len(u_values), workers)) as rows:
-        yield from rows
+    with closing(ordered_map(block, -(-u_grid.size // per_block), workers)) as blocks:
+        yield from blocks
 
 
 def cmd_validate(config: RunConfig) -> int:

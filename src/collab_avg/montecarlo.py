@@ -294,9 +294,10 @@ def _fill_means(means: np.ndarray, runs: _Runs, seed: SeedSpec, lo: int) -> None
     """Fill ``means[row]`` with the random side's means of trials ``lo .. lo+means.shape[1]-1``.
 
     ``runs`` are :func:`_draw_plan`'s. A run that fits in a chunk is drawn
-    chunk by chunk, with one ``_kernel`` per family over the draws covering
-    its sides. A longer run, a single side, is drawn a trial at a time in
-    leaves of numpy's pairwise-sum tree. Each mean has the bits of ``mean``.
+    chunk by chunk, with one ``_kernel`` per stretch of a family's sides
+    whose draws overlap or adjoin, over the draws covering them. A longer
+    run, a single side, is drawn a trial at a time in leaves of numpy's
+    pairwise-sum tree. Each mean has the bits of ``mean``.
     """
     hi = lo + means.shape[1]
     for first, count, sides in runs:
@@ -310,14 +311,21 @@ def _fill_means(means: np.ndarray, runs: _Runs, seed: SeedSpec, lo: int) -> None
 
                 means[row, t - lo] = _pairwise_sum(leaf_sum, d_lo, d_hi, _CHUNK_DRAWS) / count
             continue
-        families: dict[type, list] = {}
+        # A family's sides, in order of their first draw, in stretches whose
+        # draws overlap or adjoin, so no kernel transforms a draw that no side
+        # of its family reads.
+        families: dict[type, list[list]] = {}
         for member in sides:
-            families.setdefault(type(member[1]), []).append(member)
-        # Per family: its kernel, the draws covering all its sides, and each
-        # side with its draws' slice of the kernel.
+            stretches = families.setdefault(type(member[1]), [])
+            if stretches and member[2] <= max(side[3] for side in stretches[-1]):
+                stretches[-1].append(member)
+            else:
+                stretches.append([member])
+        # Per stretch: its family's kernel, the draws it covers, and each side
+        # with its draws' slice of the kernel.
         kernels = []
-        for members in families.values():
-            k_lo = min(member[2] for member in members)
+        for members in (stretch for stretches in families.values() for stretch in stretches):
+            k_lo = members[0][2]
             k_hi = max(member[3] for member in members)
             slices = [(row, dist, slice(d_lo - k_lo, d_hi - k_lo)) for row, dist, d_lo, d_hi in members]
             kernels.append((members[0][1]._kernel, slice(k_lo - first, k_hi - first), slices))
@@ -329,7 +337,7 @@ def _fill_means(means: np.ndarray, runs: _Runs, seed: SeedSpec, lo: int) -> None
                 k = kernel(u[:, covered])
                 for row, dist, draws in slices:
                     means[row, c_lo - lo : c_hi - lo] = _row_means(dist._from_kernel(k[:, draws]))
-                del k  # freed before the next family's kernel is made
+                del k  # freed before the next stretch's kernel is made
 
 
 def trial_means(

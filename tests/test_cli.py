@@ -378,9 +378,10 @@ class TestContour:
         assert out.encode("utf-8") == out_path.read_bytes()
 
     def test_memory_is_linear_in_grid(self, tmp_path, capsys, monkeypatch):
-        # A 401 x 401 grid is 160k rows (~9 MB of CSV); streaming one u-row
-        # at a time keeps the traced peak to a few rows' worth, whether the
-        # rows are made here or arrive from a worker's pipe.
+        # A 401 x 401 grid is 160k rows (~9 MB of CSV); streaming a block of
+        # about _BLOCK_CELLS cells at a time keeps the traced peak to a few
+        # blocks' worth, whether the blocks are made here or arrive from a
+        # worker's pipe.
         out_path = tmp_path / "contour.csv"
         for cpus in (1, 2):
             forks = force_cpus(monkeypatch, cpus)
@@ -461,7 +462,7 @@ class TestContour:
 
     # Contour bytes do not depend on how many forked workers make the rows.
     def _pinned(self, capsys, tmp_path, name: str) -> tuple[bytes, int]:
-        """Output bytes of the command behind ``GOLDEN_CONTOUR[name]``, and its u-rows."""
+        """Output bytes of the command behind ``GOLDEN_CONTOUR[name]``, and its blocks of u-rows."""
         scenario = tmp_path / "contour.yaml"
         scenario.write_text(BOUNDS_YAML)
         out_path = tmp_path / "contour.csv"
@@ -472,16 +473,17 @@ class TestContour:
         }[name]
         code, out, _ = run_cli(capsys, "contour", *argv)
         assert code == 0
-        return (out_path.read_bytes() if out_path.exists() else out.encode("utf-8")), rows
+        blocks = -(-rows // max(1, cli._BLOCK_CELLS // rows))
+        return (out_path.read_bytes() if out_path.exists() else out.encode("utf-8")), blocks
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     @pytest.mark.parametrize("name", sorted(GOLDEN_CONTOUR))
     def test_any_worker_count_gives_golden_bytes(self, monkeypatch, tmp_path, capsys, cpus, name):
         monkeypatch.setattr(cli, "_PARALLEL_MIN_CELLS", 0)
         forks = force_cpus(monkeypatch, cpus)
-        data, rows = self._pinned(capsys, tmp_path, name)
+        data, blocks = self._pinned(capsys, tmp_path, name)
         assert sha256(data) == GOLDEN_CONTOUR[name]
-        assert len(forks) == round_forks(min(cpus, rows))
+        assert len(forks) == round_forks(min(cpus, blocks))
         assert no_child_left()
 
     @pytest.mark.parametrize("reached", [False, True], ids=["below", "at"])
@@ -503,7 +505,7 @@ class TestContour:
 
         def failing_map(make, n, workers):
             def make_or_fail(i):
-                # Each worker sends its first row, then dies.
+                # Each worker sends its first block, then dies.
                 if os.getpid() != parent and i >= workers:
                     raise RuntimeError("worker failure")
                 return make(i)
@@ -512,6 +514,7 @@ class TestContour:
 
         monkeypatch.setattr(cli, "ordered_map", failing_map)
         monkeypatch.setattr(cli, "_PARALLEL_MIN_CELLS", 0)
+        monkeypatch.setattr(cli, "_BLOCK_CELLS", 1)  # one u-row per block
         forks = force_cpus(monkeypatch, 3)
         code, out, err = run_cli(capsys, "contour", "--grid", "13")
         assert (code, err) == (0, "")
@@ -526,6 +529,7 @@ class TestContour:
             raise BlockingIOError(11, "Resource temporarily unavailable")
 
         monkeypatch.setattr(cli, "_PARALLEL_MIN_CELLS", 0)
+        monkeypatch.setattr(cli, "_BLOCK_CELLS", 1)  # one u-row per block
         force_cpus(monkeypatch, 3)
         monkeypatch.setattr(os, "fork", no_fork)
         code, out, _ = run_cli(capsys, "contour", "--grid", "13")
@@ -549,6 +553,7 @@ class TestContour:
                         raise BrokenPipeError(32, "Broken pipe")
 
         monkeypatch.setattr(cli, "_PARALLEL_MIN_CELLS", 0)
+        monkeypatch.setattr(cli, "_BLOCK_CELLS", 1)  # one u-row per block
         forks = force_cpus(monkeypatch, 3)
         monkeypatch.setattr(sys, "stdout", ClosedAfterFirstChunk())
         code, _, err = run_cli(capsys, "contour", "--grid", "13")
@@ -556,6 +561,83 @@ class TestContour:
         assert err == "error: [Errno 32] Broken pipe\n"
         assert len(forks) == round_forks(3)
         assert no_child_left()
+
+
+def _ulps(value: float, steps: int) -> float:
+    """The float ``steps`` representable values above the positive ``value`` (below if negative)."""
+    return float((np.array([value]).view(np.int64) + steps).view(np.float64)[0])
+
+
+def _texts(cells: np.ndarray) -> list[bytes]:
+    """The rows of ``cli._repr_cells``' result, each with its NUL bytes dropped."""
+    return [row.tobytes().replace(b"\0", b"") for row in cells]
+
+
+# Formats the float64 values on standard input with contour's cell
+# formatter, writes the raw cells, and says on stderr whether numpy's
+# AVX-512 (X86_V4) paths are on.
+REPR_CELLS = """\
+import sys
+import numpy as np
+from numpy._core._multiarray_umath import __cpu_features__
+from collab_avg import cli
+
+sys.stdout.buffer.write(cli._repr_cells(np.frombuffer(sys.stdin.buffer.read())).tobytes())
+print(f"X86_V4: {__cpu_features__['X86_V4']}", file=sys.stderr)
+"""
+
+
+def _has_avx512f() -> bool:
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:
+        return False
+    return bool(__cpu_features__.get("AVX512F"))
+
+
+class TestReprCells:
+    """``contour``'s alpha* cells read as ``repr`` gives them, on every path."""
+
+    FLOATS = st.one_of(
+        # Any float in [0, 1.5), subnormals and 0.0 included.
+        st.integers(0, int(np.array([1.5]).view(np.int64)[0]) - 1).map(
+            lambda bits: float(np.int64(bits).view(np.float64))
+        ),
+        # Short decimals in [1e-5, 1) and the floats up to 3 steps away.
+        st.builds(
+            lambda digits, zeros, steps: _ulps(digits / 10 ** (len(str(digits)) + zeros), steps),
+            st.integers(1, 999_999),
+            st.integers(0, 4),
+            st.integers(-3, 3),
+        ),
+        # Few-bit fractions: V can fall halfway between two candidates.
+        st.builds(lambda odd, bits: (2 * odd + 1) / 2.0**bits, st.integers(0, 2**17), st.integers(18, 24)),
+        st.builds(lambda power, steps: _ulps(2.0**-power, steps), st.integers(0, 60), st.integers(-1, 1)),
+        st.builds(_ulps, st.sampled_from([1e-4, 1e-3, 1e-2, 0.1, 1.0]), st.integers(-3, 3)),
+    )
+
+    @settings(deadline=None, max_examples=300, derandomize=True, database=None)
+    @given(values=st.lists(FLOATS, min_size=1, max_size=64))
+    @example(values=[0.0, 5e-324, 2.2250738585072014e-308, 9.999999999999999e-05, 0.9999999999999999, 1.0])
+    def test_cells_are_repr(self, values):
+        assert _texts(cli._repr_cells(np.array(values))) == [repr(value).encode() for value in values]
+
+    @pytest.mark.skipif(not _has_avx512f(), reason="without AVX-512 numpy already takes its other paths")
+    def test_cells_without_avx512_are_repr(self):
+        # The formatter's arithmetic is IEEE-exact, so turning off numpy's
+        # AVX-512 paths changes no cell.
+        u = np.logspace(-2.0, 2.0, 201)
+        alphas = (1.0 / ((1.0 + 1.0 / u)[:, None] + 1.0 / u)).ravel()
+        edges = [_ulps(edge, steps) for edge in (1e-4, 1e-3, 1e-2, 0.1, 1.0) for steps in range(-3, 4)]
+        values = np.concatenate([alphas, edges, 10.0 ** np.random.default_rng(0).uniform(-5.0, 0.0, 10_000)])
+        env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
+        result = subprocess.run(
+            [sys.executable, "-c", REPR_CELLS], input=values.tobytes(), capture_output=True, env=env, timeout=120
+        )
+        assert result.returncode == 0
+        assert result.stderr.decode().splitlines() == ["X86_V4: False"]
+        cells = np.frombuffer(result.stdout, np.uint8).reshape(values.size, cli._FIELD)
+        assert _texts(cells) == [repr(value).encode() for value in values.tolist()]
 
 
 class TestValidate:
@@ -1089,7 +1171,7 @@ class TestScipyImport:
         monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
         scenario = tmp_path / "scenario.yaml"
         scenario.write_text(MC_LONG_YAML)
-        argv = {"validate": ["--scenario", str(scenario), "--trials", "300"], "contour": ["--grid", "21"]}[command]
+        argv = {"validate": ["--scenario", str(scenario), "--trials", "300"], "contour": ["--grid", "201"]}[command]
         code, _, err = run_python(THREADS_AT_FORK, command, *argv, "--out", str(tmp_path / "out"))
         assert code == 0
         assert set(ast.literal_eval(err[-1].partition(": ")[2])) == {1}
@@ -1165,8 +1247,9 @@ class TestCommonBehaviour:
             preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
         )
         try:
-            # Wait for the second u-row, the first a worker makes: a signal
-            # that lands inside os.fork is swallowed by its at-fork hooks.
+            # Wait for the second u-row, which arrives from a worker after
+            # every fork: a signal that lands inside os.fork is swallowed by
+            # its at-fork hooks.
             assert process.stdout.readline().startswith(b"varxbar_over_bias2,")
             first_u = process.stdout.readline().split(b",")[0]
             while process.stdout.readline().split(b",")[0] == first_u:
@@ -1188,7 +1271,7 @@ class TestCommonBehaviour:
         # through ordered_map.
         scenario = tmp_path / "scenario.yaml"
         scenario.write_text(MC_LONG_YAML)
-        argv = {"contour": ["--grid", "201"], "validate": ["--scenario", str(scenario)]}[command]
+        argv = {"contour": ["--grid", "301"], "validate": ["--scenario", str(scenario)]}[command]
         code, _, err = run_python(SIGINT_AT_FORK, command, *argv, "--out", str(tmp_path / "out"))
         assert code == 130
         assert err == ["error: interrupted", "interrupts raised: 1, child left: False"]

@@ -621,12 +621,12 @@ CONSTANT_X_SUITE = (
 )
 
 
-# Each family's sides share one kernel over the draws covering them all
-# (span 0 .. 29). Normal sides: 0 .. 3 (sd 0, its family's first side),
-# 10 .. 21 and 16 .. 29, so they overlap and leave 4 .. 9 out. Exponential
-# sides: 4 .. 11, 8 .. 13 and 20 .. 25, so their kernel starts at 4 and
-# leaves 14 .. 19 out. Bernoulli sides of fewer than 8 and of 8 or more
-# draws, at p = 0 and p = 1.
+# A family's sides whose draws overlap or adjoin share one kernel over the
+# draws covering them (span 0 .. 29). Normal sides: 0 .. 3 (sd 0, its
+# family's first side) alone, then 10 .. 21 and 16 .. 29, which overlap, so
+# no normal kernel reads 4 .. 9. Exponential sides: 4 .. 11 and 8 .. 13
+# together, then 20 .. 25 alone, leaving 14 .. 19 out. Bernoulli sides of
+# fewer than 8 and of 8 or more draws, at p = 0 and p = 1.
 KERNEL_SUITE = (
     SampledScenario(Normal(1.0, 0.0), 4, Exponential(2.0), 8),
     SampledScenario(Uniform(0.0, 1.0), 10, Normal(0.3, 1.2), 12),
@@ -858,6 +858,23 @@ class TestSuiteCurves:
         assert mc.estimate_suite_curves(suite, CURVE_ALPHAS, trials, seed) == expected
         chunk = mc._CHUNK_DRAWS // 200
         assert shapes == [(min(chunk, trials - lo), 100) for lo in range(0, trials, chunk)]
+
+    def test_one_kernel_per_stretch_of_a_family(self, monkeypatch):
+        # The normal sides take draws 0 .. 14 and 30 .. 39: ndtri transforms
+        # those 25 per trial, not the 40 from 0 to 39, and the bits hold.
+        suite, trials, seed = OVERLAP_SUITE, 300, SeedSpec(15)
+        expected = _alone(suite, CURVE_ALPHAS, trials, seed)
+        ndtri = distributions._load_ndtri()
+        shapes = []
+
+        def counted(u):
+            shapes.append(u.shape)
+            return ndtri(u)
+
+        monkeypatch.setattr(distributions, "_load_ndtri", lambda: counted)
+        force_cpus(monkeypatch, 1)
+        assert mc.estimate_suite_curves(suite, CURVE_ALPHAS, trials, seed) == expected
+        assert sorted(shapes) == [(trials, 10), (trials, 15)]
 
     def test_overlapping_sides_are_drawn_once(self, monkeypatch):
         # Every random side lies in draws 0 .. 39, and the constant side's
