@@ -132,9 +132,9 @@ class Distribution(ABC):
     def variance(self) -> float:
         """Exact variance (non-negative, finite)."""
 
+    @abstractmethod
     def _from_uniforms(self, u: np.ndarray) -> np.ndarray:
         """Map uniforms in (0, 1) to draws; elementwise, shape-preserving."""
-        return self._from_kernel(self._kernel(u))
 
     def _kernel(self, u: np.ndarray) -> np.ndarray:
         """The costly first step of ``_from_uniforms``, ``u`` itself when there is none.
@@ -144,9 +144,13 @@ class Distribution(ABC):
         """
         return u
 
+    def _standard(self, k: np.ndarray) -> np.ndarray:
+        """This member's standard values from the family's ``_kernel`` values, ``k`` itself for most."""
+        return k
+
     @abstractmethod
-    def _from_kernel(self, k: np.ndarray) -> np.ndarray:
-        """This member's draws from the family's ``_kernel`` values; elementwise."""
+    def _centred(self, m: np.ndarray) -> np.ndarray:
+        """The deviation from ``mean()`` of draws whose ``_standard`` values average ``m``; affine."""
 
     def moments(self) -> tuple[float, float]:
         return self.mean(), self.variance()
@@ -171,10 +175,13 @@ class Normal(Distribution):
     def _kernel(self, u: np.ndarray) -> np.ndarray:
         return _load_ndtri()(u)
 
-    def _from_kernel(self, k: np.ndarray) -> np.ndarray:
+    def _from_uniforms(self, u: np.ndarray) -> np.ndarray:
         if self.sd == 0:
-            return np.full_like(k, float(self.mu))
-        return self.mu + self.sd * k
+            return np.full_like(u, float(self.mu))
+        return self.mu + self.sd * self._kernel(u)
+
+    def _centred(self, m: np.ndarray) -> np.ndarray:
+        return self.sd * m
 
 
 @dataclass(frozen=True)
@@ -193,8 +200,11 @@ class Uniform(Distribution):
     def variance(self) -> float:
         return (self.hi - self.lo) ** 2 / 12.0
 
-    def _from_kernel(self, k: np.ndarray) -> np.ndarray:
-        return self.lo + (self.hi - self.lo) * k
+    def _from_uniforms(self, u: np.ndarray) -> np.ndarray:
+        return self.lo + (self.hi - self.lo) * u
+
+    def _centred(self, m: np.ndarray) -> np.ndarray:
+        return (self.hi - self.lo) * (m - 0.5)
 
 
 @dataclass(frozen=True)
@@ -210,8 +220,14 @@ class Bernoulli(Distribution):
     def variance(self) -> float:
         return self.p * (1.0 - self.p)
 
-    def _from_kernel(self, k: np.ndarray) -> np.ndarray:
+    def _from_uniforms(self, u: np.ndarray) -> np.ndarray:
+        return self._standard(u)
+
+    def _standard(self, k: np.ndarray) -> np.ndarray:
         return (k < self.p).astype(np.float64)
+
+    def _centred(self, m: np.ndarray) -> np.ndarray:
+        return m - self.p
 
 
 @dataclass(frozen=True)
@@ -235,8 +251,11 @@ class Exponential(Distribution):
         k = np.log(u)
         return np.negative(k, out=k)
 
-    def _from_kernel(self, k: np.ndarray) -> np.ndarray:
-        return k / self.rate
+    def _from_uniforms(self, u: np.ndarray) -> np.ndarray:
+        return self._kernel(u) / self.rate
+
+    def _centred(self, m: np.ndarray) -> np.ndarray:
+        return (m - 1.0) / self.rate
 
 
 @dataclass(frozen=True)
@@ -252,8 +271,11 @@ class PointMass(Distribution):
     def variance(self) -> float:
         return 0.0
 
-    def _from_kernel(self, k: np.ndarray) -> np.ndarray:
-        return np.full_like(k, float(self.value))
+    def _from_uniforms(self, u: np.ndarray) -> np.ndarray:
+        return np.full_like(u, float(self.value))
+
+    def _centred(self, m: np.ndarray) -> np.ndarray:
+        return 0.0 * m
 
 
 FAMILIES: dict[str, type[Distribution]] = {

@@ -93,16 +93,10 @@ class MonteCarloEstimate:
 
 @dataclass(frozen=True)
 class ValidationPoint:
-    """One weight's simulated ESE beside its closed form; the verdict is derived.
-
-    ``mu_x`` and ``mu_y`` are the scenario's exact means, which scale the
-    rounding of each trial's error.
-    """
+    """One weight's simulated ESE beside its closed form; the verdict is derived."""
 
     closed_form: float
     estimate: MonteCarloEstimate
-    mu_x: float
-    mu_y: float
 
     @property
     def alpha(self) -> float:
@@ -129,34 +123,14 @@ class ValidationPoint:
         for the squared error and 7 for the closed form (e1's 4;
         ``alpha**2``, its product and the sum 3). At 1,000 trials that is
         9e-15 of the estimate.
-
-        The error ``e = (1 - alpha) * xbar + alpha * ybar - mu_x`` before it
-        is squared can cancel to far below its terms, so its rounding is
-        relative to them, not to the estimate. With ``u = 2**-53``,
-        ``1 - alpha`` and ``xbar``'s product are off by at most ``2u``
-        of ``(1 - alpha)|xbar|``, ``alpha * ybar`` by ``u`` of itself, their
-        sum by ``u`` of ``(1 - alpha)|xbar| + alpha|ybar|`` and the
-        difference by ``u|e|``; for constant sides, whose means are exact,
-        that is at most ``3u * S``, ``S = (1 - alpha)|mu_x| + alpha|mu_y| +
-        |mu_x|``, since ``|e| <= alpha(|mu_x| + |mu_y|)``. The square is
-        then off by ``3uS(2|e| + 3uS) = 6uS|e| + 9u**2 S**2``, with ``|e|``
-        the root of the estimate when every trial's error is the same. A
-        random side spreads the trials' errors by some ``sd``, and
-        ``BAND * std_error`` is then about ``BAND * sqrt(2) * sd *
-        sqrt(estimate / trials)`` or more (normal errors), which exceeds
-        ``6uS * sqrt(estimate)`` unless ``sd`` is below about ``4u *
-        sqrt(trials) * S / BAND``: unless the side is constant to rounding.
         """
         levels = (max(self.estimate.trials, 128) - 1).bit_length() - 6
         rounding = (24 + 1 + levels + 1 + 3 + 7) * 2.0**-52
-        u, estimate = 2.0**-53, self.estimate.mean_sq_error
-        scale = (1.0 - self.alpha) * abs(self.mu_x) + self.alpha * abs(self.mu_y) + abs(self.mu_x)
-        error = 3 * u * scale * (2 * math.sqrt(estimate) + 3 * u * scale)
-        return BAND * self.estimate.std_error + rounding * estimate + error
+        return BAND * self.estimate.std_error + rounding * self.estimate.mean_sq_error
 
     @property
     def verdict(self) -> Verdict:
-        """PASS within a finite band: a non-finite estimate, or a floor that overflows, never agrees (inf <= inf)."""
+        """PASS within a finite band: a non-finite estimate, or a band that overflows, never agrees (inf <= inf)."""
         limit = self.limit
         return Verdict.PASS if math.isfinite(limit) and self.deviation <= limit else Verdict.FAIL
 
@@ -223,13 +197,13 @@ def _read_at(fd: int, shape: tuple[int, ...], offset: int) -> np.ndarray:
 #: :func:`_draw_plan`'s runs ``(first, count, sides)`` in order of their
 #: first draw, each side ``(row, distribution, first draw, end)`` with rows
 #: 0, 1, ... in scenario order; and each scenario's ``(x, y)``: a random
-#: side's row, or a constant's value.
+#: side's row, or 0.0, a constant side's deviation.
 _Runs = list[tuple[int, int, list[tuple[int, Distribution, int, int]]]]
 _Plan = tuple[_Runs, list[tuple[int | float, int | float]]]
 
 
 def _draw_plan(scenarios: Sequence[SampledScenario]) -> _Plan:
-    """The runs of draws each trial takes, and where each scenario's side means come from.
+    """The runs of draws each trial takes, and where each scenario's side deviations come from.
 
     Each scenario's x takes draws 0 .. n_x-1 of a trial's stream and y
     draws n_x .. n_x+n_y-1. A point mass consumes no randomness, and its
@@ -251,7 +225,7 @@ def _draw_plan(scenarios: Sequence[SampledScenario]) -> _Plan:
         first_row, source = len(sides), []
         for dist, d_lo, d_hi in ((x, 0, n_x), (y, n_x, n_x + n_y)):
             if isinstance(dist, PointMass):
-                source.append(float(dist.value))
+                source.append(0.0)
             else:
                 source.append(len(sides))
                 sides.append((len(sides), dist, d_lo, d_hi))
@@ -291,13 +265,15 @@ def _row_means(a: np.ndarray) -> np.ndarray:
 
 
 def _fill_means(means: np.ndarray, runs: _Runs, seed: SeedSpec, lo: int) -> None:
-    """Fill ``means[row]`` with the random side's means of trials ``lo .. lo+means.shape[1]-1``.
+    """Fill ``means[row]`` with the random side's mean deviations of trials ``lo .. lo+means.shape[1]-1``.
 
     ``runs`` are :func:`_draw_plan`'s. A run that fits in a chunk is drawn
     chunk by chunk, with one ``_kernel`` per stretch of a family's sides
     whose draws overlap or adjoin, over the draws covering them. A longer
     run, a single side, is drawn a trial at a time in leaves of numpy's
-    pairwise-sum tree. Each mean has the bits of ``mean``.
+    pairwise-sum tree. Each side's ``_standard`` values are averaged with
+    the bits of ``mean``, and the mean is then mapped by the side's
+    ``_centred``: no draw is shifted by its distribution's mean.
     """
     hi = lo + means.shape[1]
     for first, count, sides in runs:
@@ -307,9 +283,9 @@ def _fill_means(means: np.ndarray, runs: _Runs, seed: SeedSpec, lo: int) -> None
 
                 def leaf_sum(l_lo: int, l_hi: int) -> float:
                     u = uniform_matrix(seed.master_seed, seed.stream_id + t, 1, l_hi - l_lo, l_lo)[0]
-                    return np.add.reduce(dist._from_uniforms(u))
+                    return np.add.reduce(dist._standard(dist._kernel(u)))
 
-                means[row, t - lo] = _pairwise_sum(leaf_sum, d_lo, d_hi, _CHUNK_DRAWS) / count
+                means[row, t - lo] = dist._centred(_pairwise_sum(leaf_sum, d_lo, d_hi, _CHUNK_DRAWS) / count)
             continue
         # A family's sides, in order of their first draw, in stretches whose
         # draws overlap or adjoin, so no kernel transforms a draw that no side
@@ -336,7 +312,7 @@ def _fill_means(means: np.ndarray, runs: _Runs, seed: SeedSpec, lo: int) -> None
             for kernel, covered, slices in kernels:
                 k = kernel(u[:, covered])
                 for row, dist, draws in slices:
-                    means[row, c_lo - lo : c_hi - lo] = _row_means(dist._from_kernel(k[:, draws]))
+                    means[row, c_lo - lo : c_hi - lo] = dist._centred(_row_means(dist._standard(k[:, draws])))
                 del k  # freed before the next stretch's kernel is made
 
 
@@ -348,11 +324,12 @@ def trial_means(
     trials: int,
     seed: SeedSpec | int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-trial empirical means (xbar_t, ybar_t) for t = 0 .. trials-1, from :func:`_fill_means`."""
+    """Per-trial empirical means (xbar_t, ybar_t) for t = 0 .. trials-1: ``mean()`` plus :func:`_fill_means`' deviation."""
     runs, (sources,) = _draw_plan([SampledScenario(x, n_x, y, n_y)])
     means = np.empty((2, trials))  # the rows of up to two random sides
     _fill_means(means, runs, _as_seed(seed), 0)
-    return tuple(means[s] if isinstance(s, int) else np.full(trials, s) for s in sources)
+    pairs = zip((x, y), sources)
+    return tuple(d.mean() + means[s] if isinstance(s, int) else np.full(trials, d.mean()) for d, s in pairs)
 
 
 T = TypeVar("T")
@@ -381,31 +358,33 @@ def _pairwise_sum(leaf_sum: Callable[[int, int], T], lo: int, hi: int, leaf: int
 
 
 def _curve_sums(
-    xbar: np.ndarray | float,
-    ybar: np.ndarray | float,
+    dx: np.ndarray | float,
+    dy: np.ndarray | float,
     alphas: Sequence[float],
-    mu_x: float,
+    b: float,
     scratch: np.ndarray,
     centres: np.ndarray | None = None,
 ) -> np.ndarray:
     """Per-weight ``np.add.reduce`` over these trials of the squared errors.
 
-    Each weight's squared errors are ``(1 - alpha) * xbar + alpha * ybar -
-    mu_x``, squared, as numpy's ``mean`` would see them; a constant side is
-    a float, which numpy broadcasts with a filled row's bits.
+    ``dx`` and ``dy`` are the sides' mean deviations and ``b = mu_y - mu_x``
+    the bias, the float the closed form squares into e1. Each weight's
+    squared errors are ``(1 - alpha) * dx + alpha * (dy + b)``, squared, as
+    numpy's ``mean`` would see them; a constant side is 0.0, which numpy
+    broadcasts with a filled row's bits. No mean enters but through ``b``.
     Given each weight's mean squared error as ``centres``, the sums are of
     the squared deviations from it instead, as in numpy's ``std``.
-    ``scratch`` is two rows of the trials' length. A squared error can
+    ``scratch`` is three rows of the trials' length. A squared error can
     overflow a float; its point then reads FAIL, silently.
     """
-    err, sq = scratch
+    err, sq, shifted = scratch
     out = np.empty(len(alphas))
     with np.errstate(over="ignore", invalid="ignore"):
+        np.add(dy, b, out=shifted)
         for w, alpha in enumerate(alphas):
-            np.multiply(xbar, 1.0 - alpha, out=err)
-            np.multiply(ybar, alpha, out=sq)
+            np.multiply(dx, 1.0 - alpha, out=err)
+            np.multiply(shifted, alpha, out=sq)
             np.add(err, sq, out=err)
-            np.subtract(err, mu_x, out=err)
             np.square(err, out=sq)
             if centres is not None:
                 np.subtract(sq, centres[w], out=sq)
@@ -516,11 +495,11 @@ def estimate_suite_curves(
     drawn once by one :func:`_draw_plan`, whose runs join the sides whose
     draws overlap or adjoin.
 
-    Pass 1 of ``_tree_statistics`` takes a leaf's random sides' means from
-    ``_fill_means`` and writes them to an unlinked scratch file (trials x
+    Pass 1 of ``_tree_statistics`` takes a leaf's random sides' deviations
+    from ``_fill_means`` and writes them to an unlinked scratch file (trials x
     random sides x 8 bytes, in TMPDIR), which pass 2 reads back instead of
     drawing again; so no trial-length buffer is held in memory, and a
-    constant side is only its value. Pass 1 forks from ``_PARALLEL_MIN_DRAWS`` draws on; pass 2,
+    constant side is only its deviation, 0.0. Pass 1 forks from ``_PARALLEL_MIN_DRAWS`` draws on; pass 2,
     which only sums, from ``_PARALLEL_MIN_CURVE`` trials x scenarios x
     weights on. The workers share the file. Without a random side nothing
     is drawn and no file is made.
@@ -542,7 +521,7 @@ def estimate_suite_curves(
     if parallel[0]:
         _load_sampling(runs)
     rows = sum(len(sides) for *_, sides in runs)  # the random sides, the file's rows
-    mus = [scenario.x.mean() for scenario in scenarios]
+    biases = [scenario.y.mean() - scenario.x.mean() for scenario in scenarios]
     # Trials per leaf: the largest power of two whose random sides' means fit
     # in _LEAF_MEANS, at most _SUITE_LEAF, and at most a CPU's share of the
     # trials, so that every CPU has a leaf (mc_long's 2,000 trials are two
@@ -550,12 +529,12 @@ def estimate_suite_curves(
     # trials' means exceed _LEAF_MEANS (past 2,048 random sides).
     fits = 1 << max((_LEAF_MEANS // max(rows, 1)).bit_length() - 1, 0)
     leaf = max(128, min(fits, _SUITE_LEAF, -(-trials // cpu_count())))
-    scratch = np.empty((2, min(trials, leaf)))
+    scratch = np.empty((3, min(trials, leaf)))
 
     def leaf_sums(lo: int, hi: int, centres: np.ndarray | None) -> np.ndarray:
         """``[scenario, weight]`` sums over trials ``lo .. hi-1``.
 
-        Pass 1 draws the random sides' means by the plan and writes them to
+        Pass 1 draws the random sides' deviations by the plan and writes them to
         ``spill`` as the leaf's ``[row, trial]`` block; pass 2 reads it back.
         """
         shape, offset = (rows, hi - lo), 8 * rows * lo
@@ -569,10 +548,10 @@ def estimate_suite_curves(
         sides = [[means[side] if isinstance(side, int) else side for side in pair] for pair in sources]
         return np.array(
             [
-                _curve_sums(*sides[s], alphas, mu_x, scratch[:, : hi - lo], None if centres is None else centres[s])
-                for s, mu_x in enumerate(mus)
+                _curve_sums(*sides[s], alphas, b, scratch[:, : hi - lo], None if centres is None else centres[s])
+                for s, b in enumerate(biases)
             ]
-        ).reshape(len(mus), len(alphas))  # an empty suite's too
+        ).reshape(len(biases), len(alphas))  # an empty suite's too
 
     # The scratch file honours TMPDIR and is unlinked at creation.
     with tempfile.TemporaryFile() if rows else contextlib.nullcontext() as spill:
@@ -604,11 +583,9 @@ def validate_scenario(
     on ``VALIDATION_ALPHAS``, in order, at one trial count and one seed. Each
     weight passes within ``ValidationPoint.limit``. ``expected`` overrides the
     closed-form reference profile (diagnostics; the default recomputes it
-    from the scenario's exact moments, which scale the floor either way).
+    from the scenario's exact moments).
     """
     if tuple(estimate.alpha for estimate in curve) != VALIDATION_ALPHAS:
         raise ValueError("a curve to validate must be estimated at VALIDATION_ALPHAS, in order")
-    exact = reduce_to_two_agent(scenario)
-    profile = expected if expected is not None else error_profile(exact)
-    points = (ValidationPoint(ese_of_alpha(profile, e.alpha), e, exact.mu_x, exact.mu_y) for e in curve)
-    return ValidationReport(tuple(points))
+    profile = expected if expected is not None else error_profile(reduce_to_two_agent(scenario))
+    return ValidationReport(tuple(ValidationPoint(ese_of_alpha(profile, e.alpha), e) for e in curve))

@@ -14,7 +14,7 @@ import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
 from collab_avg import cli  # noqa: E402
-from collab_avg._philox import uniforms  # noqa: E402
+from collab_avg._philox import uniform_matrix, uniforms  # noqa: E402
 from collab_avg.distributions import Distribution, SeedSpec  # noqa: E402
 from collab_avg.theory import Scenario  # noqa: E402
 
@@ -80,12 +80,32 @@ def variance_std_error(values: np.ndarray) -> float:
     return math.sqrt(max(var_of_var, 0.0))
 
 
-def numpy_statistics(xbar, ybar, alphas, mu_x) -> list[tuple[float, float]]:
-    """numpy's own ``mean`` and ``std(ddof=1) / sqrt(trials)`` of the squared errors, weight by weight."""
-    trials = xbar.size
+def whole_row_deviations(x, n_x, y, n_y, trials: int, seed: SeedSpec, block: int = 4_096):
+    """Each side's per-trial mean deviation from its distribution's mean, naively.
+
+    numpy's own ``mean`` of the side's ``_standard`` kernel values over the
+    whole row of its draws, then the family's ``_centred``: the reference
+    for the sampling core (a constant side's is 0.0). Trials are taken
+    ``block`` at a time only to bound the memory.
+    """
+    rows = ([], [])
+    for t in range(0, trials, block):
+        u = uniform_matrix(seed.master_seed, seed.stream_id + t, min(block, trials - t), n_x + n_y)
+        for row, dist, cols in zip(rows, (x, y), (u[:, :n_x], u[:, n_x:])):
+            row.append(dist._centred(dist._standard(dist._kernel(cols)).mean(axis=1)))
+    return tuple(np.concatenate(row) for row in rows)
+
+
+def numpy_statistics(dx, dy, alphas, b) -> list[tuple[float, float]]:
+    """numpy's own ``mean`` and ``std(ddof=1) / sqrt(trials)`` of the squared errors, weight by weight.
+
+    ``dx`` and ``dy`` are the sides' per-trial mean deviations and ``b = mu_y
+    - mu_x``, so each trial's error is ``(1 - alpha) * dx + alpha * (dy + b)``.
+    """
+    trials = dx.size
     pairs = []
     for alpha in alphas:
-        sq = ((1.0 - alpha) * xbar + alpha * ybar - mu_x) ** 2
+        sq = ((1.0 - alpha) * dx + alpha * (dy + b)) ** 2
         pairs.append((float(sq.mean()), float(sq.std(ddof=1)) / math.sqrt(trials)))
     return pairs
 

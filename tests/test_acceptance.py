@@ -28,7 +28,7 @@ from collab_avg.distributions import (
 )
 from collab_avg.federation import Agent, personalized_weight, reduce_to_two_agent
 import collab_avg.montecarlo as mc
-from collab_avg.montecarlo import SampledScenario, Verdict, estimate_error_curve, trial_means, validate_scenario
+from collab_avg.montecarlo import SampledScenario, Verdict, estimate_error_curve, validate_scenario
 from collab_avg.table1 import MISMATCH_ROWS, reproduce_table
 from collab_avg.theory import (
     ErrorProfile,
@@ -38,7 +38,7 @@ from collab_avg.theory import (
     ese_of_alpha,
 )
 
-from conftest import numpy_statistics, random_scenarios, variance_std_error
+from conftest import numpy_statistics, random_scenarios, variance_std_error, whole_row_deviations
 
 IDENTITY_RTOL = 1e-12
 GRID = np.linspace(0.0, 1.0, 1001)
@@ -147,20 +147,20 @@ def test_c05_upper_bounds_strict(scenario_suite):
 
 
 @pytest.fixture(scope="module")
-def mc_suite_means():
-    """Per-trial means (xbar, ybar) of each MC_SUITE scenario, sampled once for c06 and c07."""
+def mc_suite_deviations():
+    """Per-trial mean deviations (dx, dy) of each MC_SUITE scenario, sampled once for c06 and c07."""
     return [
-        trial_means(s.x, s.n_x, s.y, s.n_y, MC_TRIALS, SeedSpec(MC_BASE_SEED + index))
+        whole_row_deviations(s.x, s.n_x, s.y, s.n_y, MC_TRIALS, SeedSpec(MC_BASE_SEED + index))
         for index, s in enumerate(MC_SUITE)
     ]
 
 
 @pytest.fixture(scope="module")
-def mc_suite_curves(mc_suite_means):
-    """Each MC_SUITE scenario's simulated curve on validate's grid, from the c06 trial means."""
+def mc_suite_curves(mc_suite_deviations):
+    """Each MC_SUITE scenario's simulated curve on validate's grid, from the c06 trial deviations."""
     curves = []
-    for index, (scenario, (xbar, ybar)) in enumerate(zip(MC_SUITE, mc_suite_means)):
-        pairs = numpy_statistics(xbar, ybar, mc.VALIDATION_ALPHAS, scenario.x.mean())
+    for index, (scenario, (dx, dy)) in enumerate(zip(MC_SUITE, mc_suite_deviations)):
+        pairs = numpy_statistics(dx, dy, mc.VALIDATION_ALPHAS, scenario.y.mean() - scenario.x.mean())
         seed = SeedSpec(MC_BASE_SEED + index)
         curves.append(
             [mc.MonteCarloEstimate(a, mean, se, MC_TRIALS, seed) for a, (mean, se) in zip(mc.VALIDATION_ALPHAS, pairs)]
@@ -191,16 +191,17 @@ def test_c06_monte_carlo_oracle_agreement(request):
         assert elapsed < 60.0
 
 
-def test_c07_estimator_moment_checks(mc_suite_means):
+def test_c07_estimator_moment_checks(mc_suite_deviations):
     with criterion(7, "estimator moment checks"):
         alphas = np.linspace(0.0, 1.0, 21)
-        for scenario, (xbar, ybar) in zip(MC_SUITE, mc_suite_means):
+        for scenario, (dx, dy) in zip(MC_SUITE, mc_suite_deviations):
             mu_x, var_x = scenario.x.moments()
             mu_y, var_y = scenario.y.moments()
             for alpha in alphas:
                 alpha = float(alpha)
-                est = (1.0 - alpha) * xbar + alpha * ybar
-                closed_mean = (1.0 - alpha) * mu_x + alpha * mu_y
+                # The estimator's error: (1 - alpha) * xbar + alpha * ybar - mu_x.
+                est = (1.0 - alpha) * dx + alpha * (dy + (mu_y - mu_x))
+                closed_mean = alpha * (mu_y - mu_x)
                 mean_band = 4.0 * float(est.std(ddof=1)) / math.sqrt(MC_TRIALS)
                 assert abs(float(est.mean()) - closed_mean) <= mean_band
                 closed_var = (

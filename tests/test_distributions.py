@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from collab_avg import distributions
+from collab_avg._philox import uniform_matrix
 from collab_avg.distributions import (
     Bernoulli,
     Exponential,
@@ -70,6 +71,17 @@ class TestMoments:
         var_quad, _ = scipy.integrate.quad(lambda x: (x - mean_quad) ** 2 * pdf(x), *support)
         assert mean == pytest.approx(mean_quad, abs=1e-9)
         assert var == pytest.approx(var_quad, abs=1e-9)
+
+
+@pytest.mark.parametrize("spec", ALL_FAMILIES, ids=repr)
+def test_centred_mean_is_the_draws_mean(spec):
+    """The sampler's mean, ``mean()`` plus the centred mean of the standard values, is the draws' mean."""
+    assert {type(each) for each in ALL_FAMILIES} == set(distributions.FAMILIES.values())  # every family has its map
+    u = uniform_matrix(5, 0, 50, 37)
+    values = spec._from_uniforms(u)
+    centred = spec.mean() + spec._centred(spec._standard(spec._kernel(u)).mean(axis=1))
+    scale = max(np.abs(values).max(), abs(spec.mean()))
+    assert np.abs(centred - values.mean(axis=1)).max() <= 4 * np.finfo(float).eps * scale
 
 
 class TestValidation:

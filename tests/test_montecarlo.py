@@ -36,7 +36,14 @@ from collab_avg.montecarlo import (
 )
 from collab_avg.theory import ErrorProfile, error_profile, ese_of_alpha
 
-from conftest import force_cpus, no_child_left, numpy_statistics, round_forks, variance_std_error
+from conftest import (
+    force_cpus,
+    no_child_left,
+    numpy_statistics,
+    round_forks,
+    variance_std_error,
+    whole_row_deviations,
+)
 from test_acceptance import MC_BASE_SEED, MC_SUITE
 
 TRIALS = 10**5
@@ -115,12 +122,10 @@ class TestErrorCurve:
         """The sliced sums reproduce ``mean`` and ``std(ddof=1)`` bit for bit."""
         x, y, seed = Exponential(0.7), Normal(1.5, 2.0), SeedSpec(8, 123)
         alphas = [0.0, 0.1, 1 / 3, 0.9, 1.0]
-        xbar, ybar = trial_means(x, 3, y, 2, trials, seed)
+        dx, dy = whole_row_deviations(x, 3, y, 2, trials, seed)
         curve = estimate_error_curve(x, 3, y, 2, alphas, trials, seed)
-        for alpha, point in zip(alphas, curve):
-            sq = ((1.0 - alpha) * xbar + alpha * ybar - x.mean()) ** 2
-            assert point.mean_sq_error == float(sq.mean())
-            assert point.std_error == float(sq.std(ddof=1)) / math.sqrt(trials)
+        expected = numpy_statistics(dx, dy, alphas, y.mean() - x.mean())
+        assert [(point.mean_sq_error, point.std_error) for point in curve] == expected
 
     def test_point_mass_endpoints_exact(self):
         curve = estimate_error_curve(
@@ -196,16 +201,8 @@ CONSTANT_SIDE = PointMass(0.75)
 
 
 def _whole_row_means(x, n_x, y, n_y, trials, seed):
-    """Each side's ``_from_uniforms(u).mean(axis=1)`` over its whole row of draws.
-
-    The naive reference for the sampling core: every trial's draws at once,
-    each family's own transform and numpy's own mean.
-    """
-    u = uniform_matrix(seed.master_seed, seed.stream_id, trials, n_x + n_y)
-    return tuple(
-        np.full(trials, dist.value) if isinstance(dist, PointMass) else dist._from_uniforms(cols).mean(axis=1)
-        for dist, cols in ((x, u[:, :n_x]), (y, u[:, n_x:]))
-    )
+    """Each side's ``mean()`` plus its naive ``whole_row_deviations``: ``trial_means``' reference."""
+    return tuple(dist.mean() + d for dist, d in zip((x, y), whole_row_deviations(x, n_x, y, n_y, trials, seed)))
 
 
 class TestNaiveReference:
@@ -225,15 +222,17 @@ class TestNaiveReference:
         monkeypatch.setattr(mc, "_CHUNK_DRAWS", chunk_draws)
         assert _means_bytes(trial_means(*args)) == expected
 
-    # A sum of zeros and ones is exact, so a Bernoulli side's mean is its
-    # successes over its draws, on either path.
+    # A sum of zeros and ones is exact, so a Bernoulli side's deviation is
+    # its successes over its draws less p, on either path; its mean is p
+    # plus that, which is not always the share itself (p = 0.3 and 11 of 13).
     @pytest.mark.parametrize("chunk_draws", [65_536, 64], ids=["fits_a_chunk", "side_beyond_a_chunk"])
     def test_bernoulli_means_are_successes_over_draws(self, monkeypatch, chunk_draws):
         x, n_x, y, n_y, trials, seed = Bernoulli(0.3), 13, Bernoulli(0.6), 300, 40, SeedSpec(18, 2**64 - 7)
         u = uniform_matrix(seed.master_seed, seed.stream_id, trials, n_x + n_y)
-        successes = ((u[:, :n_x] < x.p).sum(axis=1) / n_x, (u[:, n_x:] < y.p).sum(axis=1) / n_y)
+        shares = ((u[:, :n_x] < x.p).sum(axis=1) / n_x, (u[:, n_x:] < y.p).sum(axis=1) / n_y)
         monkeypatch.setattr(mc, "_CHUNK_DRAWS", chunk_draws)
-        assert _means_bytes(trial_means(x, n_x, y, n_y, trials, seed)) == _means_bytes(successes)
+        expected = tuple(dist.p + (share - dist.p) for dist, share in zip((x, y), shares))
+        assert _means_bytes(trial_means(x, n_x, y, n_y, trials, seed)) == _means_bytes(expected)
 
 
 # A process's ru_maxrss starts from the peak of the process that started
@@ -371,23 +370,23 @@ class TestWorkers:
 
 
 def _curve_inputs(trials: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-trial means on very different scales, so any change in summation order shows."""
+    """Per-trial deviations on very different scales, so any change in summation order shows."""
     rng = np.random.default_rng(seed)
-    xbar = rng.normal(0.0, 1.0, trials) * 10.0 ** rng.integers(-3, 4, trials)
-    return xbar, rng.exponential(2.0, trials)
+    dx = rng.normal(0.0, 1.0, trials) * 10.0 ** rng.integers(-3, 4, trials)
+    return dx, rng.exponential(2.0, trials)
 
 
-def _statistics(xbar, ybar, alphas, leaf=32_768, parallel=False, mu_x=0.25):
-    """``(mean, std_error)`` per weight from ``_tree_statistics`` of ``_curve_sums`` over these means.
+def _statistics(dx, dy, alphas, leaf=32_768, parallel=False, b=0.25):
+    """``(mean, std_error)`` per weight from ``_tree_statistics`` of ``_curve_sums`` over these deviations.
 
     In leaves of at most ``leaf`` trials, both passes forked when
-    ``parallel``, as ``estimate_suite_curves`` sums a leaf's means.
+    ``parallel``, as ``estimate_suite_curves`` sums a leaf's deviations.
     """
-    trials = xbar.size
-    scratch = np.empty((2, min(trials, leaf)))
+    trials = dx.size
+    scratch = np.empty((3, min(trials, leaf)))
 
     def leaf_sums(lo, hi, centres):
-        return mc._curve_sums(xbar[lo:hi], ybar[lo:hi], alphas, mu_x, scratch[:, : hi - lo], centres)
+        return mc._curve_sums(dx[lo:hi], dy[lo:hi], alphas, b, scratch[:, : hi - lo], centres)
 
     mean, std = mc._tree_statistics(leaf_sums, trials, leaf, (len(alphas),), (parallel, parallel))
     return [(float(m), float(s) / math.sqrt(trials)) for m, s in zip(mean, std)]
@@ -411,8 +410,8 @@ class TestCurveStatistics:
     @example(leaf=256, trials=17 * 256 + 7, seed=8)
     def test_bitwise_equal_numpy_mean_and_std(self, leaf, trials, seed):
         # A small leaf makes a deep tree out of few trials.
-        xbar, ybar = _curve_inputs(trials, seed)
-        assert _statistics(xbar, ybar, CURVE_ALPHAS, leaf) == numpy_statistics(xbar, ybar, CURVE_ALPHAS, 0.25)
+        dx, dy = _curve_inputs(trials, seed)
+        assert _statistics(dx, dy, CURVE_ALPHAS, leaf) == numpy_statistics(dx, dy, CURVE_ALPHAS, 0.25)
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     @pytest.mark.parametrize("weights", [2, 21])
@@ -421,11 +420,11 @@ class TestCurveStatistics:
         # the workers never wrote cannot pass by reusing an earlier result's
         # freed memory. 70,001 trials are four leaves, split over the CPUs
         # whatever the weight count.
-        xbar, ybar = _curve_inputs(70_001, 10 * cpus + weights)
+        dx, dy = _curve_inputs(70_001, 10 * cpus + weights)
         alphas = list(np.linspace(0.0, 1.0, weights))
-        expected = numpy_statistics(xbar, ybar, alphas, 0.25)
+        expected = numpy_statistics(dx, dy, alphas, 0.25)
         forks = force_cpus(monkeypatch, cpus)
-        assert _statistics(xbar, ybar, alphas, parallel=True) == expected
+        assert _statistics(dx, dy, alphas, parallel=True) == expected
         assert len(forks) == 2 * round_forks(cpus)  # a round per pass
         assert no_child_left()
 
@@ -445,8 +444,8 @@ class TestCurveStatistics:
         assert no_child_left()
 
     def test_failed_worker_leaves_are_redone_here(self, monkeypatch):
-        xbar, ybar = _curve_inputs(70_001, 11)
-        serial = _statistics(xbar, ybar, CURVE_ALPHAS)
+        dx, dy = _curve_inputs(70_001, 11)
+        serial = _statistics(dx, dy, CURVE_ALPHAS)
         parent = os.getpid()
         curve_sums = mc._curve_sums
         failed = mmap.mmap(-1, 1)  # set by a worker, seen here
@@ -459,7 +458,7 @@ class TestCurveStatistics:
 
         monkeypatch.setattr(mc, "_curve_sums", fails_in_child)
         forks = force_cpus(monkeypatch, 2)
-        assert _statistics(xbar, ybar, CURVE_ALPHAS, parallel=True) == serial
+        assert _statistics(dx, dy, CURVE_ALPHAS, parallel=True) == serial
         assert len(forks) == 2 * round_forks(2)
         assert failed[0] == 1
         assert no_child_left()
@@ -468,12 +467,12 @@ class TestCurveStatistics:
         # One trial-length buffer at 1M trials is 8 MB. Two whole reused
         # buffers peaked at 15.3 MiB here; leaf-sized scratch peaks at 0.51
         # MiB. Serial, so every allocation is this process's own.
-        xbar, ybar = _curve_inputs(1_000_000, 12)
+        dx, dy = _curve_inputs(1_000_000, 12)
         alphas = list(np.linspace(0.0, 1.0, 21))
         force_cpus(monkeypatch, 1)
         tracemalloc.start()
         try:
-            _statistics(xbar, ybar, alphas)
+            _statistics(dx, dy, alphas)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -639,11 +638,11 @@ KERNEL_SUITE = (
 
 
 def _alone(suite, alphas, trials, seed):
-    """Each scenario's curve from numpy's own ``mean`` and ``std(ddof=1)`` over its ``_whole_row_means``."""
+    """Each scenario's curve from numpy's own ``mean`` and ``std(ddof=1)`` over its ``whole_row_deviations``."""
     curves = []
     for s in suite:
-        xbar, ybar = _whole_row_means(s.x, s.n_x, s.y, s.n_y, trials, seed)
-        pairs = numpy_statistics(xbar, ybar, alphas, s.x.mean())
+        dx, dy = whole_row_deviations(s.x, s.n_x, s.y, s.n_y, trials, seed)
+        pairs = numpy_statistics(dx, dy, alphas, s.y.mean() - s.x.mean())
         curves.append([mc.MonteCarloEstimate(a, mean, se, trials, seed) for a, (mean, se) in zip(alphas, pairs)])
     return curves
 
@@ -1230,13 +1229,43 @@ class TestValidateScenario:
                 validate_scenario(scenario, curve, doubled, **wider)
 
 
+def _shifted_suite(c: float) -> list[SampledScenario]:
+    """Three scenarios whose means all move with ``c``; each ``mu_y - mu_x`` stays exact up to 2**50."""
+    return [
+        SampledScenario(Normal(c, 1.0), 10, Normal(c + 0.5, 1.0), 60),
+        SampledScenario(PointMass(c), 4, Normal(c - 2.0, 3.0), 7),
+        SampledScenario(Normal(c + 1.0, 0.5), 5, PointMass(c), 3),
+    ]
+
+
+class TestLargeMeans:
+    """The sampled arithmetic sees each side's deviations and ``mu_y - mu_x``, never a mean."""
+
+    @pytest.mark.parametrize("mu", [1e13, 1e14, 1e15])
+    def test_a_wrong_closed_form_fails_at_any_mean(self, mu):
+        # No band grows with the means: a 20% error in e0 fails at 1e15 too.
+        scenario = SampledScenario(Normal(mu, 1.0), 10, Normal(mu + 0.5, 1.0), 60)
+        curve = mc.estimate_suite_curves([scenario], mc.VALIDATION_ALPHAS, 10_000, SeedSpec(0))[0]
+        profile = error_profile(reduce_to_two_agent(scenario))
+        assert validate_scenario(scenario, curve).verdict is Verdict.PASS
+        for wrong in ({"e0": 1.2 * profile.e0}, {"e0": 2 * profile.e0}, {"e1": 2 * profile.e1}):
+            assert validate_scenario(scenario, curve, dataclasses.replace(profile, **wrong)).verdict is Verdict.FAIL
+
+    def test_curves_do_not_move_with_the_means(self):
+        curves = [
+            mc.estimate_suite_curves(_shifted_suite(c), mc.VALIDATION_ALPHAS, 1_000, SeedSpec(3))
+            for c in (0.0, 1.0, 2.0**20, 2.0**40, 2.0**50)
+        ]
+        assert all(curve == curves[0] for curve in curves[1:])
+
+
 class TestValidationPoint:
     """A point stores its inputs; its weight, deviation, limit and verdict are derived."""
 
     @staticmethod
-    def point(mean_sq_error, std_error, closed_form=1.0, mu_x=0.0, mu_y=0.0):
+    def point(mean_sq_error, std_error, closed_form=1.0):
         estimate = mc.MonteCarloEstimate(0.5, mean_sq_error, std_error, trials=100, seed=SeedSpec(0))
-        return mc.ValidationPoint(closed_form=closed_form, estimate=estimate, mu_x=mu_x, mu_y=mu_y)
+        return mc.ValidationPoint(closed_form=closed_form, estimate=estimate)
 
     def test_limit_is_k_standard_errors(self):
         # BAND = 4 standard errors, plus a rounding floor: at 100 trials 24 +
@@ -1249,23 +1278,10 @@ class TestValidationPoint:
         assert point.limit == 0.5 + floor * 1.5
         scenario = SampledScenario(Normal(0, 1), 4, Normal(1, 1), 16)
         report = validated(scenario, 200, SeedSpec(43))
-        # 200 trials halve once more above the blocks of 128; mu_x = 0 and
-        # mu_y = 1 scale the error's rounding by alpha.
-        floor, u = 38 * np.finfo(float).eps, 2.0**-53
+        # 200 trials halve once more above the blocks of 128.
+        floor = 38 * np.finfo(float).eps
         for p in report.points:
-            est = p.estimate.mean_sq_error
-            error = 3 * u * p.alpha * (2 * math.sqrt(est) + 3 * u * p.alpha)
-            assert p.limit == 4.0 * p.estimate.std_error + floor * est + error
-
-    def test_error_rounding_is_scaled_by_the_means(self):
-        # S = (1 - alpha)|mu_x| + alpha|mu_y| + |mu_x| = 1 + 1.5 + 2 at alpha = 0.5.
-        u = 2.0**-53
-        point = self.point(0.25, 0.0, closed_form=0.25, mu_x=-2.0, mu_y=3.0)
-        assert point.limit == 37 * np.finfo(float).eps * 0.25 + 3 * u * 4.5 * (2 * 0.5 + 3 * u * 4.5)
-        # A floor that overflows would pass any closed form.
-        huge = self.point(0.0, 0.0, closed_form=1.0, mu_x=1e200, mu_y=1e200)
-        assert huge.limit == math.inf
-        assert huge.verdict is Verdict.FAIL
+            assert p.limit == 4.0 * p.estimate.std_error + floor * p.estimate.mean_sq_error
 
     @pytest.mark.parametrize("trials", [1_000, 100_000])
     @pytest.mark.parametrize("constant", [0.05, 0.1, 0.2, 0.3, 0.7, 1.1, 2.5, -0.4])
@@ -1286,11 +1302,9 @@ class TestValidationPoint:
         "mu_x,mu_y", [(1.1, 0.7), (0.3, 0.1), (0.1, 0.2), (2.5, -0.4), (1000.0, 999.9), (-7.3, 4.1), (0.05, 0.051)]
     )
     def test_two_constant_sides_pass_their_closed_form(self, trials, mu_x, mu_y):
-        # Every trial's error (1 - alpha) * mu_x + alpha * mu_y - mu_x is the
-        # same float, off by rounding relative to the means: without the
-        # error's floor 183 of these points failed, (1.1, 0.7) at (3, 5)
-        # and 1,000 trials first at alpha = 0.05. A closed form off by 1e-9
-        # still fails wherever it differs.
+        # Both deviations are 0.0, so every trial's error is the same float,
+        # alpha * (mu_y - mu_x). A closed form off by 1e-9 still fails
+        # wherever it differs.
         for n_x, n_y in [(3, 5), (1, 1), (10, 60)]:
             scenario = SampledScenario(PointMass(mu_x), n_x, PointMass(mu_y), n_y)
             report = validated(scenario, trials, SeedSpec(0))
@@ -1330,25 +1344,27 @@ class TestValidationPoint:
         assert Verdict.worst([Verdict.PASS] * 3) is Verdict.PASS
 
 
-# sha256 digests recorded from the original 4M-draw sampler. Seeded output is
-# part of the reproducibility contract: any change to chunking, to the draw
-# layout or to which columns are generated must leave every byte as it was.
+# sha256 digests of seeded output, which is part of the reproducibility
+# contract: any change to chunking, to the draw layout or to which columns
+# are generated must leave every byte as it was. The uniforms are the
+# original 4M-draw sampler's; each side's mean is its distribution's mean
+# plus the centred mean of its kernel values.
 GOLDEN_TRIAL_MEANS = {
     "normal_exponential_total2": (
         (Normal(0.3, 1.2), 1, Exponential(1.5), 1, 20_000, SeedSpec(101)),
-        "ac909f2f15ad25f5218eda1617c0a0582c810f3d3e8e785c0e7a8f2a4a618f7b",
+        "59b05bbf7fafd085a27b6870dca003dc4c3f33d44f998867753bb7875552b736",
     ),
     "uniform_bernoulli_total7_wrapping_streams": (
         (Uniform(-1.0, 2.0), 3, Bernoulli(0.35), 4, 20_000, SeedSpec(102, 2**64 - 5)),
-        "953be3e3f8af23713ba224cb44b31273491543b017fa819c5d623571c09bdb7c",
+        "becb2b94a0455e7303172ee33007050582b6cbd742c320dd71aa83219bb2cc82",
     ),
     "x_constant": (
         (PointMass(2.0), 3, Normal(1.0, 1.0), 4, 20_000, SeedSpec(103)),
-        "66b5cdf9c14d54bae31114fbcee4bbd32ec54c3d7f24212a6cd253f42226422a",
+        "55c6ca51327ec45f6f1aa5aa6330f83e2839b251676f8060d80d21f57ee76c37",
     ),
     "y_constant": (
         (Exponential(0.5), 5, PointMass(-1.5), 2, 20_000, SeedSpec(104)),
-        "f38b20c9fff305c6c4e687a9dd50ee01d5f281a969a4c284122b5b8c1b6dfb4e",
+        "3c0e8f3f61187388f020cc4d209da27c8c6443fb9066df60959905d5f2a354ff",
     ),
     "both_constant": (
         (PointMass(1.0), 4, PointMass(2.0), 3, 1_000, SeedSpec(105)),
@@ -1367,7 +1383,7 @@ MC_MANY_TRIALS = (SampledScenario(Normal(0.0, 1.0), 2, Uniform(0.0, 1.0), 2),)
 GOLDEN_VALIDATE = {
     "mc_suite": (
         MC_SUITE, 100_000, 0,
-        "9dc418639181f9e79720b659e5abf5eef3b796e44e55b1981db74f80f2abac14",
+        "ac8423e90a2c5751aedba15efe6e2caa25dd371524b8c3d60c3408e13025d564",
     ),
     "mc_long": (
         MC_LONG, 2_000, 0,
@@ -1379,7 +1395,7 @@ GOLDEN_VALIDATE = {
     ),
     "c06_suite_at_base_seed": (
         MC_SUITE, 10_000, MC_BASE_SEED,
-        "997ac5b44e42009540debeaf3efa4351457fb07fee0eaf4163477e0e397414d6",
+        "5fcf9883d9d1a25e187ac605514f09228fe35c2ea50c3aabb36dc70b873b7c16",
     ),
     # The 5-draw scenario's sides lie within the 300-draw one's: one run.
     "suite_overlapping_scenarios": (
@@ -1388,7 +1404,7 @@ GOLDEN_VALIDATE = {
             SampledScenario(Normal(0.0, 1.0), 3, Exponential(1.0), 2),
         ),
         20_000, 0,
-        "f5b73e0841b5010eee67bb06631d61f6533fb955d81f217b620ee31395adc419",
+        "5eff89b8288b95831ef3ab6cb3bef5a9b8c53501ecb92f1dff8ca03557a9b15e",
     ),
     # y's 70,000 draws are drawn a trial at a time, x's 5 chunk by chunk.
     "side_longer_than_a_chunk": (
