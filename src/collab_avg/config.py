@@ -30,9 +30,9 @@ from typing import Any
 
 import yaml
 
-from .distributions import Distribution, PointMass, make_distribution
+from .distributions import Distribution, PointMass, _load_ndtri, make_distribution
 from .federation import Agent, SampledScenario
-from .montecarlo import _check_trials, _draw_plan, _load_sampling
+from .montecarlo import BAND, _check_trials, _draw_plan, _load_sampling
 from .theory import ErrorProfile, _check_alpha, _check_count
 
 ENV_SEED = "COLLAB_AVG_SEED"
@@ -284,12 +284,13 @@ def load_run_config(
 
     if validating:
         if "k" in data:
-            raise ConfigError("'k' is not a setting: validate's band is always 4 standard errors")
+            raise ConfigError(f"'k' is not a setting: validate's band is always {BAND:g} standard errors")
         fields["trials"] = trials if trials is not None else data.get("trials", DEFAULT_TRIALS)
         _checked(_check_trials, fields["trials"])
         fields["seed"] = _resolve_seed(seed, data.get("seed"))
         try:
-            _load_sampling(_draw_plan(fields["scenarios"])[0], ndtri=True)
+            _load_ndtri()
+            _load_sampling(_draw_plan(fields["scenarios"])[0])
         except ImportError as exc:
             raise ConfigError(f"validate needs scipy to sample: {exc}") from None
     return RunConfig(**fields)

@@ -136,11 +136,12 @@ class Distribution(ABC):
     def _from_uniforms(self, u: np.ndarray) -> np.ndarray:
         """Map uniforms in (0, 1) to draws; elementwise, shape-preserving."""
 
-    def _kernel(self, u: np.ndarray) -> np.ndarray:
+    @staticmethod
+    def _kernel(u: np.ndarray) -> np.ndarray:
         """The costly first step of ``_from_uniforms``, ``u`` itself when there is none.
 
-        Elementwise and the same for every member of the family, so one
-        kernel array can serve all of a family's sides.
+        Elementwise and static: sides of any family whose classes share the
+        function share its call, over the draws that cover them.
         """
         return u
 
@@ -172,7 +173,8 @@ class Normal(Distribution):
     def variance(self) -> float:
         return float(self.sd) ** 2
 
-    def _kernel(self, u: np.ndarray) -> np.ndarray:
+    @staticmethod
+    def _kernel(u: np.ndarray) -> np.ndarray:
         return _load_ndtri()(u)
 
     def _from_uniforms(self, u: np.ndarray) -> np.ndarray:
@@ -244,7 +246,8 @@ class Exponential(Distribution):
     def variance(self) -> float:
         return 1.0 / self.rate**2
 
-    def _kernel(self, u: np.ndarray) -> np.ndarray:
+    @staticmethod
+    def _kernel(u: np.ndarray) -> np.ndarray:
         # Inverse CDF; u is never exactly 0 or 1, so the result is finite.
         # Negated in place: numpy reuses a temporary only from 256 KiB on,
         # and a suite's kernel chunk is just below that.

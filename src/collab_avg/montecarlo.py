@@ -27,7 +27,7 @@ import numpy as np
 
 from ._philox import _C_MIN_DRAWS, _load_philox, uniform_matrix
 from ._workers import cpu_count, ordered_map
-from .distributions import Distribution, Normal, PointMass, SeedSpec, _load_ndtri
+from .distributions import Distribution, PointMass, SeedSpec
 from .federation import SampledScenario, reduce_to_two_agent
 from .theory import ErrorProfile, _check_alpha, error_profile, ese_of_alpha
 
@@ -194,26 +194,41 @@ def _read_at(fd: int, shape: tuple[int, ...], offset: int) -> np.ndarray:
     return np.frombuffer(data).reshape(shape)
 
 
-#: :func:`_draw_plan`'s runs ``(first, count, sides)`` in order of their
-#: first draw, each side ``(row, distribution, first draw, end)`` with rows
-#: 0, 1, ... in scenario order; and each scenario's ``(x, y)``: a random
-#: side's row, or 0.0, a constant side's deviation.
-_Runs = list[tuple[int, int, list[tuple[int, Distribution, int, int]]]]
-_Plan = tuple[_Runs, list[tuple[int | float, int | float]]]
+#: :func:`_draw_plan`'s runs ``(first, end, kernels)`` in order of their
+#: first draw, each kernel ``(function, first, end, sides)`` and each side
+#: ``(row, distribution, first, end)``, rows 0, 1, ... in scenario order.
+_Side = tuple[int, Distribution, int, int]
+_Runs = list[tuple[int, int, list[tuple[Callable[[np.ndarray], np.ndarray], int, int, list[_Side]]]]]
 
 
-def _draw_plan(scenarios: Sequence[SampledScenario]) -> _Plan:
-    """The runs of draws each trial takes, and where each scenario's side deviations come from.
+def _join(sides: list[_Side], longest: float) -> list[tuple[int, int, list[_Side]]]:
+    """``sides``, in order of their first draw, as stretches ``(first, end, sides)``.
+
+    A side joins the stretch before it when their draws overlap or adjoin
+    and the joined stretch is at most ``longest`` draws.
+    """
+    stretches = []
+    for side in sides:
+        first, end, members = stretches[-1] if stretches else (0, -1, [])
+        if side[2] <= end and max(end, side[3]) - first <= longest:
+            stretches[-1] = (first, max(end, side[3]), [*members, side])
+        else:
+            stretches.append((side[2], side[3], [side]))
+    return stretches
+
+
+def _draw_plan(scenarios: Sequence[SampledScenario]) -> tuple[_Runs, list[tuple[int | float, int | float]]]:
+    """The runs of draws each trial takes, and each scenario's ``(x, y)``: a random side's row, or 0.0.
 
     Each scenario's x takes draws 0 .. n_x-1 of a trial's stream and y
     draws n_x .. n_x+n_y-1. A point mass consumes no randomness, and its
     slots stay reserved so the other side's draw indices do not shift.
     Only a single finite helper can be sampled. The random sides, taken in
-    order of their first draw, make up the runs: a side joins the run
-    before it when their draws overlap or adjoin and the merged run fits
-    in a chunk, and otherwise starts a run of its own. So a side longer
-    than a chunk is a run by itself, and no uniform is drawn that no side
-    reads.
+    order of their first draw, are :func:`_join`-ed into runs that fit in a
+    chunk, so a side longer than a chunk is a run by itself and no uniform
+    is drawn that no side reads. A run's sides that share
+    ``type(dist)._kernel`` are joined into that function's kernels, so no
+    kernel transforms a draw that none of its sides reads.
     """
     sides, sources = [], []
     for scenario in scenarios:
@@ -234,16 +249,12 @@ def _draw_plan(scenarios: Sequence[SampledScenario]) -> _Plan:
             # hours of one core per trial, and a run has at least 100 trials
             raise ValueError(f"a trial of {count} draws is too long to simulate (at most 2**40)")
     runs: _Runs = []
-    for side in sorted(sides, key=lambda side: side[2]):
-        _, _, d_lo, d_hi = side
-        if runs:
-            first, count, members = runs[-1]
-            end = max(first + count, d_hi)
-            if d_lo <= first + count and end - first <= _CHUNK_DRAWS:
-                members.append(side)
-                runs[-1] = (first, end - first, members)
-                continue
-        runs.append((d_lo, d_hi - d_lo, [side]))
+    for first, end, members in _join(sorted(sides, key=lambda side: side[2]), _CHUNK_DRAWS):
+        by_kernel: dict[Callable, list[_Side]] = {}
+        for side in members:
+            by_kernel.setdefault(type(side[1])._kernel, []).append(side)
+        kernels = [(kernel, *stretch) for kernel, group in by_kernel.items() for stretch in _join(group, math.inf)]
+        runs.append((first, end, kernels))
     return runs, sources
 
 
@@ -268,52 +279,35 @@ def _fill_means(means: np.ndarray, runs: _Runs, seed: SeedSpec, lo: int) -> None
     """Fill ``means[row]`` with the random side's mean deviations of trials ``lo .. lo+means.shape[1]-1``.
 
     ``runs`` are :func:`_draw_plan`'s. A run that fits in a chunk is drawn
-    chunk by chunk, with one ``_kernel`` per stretch of a family's sides
-    whose draws overlap or adjoin, over the draws covering them. A longer
-    run, a single side, is drawn a trial at a time in leaves of numpy's
-    pairwise-sum tree. Each side's ``_standard`` values are averaged with
-    the bits of ``mean``, and the mean is then mapped by the side's
-    ``_centred``: no draw is shifted by its distribution's mean.
+    chunk by chunk, each of its kernels made once per chunk over the draws
+    it covers. A longer run, a single side, is drawn a trial at a time in
+    leaves of numpy's pairwise-sum tree. Each side's ``_standard`` values
+    are averaged with the bits of ``mean``, and the mean is then mapped by
+    the side's ``_centred``: no draw is shifted by its distribution's mean.
     """
     hi = lo + means.shape[1]
-    for first, count, sides in runs:
+    for first, end, kernels in runs:
+        count = end - first
         if count > _CHUNK_DRAWS:
-            ((row, dist, d_lo, d_hi),) = sides
+            ((kernel, _, _, ((row, dist, _, _),)),) = kernels
             for t in range(lo, hi):
 
                 def leaf_sum(l_lo: int, l_hi: int) -> float:
                     u = uniform_matrix(seed.master_seed, seed.stream_id + t, 1, l_hi - l_lo, l_lo)[0]
-                    return np.add.reduce(dist._standard(dist._kernel(u)))
+                    return np.add.reduce(dist._standard(kernel(u)))
 
-                means[row, t - lo] = dist._centred(_pairwise_sum(leaf_sum, d_lo, d_hi, _CHUNK_DRAWS) / count)
+                means[row, t - lo] = dist._centred(_pairwise_sum(leaf_sum, first, end, _CHUNK_DRAWS) / count)
             continue
-        # A family's sides, in order of their first draw, in stretches whose
-        # draws overlap or adjoin, so no kernel transforms a draw that no side
-        # of its family reads.
-        families: dict[type, list[list]] = {}
-        for member in sides:
-            stretches = families.setdefault(type(member[1]), [])
-            if stretches and member[2] <= max(side[3] for side in stretches[-1]):
-                stretches[-1].append(member)
-            else:
-                stretches.append([member])
-        # Per stretch: its family's kernel, the draws it covers, and each side
-        # with its draws' slice of the kernel.
-        kernels = []
-        for members in (stretch for stretches in families.values() for stretch in stretches):
-            k_lo = members[0][2]
-            k_hi = max(member[3] for member in members)
-            slices = [(row, dist, slice(d_lo - k_lo, d_hi - k_lo)) for row, dist, d_lo, d_hi in members]
-            kernels.append((members[0][1]._kernel, slice(k_lo - first, k_hi - first), slices))
         rows = _CHUNK_DRAWS // count
         for c_lo in range(lo, hi, rows):
             c_hi = min(c_lo + rows, hi)
             u = uniform_matrix(seed.master_seed, seed.stream_id + c_lo, c_hi - c_lo, count, first)
-            for kernel, covered, slices in kernels:
-                k = kernel(u[:, covered])
-                for row, dist, draws in slices:
-                    means[row, c_lo - lo : c_hi - lo] = dist._centred(_row_means(dist._standard(k[:, draws])))
-                del k  # freed before the next stretch's kernel is made
+            out = means[:, c_lo - lo : c_hi - lo]
+            for kernel, k_lo, k_hi, sides in kernels:
+                k = kernel(u[:, k_lo - first : k_hi - first])
+                for row, dist, d_lo, d_hi in sides:
+                    out[row] = dist._centred(_row_means(dist._standard(k[:, d_lo - k_lo : d_hi - k_lo])))
+                del k  # freed before the next kernel is made
 
 
 def trial_means(
@@ -449,17 +443,17 @@ def estimate_error_curve(
     return estimate_suite_curves([SampledScenario(x, n_x, y, n_y)], alphas, trials, seed)[0]
 
 
-def _load_sampling(runs: _Runs, ndtri: bool = False) -> None:
-    """Load what sampling :func:`_draw_plan`'s ``runs`` uses: ndtri for a normal side, or always with ``ndtri``.
+def _load_sampling(runs: _Runs) -> None:
+    """Load what sampling :func:`_draw_plan`'s ``runs`` uses: each kernel's, by making it on zero draws.
 
     Also numpy's C Philox, for a run of ``_C_MIN_DRAWS`` draws or more.
     Called while a command sets up, and before the core forks, so that
     nothing is imported in the run or in every forked worker.
     """
-    if max((count for _, count, _ in runs), default=0) >= _C_MIN_DRAWS:
+    if max((end - first for first, end, _ in runs), default=0) >= _C_MIN_DRAWS:
         _load_philox()
-    if ndtri or any(isinstance(side[1], Normal) for *_, sides in runs for side in sides):
-        _load_ndtri()
+    for kernel in {kernel for *_, kernels in runs for kernel, *_ in kernels}:
+        kernel(np.empty(0))
 
 
 #: Trial means a leaf of ``estimate_suite_curves`` may hold over its random sides
@@ -510,7 +504,7 @@ def estimate_suite_curves(
     _check_trials(trials)
     seed = _as_seed(seed)
     runs, sources = _draw_plan(scenarios)
-    draws = sum(count for _, count, _ in runs)
+    draws = sum(end - first for first, end, _ in runs)
     # Processes that seek in one shared file would move each other's
     # position, so without positioned I/O neither pass forks.
     forks = hasattr(os, "pwrite") and hasattr(os, "pread")
@@ -520,7 +514,7 @@ def estimate_suite_curves(
     )
     if parallel[0]:
         _load_sampling(runs)
-    rows = sum(len(sides) for *_, sides in runs)  # the random sides, the file's rows
+    rows = sum(len(sides) for *_, kernels in runs for *_, sides in kernels)  # the random sides, the file's rows
     biases = [scenario.y.mean() - scenario.x.mean() for scenario in scenarios]
     # Trials per leaf: the largest power of two whose random sides' means fit
     # in _LEAF_MEANS, at most _SUITE_LEAF, and at most a CPU's share of the

@@ -14,6 +14,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -674,6 +675,10 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
 """
 
 
+class Rate(Exponential):
+    """A family of its own that reuses Exponential's kernel."""
+
+
 class TestSuiteCurves:
     """A suite that shares its streams gives each scenario's own estimates, bit for bit."""
 
@@ -875,6 +880,23 @@ class TestSuiteCurves:
         assert mc.estimate_suite_curves(suite, CURVE_ALPHAS, trials, seed) == expected
         assert sorted(shapes) == [(trials, 10), (trials, 15)]
 
+    def test_a_family_that_reuses_a_kernel_shares_its_call(self, monkeypatch):
+        # Draws 0 .. 4 and 5 .. 9 adjoin: one call per 100-trial chunk over 10
+        # draws, not one over each side's 5, with the bits of each side alone.
+        suite, trials, seed = [SampledScenario(Exponential(1.0), 5, Rate(2.0), 5)], 1_000, SeedSpec(19)
+        expected = _alone(suite, CURVE_ALPHAS, trials, seed)
+        kernel, shapes = Exponential(1.0)._kernel, []
+
+        def counted(u):
+            shapes.append(u.shape)
+            return kernel(u)
+
+        monkeypatch.setattr(Exponential, "_kernel", staticmethod(counted))
+        monkeypatch.setattr(mc, "_CHUNK_DRAWS", 1_000)
+        force_cpus(monkeypatch, 1)
+        assert mc.estimate_suite_curves(suite, CURVE_ALPHAS, trials, seed) == expected
+        assert shapes == [(100, 10)] * 10
+
     def test_overlapping_sides_are_drawn_once(self, monkeypatch):
         # Every random side lies in draws 0 .. 39, and the constant side's
         # 20 .. 22 are among them: 40 uniforms per trial, not 40 + 40 + 20.
@@ -946,8 +968,16 @@ class TestSuiteCurves:
         assert mc.estimate_suite_curves(suite, CURVE_ALPHAS, trials, seed) == expected
 
 
+# One of each family: Normal's kernel, Exponential's and the identity
+# (uniform and Bernoulli), and a constant side.
+FAMILY_MEMBERS = (Normal(0.0, 1.0), Uniform(0.0, 1.0), Bernoulli(0.5), Exponential(1.0), PointMass(0.0))
+
+
 class TestDrawPlan:
-    """A side joins the run before it when their draws overlap or adjoin and the run still fits a chunk."""
+    """A side joins the run before it when their draws overlap or adjoin and the run still fits a chunk.
+
+    Within a run, sides whose classes share a ``_kernel`` join that kernel's stretches by the same rule, unbounded.
+    """
 
     @pytest.mark.parametrize(
         "suite,chunk_draws,runs",
@@ -974,7 +1004,61 @@ class TestDrawPlan:
     def test_runs_and_their_rows(self, monkeypatch, suite, chunk_draws, runs):
         monkeypatch.setattr(mc, "_CHUNK_DRAWS", chunk_draws)
         plan, _ = mc._draw_plan(suite)
-        assert [(first, count, [side[0] for side in sides]) for first, count, sides in plan] == runs
+        rows = [(first, end - first, {side[0] for *_, sides in ks for side in sides}) for first, end, ks in plan]
+        assert rows == [(first, count, set(members)) for first, count, members in runs]
+
+    @pytest.mark.parametrize(
+        "suite,kernels",
+        [
+            # Uniform draws 0 .. 19 and Bernoulli draw 20 adjoin: one identity kernel.
+            (SHARED_SUITE[1:2], [(distributions.Distribution._kernel, 0, 21, [0, 1])]),
+            # The normal sides' draws 0 .. 14 and 30 .. 39 neither overlap nor adjoin.
+            (
+                OVERLAP_SUITE,
+                [
+                    (Normal._kernel, 0, 15, [0]),
+                    (Normal._kernel, 30, 40, [3]),
+                    (Exponential._kernel, 0, 30, [2]),
+                    (distributions.Distribution._kernel, 15, 40, [1]),
+                ],
+            ),
+        ],
+        ids=["uniform_and_bernoulli", "overlapping"],
+    )
+    def test_kernels_and_their_rows(self, suite, kernels):
+        ((_, _, planned),), _ = mc._draw_plan(suite)
+        assert [(kernel, first, end, [side[0] for side in sides]) for kernel, first, end, sides in planned] == kernels
+
+    @settings(deadline=None, max_examples=150, derandomize=True, database=None)
+    @given(
+        st.lists(
+            st.tuples(*[st.sampled_from(FAMILY_MEMBERS), st.integers(1, 40)] * 2),
+            min_size=1,
+            max_size=6,
+        ),
+        st.sampled_from([16, 64, 65_536]),
+    )
+    def test_every_side_is_drawn_once_by_its_kernel(self, pairs, chunk_draws):
+        assert {type(dist) for dist in FAMILY_MEMBERS} == set(distributions.FAMILIES.values())
+        suite = [SampledScenario(*pair) for pair in pairs]
+        with mock.patch.object(mc, "_CHUNK_DRAWS", chunk_draws):
+            runs, sources = mc._draw_plan(suite)
+        expected = []  # each random side, as the plan should hold it
+        for x, n_x, y, n_y in pairs:
+            for dist, d_lo, d_hi in ((x, 0, n_x), (y, n_x, n_x + n_y)):
+                if not isinstance(dist, PointMass):
+                    expected.append((len(expected), dist, d_lo, d_hi))
+        assert [row for pair in sources for row in pair if isinstance(row, int)] == list(range(len(expected)))
+        planned = []
+        for first, end, kernels in runs:
+            sides = [side for *_, members in kernels for side in members]
+            planned += sides
+            assert set(range(first, end)) == {d for *_, d_lo, d_hi in sides for d in range(d_lo, d_hi)}
+            assert end - first <= chunk_draws or len(sides) == 1
+            for kernel, k_lo, k_hi, members in kernels:
+                assert set(range(k_lo, k_hi)) == {d for *_, d_lo, d_hi in members for d in range(d_lo, d_hi)}
+                assert {type(dist)._kernel for _, dist, _, _ in members} == {kernel}
+        assert sorted(planned, key=lambda side: side[0]) == expected
 
 
 # Peak RSS in MiB of a fresh interpreter on 2 CPUs that estimates the

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import importlib
 import math
 import pkgutil
@@ -10,6 +11,8 @@ from pathlib import Path
 
 import collab_avg
 import collab_avg.cli
+import collab_avg.distributions
+import collab_avg.montecarlo
 from collab_avg.montecarlo import Verdict
 from conftest import command_flags
 
@@ -94,3 +97,25 @@ def test_every_module_name_the_readme_cites_resolves():
         return True
 
     assert [f"{module}.{path}" for module, path in names if not resolves(module, path)] == []
+
+
+def test_the_sampler_names_no_family():
+    # The draw plan groups sides by their class's `_kernel` and loads what
+    # each kernel loads, so a new family needs no line in the sampler. Only
+    # PointMass, which draws nothing, is named there.
+    source = Path(collab_avg.montecarlo.__file__).read_text(encoding="utf-8")
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.asname or node.name)
+    families, pending = set(), [collab_avg.distributions.Distribution]
+    while pending:
+        subclasses = pending.pop().__subclasses__()
+        families.update(cls.__name__ for cls in subclasses)
+        pending += subclasses
+    assert {"Normal", "Exponential", "PointMass"} <= families
+    assert names & families == {"PointMass"}
