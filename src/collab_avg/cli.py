@@ -10,10 +10,10 @@ Subcommands::
     federate   reduce the helpers to one and report the optimal weight
 
 Exit codes: 0 success, 1 invalid input, 2 validation failure, 130
-interrupted (Ctrl-C). All CSV output is UTF-8 with LF line endings and a
-header row; numbers use the shortest round-trip decimal form except the
-reference-table comparison columns, which are fixed to two decimals
-(half-even). Identical configuration and seed produce byte-identical output.
+interrupted (Ctrl-C). Everything a command writes, to stdout or ``--out``,
+is the same UTF-8 bytes with LF line endings. CSV has a header row; numbers
+take the shortest round-trip form, except table1's two-decimal (half-even)
+comparison columns. Identical configuration and seed give identical bytes.
 """
 
 from __future__ import annotations
@@ -21,13 +21,13 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from contextlib import closing
 
 import numpy as np
 
 from ._workers import cpu_count, ordered_map
-from .config import ConfigError, RunConfig, load_run_config
+from .config import RunConfig, load_run_config
 from .federation import reduce_to_two_agent
 from .montecarlo import BAND, VALIDATION_ALPHAS, Verdict, estimate_suite_curves, validate_scenario
 from .table1 import INPUT_COLUMNS, OUTPUT_COLUMNS, reproduce_table
@@ -81,13 +81,14 @@ def _fmt2(value: float) -> str:
     return f"{round(value, 2):.2f}"
 
 
-def _emit(text: str, out: str | None) -> None:
-    """Write ``text`` to ``out``, or to stdout."""
+def _emit(chunks: Iterable[bytes], out: str | None) -> None:
+    """Write the bytes ``chunks`` to ``out``, or to stdout after any text already written there."""
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.flush()
+        sys.stdout.buffer.writelines(chunks)
     else:
-        with open(out, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        with open(out, "wb") as handle:
+            handle.writelines(chunks)
 
 
 def _profile_lines(scenario: Scenario, profile: ErrorProfile, alphas: tuple[float, ...]) -> list[str]:
@@ -123,7 +124,7 @@ def _profile_lines(scenario: Scenario, profile: ErrorProfile, alphas: tuple[floa
 def cmd_profile(config: RunConfig) -> int:
     scenario = reduce_to_two_agent(config.scenarios[0])
     profile = error_profile(scenario)
-    _emit("\n".join(_profile_lines(scenario, profile, config.alphas)) + "\n", config.out)
+    _emit([("\n".join(_profile_lines(scenario, profile, config.alphas)) + "\n").encode()], config.out)
     return EXIT_OK
 
 
@@ -146,7 +147,7 @@ def cmd_table1(config: RunConfig) -> int:
         )
         report_lines.append(f"row {row.index}: {values}")
     report = "\n".join(report_lines) + "\n"
-    _emit("".join(",".join(cells) + "\n" for cells in csv_rows), config.out)
+    _emit([",".join(cells).encode() + b"\n" for cells in csv_rows], config.out)
     # The report goes wherever the CSV does not.
     (sys.stderr if config.out is None else sys.stdout).write(report)
     return EXIT_OK
@@ -156,18 +157,14 @@ def cmd_curve(config: RunConfig) -> int:
     scenario = reduce_to_two_agent(config.scenarios[0])
     profile = error_profile(scenario)
     if profile.alpha_star <= 0.0:
-        print(
-            "error: curve requires alpha_star > 0 (var_x > 0 and a non-degenerate scenario)",
-            file=sys.stderr,
-        )
-        return EXIT_INVALID
+        raise ValueError("curve requires alpha_star > 0 (var_x > 0 and a non-degenerate scenario)")
     points = config.grid if config.grid is not None else _DEFAULT_CURVE_GRID
     lines = ["alpha,ese_ratio,lower_bound,upper_bound_segment"]
     for alpha in np.linspace(0.0, 1.0, points).tolist():
         ratio = ese_of_alpha(profile, alpha) / profile.e0
         upper = _fmt(1.0 - alpha) if alpha <= profile.alpha_star else ""
         lines.append(f"{_fmt(alpha)},{_fmt(ratio)},{_fmt(1.0 - 2.0 * alpha)},{upper}")
-    _emit("\n".join(lines) + "\n", config.out)
+    _emit([("\n".join(lines) + "\n").encode()], config.out)
     return EXIT_OK
 
 
@@ -177,12 +174,7 @@ def cmd_contour(config: RunConfig) -> int:
     u_grid = np.logspace(math.log10(u_min), math.log10(u_max), points)
     v_grid = np.logspace(math.log10(v_min), math.log10(v_max), points)
     with closing(_contour_rows(u_grid, v_grid)) as rows:
-        if config.out is None:
-            sys.stdout.flush()  # anything written as text goes first
-            sys.stdout.buffer.writelines(rows)
-        else:
-            with open(config.out, "wb") as handle:
-                handle.writelines(rows)
+        _emit(rows, config.out)
     return EXIT_OK
 
 
@@ -342,7 +334,7 @@ def cmd_validate(config: RunConfig) -> int:
             )
     verdict = Verdict.worst(report.verdict for report in reports)
     lines.append(f"overall: {verdict.name}")
-    _emit("\n".join(lines) + "\n", config.out)
+    _emit([("\n".join(lines) + "\n").encode()], config.out)
     return _VERDICT_EXIT[verdict]
 
 
@@ -362,7 +354,7 @@ def cmd_federate(config: RunConfig) -> int:
         f"ese_opt = {_fmt(profile.ese_opt)}",
         f"ese_ratio_opt = {_fmt(1.0 - profile.alpha_star)}",
     ]
-    _emit("\n".join(lines) + "\n", config.out)
+    _emit([("\n".join(lines) + "\n").encode()], config.out)
     return EXIT_OK
 
 
@@ -398,7 +390,7 @@ def main(argv: list[str] | None = None) -> int:
     run, needs_scenario = _COMMANDS[args["command"]]
     try:
         return run(load_run_config(**args, require_scenario=needs_scenario))
-    except (ConfigError, ValueError, OSError, MemoryError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except KeyboardInterrupt:

@@ -178,8 +178,6 @@ class Normal(Distribution):
         return _load_ndtri()(u)
 
     def _from_uniforms(self, u: np.ndarray) -> np.ndarray:
-        if self.sd == 0:
-            return np.full_like(u, float(self.mu))
         return self.mu + self.sd * self._kernel(u)
 
     def _centred(self, m: np.ndarray) -> np.ndarray:

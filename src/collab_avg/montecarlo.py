@@ -27,7 +27,7 @@ import numpy as np
 
 from ._philox import _C_MIN_DRAWS, _load_philox, uniform_matrix
 from ._workers import cpu_count, ordered_map
-from .distributions import Distribution, PointMass, SeedSpec
+from .distributions import Distribution, SeedSpec
 from .federation import SampledScenario, reduce_to_two_agent
 from .theory import ErrorProfile, _check_alpha, error_profile, ese_of_alpha
 
@@ -221,14 +221,14 @@ def _draw_plan(scenarios: Sequence[SampledScenario]) -> tuple[_Runs, list[tuple[
     """The runs of draws each trial takes, and each scenario's ``(x, y)``: a random side's row, or 0.0.
 
     Each scenario's x takes draws 0 .. n_x-1 of a trial's stream and y
-    draws n_x .. n_x+n_y-1. A point mass consumes no randomness, and its
-    slots stay reserved so the other side's draw indices do not shift.
-    Only a single finite helper can be sampled. The random sides, taken in
-    order of their first draw, are :func:`_join`-ed into runs that fit in a
-    chunk, so a side longer than a chunk is a run by itself and no uniform
-    is drawn that no side reads. A run's sides that share
-    ``type(dist)._kernel`` are joined into that function's kernels, so no
-    kernel transforms a draw that none of its sides reads.
+    draws n_x .. n_x+n_y-1. A side whose ``variance()`` is 0 is never drawn,
+    whatever its family; its slots stay reserved so the other side's draw
+    indices do not shift. Only a single finite helper can be sampled. The
+    random sides, in order of their first draw, are :func:`_join`-ed into
+    runs that fit in a chunk, so a side longer than a chunk is a run by
+    itself and no uniform is drawn that no side reads. A run's sides that
+    share ``type(dist)._kernel`` are joined into that function's kernels, so
+    no kernel transforms a draw that none of its sides reads.
     """
     sides, sources = [], []
     for scenario in scenarios:
@@ -239,7 +239,7 @@ def _draw_plan(scenarios: Sequence[SampledScenario]) -> tuple[_Runs, list[tuple[
             raise ValueError("infinite n_y cannot be simulated; use the closed form")
         first_row, source = len(sides), []
         for dist, d_lo, d_hi in ((x, 0, n_x), (y, n_x, n_x + n_y)):
-            if isinstance(dist, PointMass):
+            if dist.variance() == 0:
                 source.append(0.0)
             else:
                 source.append(len(sides))

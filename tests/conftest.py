@@ -12,11 +12,17 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
+from hypothesis import settings  # noqa: E402
 
 from collab_avg import cli  # noqa: E402
 from collab_avg._philox import uniform_matrix, uniforms  # noqa: E402
 from collab_avg.distributions import Distribution, SeedSpec  # noqa: E402
 from collab_avg.theory import Scenario  # noqa: E402
+
+# Every property test draws the same examples on every run and stores none,
+# so no checkout replays a failure found by another and tier-1 is repeatable.
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 def draws(spec: Distribution, n: int, seed: SeedSpec) -> np.ndarray:

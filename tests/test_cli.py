@@ -616,7 +616,7 @@ class TestReprCells:
         st.builds(_ulps, st.sampled_from([1e-4, 1e-3, 1e-2, 0.1, 1.0]), st.integers(-3, 3)),
     )
 
-    @settings(deadline=None, max_examples=300, derandomize=True, database=None)
+    @settings(deadline=None, max_examples=300)
     @given(values=st.lists(FLOATS, min_size=1, max_size=64))
     @example(values=[0.0, 5e-324, 2.2250738585072014e-308, 9.999999999999999e-05, 0.9999999999999999, 1.0])
     def test_cells_are_repr(self, values):
@@ -1205,6 +1205,35 @@ class TestScipyImport:
 
 
 class TestCommonBehaviour:
+    @pytest.mark.parametrize(
+        "command,scenario",
+        [
+            ("profile", GOLDEN_PROFILE_YAML),
+            ("curve", GOLDEN_PROFILE_YAML),
+            ("table1", None),
+            ("validate", TWO_AGENT_YAML),
+            ("federate", GOLDEN_FEDERATION_YAML),
+            ("contour", None),
+        ],
+        ids=["profile", "curve", "table1", "validate", "federate", "contour"],
+    )
+    def test_stdout_gets_the_out_files_bytes(self, tmp_path, capsys, monkeypatch, command, scenario):
+        # Even a stdout that would write each "\n" as "\r\n" gets LF bytes.
+        argv = [command]
+        if scenario is not None:
+            path = tmp_path / "scenario.yaml"
+            path.write_text(scenario)
+            argv += ["--scenario", str(path)]
+        out_path = tmp_path / "out"
+        code, _, _ = run_cli(capsys, *argv, "--out", str(out_path))
+        assert code == 0
+        raw = io.BytesIO()
+        stdout = io.TextIOWrapper(raw, encoding="utf-8", newline="\r\n")
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(argv) == 0
+        stdout.flush()
+        assert raw.getvalue() == out_path.read_bytes()
+
     def test_env_var_seed_fallback(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "suite.yaml"
         path.write_text(
@@ -1544,15 +1573,7 @@ def scenario_documents(draw) -> str:
 class TestScenarioFileFuzz:
     """Every scenario file either runs or exits 1 with one line on stderr; validate may read FAIL (2)."""
 
-    # Derandomized and without a database: the same 100 files on every run,
-    # so no checkout replays a failure found by another.
-    @settings(
-        deadline=None,
-        max_examples=100,
-        derandomize=True,
-        database=None,
-        suppress_health_check=[HealthCheck.function_scoped_fixture],
-    )
+    @settings(deadline=None, max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(text=scenario_documents())
     @example(text="x: {family: normal\n")
     @example(text="x: \x00\n")

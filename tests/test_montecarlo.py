@@ -622,11 +622,11 @@ CONSTANT_X_SUITE = (
 
 
 # A family's sides whose draws overlap or adjoin share one kernel over the
-# draws covering them (span 0 .. 29). Normal sides: 0 .. 3 (sd 0, its
-# family's first side) alone, then 10 .. 21 and 16 .. 29, which overlap, so
-# no normal kernel reads 4 .. 9. Exponential sides: 4 .. 11 and 8 .. 13
-# together, then 20 .. 25 alone, leaving 14 .. 19 out. Bernoulli sides of
-# fewer than 8 and of 8 or more draws, at p = 0 and p = 1.
+# draws covering them (span 0 .. 29). Normal sides: 10 .. 21 and 16 .. 29,
+# which overlap. Exponential sides: 4 .. 11 and 8 .. 13 together, then 20 ..
+# 25 alone, leaving 14 .. 19 out. The sd-0 normal (draws 0 .. 3) and the
+# Bernoulli sides at p = 0 and p = 1, of fewer than 8 and of 8 or more
+# draws, have variance 0: no kernel takes them, and each is its mean.
 KERNEL_SUITE = (
     SampledScenario(Normal(1.0, 0.0), 4, Exponential(2.0), 8),
     SampledScenario(Uniform(0.0, 1.0), 10, Normal(0.3, 1.2), 12),
@@ -880,6 +880,30 @@ class TestSuiteCurves:
         assert mc.estimate_suite_curves(suite, CURVE_ALPHAS, trials, seed) == expected
         assert sorted(shapes) == [(trials, 10), (trials, 15)]
 
+    def test_zero_variance_sides_are_never_drawn(self, monkeypatch):
+        # A normal of sd 0 and a Bernoulli of p 1 cannot vary: neither is
+        # drawn or transformed, so the one run is the uniform sides' draws
+        # 3 .. 9 and ndtri is never called.
+        suite = [
+            SampledScenario(Normal(1.0, 0.0), 4, Uniform(0.0, 1.0), 6),
+            SampledScenario(Bernoulli(1.0), 3, Uniform(0.0, 1.0), 7),
+        ]
+        trials, seed = 200, SeedSpec(20)
+        expected = _alone(suite, CURVE_ALPHAS, trials, seed)
+        ndtri = distributions._load_ndtri()
+        shapes = []
+
+        def counted(u):
+            shapes.append(u.shape)
+            return ndtri(u)
+
+        monkeypatch.setattr(distributions, "_load_ndtri", lambda: counted)
+        force_cpus(monkeypatch, 1)
+        ((first, end, _),), _ = mc._draw_plan(suite)
+        assert (first, end) == (3, 10)
+        assert mc.estimate_suite_curves(suite, CURVE_ALPHAS, trials, seed) == expected
+        assert shapes == []
+
     def test_a_family_that_reuses_a_kernel_shares_its_call(self, monkeypatch):
         # Draws 0 .. 4 and 5 .. 9 adjoin: one call per 100-trial chunk over 10
         # draws, not one over each side's 5, with the bits of each side alone.
@@ -1029,7 +1053,7 @@ class TestDrawPlan:
         ((_, _, planned),), _ = mc._draw_plan(suite)
         assert [(kernel, first, end, [side[0] for side in sides]) for kernel, first, end, sides in planned] == kernels
 
-    @settings(deadline=None, max_examples=150, derandomize=True, database=None)
+    @settings(deadline=None, max_examples=150)
     @given(
         st.lists(
             st.tuples(*[st.sampled_from(FAMILY_MEMBERS), st.integers(1, 40)] * 2),
@@ -1046,7 +1070,7 @@ class TestDrawPlan:
         expected = []  # each random side, as the plan should hold it
         for x, n_x, y, n_y in pairs:
             for dist, d_lo, d_hi in ((x, 0, n_x), (y, n_x, n_x + n_y)):
-                if not isinstance(dist, PointMass):
+                if dist.variance() > 0:
                     expected.append((len(expected), dist, d_lo, d_hi))
         assert [row for pair in sources for row in pair if isinstance(row, int)] == list(range(len(expected)))
         planned = []

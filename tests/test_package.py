@@ -101,8 +101,8 @@ def test_every_module_name_the_readme_cites_resolves():
 
 def test_the_sampler_names_no_family():
     # The draw plan groups sides by their class's `_kernel` and loads what
-    # each kernel loads, so a new family needs no line in the sampler. Only
-    # PointMass, which draws nothing, is named there.
+    # each kernel loads, and leaves a side undrawn by its variance, so a new
+    # family needs no line in the sampler.
     source = Path(collab_avg.montecarlo.__file__).read_text(encoding="utf-8")
     names = set()
     for node in ast.walk(ast.parse(source)):
@@ -118,4 +118,26 @@ def test_the_sampler_names_no_family():
         families.update(cls.__name__ for cls in subclasses)
         pending += subclasses
     assert {"Normal", "Exponential", "PointMass"} <= families
-    assert names & families == {"PointMass"}
+    assert names & families == set()
+
+
+def test_only_main_and_the_parser_write_error_lines():
+    # A command refuses an input by raising; `main` alone turns that into
+    # "error: ..." and exit 1, and `_Parser.error` does so for usage errors.
+    tree = ast.parse(Path(collab_avg.cli.__file__).read_text(encoding="utf-8"))
+    writers = set()
+
+    def visit(node: ast.AST, scope: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}".lstrip(".")
+        texts = [node.value] if isinstance(node, ast.Constant) else []
+        if isinstance(node, ast.JoinedStr) and node.values and isinstance(node.values[0], ast.Constant):
+            texts = [node.values[0].value]
+        if any(isinstance(text, str) and text.startswith("error:") for text in texts):
+            writers.add(scope)
+        for child in ast.iter_child_nodes(node):
+            if not isinstance(node, ast.JoinedStr):
+                visit(child, scope)
+
+    visit(tree, "")
+    assert writers == {"main", "_Parser.error"}
