@@ -11,7 +11,8 @@ Subcommands::
 
 Exit codes: 0 success, 1 invalid input, 2 validation failure, 130
 interrupted (Ctrl-C). Everything a command writes, to stdout or ``--out``,
-is the same UTF-8 bytes with LF line endings. CSV has a header row; numbers
+is the same UTF-8 bytes with LF line endings; a text-only stdout (one with
+no ``buffer``) gets the same text. CSV has a header row; numbers
 take the shortest round-trip form, except table1's two-decimal (half-even)
 comparison columns. Identical configuration and seed give identical bytes.
 """
@@ -75,20 +76,21 @@ def _fmt(value: float) -> str:
 
 
 def _fmt2(value: float) -> str:
-    """Fixed two decimals, half-even; infinities pass through."""
-    if math.isinf(value):
-        return "inf"
+    """Fixed two decimals, half-even; infinities read "inf"."""
     return f"{round(value, 2):.2f}"
 
 
 def _emit(chunks: Iterable[bytes], out: str | None) -> None:
-    """Write the bytes ``chunks`` to ``out``, or to stdout after any text already written there."""
-    if out is None:
+    """Write the bytes ``chunks`` to ``out``, or to stdout after any text already written there;
+    a stdout with no ``buffer`` (text only) gets them decoded as UTF-8."""
+    if out is not None:
+        with open(out, "wb") as handle:
+            handle.writelines(chunks)
+    elif hasattr(sys.stdout, "buffer"):
         sys.stdout.flush()
         sys.stdout.buffer.writelines(chunks)
     else:
-        with open(out, "wb") as handle:
-            handle.writelines(chunks)
+        sys.stdout.writelines(chunk.decode() for chunk in chunks)
 
 
 def _profile_lines(scenario: Scenario, profile: ErrorProfile, alphas: tuple[float, ...]) -> list[str]:
@@ -149,7 +151,10 @@ def cmd_table1(config: RunConfig) -> int:
     report = "\n".join(report_lines) + "\n"
     _emit([",".join(cells).encode() + b"\n" for cells in csv_rows], config.out)
     # The report goes wherever the CSV does not.
-    (sys.stderr if config.out is None else sys.stdout).write(report)
+    if config.out is None:
+        sys.stderr.write(report)
+    else:
+        _emit([report.encode()], None)
     return EXIT_OK
 
 
@@ -399,4 +404,5 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    from .__main__ import run  # the one entry, as for `python -m collab_avg`
+    raise SystemExit(run())

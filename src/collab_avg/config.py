@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 import os
 import re
-from collections.abc import Callable
 from dataclasses import dataclass
 from typing import Any
 
@@ -56,10 +55,6 @@ _Loader.add_implicit_resolver(
 )
 
 
-class ConfigError(ValueError):
-    """The scenario file or flags violate the expected schema."""
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Everything a command run depends on besides the command name.
@@ -81,33 +76,25 @@ class RunConfig:
 
 def _require_mapping(node: Any, where: str) -> dict:
     if not isinstance(node, dict):
-        raise ConfigError(f"{where} must be a mapping, got {type(node).__name__}")
+        raise ValueError(f"{where} must be a mapping, got {type(node).__name__}")
     return node
-
-
-def _checked(check: Callable[..., None], *args: Any) -> None:
-    """Run one of the library's argument checks; its ValueError becomes a ConfigError."""
-    try:
-        check(*args)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def _parse_count(node: Any, where: str, allow_infinite: bool = False) -> int | float:
     if allow_infinite and node in ("inf", "+inf"):
         return math.inf
-    _checked(_check_count, where, node, allow_infinite)
+    _check_count(where, node, allow_infinite)
     return node
 
 
 def _parse_float(node: Any, where: str) -> float:
     # bool is an int subclass and a quoted "0.5" is a string: neither is a number.
     if isinstance(node, bool) or not isinstance(node, (int, float)):
-        raise ConfigError(f"{where} must be a number, got {node!r}")
+        raise ValueError(f"{where} must be a number, got {node!r}")
     try:
         return float(node)
     except OverflowError as exc:
-        raise ConfigError(f"{where} is too large for a float") from exc
+        raise ValueError(f"{where} is too large for a float") from exc
 
 
 def _parse_distribution(node: Any, where: str) -> Distribution:
@@ -115,24 +102,24 @@ def _parse_distribution(node: Any, where: str) -> Distribution:
     if "constant" in node:
         return PointMass(_parse_float(node["constant"], f"{where}.constant"))
     if "family" not in node:
-        raise ConfigError(f"{where} needs a 'family' (or 'constant'/'union') key")
+        raise ValueError(f"{where} needs a 'family' (or 'constant'/'union') key")
     params = node.get("params", {})
     params = _require_mapping(params, f"{where}.params")
     values = {str(k): _parse_float(v, f"{where}.params.{k}") for k, v in params.items()}
     try:
         return make_distribution(str(node["family"]), **values)
     except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+        raise ValueError(f"{where}: {exc}") from exc
 
 
 def _parse_helpers(node: Any, where: str) -> tuple[Agent, ...]:
     if not isinstance(node, list) or not node:
-        raise ConfigError(f"{where} must be a non-empty list of helper agents")
+        raise ValueError(f"{where} must be a non-empty list of helper agents")
     helpers = []
     for i, entry in enumerate(node):
         entry = _require_mapping(entry, f"{where}[{i}]")
         if "n" not in entry:
-            raise ConfigError(f"{where}[{i}] needs an 'n' sample count")
+            raise ValueError(f"{where}[{i}] needs an 'n' sample count")
         spec = _parse_distribution({k: v for k, v in entry.items() if k != "n"}, f"{where}[{i}]")
         helpers.append(Agent(spec=spec, n=_parse_count(entry["n"], f"{where}[{i}].n")))
     return tuple(helpers)
@@ -141,25 +128,25 @@ def _parse_helpers(node: Any, where: str) -> tuple[Agent, ...]:
 def _parse_expected(node: Any, where: str) -> ErrorProfile:
     node = _require_mapping(node, where)
     if "e0" not in node or "e1" not in node:
-        raise ConfigError(f"{where} needs 'e0' and 'e1'")
+        raise ValueError(f"{where} needs 'e0' and 'e1'")
     e0 = _parse_float(node["e0"], f"{where}.e0")
     e1 = _parse_float(node["e1"], f"{where}.e1")
     try:
         return ErrorProfile(e0, e1)
     except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+        raise ValueError(f"{where}: {exc}") from exc
 
 
 def _parse_scenario(node: Any, where: str, with_expected: bool) -> tuple[SampledScenario, ErrorProfile | None]:
     node = _require_mapping(node, where)
     if "x" not in node:
-        raise ConfigError(f"{where} needs an 'x' distribution")
+        raise ValueError(f"{where} needs an 'x' distribution")
     x = _parse_distribution(node["x"], f"{where}.x")
     if "n_x" not in node:
-        raise ConfigError(f"{where} needs 'n_x'")
+        raise ValueError(f"{where} needs 'n_x'")
     n_x = _parse_count(node["n_x"], f"{where}.n_x")
     if "y" not in node:
-        raise ConfigError(f"{where} needs a 'y' side")
+        raise ValueError(f"{where} needs a 'y' side")
     y_node = _require_mapping(node["y"], f"{where}.y")
     expected = None
     if with_expected and "expected" in node:
@@ -175,7 +162,7 @@ def _parse_scenario(node: Any, where: str, with_expected: bool) -> tuple[Sampled
         elif isinstance(y, PointMass):
             n_y = 1  # a constant helper has a zero-variance mean at any count
         else:
-            raise ConfigError(f"{where} needs 'n_y' for a sampled y")
+            raise ValueError(f"{where} needs 'n_y' for a sampled y")
     return SampledScenario(x, n_x, y, n_y, tuple(more)), expected
 
 
@@ -184,7 +171,7 @@ def _resolve_seed(flag_seed: int | None, file_seed: Any) -> int:
         seed = flag_seed
     elif file_seed is not None:
         if isinstance(file_seed, bool) or not isinstance(file_seed, int):
-            raise ConfigError("seed must be a non-negative integer")
+            raise ValueError("seed must be a non-negative integer")
         seed = file_seed
     else:
         env = os.environ.get(ENV_SEED)
@@ -193,9 +180,9 @@ def _resolve_seed(flag_seed: int | None, file_seed: Any) -> int:
         try:
             seed = int(env)
         except ValueError as exc:
-            raise ConfigError(f"{ENV_SEED} must be an integer, got {env!r}") from exc
+            raise ValueError(f"{ENV_SEED} must be an integer, got {env!r}") from exc
     if not 0 <= seed < 2**64:
-        raise ConfigError("seed must fit in an unsigned 64-bit integer")
+        raise ValueError("seed must fit in an unsigned 64-bit integer")
     return seed
 
 
@@ -227,18 +214,18 @@ def load_run_config(
             with open(scenario, "r", encoding="utf-8") as handle:
                 loaded = yaml.load(handle, Loader=_Loader)
         except OSError as exc:
-            raise ConfigError(f"cannot read scenario file: {exc}") from exc
+            raise ValueError(f"cannot read scenario file: {exc}") from exc
         except yaml.MarkedYAMLError as exc:
             mark = exc.problem_mark
             where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
-            raise ConfigError(f"scenario file is not valid YAML: {exc.problem or exc.context}{where}") from exc
+            raise ValueError(f"scenario file is not valid YAML: {exc.problem or exc.context}{where}") from exc
         except yaml.YAMLError as exc:  # its message spans lines
-            raise ConfigError(f"scenario file is not valid YAML: {' '.join(str(exc).split())}") from exc
+            raise ValueError(f"scenario file is not valid YAML: {' '.join(str(exc).split())}") from exc
         except RecursionError:
-            raise ConfigError("scenario file is nested too deeply") from None
+            raise ValueError("scenario file is nested too deeply") from None
         data = _require_mapping(loaded if loaded is not None else {}, "scenario file")
     elif require_scenario:
-        raise ConfigError("this command requires --scenario <path>")
+        raise ValueError("this command requires --scenario <path>")
     validating = command == "validate"
     fields: dict[str, Any] = {"out": out, "grid": grid}
 
@@ -246,29 +233,29 @@ def load_run_config(
         if "scenarios" in data:
             entries = data["scenarios"]
             if not isinstance(entries, list) or not entries:
-                raise ConfigError("'scenarios' must be a non-empty list")
+                raise ValueError("'scenarios' must be a non-empty list")
             parsed = [_parse_scenario(entry, f"scenarios[{i}]", validating) for i, entry in enumerate(entries)]
         elif "x" in data:
             parsed = [_parse_scenario(data, "scenario file", validating)]
         else:
-            raise ConfigError("scenario file defines no scenario (needs 'x' or 'scenarios')")
+            raise ValueError("scenario file defines no scenario (needs 'x' or 'scenarios')")
         if len(parsed) > 1 and not validating:  # a suite is for validate
-            raise ConfigError(f"{command} takes one scenario, but the file defines {len(parsed)}")
+            raise ValueError(f"{command} takes one scenario, but the file defines {len(parsed)}")
         fields["scenarios"], fields["expected"] = zip(*parsed)
 
     if command == "profile":
         alphas_node = data.get("alphas", list(DEFAULT_ALPHAS))
         if not isinstance(alphas_node, list):
-            raise ConfigError("'alphas' must be a list of numbers in [0, 1]")
+            raise ValueError("'alphas' must be a list of numbers in [0, 1]")
         alphas = []
         for value in alphas_node:
             alpha = _parse_float(value, "alpha")
-            _checked(_check_alpha, alpha)
+            _check_alpha(alpha)
             alphas.append(alpha)
         fields["alphas"] = tuple(alphas)
 
     if grid is not None and not GRID_RANGE[0] <= grid <= GRID_RANGE[1]:
-        raise ConfigError(f"--grid must be in {GRID_RANGE[0]}..{GRID_RANGE[1]}, got {grid}")
+        raise ValueError(f"--grid must be in {GRID_RANGE[0]}..{GRID_RANGE[1]}, got {grid}")
 
     if command == "contour" and "contour" in data:
         node = _require_mapping(data["contour"], "contour")
@@ -277,20 +264,20 @@ def load_run_config(
             for name, default in zip(("u_min", "u_max", "v_min", "v_max"), DEFAULT_CONTOUR_BOUNDS)
         )
         if not all(b > 0 and math.isfinite(b) for b in bounds):
-            raise ConfigError("contour bounds must be positive and finite")
+            raise ValueError("contour bounds must be positive and finite")
         if bounds[0] >= bounds[1] or bounds[2] >= bounds[3]:
-            raise ConfigError("contour bounds must satisfy u_min < u_max and v_min < v_max")
+            raise ValueError("contour bounds must satisfy u_min < u_max and v_min < v_max")
         fields["contour_bounds"] = bounds
 
     if validating:
         if "k" in data:
-            raise ConfigError(f"'k' is not a setting: validate's band is always {BAND:g} standard errors")
+            raise ValueError(f"'k' is not a setting: validate's band is always {BAND:g} standard errors")
         fields["trials"] = trials if trials is not None else data.get("trials", DEFAULT_TRIALS)
-        _checked(_check_trials, fields["trials"])
+        _check_trials(fields["trials"])
         fields["seed"] = _resolve_seed(seed, data.get("seed"))
         try:
             _load_ndtri()
             _load_sampling(_draw_plan(fields["scenarios"])[0])
         except ImportError as exc:
-            raise ConfigError(f"validate needs scipy to sample: {exc}") from None
+            raise ValueError(f"validate needs scipy to sample: {exc}") from None
     return RunConfig(**fields)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import contextlib
 import csv
 import hashlib
 import io
@@ -1218,7 +1219,8 @@ class TestCommonBehaviour:
         ids=["profile", "curve", "table1", "validate", "federate", "contour"],
     )
     def test_stdout_gets_the_out_files_bytes(self, tmp_path, capsys, monkeypatch, command, scenario):
-        # Even a stdout that would write each "\n" as "\r\n" gets LF bytes.
+        # Even a stdout that would write each "\n" as "\r\n" gets LF bytes,
+        # and a text-only stdout (no buffer) gets the same text.
         argv = [command]
         if scenario is not None:
             path = tmp_path / "scenario.yaml"
@@ -1233,6 +1235,20 @@ class TestCommonBehaviour:
         assert main(argv) == 0
         stdout.flush()
         assert raw.getvalue() == out_path.read_bytes()
+        text = io.StringIO()
+        with contextlib.redirect_stdout(text):
+            assert main(argv) == 0
+        assert text.getvalue().encode() == out_path.read_bytes()
+
+    def test_table1s_report_reaches_stdout_as_its_golden_bytes(self, tmp_path, monkeypatch):
+        # With the CSV in --out, the report goes to stdout through the same
+        # writer, so a newline-translating stdout gets LF bytes too.
+        raw = io.BytesIO()
+        stdout = io.TextIOWrapper(raw, encoding="utf-8", newline="\r\n")
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(["table1", "--out", str(tmp_path / "table.csv")]) == 0
+        stdout.flush()
+        assert sha256(raw.getvalue()) == GOLDEN_CLOSED_FORM["table1_report"]
 
     def test_env_var_seed_fallback(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "suite.yaml"

@@ -3,13 +3,19 @@
 from __future__ import annotations
 
 import ast
+import gc
 import importlib
 import math
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
 import collab_avg
+import collab_avg.__main__
 import collab_avg.cli
 import collab_avg.distributions
 import collab_avg.montecarlo
@@ -141,3 +147,58 @@ def test_only_main_and_the_parser_write_error_lines():
 
     visit(tree, "")
     assert writers == {"main", "_Parser.error"}
+
+
+def test_the_installed_script_runs_the_one_entry():
+    # `collab-avg` calls `__main__.run`, as `python -m collab_avg` does, so
+    # neither launcher skips the freezes around `main`.
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+    module, _, name = pyproject["project"]["scripts"]["collab-avg"].partition(":")
+    assert getattr(importlib.import_module(module), name) is collab_avg.__main__.run
+
+
+def test_run_freezes_around_main_and_is_what_the_module_runs(tmp_path, monkeypatch):
+    calls = []
+
+    def main() -> int:
+        calls.append("main")
+        return 7
+
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+    monkeypatch.setattr(collab_avg.__main__, "main", main)
+    assert collab_avg.__main__.run() == 7
+    assert calls == ["freeze", "main", "freeze"]
+
+    path = tmp_path / "scenario.yaml"
+    path.write_text("x: {family: normal, params: {mu: 0, sd: 1}}\nn_x: 5\ny: {constant: 0.5}\ntrials: 200\n")
+    argv = ["validate", "--scenario", str(path)]
+    script = "from collab_avg.__main__ import run; raise SystemExit(run())"
+    by_run, by_module = (
+        subprocess.run([sys.executable, *launcher, *argv], capture_output=True, timeout=120)
+        for launcher in (["-c", script], ["-m", "collab_avg"])
+    )
+    assert (by_run.returncode, by_run.stdout, by_run.stderr) == (by_module.returncode, by_module.stdout, by_module.stderr)
+    assert by_run.stdout.endswith(b"overall: PASS\n")
+
+
+def test_only_emit_touches_stdout():
+    # Every byte a command sends to stdout goes through `_emit`, so one
+    # function decides how it is encoded: no other code names `sys.stdout`
+    # or calls `print` without a `file`.
+    tree = ast.parse(Path(collab_avg.cli.__file__).read_text(encoding="utf-8"))
+    writers = set()
+
+    def visit(node: ast.AST, scope: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}".lstrip(".")
+        if isinstance(node, ast.Attribute) and node.attr == "stdout":
+            writers.add(scope)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "print":
+            if "file" not in {keyword.arg for keyword in node.keywords}:
+                writers.add(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "")
+    assert writers == {"_emit"}
