@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
+import stat
 import sys
 from collections.abc import Iterable, Iterator
 from contextlib import closing
@@ -46,9 +48,6 @@ EXIT_INVALID = 1
 EXIT_VALIDATION = 2
 EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports it
 _VERDICT_EXIT = {Verdict.PASS: EXIT_OK, Verdict.FAIL: EXIT_VALIDATION}  # validate's exit code for a run's verdict
-
-_DEFAULT_CURVE_GRID = 1001
-_DEFAULT_CONTOUR_GRID = 101
 
 #: ``contour`` forks block workers only from this many grid cells on.
 #: Measured on a 2-core Xeon (numpy 2.4.6, rows written to a file, median
@@ -82,10 +81,18 @@ def _fmt2(value: float) -> str:
 
 def _emit(chunks: Iterable[bytes], out: str | None) -> None:
     """Write the bytes ``chunks`` to ``out``, or to stdout after any text already written there;
-    a stdout with no ``buffer`` (text only) gets them decoded as UTF-8."""
+    a stdout with no ``buffer`` (text only) gets them decoded as UTF-8. A regular file ``out`` holds
+    them all or is removed: an error in making, writing or closing, or Ctrl-C, is raised after that."""
     if out is not None:
-        with open(out, "wb") as handle:
-            handle.writelines(chunks)
+        regular = False  # a path that open fails on is never removed
+        try:
+            with open(out, "wb") as handle:
+                regular = stat.S_ISREG(os.fstat(handle.fileno()).st_mode)
+                handle.writelines(chunks)
+        except BaseException:
+            if regular:
+                os.remove(out)
+            raise
     elif hasattr(sys.stdout, "buffer"):
         sys.stdout.flush()
         sys.stdout.buffer.writelines(chunks)
@@ -163,9 +170,8 @@ def cmd_curve(config: RunConfig) -> int:
     profile = error_profile(scenario)
     if profile.alpha_star <= 0.0:
         raise ValueError("curve requires alpha_star > 0 (var_x > 0 and a non-degenerate scenario)")
-    points = config.grid if config.grid is not None else _DEFAULT_CURVE_GRID
     lines = ["alpha,ese_ratio,lower_bound,upper_bound_segment"]
-    for alpha in np.linspace(0.0, 1.0, points).tolist():
+    for alpha in np.linspace(0.0, 1.0, config.grid).tolist():
         ratio = ese_of_alpha(profile, alpha) / profile.e0
         upper = _fmt(1.0 - alpha) if alpha <= profile.alpha_star else ""
         lines.append(f"{_fmt(alpha)},{_fmt(ratio)},{_fmt(1.0 - 2.0 * alpha)},{upper}")
@@ -175,9 +181,8 @@ def cmd_curve(config: RunConfig) -> int:
 
 def cmd_contour(config: RunConfig) -> int:
     u_min, u_max, v_min, v_max = config.contour_bounds
-    points = config.grid if config.grid is not None else _DEFAULT_CONTOUR_GRID
-    u_grid = np.logspace(math.log10(u_min), math.log10(u_max), points)
-    v_grid = np.logspace(math.log10(v_min), math.log10(v_max), points)
+    u_grid = np.logspace(math.log10(u_min), math.log10(u_max), config.grid)
+    v_grid = np.logspace(math.log10(v_min), math.log10(v_max), config.grid)
     with closing(_contour_rows(u_grid, v_grid)) as rows:
         _emit(rows, config.out)
     return EXIT_OK

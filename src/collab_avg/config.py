@@ -41,6 +41,8 @@ DEFAULT_SEED = 0
 DEFAULT_ALPHAS = (0.2, 0.5)
 DEFAULT_CONTOUR_BOUNDS = (0.01, 100.0, 0.01, 100.0)
 GRID_RANGE = (2, 10_001)
+DEFAULT_CURVE_GRID = 1001
+DEFAULT_CONTOUR_GRID = 101
 
 
 class _Loader(yaml.SafeLoader):
@@ -199,7 +201,8 @@ def load_run_config(
     """The configuration of a ``command`` run: its flags and the keys of the
     scenario file at ``scenario`` that it reads.
 
-    ``profile`` reads ``alphas`` and ``contour`` its ``contour`` section; a
+    ``profile`` reads ``alphas``, ``curve`` and ``contour`` a ``grid``
+    checked and defaulted here, and ``contour`` its ``contour`` section; a
     command reads the scenarios when ``require_scenario`` says it needs one,
     and only ``validate`` may have more than one. ``validate`` alone reads
     ``trials``, ``seed`` (then ``$COLLAB_AVG_SEED``) and each scenario's
@@ -227,7 +230,7 @@ def load_run_config(
     elif require_scenario:
         raise ValueError("this command requires --scenario <path>")
     validating = command == "validate"
-    fields: dict[str, Any] = {"out": out, "grid": grid}
+    fields: dict[str, Any] = {"out": out}
 
     if require_scenario:
         if "scenarios" in data:
@@ -254,8 +257,11 @@ def load_run_config(
             alphas.append(alpha)
         fields["alphas"] = tuple(alphas)
 
+    if grid is None and command in ("curve", "contour"):
+        grid = DEFAULT_CURVE_GRID if command == "curve" else DEFAULT_CONTOUR_GRID
     if grid is not None and not GRID_RANGE[0] <= grid <= GRID_RANGE[1]:
         raise ValueError(f"--grid must be in {GRID_RANGE[0]}..{GRID_RANGE[1]}, got {grid}")
+    fields["grid"] = grid
 
     if command == "contour" and "contour" in data:
         node = _require_mapping(data["contour"], "contour")

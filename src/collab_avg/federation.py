@@ -23,15 +23,15 @@ from .theory import ErrorProfile, Scenario, _check_count, error_profile
 
 @dataclass(frozen=True)
 class Agent:
-    """One participant: a data distribution and its sample count."""
+    """One participant: a data distribution and its sample count, ``math.inf`` for an exact mean."""
 
     spec: Distribution
-    n: int
+    n: int | float
 
     def __post_init__(self) -> None:
         if not isinstance(self.spec, Distribution):
             raise ValueError("spec must be a Distribution instance")
-        _check_count("n", self.n)
+        _check_count("n", self.n, allow_infinite=True)
 
 
 @dataclass(frozen=True)
@@ -55,6 +55,8 @@ class SampledScenario:
         object.__setattr__(self, "more", tuple(self.more))
         if not all(isinstance(helper, Agent) for helper in self.more):
             raise ValueError("helpers must be Agent instances")
+        if self.more and math.inf in (self.n_y, *(helper.n for helper in self.more)):
+            raise ValueError("only a single helper may have an infinite sample count")
         reduce_to_two_agent(self)  # Scenario validates the counts and moments
 
     @property

@@ -378,6 +378,29 @@ class TestContour:
         assert code == 0
         assert out.encode("utf-8") == out_path.read_bytes()
 
+    @pytest.mark.parametrize(
+        "fault,code,err",
+        [(ValueError("bad cell"), 1, "error: bad cell\n"), (KeyboardInterrupt(), 130, "error: interrupted\n")],
+        ids=["error", "interrupt"],
+    )
+    def test_a_failed_out_leaves_no_file(self, tmp_path, capsys, monkeypatch, fault, code, err):
+        # One u-row per block: the 5th block fails after the header and 200
+        # rows were written, which would read as a valid, shorter CSV.
+        repr_cells, calls = cli._repr_cells, []
+
+        def failing(x):
+            calls.append(1)
+            if len(calls) == 5:
+                raise fault
+            return repr_cells(x)
+
+        monkeypatch.setattr(cli, "_BLOCK_CELLS", 1)
+        monkeypatch.setattr(cli, "_repr_cells", failing)
+        force_cpus(monkeypatch, 1)
+        out_path = tmp_path / "contour.csv"
+        assert run_cli(capsys, "contour", "--grid", "50", "--out", str(out_path)) == (code, "", err)
+        assert not out_path.exists()
+
     def test_memory_is_linear_in_grid(self, tmp_path, capsys, monkeypatch):
         # A 401 x 401 grid is 160k rows (~9 MB of CSV); streaming a block of
         # about _BLOCK_CELLS cells at a time keeps the traced peak to a few
@@ -765,6 +788,19 @@ class TestValidate:
         assert code == 1
         assert "closed form" in err
 
+    def test_constant_helper_at_an_infinite_count_validates_as_at_one(self, tmp_path, capsys):
+        # A helper that cannot vary is never drawn, so its count changes
+        # neither the draws nor the closed form: n_y: inf gives n_y: 1's bytes.
+        text = "x: {family: normal, params: {mu: 0, sd: 1}}\nn_x: 10\ny: {constant: 0.5}\ntrials: 1000\n"
+        outputs = []
+        for n_y in ("inf", "1"):
+            path, out_path = tmp_path / f"{n_y}.yaml", tmp_path / f"{n_y}.txt"
+            path.write_text(f"{text}n_y: {n_y}\n")
+            assert run_cli(capsys, "validate", "--scenario", str(path), "--out", str(out_path)) == (0, "", "")
+            outputs.append(out_path.read_bytes())
+        assert outputs[0] == outputs[1]
+        assert outputs[0].endswith(b"overall: PASS\n")
+
     @pytest.mark.parametrize("cpus", [1, 2])
     @pytest.mark.parametrize(
         "fault,message",
@@ -898,6 +934,18 @@ class TestFederate:
         code, out, err = run_cli(capsys, "federate", "--scenario", str(path))
         assert (code, err) == (0, "")
         assert parse_report(out)["pooled_n"] == "inf"
+
+    @pytest.mark.parametrize("count,shown", [("inf", "'inf'"), (".inf", "inf")])
+    def test_infinite_union_count_exits_1_with_one_line(self, tmp_path, capsys, count, shown):
+        # A union entry's n stays a positive integer, though an Agent may be infinite.
+        path = tmp_path / "union.yaml"
+        path.write_text(
+            "x: {family: normal, params: {mu: 0, sd: 1}}\nn_x: 5\n"
+            f"y: {{union: [{{family: normal, params: {{mu: 0, sd: 1}}, n: {count}}}, {{constant: 1.0, n: 3}}]}}\n"
+        )
+        code, out, err = run_cli(capsys, "federate", "--scenario", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"error: scenario file.y.union[0].n must be a positive integer, got {shown}\n"
 
 
 class TestScenarioForms:

@@ -70,6 +70,15 @@ class TestReduction:
         var_band = 5.0 * variance_std_error(pooled)
         assert abs(pooled.var(ddof=1) - scenario.var_helper_mean) <= var_band
 
+    def test_an_infinite_helper_is_an_agent(self):
+        federation = SampledScenario(Normal(0, 1), 10, Normal(0.5, 1), math.inf)
+        assert federation.helpers == (Agent(Normal(0.5, 1), math.inf),)
+
+    @pytest.mark.parametrize("n_y,n", [(math.inf, 5), (5, math.inf)], ids=["first", "more"])
+    def test_an_infinite_helper_among_several_is_refused(self, n_y, n):
+        with pytest.raises(ValueError, match="^only a single helper may have an infinite sample count$"):
+            SampledScenario(Normal(0, 1), 10, Normal(0.5, 1), n_y, (Agent(Normal(0, 1), n),))
+
     def test_agent_validation(self):
         with pytest.raises(ValueError):
             Agent(Normal(0, 1), 0)

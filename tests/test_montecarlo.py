@@ -196,6 +196,12 @@ class TestTrialMeans:
         _, ybar_with_noise = trial_means(Normal(9.0, 1.0), 3, Normal(0, 1), 5, 50, SeedSpec(29))
         assert np.array_equal(ybar_with_const, ybar_with_noise)
 
+    def test_a_constant_helper_at_an_infinite_count(self):
+        # Never drawn, so its count moves nothing: x's means are n_y = 1's.
+        xbar, ybar = trial_means(Normal(0.0, 1.0), 10, PointMass(0.5), math.inf, 200, SeedSpec(31))
+        assert np.array_equal(ybar, np.full(200, 0.5))
+        assert np.array_equal(xbar, trial_means(Normal(0.0, 1.0), 10, PointMass(0.5), 1, 200, SeedSpec(31))[0])
+
 
 RANDOM_SIDES = (Normal(0.3, 1.2), Uniform(-1.0, 2.0), Bernoulli(0.35), Exponential(1.5))
 CONSTANT_SIDE = PointMass(0.75)
@@ -272,6 +278,22 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
 """
 
 
+# Minor page faults of a fresh interpreter on one CPU while it estimates a
+# curve at argv[1] trials of 7,000-draw streams (numpy's C Philox), once
+# what sampling loads is loaded.
+LONG_STREAM_FAULTS = """
+import os, resource, sys
+os.sched_getaffinity = lambda pid: {0}
+from collab_avg import montecarlo as mc
+from collab_avg.distributions import Exponential, Normal, SeedSpec
+args = (Normal(0.0, 1.0), 1000, Exponential(1.0), 6000, mc.VALIDATION_ALPHAS, int(sys.argv[1]), SeedSpec(0))
+mc._load_sampling(mc._draw_plan([mc.SampledScenario(*args[:4])])[0])
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+mc.estimate_error_curve(*args)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
 class TestLongStreams:
     """A trial longer than a chunk is drawn side by side in leaves, with the whole row's bits."""
 
@@ -315,6 +337,21 @@ class TestLongStreams:
             return float(result.stdout)
 
         assert peak(2_000_000) < peak(20_000) + 2.0
+
+    def test_chunks_reuse_their_pages(self):
+        # Each chunk's uniforms stay bound until the next chunk's are made,
+        # so glibc never trims the heap between chunks: 590 faults at 500
+        # trials and at 2,000 on a 2-core Xeon. Freeing them at the end of
+        # each chunk took 10,931 and 43,568, the next chunk faulting back in
+        # what the trim gave up.
+        def faults(trials: int) -> int:
+            result = subprocess.run(
+                [sys.executable, "-c", LONG_STREAM_FAULTS, str(trials)], capture_output=True, timeout=120
+            )
+            assert result.returncode == 0, result.stderr
+            return int(result.stdout)
+
+        assert faults(2_000) < faults(500) + 1_000
 
     @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="workers need sched_getaffinity")
     def test_curve_memory_does_not_grow_with_trials(self):
@@ -462,6 +499,30 @@ class TestCurveStatistics:
         assert _statistics(dx, dy, CURVE_ALPHAS, parallel=True) == serial
         assert len(forks) == 2 * round_forks(2)
         assert failed[0] == 1
+        assert no_child_left()
+
+    def test_forking_decides_only_who_makes_each_subtree(self, monkeypatch):
+        # 128-trial leaves cut 20,001 trials on 2 CPUs into 12 subtrees per
+        # pass, whether both passes fork or neither does: a serial run walks
+        # the subtrees of a forked one, to the same bits.
+        args = (Normal(0.0, 1.0), 4, Uniform(0.0, 1.0), 4, CURVE_ALPHAS, 20_001, SeedSpec(21))
+        monkeypatch.setattr(mc, "_SUITE_LEAF", 128)
+        ordered_map, items = mc.ordered_map, []
+
+        def counted(make, n, workers):
+            items.append(n)
+            return ordered_map(make, n, workers)
+
+        monkeypatch.setattr(mc, "ordered_map", counted)
+        curves = []
+        for threshold, rounds in ((0, 2), (10**18, 0)):
+            monkeypatch.setattr(mc, "_PARALLEL_MIN_DRAWS", threshold)
+            monkeypatch.setattr(mc, "_PARALLEL_MIN_CURVE", threshold)
+            forks = force_cpus(monkeypatch, 2)
+            curves.append(estimate_error_curve(*args))
+            assert len(forks) == rounds * round_forks(2)
+        assert curves[0] == curves[1]
+        assert items == [12] * 4
         assert no_child_left()
 
     def test_memory_is_bounded_by_the_leaf(self, monkeypatch):
@@ -846,8 +907,9 @@ class TestSuiteCurves:
 
     def test_one_kernel_per_family_and_chunk(self, monkeypatch):
         # c06's normal sides take 190 draws per trial, all among draws 0 ..
-        # 99: one ndtri over those 100 per chunk, not one per side, and
-        # none in pass 2, which reads pass 1's means back.
+        # 99: after the warm-up on zero draws, one ndtri over those 100 per
+        # chunk, not one per side, and none in pass 2, which reads pass 1's
+        # means back.
         suite, trials, seed = MC_SUITE, 1_000, SeedSpec(MC_BASE_SEED)
         expected = _alone(suite, CURVE_ALPHAS, trials, seed)
         ndtri = distributions._load_ndtri()
@@ -861,11 +923,12 @@ class TestSuiteCurves:
         force_cpus(monkeypatch, 1)
         assert mc.estimate_suite_curves(suite, CURVE_ALPHAS, trials, seed) == expected
         chunk = mc._CHUNK_DRAWS // 200
-        assert shapes == [(min(chunk, trials - lo), 100) for lo in range(0, trials, chunk)]
+        assert shapes == [(0,)] + [(min(chunk, trials - lo), 100) for lo in range(0, trials, chunk)]
 
     def test_one_kernel_per_stretch_of_a_family(self, monkeypatch):
-        # The normal sides take draws 0 .. 14 and 30 .. 39: ndtri transforms
-        # those 25 per trial, not the 40 from 0 to 39, and the bits hold.
+        # The normal sides take draws 0 .. 14 and 30 .. 39: after the warm-up
+        # on zero draws, ndtri transforms those 25 per trial, not the 40 from
+        # 0 to 39, and the bits hold.
         suite, trials, seed = OVERLAP_SUITE, 300, SeedSpec(15)
         expected = _alone(suite, CURVE_ALPHAS, trials, seed)
         ndtri = distributions._load_ndtri()
@@ -878,7 +941,8 @@ class TestSuiteCurves:
         monkeypatch.setattr(distributions, "_load_ndtri", lambda: counted)
         force_cpus(monkeypatch, 1)
         assert mc.estimate_suite_curves(suite, CURVE_ALPHAS, trials, seed) == expected
-        assert sorted(shapes) == [(trials, 10), (trials, 15)]
+        assert shapes[0] == (0,)
+        assert sorted(shapes[1:]) == [(trials, 10), (trials, 15)]
 
     def test_zero_variance_sides_are_never_drawn(self, monkeypatch):
         # A normal of sd 0 and a Bernoulli of p 1 cannot vary: neither is
@@ -905,8 +969,9 @@ class TestSuiteCurves:
         assert shapes == []
 
     def test_a_family_that_reuses_a_kernel_shares_its_call(self, monkeypatch):
-        # Draws 0 .. 4 and 5 .. 9 adjoin: one call per 100-trial chunk over 10
-        # draws, not one over each side's 5, with the bits of each side alone.
+        # Draws 0 .. 4 and 5 .. 9 adjoin: after the warm-up on zero draws,
+        # one call per 100-trial chunk over 10 draws, not one over each
+        # side's 5, with the bits of each side alone.
         suite, trials, seed = [SampledScenario(Exponential(1.0), 5, Rate(2.0), 5)], 1_000, SeedSpec(19)
         expected = _alone(suite, CURVE_ALPHAS, trials, seed)
         kernel, shapes = Exponential(1.0)._kernel, []
@@ -919,7 +984,7 @@ class TestSuiteCurves:
         monkeypatch.setattr(mc, "_CHUNK_DRAWS", 1_000)
         force_cpus(monkeypatch, 1)
         assert mc.estimate_suite_curves(suite, CURVE_ALPHAS, trials, seed) == expected
-        assert shapes == [(100, 10)] * 10
+        assert shapes == [(0,)] + [(100, 10)] * 10
 
     def test_overlapping_sides_are_drawn_once(self, monkeypatch):
         # Every random side lies in draws 0 .. 39, and the constant side's
