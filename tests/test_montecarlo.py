@@ -340,10 +340,10 @@ class TestLongStreams:
 
     def test_chunks_reuse_their_pages(self):
         # Each chunk's uniforms stay bound until the next chunk's are made,
-        # so glibc never trims the heap between chunks: 590 faults at 500
-        # trials and at 2,000 on a 2-core Xeon. Freeing them at the end of
-        # each chunk took 10,931 and 43,568, the next chunk faulting back in
-        # what the trim gave up.
+        # so glibc never trims the heap between chunks: about 560 faults at
+        # 500 trials and at 2,000 on a 2-core Xeon. Freeing them at the end
+        # of each chunk took 10,954 and 43,757, the next chunk faulting back
+        # in what the trim gave up.
         def faults(trials: int) -> int:
             result = subprocess.run(
                 [sys.executable, "-c", LONG_STREAM_FAULTS, str(trials)], capture_output=True, timeout=120
