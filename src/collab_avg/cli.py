@@ -25,12 +25,12 @@ import os
 import stat
 import sys
 from collections.abc import Iterable, Iterator
-from contextlib import closing
+from contextlib import closing, suppress
 
 import numpy as np
 
 from ._workers import cpu_count, ordered_map
-from .config import RunConfig, load_run_config
+from .config import DEFAULT_GRID, RunConfig, load_run_config
 from .federation import reduce_to_two_agent
 from .montecarlo import BAND, VALIDATION_ALPHAS, Verdict, estimate_suite_curves, validate_scenario
 from .table1 import INPUT_COLUMNS, OUTPUT_COLUMNS, reproduce_table
@@ -81,17 +81,20 @@ def _fmt2(value: float) -> str:
 
 def _emit(chunks: Iterable[bytes], out: str | None) -> None:
     """Write the bytes ``chunks`` to ``out``, or to stdout after any text already written there;
-    a stdout with no ``buffer`` (text only) gets them decoded as UTF-8. A regular file ``out`` holds
-    them all or is removed: an error in making, writing or closing, or Ctrl-C, is raised after that."""
+    a stdout with no ``buffer`` (text only) gets them decoded as UTF-8. If making, writing or closing
+    them raises, or Ctrl-C comes, the regular file that ``out`` itself names (not a symlink, device,
+    pipe or path ``open`` failed on) is removed, and that error is raised, never one from removing."""
     if out is not None:
-        regular = False  # a path that open fails on is never removed
+        opened = None
         try:
             with open(out, "wb") as handle:
-                regular = stat.S_ISREG(os.fstat(handle.fileno()).st_mode)
+                opened = os.fstat(handle.fileno())
                 handle.writelines(chunks)
         except BaseException:
-            if regular:
-                os.remove(out)
+            if opened is not None and stat.S_ISREG(opened.st_mode):
+                with suppress(OSError):
+                    if os.path.samestat(os.lstat(out), opened):  # lstat: a symlink never matches
+                        os.remove(out)
             raise
     elif hasattr(sys.stdout, "buffer"):
         sys.stdout.flush()
@@ -387,7 +390,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if name != "table1":
             command.add_argument("--scenario", help="scenario file (YAML)")
         command.add_argument("--out", help="output path (default: stdout)")
-        if name in ("curve", "contour"):
+        if name in DEFAULT_GRID:
             command.add_argument("--grid", type=int, help="grid resolution")
         if name == "validate":
             command.add_argument("--seed", type=int, help="master seed (fallback: file, then $COLLAB_AVG_SEED)")

@@ -41,8 +41,7 @@ DEFAULT_SEED = 0
 DEFAULT_ALPHAS = (0.2, 0.5)
 DEFAULT_CONTOUR_BOUNDS = (0.01, 100.0, 0.01, 100.0)
 GRID_RANGE = (2, 10_001)
-DEFAULT_CURVE_GRID = 1001
-DEFAULT_CONTOUR_GRID = 101
+DEFAULT_GRID = {"curve": 1001, "contour": 101}  # the commands that take --grid, and its default
 
 
 class _Loader(yaml.SafeLoader):
@@ -257,8 +256,7 @@ def load_run_config(
             alphas.append(alpha)
         fields["alphas"] = tuple(alphas)
 
-    if grid is None and command in ("curve", "contour"):
-        grid = DEFAULT_CURVE_GRID if command == "curve" else DEFAULT_CONTOUR_GRID
+    grid = DEFAULT_GRID.get(command) if grid is None else grid
     if grid is not None and not GRID_RANGE[0] <= grid <= GRID_RANGE[1]:
         raise ValueError(f"--grid must be in {GRID_RANGE[0]}..{GRID_RANGE[1]}, got {grid}")
     fields["grid"] = grid

@@ -350,6 +350,21 @@ GOLDEN_CONTOUR = {
 }
 
 
+def fail_fifth_block(monkeypatch, fault) -> None:
+    """Make ``contour`` one u-row per block, in one process, and raise ``fault`` in its 5th block."""
+    repr_cells, calls = cli._repr_cells, []
+
+    def failing(x):
+        calls.append(1)
+        if len(calls) == 5:
+            raise fault
+        return repr_cells(x)
+
+    monkeypatch.setattr(cli, "_BLOCK_CELLS", 1)
+    monkeypatch.setattr(cli, "_repr_cells", failing)
+    force_cpus(monkeypatch, 1)
+
+
 class TestContour:
     def test_golden_default_stdout(self, capsys):
         code, out, _ = run_cli(capsys, "contour")
@@ -386,20 +401,54 @@ class TestContour:
     def test_a_failed_out_leaves_no_file(self, tmp_path, capsys, monkeypatch, fault, code, err):
         # One u-row per block: the 5th block fails after the header and 200
         # rows were written, which would read as a valid, shorter CSV.
-        repr_cells, calls = cli._repr_cells, []
-
-        def failing(x):
-            calls.append(1)
-            if len(calls) == 5:
-                raise fault
-            return repr_cells(x)
-
-        monkeypatch.setattr(cli, "_BLOCK_CELLS", 1)
-        monkeypatch.setattr(cli, "_repr_cells", failing)
-        force_cpus(monkeypatch, 1)
+        fail_fifth_block(monkeypatch, fault)
         out_path = tmp_path / "contour.csv"
         assert run_cli(capsys, "contour", "--grid", "50", "--out", str(out_path)) == (code, "", err)
         assert not out_path.exists()
+
+    def test_a_failed_out_through_a_symlink_removes_neither(self, tmp_path, capsys, monkeypatch):
+        # The path names a link, not the file written: removing it would
+        # delete the link and leave the target holding the partial CSV.
+        fail_fifth_block(monkeypatch, ValueError("bad cell"))
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_bytes(b"")
+        link.symlink_to(target)
+        assert run_cli(capsys, "contour", "--grid", "50", "--out", str(link)) == (1, "", "error: bad cell\n")
+        assert link.is_symlink() and target.is_file()
+
+    @pytest.mark.skipif(os.name != "posix" or os.geteuid() == 0, reason="root may unlink in a read-only directory")
+    def test_a_failed_removal_keeps_the_interrupt(self, tmp_path, capsys, monkeypatch):
+        # open("wb") succeeds on the existing file, but the directory refuses
+        # the unlink: the run still reports Ctrl-C, not the unlink's error.
+        fail_fifth_block(monkeypatch, KeyboardInterrupt())
+        folder = tmp_path / "read-only"
+        folder.mkdir()
+        out_path = folder / "contour.csv"
+        out_path.write_bytes(b"")
+        folder.chmod(0o555)
+        try:
+            assert run_cli(capsys, "contour", "--grid", "50", "--out", str(out_path)) == (
+                130,
+                "",
+                "error: interrupted\n",
+            )
+        finally:
+            folder.chmod(0o755)
+
+    @pytest.mark.parametrize(
+        "fault,code,err",
+        [(ValueError("bad cell"), 1, "error: bad cell\n"), (KeyboardInterrupt(), 130, "error: interrupted\n")],
+        ids=["error", "interrupt"],
+    )
+    def test_a_failed_removal_keeps_the_first_error(self, tmp_path, capsys, monkeypatch, fault, code, err):
+        # The same as a read-only directory, for any user: the unlink raises.
+        def refuse(path):
+            raise PermissionError(13, "Permission denied", path)
+
+        fail_fifth_block(monkeypatch, fault)
+        monkeypatch.setattr(os, "remove", refuse)
+        out_path = tmp_path / "contour.csv"
+        assert run_cli(capsys, "contour", "--grid", "50", "--out", str(out_path)) == (code, "", err)
 
     def test_memory_is_linear_in_grid(self, tmp_path, capsys, monkeypatch):
         # A 401 x 401 grid is 160k rows (~9 MB of CSV); streaming a block of
