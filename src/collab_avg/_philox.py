@@ -20,9 +20,10 @@ Two generation paths give the same bits. Streams of at least
 ``_C_MIN_DRAWS`` draws come from numpy's C Philox, moved from stream to
 stream by setting its key and counter; shorter streams run the rounds below
 in numpy array arithmetic, vectorized over all streams at once, because
-numpy's Philox takes one key per object and its per-stream set-up would
-dominate. The C Philox is loaded from its extension alone
-(:func:`_load_philox`), not with the rest of ``numpy.random``.
+numpy's Philox takes one key per object and, below a few dozen draws, the
+Python work of setting its state and drawing each stream would dominate.
+The C Philox is loaded from its extension alone (:func:`_load_philox`), not
+with the rest of ``numpy.random``.
 """
 
 from __future__ import annotations
@@ -46,11 +47,16 @@ _W1 = 0xBB67AE8584CAA73B
 _SHIFT32 = np.uint64(32)
 _LOW32 = np.uint64(0xFFFFFFFF)
 
-#: Streams at least this long are drawn by numpy's C Philox. Measured on a
-#: 2-core Xeon (numpy 2.4.6): the vectorized rounds cost 42-52 ns per draw at
-#: any stream length, the C path 110 ns at 64 draws, 40 at 256, 25 at 512
-#: and 10 at 7000.
-_C_MIN_DRAWS = 256
+#: Streams at least this long are drawn by numpy's C Philox. Measured on one
+#: core of a 2-core Xeon (numpy 2.4.6), chunks of 65,536 draws, median of 15
+#: runs alternating the paths: the vectorized rounds cost 36-40 ns per draw
+#: at any stream length, the C path 44 at 48 draws, 34 at 64, 24 at 96, 15
+#: at 200 and 7 at 7000.
+_C_MIN_DRAWS = 64
+
+#: Raw words the C path gathers from its streams before converting them to
+#: floats in one go (64 KiB); a longer stream is gathered alone.
+_GROUP_WORDS = 8_192
 
 
 def _mul_hi_lo(
@@ -200,22 +206,34 @@ def _c_uniform_matrix(
 
     numpy increments its 256-bit counter before producing each block, so
     the counter is set one below the first block (all ones for block 0) and
-    its buffer is marked empty. Each call sets the shared ``Philox``'s key,
-    counter and buffer position, so nothing carries over from another call.
+    its buffer is marked empty. Each call sets the shared ``Philox``'s whole
+    state, so nothing carries over from another call. The raw words of
+    ``_GROUP_WORDS // count`` rows (at least one) are gathered and converted
+    to floats together.
     """
     first_block = start // 4
     offset = start - 4 * first_block
     out = np.empty((n_streams, count), dtype=np.float64)
     bit_gen = _bit_generator()
-    state = bit_gen.state
-    # Python ints masked to 64 bits, stored into the state's uint64 arrays:
-    # no numpy scalar arithmetic, so nothing can wrap with a warning.
-    key = state["state"]["key"]
-    key[0] = master_seed & _MASK64
-    state["state"]["counter"][:] = (first_block - 1, 0, 0, 0) if first_block else _MASK64
-    state["buffer_pos"] = 4
-    for t in range(n_streams):
-        key[1] = (first_stream + t) & _MASK64
-        bit_gen.state = state
-        _to_unit(bit_gen.random_raw(offset + count)[offset:], out[t])
+    # Python ints masked to 64 bits: the setter takes them faster than
+    # uint64 arrays, and no numpy scalar arithmetic can wrap with a warning.
+    key = [master_seed & _MASK64, 0]
+    counter = [first_block - 1, 0, 0, 0] if first_block else [_MASK64] * 4
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": counter, "key": key},
+        "buffer": [0] * 4,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    rows = max(1, _GROUP_WORDS // count)
+    group = np.empty((min(rows, n_streams), count), dtype=np.uint64)
+    for first in range(0, n_streams, rows):
+        words = group[: n_streams - first]
+        for i in range(len(words)):
+            key[1] = (first_stream + first + i) & _MASK64
+            bit_gen.state = state
+            words[i] = bit_gen.random_raw(offset + count)[offset:]
+        _to_unit(words, out[first : first + len(words)])
     return out

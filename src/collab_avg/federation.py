@@ -55,6 +55,8 @@ class SampledScenario:
         object.__setattr__(self, "more", tuple(self.more))
         if not all(isinstance(helper, Agent) for helper in self.more):
             raise ValueError("helpers must be Agent instances")
+        if self.more:  # ``helpers`` makes an Agent of n_y, which would name it n
+            _check_count("n_y", self.n_y, allow_infinite=True)
         if self.more and math.inf in (self.n_y, *(helper.n for helper in self.more)):
             raise ValueError("only a single helper may have an infinite sample count")
         reduce_to_two_agent(self)  # Scenario validates the counts and moments

@@ -1061,16 +1061,19 @@ scenarios:
   - {x: {family: uniform, params: {lo: -1.0, hi: 1.0}}, n_x: 10, y: {family: bernoulli, params: {p: 0.3}}, n_y: 15}
 """
 
-# No scenario's own stream reaches numpy's C Philox path (256 draws), but
-# the span the suite shares, draws 0 .. 299, does.
-SHARED_SPAN_OF_300_YAML = """\
+# No scenario's own stream reaches numpy's C Philox path (64 draws), but
+# the span the suite shares, draws 0 .. 79, does.
+SHARED_SPAN_OF_80_YAML = """\
 seed: 4
 scenarios:
-  - {x: {family: normal, params: {mu: 0.0, sd: 1.0}}, n_x: 50, y: {family: uniform, params: {lo: 0.0, hi: 1.0}}, n_y: 200}
-  - {x: {family: uniform, params: {lo: 0.0, hi: 1.0}}, n_x: 200, y: {family: normal, params: {mu: 0.0, sd: 1.0}}, n_y: 50}
-  - {x: {family: exponential, params: {rate: 1.0}}, n_x: 250, y: {constant: 1.0}}
-  - {x: {constant: 0.0}, n_x: 100, y: {family: exponential, params: {rate: 1.0}}, n_y: 200}
+  - {x: {family: normal, params: {mu: 0.0, sd: 1.0}}, n_x: 10, y: {family: uniform, params: {lo: 0.0, hi: 1.0}}, n_y: 50}
+  - {x: {family: uniform, params: {lo: 0.0, hi: 1.0}}, n_x: 50, y: {family: normal, params: {mu: 0.0, sd: 1.0}}, n_y: 10}
+  - {x: {family: exponential, params: {rate: 1.0}}, n_x: 60, y: {constant: 1.0}}
+  - {x: {constant: 0.0}, n_x: 30, y: {family: exponential, params: {rate: 1.0}}, n_y: 50}
 """
+
+# TWO_AGENT_YAML with 50 draws per trial, too few for numpy's C Philox.
+SHORT_STREAMS_YAML = TWO_AGENT_YAML.replace("n_y: 60", "n_y: 40")
 
 # Runs the CLI in a fresh interpreter with 2 CPUs and a fork hook that
 # raises SIGINT once, in the parent, while os.fork runs its hooks. The last
@@ -1221,7 +1224,7 @@ class TestScipyImport:
         # module behind. These streams are too short for numpy's C Philox,
         # so it is never loaded.
         scenario = tmp_path / "scenario.yaml"
-        scenario.write_text(TWO_AGENT_YAML)
+        scenario.write_text(SHORT_STREAMS_YAML)
         code, out, err = run_python(SCIPY_PROBE, "scipy", "validate", "--scenario", str(scenario))
         assert code == 0
         assert out.endswith(b"overall: PASS\n")
@@ -1231,16 +1234,16 @@ class TestScipyImport:
         "yaml,long_streams",
         [
             (MC_LONG_YAML, 1),
-            (TWO_AGENT_YAML, 0),
+            (SHORT_STREAMS_YAML, 0),
             (SHARED_SHORT_STREAMS_YAML, 0),
-            (SHARED_SPAN_OF_300_YAML, 1),
+            (SHARED_SPAN_OF_80_YAML, 1),
         ],
         ids=["long_streams", "short_streams", "suite_short_span", "suite_long_span"],
     )
     def test_validate_imports_nothing_after_set_up(self, tmp_path, yaml, long_streams):
         # A module imported during the run is imported again by every forked
         # worker. MC_LONG_YAML's streams take numpy's C Philox path,
-        # TWO_AGENT_YAML's the vectorized rounds. The suites draw their
+        # SHORT_STREAMS_YAML's the vectorized rounds. The suites draw their
         # shared span, whose length alone decides the path.
         scenario = tmp_path / "scenario.yaml"
         scenario.write_text(yaml)

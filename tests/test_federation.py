@@ -79,6 +79,11 @@ class TestReduction:
         with pytest.raises(ValueError, match="^only a single helper may have an infinite sample count$"):
             SampledScenario(Normal(0, 1), 10, Normal(0.5, 1), n_y, (Agent(Normal(0, 1), n),))
 
+    @pytest.mark.parametrize("more", [(), (Agent(Normal(0, 1), 5),)], ids=["alone", "with_more"])
+    def test_an_invalid_first_helper_count_names_n_y(self, more):
+        with pytest.raises(ValueError, match="^n_y must be a positive integer or math.inf, got 0$"):
+            SampledScenario(Normal(0, 1), 10, Normal(0, 1), 0, more)
+
     def test_agent_validation(self):
         with pytest.raises(ValueError):
             Agent(Normal(0, 1), 0)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import os
 import subprocess
 import sys
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from numpy.random import Philox
 
 from collab_avg import _philox, distributions
-from collab_avg._philox import _C_MIN_DRAWS, philox_blocks, uniform_matrix, uniforms
+from collab_avg._philox import _C_MIN_DRAWS, _GROUP_WORDS, philox_blocks, uniform_matrix, uniforms
 
 U64 = st.integers(min_value=0, max_value=2**64 - 1)
 
@@ -139,12 +140,51 @@ def _on_each_path(master, first, n_streams, count, start):
 @example(master=3, first=4, n_streams=1, start=4 * 97 + 2, count=_C_MIN_DRAWS + 5)
 @example(master=5, first=2**64 - 2, n_streams=4, start=3, count=_C_MIN_DRAWS)
 @example(master=2**64 - 1, first=2**64 - 1, n_streams=2, start=1, count=_C_MIN_DRAWS + 3)
+# Stream ids wrap inside a group of the C path; rows of about a group.
+@example(master=2**64 - 1, first=2**64 - 40, n_streams=_GROUP_WORDS // 100 + 2, start=3, count=100)
+@example(master=8, first=2**64 - 1, n_streams=3, start=6, count=_GROUP_WORDS - 1)
+@example(master=8, first=2**64 - 1, n_streams=3, start=6, count=_GROUP_WORDS)
+@example(master=8, first=2**64 - 1, n_streams=3, start=6, count=_GROUP_WORDS + 3)
 def test_c_and_vectorized_paths_agree(master, first, n_streams, start, count):
     """Both generation paths, and the default choice between them, give the same bits."""
     c_path, vectorized = _on_each_path(master, first, n_streams, count, start)
     assert c_path.shape == (n_streams, count)
     assert np.array_equal(c_path, vectorized)
     assert np.array_equal(uniform_matrix(master, first, n_streams, count, start), vectorized)
+
+
+class TestCPathGroups:
+    """The C path gathers short rows in groups of ``_GROUP_WORDS // count``: its edges keep the rounds' bits."""
+
+    @pytest.mark.parametrize("count", [_C_MIN_DRAWS, 100, 200])
+    @pytest.mark.parametrize("extra", [-1, 0, 1, None], ids=["below", "at", "above", "not_a_multiple"])
+    @pytest.mark.parametrize("start", [0, 5])
+    def test_streams_around_a_group(self, count, extra, start):
+        rows = _GROUP_WORDS // count
+        n_streams = 2 * rows + 3 if extra is None else rows + extra
+        c_path, vectorized = _on_each_path(17, 40, n_streams, count, start)
+        assert c_path.shape == (n_streams, count)
+        assert np.array_equal(c_path, vectorized)
+
+    def test_nothing_carries_over_between_calls(self, monkeypatch):
+        calls = [(3, 2**64 - 2, 90, 70, 0), (2**64 - 1, 5, 150, 64, 9), (3, 7, 2, _GROUP_WORDS + 1, 13)]
+
+        def c_path(args):
+            return _philox._c_uniform_matrix(*args).tobytes()
+
+        fresh = []
+        for args in calls:
+            monkeypatch.setattr(_philox, "_bit_generator", functools.cache(_philox._bit_generator.__wrapped__))
+            fresh.append(c_path(args))
+        # Back to back on one shared generator, which draws in between as
+        # a numpy Generator would: its counter, buffer and cached half-word move.
+        bit_gen = _philox._bit_generator()
+        for args, expected in zip(calls + calls[::-1], fresh + fresh[::-1]):
+            assert c_path(args) == expected
+            np.random.Generator(bit_gen).integers(0, 2**32, size=3, dtype=np.uint32)
+            np.random.Generator(bit_gen).random(5)
+        for (master, first, n_streams, count, start), expected in zip(calls, fresh):
+            assert expected == _on_each_path(master, first, n_streams, count, start)[1].tobytes()
 
 
 def run_python(script: str) -> list[str]:
