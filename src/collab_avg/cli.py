@@ -106,8 +106,7 @@ def _emit(chunks: Iterable[bytes], out: str | None) -> None:
 def _profile_lines(scenario: Scenario, profile: ErrorProfile, alphas: tuple[float, ...]) -> list[str]:
     lines = [
         f"scenario: mu_x={_fmt(scenario.mu_x)} var_x={_fmt(scenario.var_x)} n_x={scenario.n_x} "
-        f"mu_y={_fmt(scenario.mu_y)} var_y={_fmt(scenario.var_y)} "
-        f"n_y={'inf' if scenario.infinite_helper else scenario.n_y}",
+        f"mu_y={_fmt(scenario.mu_y)} var_y={_fmt(scenario.var_y)} n_y={scenario.n_y}",
         f"e0 = {_fmt(profile.e0)}",
         f"e1 = {_fmt(profile.e1)}",
         f"alpha_star = {_fmt(profile.alpha_star)}",

@@ -122,7 +122,7 @@ def _parse_helpers(node: Any, where: str) -> tuple[Agent, ...]:
         if "n" not in entry:
             raise ValueError(f"{where}[{i}] needs an 'n' sample count")
         spec = _parse_distribution({k: v for k, v in entry.items() if k != "n"}, f"{where}[{i}]")
-        helpers.append(Agent(spec=spec, n=_parse_count(entry["n"], f"{where}[{i}].n")))
+        helpers.append(Agent(spec=spec, n=_parse_count(entry["n"], f"{where}[{i}].n", allow_infinite=True)))
     return tuple(helpers)
 
 

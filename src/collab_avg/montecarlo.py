@@ -221,15 +221,14 @@ def _draw_plan(scenarios: Sequence[SampledScenario]) -> tuple[_Runs, list[tuple[
     """The runs of draws each trial takes, and each scenario's ``(x, y)``: a random side's row, or 0.0.
 
     Each scenario's x takes draws 0 .. n_x-1 of a trial's stream and y draws
-    n_x .. n_x+n_y-1. A side whose ``variance()`` is 0 is never drawn,
-    whatever its family or count; its slots stay reserved so the other
-    side's draw indices do not shift. Only one helper can be sampled, and a
-    side that varies only at a finite count. The random sides, in order of
-    their first draw, are :func:`_join`-ed into runs that fit in a chunk, so
-    a side longer than a chunk is a run by itself and no uniform is drawn
-    that no side reads. A run's sides that share ``type(dist)._kernel`` are
-    joined into that function's kernels, so no kernel transforms a draw that
-    none of its sides reads.
+    n_x .. n_x+n_y-1. A side whose mean cannot vary, at ``variance()`` 0 or
+    an infinite count, is never drawn; its slots stay reserved so the other
+    side's draw indices do not shift. Only one helper can be sampled. The
+    random sides, in order of their first draw, are :func:`_join`-ed into
+    runs that fit in a chunk, so a side longer than a chunk is a run by
+    itself and no uniform is drawn that no side reads. A run's sides that
+    share ``type(dist)._kernel`` are joined into that function's kernels, so
+    no kernel transforms a draw that none of its sides reads.
     """
     sides, sources = [], []
     for scenario in scenarios:
@@ -238,10 +237,8 @@ def _draw_plan(scenarios: Sequence[SampledScenario]) -> tuple[_Runs, list[tuple[
             raise ValueError("a scenario with more than one helper cannot be sampled yet")
         first_row, source = len(sides), []
         for dist, d_lo, d_hi in ((x, 0, n_x), (y, n_x, n_x + n_y)):
-            if dist.variance() == 0:
+            if dist.variance() == 0 or d_hi == math.inf:
                 source.append(0.0)
-            elif d_hi == math.inf:
-                raise ValueError("infinite n_y cannot be simulated; use the closed form")
             else:
                 source.append(len(sides))
                 sides.append((len(sides), dist, d_lo, d_hi))
@@ -318,7 +315,7 @@ def trial_means(
     x: Distribution,
     n_x: int,
     y: Distribution,
-    n_y: int,
+    n_y: int | float,
     trials: int,
     seed: SeedSpec | int,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -432,7 +429,7 @@ def estimate_error_curve(
     x: Distribution,
     n_x: int,
     y: Distribution,
-    n_y: int,
+    n_y: int | float,
     alphas: list[float] | np.ndarray,
     trials: int,
     seed: SeedSpec | int,

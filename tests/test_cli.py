@@ -824,18 +824,22 @@ class TestValidate:
         assert code == 0
         assert "trials=100" in out
 
-    def test_infinite_helper_is_invalid(self, tmp_path, capsys):
-        path = tmp_path / "inf.yaml"
-        path.write_text(
-            "x: {family: normal, params: {mu: 0, sd: 1}}\n"
-            "n_x: 5\n"
-            "y: {family: normal, params: {mu: 0, sd: 1}}\n"
-            "n_y: inf\n"
-            "trials: 200\n"
-        )
-        code, _, err = run_cli(capsys, "validate", "--scenario", str(path))
-        assert code == 1
-        assert "closed form" in err
+    def test_varying_helper_at_an_infinite_count_validates_as_its_mean(self, tmp_path, capsys):
+        # At n_y: inf the helper's mean is exact: never drawn, it enters each
+        # trial's error only through the bias, as the constant at its mean does.
+        text = "x: {family: exponential, params: {rate: 2.0}}\nn_x: 7\ntrials: 5000\nseed: 9\n"
+        helpers = {
+            "inf": "y: {family: normal, params: {mu: 0.5, sd: 3}}\nn_y: inf\n",
+            "constant": "y: {constant: 0.5}\nn_y: 1\n",
+        }
+        outputs = []
+        for name, helper in helpers.items():
+            path, out_path = tmp_path / f"{name}.yaml", tmp_path / f"{name}.txt"
+            path.write_text(text + helper)
+            assert run_cli(capsys, "validate", "--scenario", str(path), "--out", str(out_path)) == (0, "", "")
+            outputs.append(out_path.read_bytes())
+        assert outputs[0] == outputs[1]
+        assert outputs[0].endswith(b"overall: PASS\n")
 
     def test_constant_helper_at_an_infinite_count_validates_as_at_one(self, tmp_path, capsys):
         # A helper that cannot vary is never drawn, so its count changes
@@ -984,9 +988,9 @@ class TestFederate:
         assert (code, err) == (0, "")
         assert parse_report(out)["pooled_n"] == "inf"
 
-    @pytest.mark.parametrize("count,shown", [("inf", "'inf'"), (".inf", "inf")])
-    def test_infinite_union_count_exits_1_with_one_line(self, tmp_path, capsys, count, shown):
-        # A union entry's n stays a positive integer, though an Agent may be infinite.
+    @pytest.mark.parametrize("count", ["inf", ".inf"])
+    def test_infinite_union_count_exits_1_with_one_line(self, tmp_path, capsys, count):
+        # A union entry's n is parsed as n_y is; only a lone helper may be infinite.
         path = tmp_path / "union.yaml"
         path.write_text(
             "x: {family: normal, params: {mu: 0, sd: 1}}\nn_x: 5\n"
@@ -994,7 +998,7 @@ class TestFederate:
         )
         code, out, err = run_cli(capsys, "federate", "--scenario", str(path))
         assert (code, out) == (1, "")
-        assert err == f"error: scenario file.y.union[0].n must be a positive integer, got {shown}\n"
+        assert err == "error: only a single helper may have an infinite sample count\n"
 
 
 class TestScenarioForms:
@@ -1004,8 +1008,20 @@ class TestScenarioForms:
         "argv", [["profile"], ["curve"], ["validate", "--trials", "2000", "--seed", "3"]], ids=lambda a: a[0]
     )
     def test_one_helper_union_gives_the_two_agent_bytes(self, tmp_path, capsys, argv):
+        self.assert_same_bytes(tmp_path, capsys, argv, ONE_HELPER_YAML, ONE_HELPER_UNION_YAML)
+
+    @pytest.mark.parametrize(
+        "argv", [["profile"], ["federate"], ["validate", "--trials", "2000", "--seed", "3"]], ids=lambda a: a[0]
+    )
+    def test_one_helper_union_at_an_infinite_count_gives_the_two_agent_bytes(self, tmp_path, capsys, argv):
+        two_agent = ONE_HELPER_YAML.replace("n_y: 3", "n_y: inf")
+        union = ONE_HELPER_UNION_YAML.replace("n: 3", "n: inf")
+        self.assert_same_bytes(tmp_path, capsys, argv, two_agent, union)
+
+    @staticmethod
+    def assert_same_bytes(tmp_path, capsys, argv, two_agent, union):
         results = []
-        for name, text in (("two_agent", ONE_HELPER_YAML), ("union", ONE_HELPER_UNION_YAML)):
+        for name, text in (("two_agent", two_agent), ("union", union)):
             path = tmp_path / f"{name}.yaml"
             path.write_text(text)
             results.append(run_cli(capsys, *argv, "--scenario", str(path)))

@@ -82,9 +82,10 @@ class TestEstimateEse:
         with pytest.raises(ValueError):
             one_weight(Normal(0, 1), 5, Normal(0, 1), 5, 0.5, 99, SeedSpec(1))
         with pytest.raises(ValueError):
-            one_weight(Normal(0, 1), 5, Normal(0, 1), math.inf, 0.5, 200, SeedSpec(1))
-        with pytest.raises(ValueError):
             one_weight(Normal(0, 1), 0, Normal(0, 1), 5, 0.5, 200, SeedSpec(1))
+        # An infinite count is not refused: the helper's mean is exact, as a constant's at n_y = 1 is.
+        exact = one_weight(Normal(0, 1), 5, Normal(0, 1), math.inf, 0.5, 200, SeedSpec(1))
+        assert exact == one_weight(Normal(0, 1), 5, PointMass(0.0), 1, 0.5, 200, SeedSpec(1))
 
     def test_bitwise_reproducible(self):
         args = (Uniform(0, 1), 7, Bernoulli(0.3), 9, 0.4, 500, SeedSpec(99, 5))
@@ -199,6 +200,12 @@ class TestTrialMeans:
     def test_a_constant_helper_at_an_infinite_count(self):
         # Never drawn, so its count moves nothing: x's means are n_y = 1's.
         xbar, ybar = trial_means(Normal(0.0, 1.0), 10, PointMass(0.5), math.inf, 200, SeedSpec(31))
+        assert np.array_equal(ybar, np.full(200, 0.5))
+        assert np.array_equal(xbar, trial_means(Normal(0.0, 1.0), 10, PointMass(0.5), 1, 200, SeedSpec(31))[0])
+
+    def test_a_varying_helper_at_an_infinite_count(self):
+        # Its mean is exact, so it is never drawn: the constant helper's means at its mean.
+        xbar, ybar = trial_means(Normal(0.0, 1.0), 10, Exponential(2.0), math.inf, 200, SeedSpec(31))
         assert np.array_equal(ybar, np.full(200, 0.5))
         assert np.array_equal(xbar, trial_means(Normal(0.0, 1.0), 10, PointMass(0.5), 1, 200, SeedSpec(31))[0])
 
@@ -1060,6 +1067,14 @@ class TestSuiteCurves:
 # One of each family: Normal's kernel, Exponential's and the identity
 # (uniform and Bernoulli), and a constant side.
 FAMILY_MEMBERS = (Normal(0.0, 1.0), Uniform(0.0, 1.0), Bernoulli(0.5), Exponential(1.0), PointMass(0.0))
+# A member of each family at drawn parameters, zero variance included (sd 0, p 0 or 1, a constant).
+SIDES = st.one_of(
+    st.builds(Normal, st.floats(-1e3, 1e3), st.floats(0.0, 1e3)),
+    st.builds(lambda lo, width: Uniform(lo, lo + width), st.floats(-1e3, 1e3), st.floats(0.5, 1e3)),
+    st.builds(Bernoulli, st.floats(0.0, 1.0)),
+    st.builds(Exponential, st.floats(1e-3, 1e3)),
+    st.builds(PointMass, st.floats(-1e3, 1e3)),
+)
 
 
 class TestDrawPlan:
@@ -1148,6 +1163,17 @@ class TestDrawPlan:
                 assert set(range(k_lo, k_hi)) == {d for *_, d_lo, d_hi in members for d in range(d_lo, d_hi)}
                 assert {type(dist)._kernel for _, dist, _, _ in members} == {kernel}
         assert sorted(planned, key=lambda side: side[0]) == expected
+
+    @settings(deadline=None, max_examples=100)
+    @given(x=SIDES, n_x=st.integers(1, 50), y=SIDES, n_y=st.one_of(st.integers(1, 50), st.just(math.inf)))
+    def test_an_infinite_helper_is_its_exact_mean(self, x, n_x, y, n_y):
+        # Every two-agent scenario can be planned; at n_y = inf the helper is
+        # its mean exactly, so its curve is the constant's at that mean.
+        mc._draw_plan([SampledScenario(x, n_x, y, n_y)])
+        if n_y == math.inf:
+            args = mc.VALIDATION_ALPHAS, 100, SeedSpec(11)
+            exact = estimate_error_curve(x, n_x, PointMass(y.mean()), 1, *args)
+            assert estimate_error_curve(x, n_x, y, n_y, *args) == exact
 
 
 # Peak RSS in MiB of a fresh interpreter on 2 CPUs that estimates the
@@ -1345,10 +1371,10 @@ class TestValidateScenario:
         second = validated(scenario, 400, SeedSpec(41))
         assert first == second
 
-    def test_infinite_helper_rejected(self):
-        scenario = SampledScenario(Normal(0, 1), 5, Normal(0, 1), math.inf)
-        with pytest.raises(ValueError):
-            validated(scenario, 200, SeedSpec(1))
+    def test_infinite_helper_validates_as_its_mean(self):
+        report = validated(SampledScenario(Normal(0, 1), 5, Normal(0.5, 2.0), math.inf), 200, SeedSpec(1))
+        assert report == validated(SampledScenario(Normal(0, 1), 5, PointMass(0.5), 1), 200, SeedSpec(1))
+        assert report.verdict is Verdict.PASS
 
     def test_closed_form_reference_values(self):
         scenario = SampledScenario(Normal(0, 1), 4, Normal(1, 1), 16)
