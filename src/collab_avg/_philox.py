@@ -10,20 +10,18 @@ Layout
 * key word 0 = master seed, key word 1 = stream id (both 64-bit).
 * counter = (block_index, 0, 0, 0); each block yields four 64-bit words,
   so draw ``i`` of a stream is lane ``i % 4`` of block ``i // 4``.
-* A raw 64-bit word ``w`` maps to the open unit interval via
-  ``((w >> 11) + 0.5) * 2**-53``, which never returns exactly 0.0 or 1.0.
+* A raw 64-bit word ``w`` maps to numpy's ``random()`` value
+  ``(w >> 11) * 2**-53`` plus half its step (:func:`uniform_matrix`).
 
 The round function is the standard Philox4x64 with 10 rounds; tests verify
 bit-exact agreement with ``numpy.random.Philox`` raw output.
 
 Two generation paths give the same bits. Streams of at least
-``_C_MIN_DRAWS`` draws come from numpy's C Philox, moved from stream to
-stream by setting its key and counter; shorter streams run the rounds below
-in numpy array arithmetic, vectorized over all streams at once, because
-numpy's Philox takes one key per object and, below a few dozen draws, the
-Python work of setting its state and drawing each stream would dominate.
-The C Philox is loaded from its extension alone (:func:`_load_philox`), not
-with the rest of ``numpy.random``.
+``_C_MIN_DRAWS`` draws come from a numpy ``Generator`` on numpy's C Philox,
+whose key and counter are set for each stream (:func:`_load_generator`);
+shorter streams run the rounds below in numpy array arithmetic, vectorized
+over all streams at once, because numpy's Philox takes one key per object
+and, below a few dozen draws, setting its state for each stream would dominate.
 """
 
 from __future__ import annotations
@@ -49,14 +47,10 @@ _LOW32 = np.uint64(0xFFFFFFFF)
 
 #: Streams at least this long are drawn by numpy's C Philox. Measured on one
 #: core of a 2-core Xeon (numpy 2.4.6), chunks of 65,536 draws, median of 15
-#: runs alternating the paths: the vectorized rounds cost 36-40 ns per draw
-#: at any stream length, the C path 44 at 48 draws, 34 at 64, 24 at 96, 15
-#: at 200 and 7 at 7000.
+#: alternating runs: the vectorized rounds cost 32-39 ns per draw at any
+#: stream length, the C path 33 at 48 draws, 30 at 56, 26 at 64, 20 at 96,
+#: 13 at 200 and 6 at 7000.
 _C_MIN_DRAWS = 64
-
-#: Raw words the C path gathers from its streams before converting them to
-#: floats in one go (64 KiB); a longer stream is gathered alone.
-_GROUP_WORDS = 8_192
 
 
 def _mul_hi_lo(
@@ -136,15 +130,8 @@ def philox_blocks(
     return c0, c1, c2, c3
 
 
-def _to_unit(words: np.ndarray, out: np.ndarray) -> None:
-    """Write raw words ``w`` to ``out`` as ``((w >> 11) + 0.5) * 2**-53``, in (0, 1); ``words`` is overwritten."""
-    np.right_shift(words, np.uint64(11), out=words)
-    np.add(words, 0.5, out=out)
-    np.multiply(out, 2.0**-53, out=out)
-
-
 def uniforms(master_seed: int, stream_id: int, count: int, start: int = 0) -> np.ndarray:
-    """Draws ``start .. start+count-1`` of one stream, as floats in (0, 1)."""
+    """Draws ``start .. start+count-1`` of one stream (:func:`uniform_matrix`)."""
     return uniform_matrix(master_seed, stream_id, 1, count, start)[0]
 
 
@@ -154,67 +141,67 @@ def uniform_matrix(
     """Draws ``start .. start+count-1`` for ``n_streams`` consecutive streams.
 
     Row ``t`` is identical to ``uniforms(master_seed, first_stream + t,
-    count, start)``; stream ids wrap modulo 2**64.
+    count, start)``; stream ids wrap modulo 2**64. Both paths give numpy's
+    ``random()`` value ``k * 2**-53`` (``k = w >> 11``), and half a step is
+    added here: ``(k + 0.5) * 2**-53`` rounded, in (0, 1]. The 2**11
+    largest words give exactly 1.0, as ``2**53 - 0.5`` rounds to even.
     """
     if n_streams < 0 or count < 0 or start < 0:
         raise ValueError("n_streams, count and start must be non-negative")
     if n_streams == 0 or count == 0:
         return np.empty((n_streams, count), dtype=np.float64)
+    # Both paths draw from the start of start's block: draw i is at column i - 4 * first_block.
+    first_block, offset = divmod(start, 4)
     if count >= _C_MIN_DRAWS:
-        return _c_uniform_matrix(master_seed, first_stream, n_streams, count, start)
-    first_block = start // 4
-    n_blocks = (start + count - 1) // 4 + 1 - first_block
-    blocks = np.arange(first_block, first_block + n_blocks, dtype=np.uint64)[np.newaxis, :]
-    stream_ids = (
-        (np.uint64(first_stream & _MASK64) + np.arange(n_streams, dtype=np.uint64))
-    )[:, np.newaxis]
-    lanes = philox_blocks(blocks, master_seed & _MASK64, stream_ids)
-    # Draw i is lane i % 4 of block i // 4.
-    out = np.empty((n_streams, n_blocks, 4), dtype=np.float64)
-    for lane, word in enumerate(lanes):
-        _to_unit(word, out[:, :, lane])
-    offset = start - 4 * first_block
-    return out.reshape(n_streams, 4 * n_blocks)[:, offset : offset + count]
+        u = _c_uniform_matrix(master_seed, first_stream, n_streams, offset + count, first_block)
+    else:
+        n_blocks = (offset + count - 1) // 4 + 1
+        blocks = np.arange(first_block, first_block + n_blocks, dtype=np.uint64)[np.newaxis, :]
+        stream_ids = (
+            (np.uint64(first_stream & _MASK64) + np.arange(n_streams, dtype=np.uint64))
+        )[:, np.newaxis]
+        lanes = philox_blocks(blocks, master_seed & _MASK64, stream_ids)
+        # Draw i is lane i % 4 of block i // 4.
+        u = np.empty((n_streams, n_blocks, 4), dtype=np.float64)
+        for lane, word in enumerate(lanes):
+            np.multiply(np.right_shift(word, 11, out=word), 2.0**-53, out=u[:, :, lane])
+        u = u.reshape(n_streams, 4 * n_blocks)
+    np.add(u, 2.0**-54, out=u)  # on the whole, contiguous array: on a slice numpy would copy it
+    return u[:, offset : offset + count]
 
 
 @functools.cache
-def _load_philox() -> type:
-    """numpy's ``Philox`` class, loaded from its extension alone (:func:`_load_from_extension`).
+def _load_generator() -> object:
+    """The process's one numpy ``Generator`` on a ``Philox``, both loaded from their extensions alone.
 
-    ``import numpy.random`` raises the peak RSS by 5.4 MiB, the extension
-    with the two it imports by 0.55 MiB. Most of the rest is ``secrets``,
-    which ``bit_generator`` imports only for ``randbits`` and which brings
-    ``hashlib`` and OpenSSL, so a stand-in ``secrets`` gives it
-    ``randbits`` as ``Lib/secrets.py`` defines it, drawing entropy from the
-    same OS source. A later ``import numpy.random`` holds this very class.
+    ``import numpy.random`` raises the peak RSS by 5.4 MiB, the two
+    extensions with those they import by 1.3 MiB (:func:`_load_from_extension`).
+    Most of the rest is ``secrets``, which ``bit_generator`` imports only for
+    ``randbits`` and which brings ``hashlib`` and OpenSSL, so a stand-in
+    ``secrets`` gives it ``randbits`` as ``Lib/secrets.py`` defines it,
+    drawing entropy from the same OS source. A later ``import numpy.random``
+    holds these very classes.
     """
     secrets = types.ModuleType("secrets")
     secrets.randbits = random.SystemRandom().getrandbits
-    return _load_from_extension("numpy.random", "numpy.random._philox", "Philox", secrets=secrets)
-
-
-@functools.cache
-def _bit_generator() -> object:
-    """The process's one numpy ``Philox``; building one costs more than a short stream's draws."""
-    return _load_philox()(key=np.zeros(2, dtype=np.uint64))
+    philox = _load_from_extension("numpy.random", "numpy.random._philox", "Philox", secrets=secrets)
+    generator = _load_from_extension("numpy.random", "numpy.random._generator", "Generator", secrets=secrets)
+    return generator(philox(key=np.zeros(2, dtype=np.uint64)))
 
 
 def _c_uniform_matrix(
-    master_seed: int, first_stream: int, n_streams: int, count: int, start: int
+    master_seed: int, first_stream: int, n_streams: int, count: int, first_block: int
 ) -> np.ndarray:
-    """:func:`uniform_matrix` drawn one stream at a time by numpy's Philox.
+    """The ``random()`` values of draws ``4 * first_block ..`` of each stream, one stream at a time by numpy's Philox.
 
     numpy increments its 256-bit counter before producing each block, so
     the counter is set one below the first block (all ones for block 0) and
     its buffer is marked empty. Each call sets the shared ``Philox``'s whole
-    state, so nothing carries over from another call. The raw words of
-    ``_GROUP_WORDS // count`` rows (at least one) are gathered and converted
-    to floats together.
+    state, so nothing carries over from another call.
     """
-    first_block = start // 4
-    offset = start - 4 * first_block
     out = np.empty((n_streams, count), dtype=np.float64)
-    bit_gen = _bit_generator()
+    generator = _load_generator()
+    bit_gen = generator.bit_generator
     # Python ints masked to 64 bits: the setter takes them faster than
     # uint64 arrays, and no numpy scalar arithmetic can wrap with a warning.
     key = [master_seed & _MASK64, 0]
@@ -227,13 +214,8 @@ def _c_uniform_matrix(
         "has_uint32": 0,
         "uinteger": 0,
     }
-    rows = max(1, _GROUP_WORDS // count)
-    group = np.empty((min(rows, n_streams), count), dtype=np.uint64)
-    for first in range(0, n_streams, rows):
-        words = group[: n_streams - first]
-        for i in range(len(words)):
-            key[1] = (first_stream + first + i) & _MASK64
-            bit_gen.state = state
-            words[i] = bit_gen.random_raw(offset + count)[offset:]
-        _to_unit(words, out[first : first + len(words)])
+    for i, row in enumerate(out):
+        key[1] = (first_stream + i) & _MASK64
+        bit_gen.state = state
+        generator.random(out=row)
     return out

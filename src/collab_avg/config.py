@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 import os
 import re
+from collections.abc import Hashable
 from dataclasses import dataclass
 from typing import Any
 
@@ -46,7 +47,22 @@ DEFAULT_GRID = {"curve": 1001, "contour": 101}  # the commands that take --grid,
 
 class _Loader(yaml.SafeLoader):
     """YAML 1.1 reads ``1e6`` and ``1.0e6`` (no exponent sign) as strings;
-    resolve them as floats, as YAML 1.2 does, so numbers are never strings."""
+    resolve them as floats, as YAML 1.2 does, so numbers are never strings.
+    A key written twice in one mapping is refused rather than overridden;
+    a merge key (``<<``) keeps its override rule."""
+
+    def construct_mapping(self, node: yaml.MappingNode, deep: bool = False) -> dict:
+        seen = set()
+        for key_node, _ in node.value:
+            if key_node.tag == "tag:yaml.org,2002:merge":
+                continue
+            key = self.construct_object(key_node, deep=deep)
+            if not isinstance(key, Hashable):
+                continue  # the base class refuses it
+            if key in seen:
+                raise yaml.constructor.ConstructorError(None, None, f"found duplicate key {key!r}", key_node.start_mark)
+            seen.add(key)
+        return super().construct_mapping(node, deep)
 
 
 _Loader.add_implicit_resolver(

@@ -134,7 +134,7 @@ class Distribution(ABC):
 
     @abstractmethod
     def _from_uniforms(self, u: np.ndarray) -> np.ndarray:
-        """Map uniforms in (0, 1) to draws; elementwise, shape-preserving."""
+        """Map the uniforms of :func:`~collab_avg._philox.uniform_matrix` to draws; elementwise, shape-preserving."""
 
     @staticmethod
     def _kernel(u: np.ndarray) -> np.ndarray:
@@ -246,7 +246,7 @@ class Exponential(Distribution):
 
     @staticmethod
     def _kernel(u: np.ndarray) -> np.ndarray:
-        # Inverse CDF; u is never exactly 0 or 1, so the result is finite.
+        # Inverse CDF; u is never 0, so the result is finite (-0.0 at u = 1.0).
         # Negated in place: numpy reuses a temporary only from 256 KiB on,
         # and a suite's kernel chunk is just below that.
         k = np.log(u)

@@ -25,7 +25,7 @@ from typing import TypeVar
 
 import numpy as np
 
-from ._philox import _C_MIN_DRAWS, _load_philox, uniform_matrix
+from ._philox import _C_MIN_DRAWS, _load_generator, uniform_matrix
 from ._workers import cpu_count, ordered_map
 from .distributions import Distribution, SeedSpec
 from .federation import SampledScenario, reduce_to_two_agent
@@ -446,12 +446,12 @@ def estimate_error_curve(
 def _load_sampling(runs: _Runs) -> None:
     """Load what sampling :func:`_draw_plan`'s ``runs`` uses: each kernel's, by making it on zero draws.
 
-    Also numpy's C Philox, for a run of ``_C_MIN_DRAWS`` draws or more.
+    Also numpy's C Philox and its ``Generator``, for a run of ``_C_MIN_DRAWS`` draws or more.
     Called while a command sets up, and before every tree, forked or not,
     so that nothing is imported in the run or in every forked worker.
     """
     if max((end - first for first, end, _ in runs), default=0) >= _C_MIN_DRAWS:
-        _load_philox()
+        _load_generator()
     for kernel in {kernel for *_, kernels in runs for kernel, *_ in kernels}:
         kernel(np.empty(0))
 

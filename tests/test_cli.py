@@ -1123,7 +1123,7 @@ sys.exit(code)
 # Runs the CLI in a fresh interpreter, with scipy hidden when the first
 # argument is "no-scipy". The last stderr line gives, when load_run_config
 # returned and when main returned, how many ndtri functions and how many
-# numpy Philox classes are loaded, the modules imported in between, and the
+# numpy Philox generators are loaded, the modules imported in between, and the
 # scipy modules left at the end.
 SCIPY_PROBE = """\
 import sys
@@ -1134,7 +1134,7 @@ from collab_avg import _philox, cli, distributions
 
 
 def state():
-    return distributions._load_ndtri.cache_info().currsize, _philox._load_philox.cache_info().currsize
+    return distributions._load_ndtri.cache_info().currsize, _philox._load_generator.cache_info().currsize
 
 
 at_setup = []
@@ -1171,8 +1171,8 @@ NOTHING_LOADED = "set-up: [(0, 0)], end: (0, 0), imported after set-up: [], scip
 # Runs the CLI in a fresh interpreter. The last stderr line gives which of
 # the modules a full numpy.random would bring are loaded, whether numpy's C
 # Philox gives the vectorized rounds' bits, and, imported after the run,
-# whether secrets is the real module, whether numpy.random's Philox is the
-# class the run used, and default_rng(1)'s first draw.
+# whether secrets is the real module, whether numpy.random's Philox and
+# Generator are the classes the run used, and default_rng(1)'s first draw.
 PHILOX_AFTER_RUN = """\
 import sys
 from collab_avg import _philox, cli
@@ -1180,15 +1180,16 @@ from collab_avg import _philox, cli
 code = cli.main(sys.argv[1:])
 heavy = ["secrets", "hmac", "hashlib", "_hashlib", "numpy.random.mtrand", "numpy.random._generator"]
 loaded = [name for name in heavy if name in sys.modules]
-c_path = _philox._c_uniform_matrix(7, 2**64 - 2, 3, 301, 5)
+c_path = _philox.uniform_matrix(7, 2**64 - 2, 3, 301, 5)
 _philox._C_MIN_DRAWS = 2**62
 rounds = _philox.uniform_matrix(7, 2**64 - 2, 3, 301, 5)
 import secrets
 import numpy.random
-same = numpy.random.Philox is _philox._load_philox()
+generator = _philox._load_generator()
+same = type(generator) is numpy.random.Generator and type(generator.bit_generator) is numpy.random.Philox
 print(
     f"loaded: {loaded}, same bits: {c_path.tobytes() == rounds.tobytes()}, real secrets: "
-    f"{hasattr(secrets, 'token_hex')}, same Philox: {same}, rng: {numpy.random.default_rng(1).random()!r}",
+    f"{hasattr(secrets, 'token_hex')}, same classes: {same}, rng: {numpy.random.default_rng(1).random()!r}",
     file=sys.stderr,
 )
 sys.exit(code)
@@ -1279,7 +1280,7 @@ class TestScipyImport:
         assert out.endswith(b"overall: PASS\n")
         # This process imported numpy.random the public way.
         rng = np.random.default_rng(1).random()
-        assert err[-1] == f"loaded: [], same bits: True, real secrets: True, same Philox: True, rng: {rng!r}"
+        assert err[-1] == f"loaded: [], same bits: True, real secrets: True, same classes: True, rng: {rng!r}"
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
     @pytest.mark.parametrize("command", ["validate", "contour"])
@@ -1587,6 +1588,22 @@ class TestCommonBehaviour:
         assert code == 1
         assert "YAML" in err
 
+    def test_duplicate_key_exits_1(self, tmp_path, capsys):
+        # A key written twice is refused, where YAML would let the last one
+        # win; a merge key's values still yield to the mapping's own.
+        path = tmp_path / "duplicate.yaml"
+        for old, new, where in [
+            ("n_x: 10\n", "n_x: 10\nn_x: 20\n", "'n_x' at line 3, column 1"),
+            ("sd: 1.0}", "sd: 1.0, sd: 5.0}", "'sd' at line 1, column 48"),
+        ]:
+            path.write_text(TWO_AGENT_YAML.replace(old, new, 1))
+            err = f"error: scenario file is not valid YAML: found duplicate key {where}\n"
+            assert run_cli(capsys, "profile", "--scenario", str(path)) == (1, "", err)
+        merged = "sd: &sd {sd: 5.0}\nx: {family: normal, params: {<<: *sd, "
+        path.write_text(TWO_AGENT_YAML.replace("x: {family: normal, params: {", merged, 1))
+        code, out, _ = run_cli(capsys, "profile", "--scenario", str(path))
+        assert (code, "var_x=1.0 " in out) == (0, True)
+
 
 class TestFlags:
     """Each command takes only the flags and reads only the file keys that it uses."""
@@ -1712,6 +1729,8 @@ class TestScenarioFileFuzz:
     @example(text="x: &a [*a]\n")
     @example(text="seed: 2001-01-01\n")
     @example(text="x: {family: normal, params: {1: 2}}\nn_x: 3\ny: {constant: 0}\n")
+    @example(text="x: {constant: 0}\nn_x: 3\nn_x: 4\ny: {constant: 0}\n")
+    @example(text="x: {family: normal, params: {mu: 0, sd: 1, sd: 5}}\nn_x: 3\ny: {constant: 0}\n")
     def test_loads_or_exits_1_with_one_line(self, tmp_path, capsys, text):
         path = tmp_path / "scenario.yaml"
         path.write_text(text, encoding="utf-8")

@@ -583,7 +583,7 @@ print([baseline, *(resource.getrusage(who).ru_maxrss for who in (resource.RUSAGE
 
 
 # A fresh interpreter on 2 CPUs that forks at any size and records, at each
-# fork, how many ndtri functions and how many numpy Philox classes are loaded,
+# fork, how many ndtri functions and how many numpy Philox generators are loaded,
 # around the call its argument names: suites of four scenarios that share
 # draws 0 .. 4 or draws 0 .. 299 of each stream, and a suite of a 300-draw
 # scenario and a 5-draw one that holds its normal side.
@@ -598,7 +598,7 @@ loaded = []
 
 
 def recording(work):
-    loaded.append((_load_ndtri.cache_info().currsize, _philox._load_philox.cache_info().currsize))
+    loaded.append((_load_ndtri.cache_info().currsize, _philox._load_generator.cache_info().currsize))
     return fork(work)
 
 

@@ -6,6 +6,9 @@ import functools
 import os
 import subprocess
 import sys
+import tracemalloc
+import types
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,7 +17,7 @@ from hypothesis import strategies as st
 from numpy.random import Philox
 
 from collab_avg import _philox, distributions
-from collab_avg._philox import _C_MIN_DRAWS, _GROUP_WORDS, philox_blocks, uniform_matrix, uniforms
+from collab_avg._philox import _C_MIN_DRAWS, philox_blocks, uniform_matrix, uniforms
 
 U64 = st.integers(min_value=0, max_value=2**64 - 1)
 
@@ -42,7 +45,7 @@ def test_matches_numpy_philox_raw_output(key_lo, key_hi):
     assert np.array_equal(mine, reference)
 
 
-def test_uniforms_deterministic_and_in_open_interval():
+def test_uniforms_deterministic_and_in_unit_interval():
     u1 = uniforms(12345, 7, 10_000)
     u2 = uniforms(12345, 7, 10_000)
     assert np.array_equal(u1, u2)
@@ -140,11 +143,6 @@ def _on_each_path(master, first, n_streams, count, start):
 @example(master=3, first=4, n_streams=1, start=4 * 97 + 2, count=_C_MIN_DRAWS + 5)
 @example(master=5, first=2**64 - 2, n_streams=4, start=3, count=_C_MIN_DRAWS)
 @example(master=2**64 - 1, first=2**64 - 1, n_streams=2, start=1, count=_C_MIN_DRAWS + 3)
-# Stream ids wrap inside a group of the C path; rows of about a group.
-@example(master=2**64 - 1, first=2**64 - 40, n_streams=_GROUP_WORDS // 100 + 2, start=3, count=100)
-@example(master=8, first=2**64 - 1, n_streams=3, start=6, count=_GROUP_WORDS - 1)
-@example(master=8, first=2**64 - 1, n_streams=3, start=6, count=_GROUP_WORDS)
-@example(master=8, first=2**64 - 1, n_streams=3, start=6, count=_GROUP_WORDS + 3)
 def test_c_and_vectorized_paths_agree(master, first, n_streams, start, count):
     """Both generation paths, and the default choice between them, give the same bits."""
     c_path, vectorized = _on_each_path(master, first, n_streams, count, start)
@@ -153,38 +151,77 @@ def test_c_and_vectorized_paths_agree(master, first, n_streams, start, count):
     assert np.array_equal(uniform_matrix(master, first, n_streams, count, start), vectorized)
 
 
-class TestCPathGroups:
-    """The C path gathers short rows in groups of ``_GROUP_WORDS // count``: its edges keep the rounds' bits."""
+class TestCPathRows:
+    """The C path draws row by row on one shared generator: any row count, length and start keeps the rounds' bits."""
 
-    @pytest.mark.parametrize("count", [_C_MIN_DRAWS, 100, 200])
-    @pytest.mark.parametrize("extra", [-1, 0, 1, None], ids=["below", "at", "above", "not_a_multiple"])
-    @pytest.mark.parametrize("start", [0, 5])
-    def test_streams_around_a_group(self, count, extra, start):
-        rows = _GROUP_WORDS // count
-        n_streams = 2 * rows + 3 if extra is None else rows + extra
-        c_path, vectorized = _on_each_path(17, 40, n_streams, count, start)
+    @pytest.mark.parametrize("n_streams", [1, 2, 3, 100])
+    @pytest.mark.parametrize("count", [64, 65, 200, 8_193])
+    @pytest.mark.parametrize("start", [0, 5, 6])
+    def test_rows_match_the_rounds(self, n_streams, count, start):
+        # Stream ids 2**64 - 2, 2**64 - 1, 0, 1, ...: three rows or more wrap.
+        c_path, vectorized = _on_each_path(17, 2**64 - 2, n_streams, count, start)
         assert c_path.shape == (n_streams, count)
         assert np.array_equal(c_path, vectorized)
 
     def test_nothing_carries_over_between_calls(self, monkeypatch):
-        calls = [(3, 2**64 - 2, 90, 70, 0), (2**64 - 1, 5, 150, 64, 9), (3, 7, 2, _GROUP_WORDS + 1, 13)]
-
-        def c_path(args):
-            return _philox._c_uniform_matrix(*args).tobytes()
-
+        calls = [(3, 2**64 - 2, 90, 70, 0), (2**64 - 1, 5, 150, 64, 9), (3, 7, 2, 8_193, 13)]
         fresh = []
         for args in calls:
-            monkeypatch.setattr(_philox, "_bit_generator", functools.cache(_philox._bit_generator.__wrapped__))
-            fresh.append(c_path(args))
+            monkeypatch.setattr(_philox, "_load_generator", functools.cache(_philox._load_generator.__wrapped__))
+            fresh.append(uniform_matrix(*args).tobytes())
         # Back to back on one shared generator, which draws in between as
-        # a numpy Generator would: its counter, buffer and cached half-word move.
-        bit_gen = _philox._bit_generator()
+        # numpy Generators would: its counter, buffer and cached half-word move.
+        generator = _philox._load_generator()
         for args, expected in zip(calls + calls[::-1], fresh + fresh[::-1]):
-            assert c_path(args) == expected
-            np.random.Generator(bit_gen).integers(0, 2**32, size=3, dtype=np.uint32)
-            np.random.Generator(bit_gen).random(5)
+            assert uniform_matrix(*args).tobytes() == expected
+            np.random.Generator(generator.bit_generator).integers(0, 2**32, size=3, dtype=np.uint32)
+            generator.random(5)
         for (master, first, n_streams, count, start), expected in zip(calls, fresh):
             assert expected == _on_each_path(master, first, n_streams, count, start)[1].tobytes()
+
+    def test_traces_little_beyond_its_output(self):
+        uniform_matrix(1, 2, 1, 200)  # loads the generator
+        tracemalloc.start()
+        try:
+            u = uniform_matrix(3, 2**64 - 100, 327, 200, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - u.nbytes < 4 * 1024
+
+
+class TestUnitRule:
+    """Both paths give numpy's ``random()`` value ``k * 2**-53`` (``k = w >> 11``) plus ``2**-54``, in (0, 1]."""
+
+    @pytest.mark.parametrize("k", [0, 1, 2**52 - 1, 2**52, 2**52 + 1, 2**53 - 2, 2**53 - 1])
+    def test_half_step_rounds_like_k_plus_a_half(self, k):
+        # (2k + 1) * 2**-54, rounded to nearest with ties to even.
+        exact = float(Fraction(2 * k + 1, 2**54))
+        assert np.float64(k) * 2.0**-53 + 2.0**-54 == (np.float64(k) + 0.5) * 2.0**-53 == exact
+
+    def test_random_words_round_like_k_plus_a_half(self):
+        k = np.random.default_rng(39).integers(0, 2**64, size=200_000, dtype=np.uint64) >> 11
+        assert np.array_equal(k * 2.0**-53 + 2.0**-54, (k + 0.5) * 2.0**-53)
+
+    @pytest.mark.parametrize("word,expected", [(2**64 - 1, 1.0), (2**64 - 2**11, 1.0), (2**11 - 1, 2.0**-54)])
+    def test_crafted_words_on_the_rounds(self, monkeypatch, word, expected):
+        def constant_blocks(block_index, key_lo, key_hi):
+            shape = np.broadcast_shapes(block_index.shape, key_hi.shape)
+            return tuple(np.full(shape, word, dtype=np.uint64) for _ in range(4))
+
+        monkeypatch.setattr(_philox, "philox_blocks", constant_blocks)
+        u = uniform_matrix(1, 2, 3, _C_MIN_DRAWS - 1, 5)
+        assert u.shape == (3, _C_MIN_DRAWS - 1)
+        assert np.all(u == expected)
+
+    @pytest.mark.parametrize("value,expected", [(1.0 - 2.0**-53, 1.0), (0.0, 2.0**-54)])
+    def test_crafted_values_on_the_c_path(self, monkeypatch, value, expected):
+        # A stand-in generator whose random() writes one value.
+        stub = types.SimpleNamespace(bit_generator=types.SimpleNamespace(), random=lambda out: out.fill(value))
+        monkeypatch.setattr(_philox, "_load_generator", lambda: stub)
+        u = uniform_matrix(1, 2, 3, _C_MIN_DRAWS, 5)
+        assert u.shape == (3, _C_MIN_DRAWS)
+        assert np.all(u == expected)
 
 
 def run_python(script: str) -> list[str]:
@@ -194,9 +231,9 @@ def run_python(script: str) -> list[str]:
     return result.stderr.decode().splitlines()
 
 
-# Loads numpy's Philox in a fresh interpreter that has imported the CLI, as
-# validate's set-up does, and writes how far that raised the peak RSS.
-LOAD_PHILOX_PEAK = """
+# Loads numpy's Philox and Generator in a fresh interpreter that has imported
+# the CLI, as validate's set-up does, and writes how far that raised the peak RSS.
+LOAD_GENERATOR_PEAK = """
 import sys
 from collab_avg import _philox, cli
 
@@ -207,14 +244,15 @@ def peak_kib():
 
 
 before = peak_kib()
-_philox._load_philox()
+_philox._load_generator()
 print(peak_kib() - before, file=sys.stderr)
 """
 
 # The same with ExtensionFileLoader refusing, so no numpy file is loaded
-# that way: the stand-ins must be gone for the public import, and the C
-# path must still give the vectorized rounds' bits.
-LOAD_PHILOX_REFUSED = """
+# that way: the stand-ins must be gone for the public import, the C path
+# must still give the vectorized rounds' bits, and a later import of
+# numpy.random must hold the very classes loaded.
+LOAD_GENERATOR_REFUSED = """
 import sys
 from collab_avg import _philox, distributions
 
@@ -227,38 +265,42 @@ def refuse(*args):
 
 
 distributions.ExtensionFileLoader = refuse
-philox = _philox._load_philox()
+generator = _philox._load_generator()
 public = hasattr(sys.modules.get("numpy.random"), "default_rng")
 secrets = hasattr(sys.modules.get("secrets"), "token_hex")
 import numpy.random
-c_path = _philox._c_uniform_matrix(9, 2**64 - 1, 3, 300, 6)
+c_path = _philox.uniform_matrix(9, 2**64 - 1, 3, 300, 6)
 _philox._C_MIN_DRAWS = 2**62
 same = c_path.tobytes() == _philox.uniform_matrix(9, 2**64 - 1, 3, 300, 6).tobytes()
+classes = type(generator) is numpy.random.Generator and type(generator.bit_generator) is numpy.random.Philox
 print(
     f"refused: {refused}, public import: {public}, real secrets: {secrets}, "
-    f"same class: {philox is numpy.random.Philox}, same bits: {same}",
+    f"same classes: {classes}, same bits: {same}",
     file=sys.stderr,
 )
 """
 
 
-class TestLoadPhilox:
-    """numpy's Philox comes from its ``_philox`` extension alone, or else the public import."""
+class TestLoadGenerator:
+    """numpy's Philox and Generator come from their extensions alone, or else the public import."""
 
     @pytest.mark.skipif(not os.path.isfile("/proc/self/status"), reason="needs /proc")
-    def test_extension_adds_little_memory(self):
-        # Measured +0.55 MiB, against +5.4 MiB for import numpy.random.
-        assert int(run_python(LOAD_PHILOX_PEAK)[-1]) < 1536
+    def test_extensions_add_little_memory(self):
+        # Measured +1.3 MiB, against +5.4 MiB for import numpy.random.
+        assert int(run_python(LOAD_GENERATOR_PEAK)[-1]) < 1536
 
     def test_public_import_when_numpy_random_is_loaded(self, monkeypatch):
         # This process imported numpy.random above.
         calls = []
         monkeypatch.setattr(distributions, "ExtensionFileLoader", lambda *args: calls.append(args))
-        assert _philox._load_philox.__wrapped__() is Philox
+        generator = _philox._load_generator.__wrapped__()
+        assert type(generator) is np.random.Generator
+        assert type(generator.bit_generator) is Philox
         assert calls == []
 
     def test_public_import_when_the_extension_load_raises(self):
-        assert run_python(LOAD_PHILOX_REFUSED) == [
-            "refused: ['numpy.random._philox'], public import: True, real secrets: True, "
-            "same class: True, same bits: True"
+        assert run_python(LOAD_GENERATOR_REFUSED) == [
+            # Philox's fallback imports numpy.random, so Generator's load is not tried.
+            "refused: ['numpy.random._philox'], public import: True, "
+            "real secrets: True, same classes: True, same bits: True"
         ]
